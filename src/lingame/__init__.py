@@ -12,7 +12,6 @@ from .errors import (
     GameFormatError,
     LingameError,
     NoThresholdError,
-    NumericalFailureError,
     ResourceLimitError,
     ShapeError,
     ValidationError,
@@ -30,7 +29,7 @@ from .games import (
     serialize_game,
     success_probability,
 )
-from .linalg import adjoint, matmul, max_singular_value, scale
+from .linalg import max_singular_value
 from .values import (
     ClassicalResult,
     SeparabilityReport,

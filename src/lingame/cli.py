@@ -10,10 +10,8 @@ Subcommands:
     lingame boxes reduce <function>
 
 Common flags: --json (machine-readable report), --cap N (enumeration
-cap), --tolerance EPS (agreement/witness margin), --threads T (bound
-computation; the LINGAME_THREADS environment variable supplies a
-default).  Exit codes: 0 success, 1 validation or usage error, 2
-enumeration cap exceeded.
+cap), --tolerance EPS (agreement/witness margin).  Exit codes: 0
+success, 1 validation or usage error, 2 enumeration cap exceeded.
 
 JSON reports carry a versioned ``schema`` field, sorted keys, and floats
 rounded to 10 significant digits; they contain no timings, so identical
@@ -26,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -179,7 +176,7 @@ def cmd_analyze(args):
     timings["classical"] = time.perf_counter() - t0
     ns_value, _ = values.no_signaling_value(game)
     t0 = time.perf_counter()
-    bound = qbounds.quantum_bound(game, threads=args.threads)
+    bound = qbounds.quantum_bound(game)
     timings["quantum_bound"] = time.perf_counter() - t0
 
     doc = {
@@ -254,7 +251,7 @@ def cmd_chsh(args):
     analytic = qbounds.chsh_bound_analytic(args.players, args.outcomes)
     game = games.chsh_game(args.players, args.outcomes)
     t0 = time.perf_counter()
-    bound = qbounds.quantum_bound(game, threads=args.threads)
+    bound = qbounds.quantum_bound(game)
     elapsed = time.perf_counter() - t0
     agreement = abs(bound.bound - analytic) <= args.tolerance
     doc = {
@@ -406,14 +403,6 @@ def cmd_boxes_reduce(args):
     return _emit(args, doc, human)
 
 
-def _default_threads():
-    raw = os.environ.get("LINGAME_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -422,9 +411,6 @@ def _build_parser():
                         help="enumeration cap override")
     common.add_argument("--tolerance", type=float, default=WITNESS_MARGIN,
                         help="agreement/witness margin (default 1e-9)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="threads for bound computation "
-                             "(default: LINGAME_THREADS or 1)")
 
     parser = _Parser(prog="lingame",
                      description="Linear nonlocal games over finite "
@@ -478,8 +464,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except ResourceLimitError as e:

@@ -17,16 +17,19 @@ genuine tripartite entanglement from statistics alone.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import NoThresholdError, ResourceLimitError, ValidationError
 from .linalg import max_singular_value
+from .qbounds import first_optimum, game_tensor
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, WITNESS_MARGIN
 
-import numpy as np
+# Complex entries of one chunk of contracted matrices (2^18 * 16 B = 4 MiB).
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _check_tripartite(game):
@@ -35,30 +38,41 @@ def _check_tripartite(game):
             f"biseparable analysis needs exactly 3 players, got {game.players}")
 
 
+def _check_lone(lone):
+    if lone not in (0, 1, 2):
+        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+
+
+def _lone_tensor(game, lone):
+    """A_lone[k, x_lone, x_i, x_j] for the pair i < j of joint players."""
+    pair = tuple(i for i in range(3) if i != lone)
+    return game_tensor(game).transpose(0, 1 + lone, 1 + pair[0], 1 + pair[1])
+
+
+def _contract(game, a_lone, assignments):
+    """B[k, c, i, j] = sum_l conj chi_k(c_l) A_lone[k, l, i, j] for each row
+    c of ``assignments`` (group-element indices, one per lone question)."""
+    ks, q, rows, cols = a_lone.shape
+    chi = game.group.character_table()[1:]
+    b = chi[:, assignments].conj() @ a_lone.reshape(ks, q, rows * cols)
+    return b.reshape(ks, len(assignments), rows, cols)
+
+
 def biseparable_matrix(game, lone, k, assignment):
     """Game matrix of the two joint players once the lone player's answers
     are fixed by ``assignment`` (one group element per lone question)."""
     _check_tripartite(game)
-    if lone not in (0, 1, 2):
-        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+    _check_lone(lone)
     k = game.group.coerce(k)
     if k == game.group.identity:
         raise ValidationError("the trivial character gives no constraint")
-    assignment = tuple(game.group.coerce(a) for a in assignment)
+    assignment = [game.group.index(game.group.coerce(a)) for a in assignment]
     if len(assignment) != game.question_counts[lone]:
         raise ValidationError(
             f"assignment has {len(assignment)} entries, lone player has "
             f"{game.question_counts[lone]} questions")
-
-    pair = tuple(i for i in range(3) if i != lone)
-    rows, cols = game.question_counts[pair[0]], game.question_counts[pair[1]]
-    out = np.zeros((rows, cols), dtype=complex)
-    group = game.group
-    for x in game.inputs():
-        shifted = group.sub(game.predicate_value(x), assignment[x[lone]])
-        out[x[pair[0]], x[pair[1]]] += (float(game.probability(x))
-                                        * group.character(k, shifted))
-    return out
+    b = _contract(game, _lone_tensor(game, lone), np.array([assignment]))
+    return b[game.group.index(k) - 1, 0]
 
 
 @dataclass(frozen=True)
@@ -88,48 +102,49 @@ class BiseparableReport:
 
 def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Maximize the split bound over all answer assignments for the lone
-    player; ties keep the lexicographically first assignment."""
+    player, enumerated lexicographically; the first assignment within
+    TIE_TOL of the maximum is reported, with the maximum as its raw bound."""
     _check_tripartite(game)
-    if lone not in (0, 1, 2):
-        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+    _check_lone(lone)
     g = game.group.size
-    count = g**game.question_counts[lone]
+    q = game.question_counts[lone]
+    count = g**q
     if count > cap:
         raise ResourceLimitError(
             f"{count} lone-player assignments exceed the cap of {cap}",
             required=count, cap=cap)
 
-    pair = tuple(i for i in range(3) if i != lone)
-    factor = math.sqrt(game.question_counts[pair[0]]
-                       * game.question_counts[pair[1]])
-    best = None
-    for assignment in itertools.product(game.group.elements(),
-                                        repeat=game.question_counts[lone]):
-        norms = {}
-        total = 0.0
-        for k in game.group.elements():
-            if k == game.group.identity:
-                continue
-            norms[k] = max_singular_value(
-                biseparable_matrix(game, lone, k, assignment))
-            total += norms[k]
-        raw = (1.0 + factor * total) / g
-        if best is None or raw > best.raw:
-            best = BiseparablePartition(lone=lone, assignment=assignment,
-                                        norms=norms, raw=raw,
-                                        value=min(raw, 1.0))
-    return best
+    a_lone = _lone_tensor(game, lone)
+    factor = math.sqrt(a_lone[0, 0].size)
+    # Row c of the digit table is the c-th assignment in lexicographic order.
+    radix = g ** np.arange(q - 1, -1, -1)
+    chunk = max(1, _CHUNK_ENTRIES // a_lone[:, 0].size)
+    raws = np.empty(count)
+    for start in range(0, count, chunk):
+        index = np.arange(start, min(start + chunk, count))
+        sigma = max_singular_value(
+            _contract(game, a_lone, index[:, None] // radix % g))
+        raws[start:start + len(index)] = (1.0 + factor * sigma.sum(axis=0)) / g
+
+    best, raw = first_optimum(raws, largest=True)
+    digits = best // radix % g
+    sigma = max_singular_value(_contract(game, a_lone, digits[None, :]))
+    norms = dict(zip(game.group.elements()[1:], sigma[:, 0].tolist()))
+    return BiseparablePartition(
+        lone=lone, assignment=tuple(game.group.element(i) for i in digits),
+        norms=norms, raw=raw, value=min(raw, 1.0))
 
 
 def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Largest winning probability of biseparable (hybrid) strategies,
-    maximized over the three lone-player splits."""
+    maximized over the three lone-player splits; the first split within
+    TIE_TOL of the maximum is reported as the best."""
     _check_tripartite(game)
     partitions = tuple(biseparable_bound_partition(game, lone, cap=cap)
                        for lone in range(3))
-    best = max(partitions, key=lambda part: part.raw)
-    return BiseparableReport(partitions=partitions, raw_bound=best.raw,
-                             bound=min(best.raw, 1.0), best_lone=best.lone)
+    best, raw = first_optimum([part.raw for part in partitions], largest=True)
+    return BiseparableReport(partitions=partitions, raw_bound=raw,
+                             bound=min(raw, 1.0), best_lone=best)
 
 
 class Verdict(enum.Enum):
@@ -172,7 +187,9 @@ def visibility_threshold(game, strategy, bound=None):
     For rank-one projective strategies the noisy success is affine in V
     and equals 1/|G| at V = 0, so the threshold solving
     V * omega_psi + (1 - V)/|G| = omega_B is
-    (omega_B - 1/|G|) / (omega_psi - 1/|G|), clamped to [0, 1].
+    (omega_B - 1/|G|) / (omega_psi - 1/|G|), clamped below at 0.  A
+    strategy whose threshold would exceed 1 never beats the bound, and
+    NoThresholdError is raised.
 
     ``strategy`` may also be the noiseless success probability itself,
     for thresholds against an externally evaluated value.
@@ -194,4 +211,7 @@ def visibility_threshold(game, strategy, bound=None):
         raise NoThresholdError(
             f"ideal success {ideal} does not exceed the random baseline {base}")
     v = (bound - base) / (ideal - base)
-    return min(max(v, 0.0), 1.0)
+    if v > 1.0:
+        raise NoThresholdError(
+            f"success {ideal} stays below the bound {bound} at every visibility")
+    return max(v, 0.0)

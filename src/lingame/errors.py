@@ -21,20 +21,6 @@ class ShapeError(LingameError, ValueError):
     """Matrix or tensor dimensions do not line up."""
 
 
-class NumericalFailureError(LingameError):
-    """An iterative routine failed to converge.
-
-    Attributes:
-        last_value: last scalar estimate before giving up.
-        last_vector: last iterate vector, for post-mortem inspection.
-    """
-
-    def __init__(self, message, last_value=None, last_vector=None):
-        super().__init__(message)
-        self.last_value = last_value
-        self.last_vector = last_vector
-
-
 class ResourceLimitError(LingameError):
     """An enumeration would exceed the configured cap.
 

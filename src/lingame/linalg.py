@@ -1,89 +1,32 @@
-"""Dense complex matrices and the largest-singular-value routine.
+"""The spectral-norm kernel shared by every bound in the package.
 
-Matrices are plain numpy arrays of dtype complex128.  The one nontrivial
-routine is max_singular_value, which runs power iteration on the Gram
-matrix (the smaller of M M^dagger and M^dagger M) from a deterministic
-start vector, so repeated runs give bit-identical results.
+Matrices are numpy arrays of dtype complex128, alone or stacked along
+leading axes.  max_singular_value takes the largest singular value of
+each matrix in a stack with one LAPACK call (numpy's batched SVD without
+singular vectors), so every norm the bounds need is one call per stack.
+The result is deterministic for a given input and LAPACK build.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalFailureError, ShapeError
-from .tolerances import POWER_MAX_ITER, POWER_STAGNATION_RTOL
+from .errors import ShapeError
 
 
 def as_matrix(m):
-    """Validate and return a 2-D finite complex128 array."""
+    """Validate and return a finite complex128 array of shape (..., r, c)
+    with r, c >= 1 and no empty stack axis."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if a.ndim < 2 or a.size == 0:
+        raise ShapeError(
+            f"expected a non-empty matrix or stack of matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return a
 
 
-def matmul(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def adjoint(m):
-    return as_matrix(m).conj().T
-
-
-def scale(c, m):
-    return complex(c) * as_matrix(m)
-
-
-def max_singular_value(m, *, max_iter=POWER_MAX_ITER,
-                       rtol=POWER_STAGNATION_RTOL):
-    """Largest singular value of a dense complex matrix.
-
-    Power iteration on the Gram matrix, started from the normalized
-    all-ones vector with its first coordinate perturbed by 1e-3 (so the
-    start never sits exactly orthogonal to the leading eigenvector of the
-    common sign-symmetric cases).  Iteration stops when successive
-    Rayleigh quotients agree to within ``rtol`` relatively; hitting
-    ``max_iter`` first raises NumericalFailureError carrying the last
-    iterate.  Spectra whose top two Gram eigenvalues are closer than
-    about 1e-4 relative either stagnate early (with error bounded by the
-    gap itself) or hit the cap; exactly degenerate tops are fine.
-    """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    # The Gram matrix on the smaller side keeps the iteration cheap.
-    if rows <= cols:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    n = gram.shape[0]
-
-    v = np.ones(n, dtype=complex)
-    v[0] += 1e-3
-    v /= np.linalg.norm(v)
-
-    lam = float(np.real(v.conj() @ (gram @ v)))
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # v is in the kernel; with the fixed start this only happens
-            # for the zero Gram matrix.
-            return 0.0
-        v = w / norm
-        new_lam = float(np.real(v.conj() @ (gram @ v)))
-        if abs(new_lam - lam) <= rtol * max(abs(new_lam), 1e-300):
-            lam = new_lam
-            break
-        lam = new_lam
-    else:
-        raise NumericalFailureError(
-            f"power iteration did not stagnate within {max_iter} iterations",
-            last_value=float(np.sqrt(max(lam, 0.0))), last_vector=v)
-    return float(np.sqrt(max(lam, 0.0)))
+def max_singular_value(m):
+    """Largest singular value of a complex matrix, or of every matrix in a
+    stack of shape (..., r, c); a stack gives an array of shape (...)."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)[..., 0]

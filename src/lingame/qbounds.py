@@ -18,7 +18,6 @@ bound on every quantum (hence every classical) strategy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .games import _prime_power
 from .linalg import max_singular_value
+from .tolerances import TIE_TOL
 
 
 def _validate_partition(game, s_players):
@@ -43,6 +43,36 @@ def _validate_partition(game, s_players):
     return s
 
 
+def game_tensor(game):
+    """The character-weighted game tensor
+
+        A[k, x_1, ..., x_n] = p(x) * chi_k(f(x)),
+
+    one slice per nontrivial character k in group enumeration order (the
+    identity, which comes first, is left out).  Every game matrix, for a
+    bipartition or for a lone player's fixed answers, is a reshape or a
+    contraction of A."""
+    chi = game.group.character_table()[1:]
+    a = game.probabilities_float() * chi[:, game.predicate_indices()]
+    return a.reshape((len(chi),) + game.question_counts)
+
+
+def first_optimum(raws, largest):
+    """Index of the first raw value within TIE_TOL of the optimum (the
+    largest if ``largest``, else the smallest), and the optimum itself."""
+    raws = np.asarray(raws, dtype=float)
+    best = raws.max() if largest else raws.min()
+    return int(np.argmax(np.abs(raws - best) <= TIE_TOL)), float(best)
+
+
+def _bipartition_stack(tensor, game, s):
+    """The matrices Phi_k^S for every nontrivial k, stacked along axis 0."""
+    comp = tuple(i for i in range(game.players) if i not in s)
+    rows = math.prod(game.question_counts[i] for i in s)
+    axes = (0,) + tuple(1 + i for i in s + comp)
+    return tensor.transpose(axes).reshape(len(tensor), rows, -1)
+
+
 def game_matrix(game, s_players, k):
     """The matrix Phi_k^S of a game, for a side S of a bipartition and a
     nontrivial character index k."""
@@ -51,40 +81,21 @@ def game_matrix(game, s_players, k):
     if k == game.group.identity:
         raise ValidationError(
             "the trivial character carries no game information; use k != e")
-    comp = tuple(i for i in range(game.players) if i not in s)
-
-    grid = np.array(game.inputs(), dtype=np.intp)
-    def side_index(side):
-        idx = np.zeros(len(grid), dtype=np.intp)
-        for i in side:
-            idx = idx * game.question_counts[i] + grid[:, i]
-        return idx
-
-    rows = side_index(s)
-    cols = side_index(comp)
-    n_rows = math.prod(game.question_counts[i] for i in s)
-    n_cols = math.prod(game.question_counts[i] for i in comp)
-
-    chi = game.group.character_table()
-    values = game.probabilities_float() * chi[game.group.index(k), game.predicate_indices()]
-    out = np.zeros((n_rows, n_cols), dtype=complex)
-    out[rows, cols] = values
-    return out
+    return _bipartition_stack(game_tensor(game), game, s)[game.group.index(k) - 1]
 
 
-def _nontrivial_elements(group):
-    return [a for a in group.elements() if a != group.identity]
+def _partition_bound(tensor, game, s):
+    norms = dict(zip(game.group.elements()[1:],
+                     max_singular_value(_bipartition_stack(tensor, game, s)).tolist()))
+    scale = math.sqrt(math.prod(game.question_counts))
+    raw = (1.0 + scale * sum(norms.values())) / game.group.size
+    return PartitionBound(players=s, norms=norms, raw=raw, value=min(raw, 1.0))
 
 
-def quantum_bound_partition(game, s_players, *, _norms=None):
+def quantum_bound_partition(game, s_players):
     """The norm bound for one bipartition (raw, not clamped)."""
     s = _validate_partition(game, s_players)
-    group = game.group
-    if _norms is None:
-        _norms = {k: max_singular_value(game_matrix(game, s, k))
-                  for k in _nontrivial_elements(group)}
-    scale = math.sqrt(math.prod(game.question_counts))
-    return (1.0 + scale * sum(_norms.values())) / group.size
+    return _partition_bound(game_tensor(game), game, s).raw
 
 
 @dataclass(frozen=True)
@@ -125,47 +136,16 @@ def _partitions_containing_first_player(n):
     return out
 
 
-def quantum_bound(game, threads=1):
-    """Norm bound minimized over all inequivalent bipartitions.
-
-    ``threads`` > 1 evaluates the independent (partition, character) norms
-    on a thread pool; results are reduced in a fixed order, so the report
-    does not depend on the thread count.
-    """
-    threads = int(threads)
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    group = game.group
-    subsets = _partitions_containing_first_player(game.players)
-    ks = _nontrivial_elements(group)
-    jobs = [(s, k) for s in subsets for k in ks]
-
-    def norm(job):
-        s, k = job
-        return max_singular_value(game_matrix(game, s, k))
-
-    if threads == 1:
-        results = [norm(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(norm, jobs))
-
-    norms = {}
-    for (s, k), sigma in zip(jobs, results):
-        norms.setdefault(s, {})[k] = sigma
-
-    partitions = []
-    for s in subsets:
-        raw = quantum_bound_partition(game, s, _norms=norms[s])
-        partitions.append(PartitionBound(
-            players=s, norms=norms[s], raw=raw, value=min(raw, 1.0)))
-
-    best = min(partitions, key=lambda p: p.raw)
-    return BoundReport(
-        partitions=tuple(partitions),
-        raw_bound=best.raw,
-        bound=min(best.raw, 1.0),
-        best_partition=best.players)
+def quantum_bound(game):
+    """Norm bound minimized over all inequivalent bipartitions; the best
+    partition is the first whose bound is within TIE_TOL of the minimum."""
+    tensor = game_tensor(game)
+    partitions = tuple(_partition_bound(tensor, game, s) for s in
+                       _partitions_containing_first_player(game.players))
+    best, raw = first_optimum([p.raw for p in partitions], largest=False)
+    return BoundReport(partitions=partitions, raw_bound=raw,
+                       bound=min(raw, 1.0),
+                       best_partition=partitions[best].players)
 
 
 def chsh_bound_analytic(players, outcomes):

@@ -6,10 +6,10 @@ runtime constants; the test suite additionally references the acceptance
 tolerances when checking frozen expected values.
 """
 
-# Power iteration (largest singular value).
-POWER_STAGNATION_RTOL = 1e-14  # relative Rayleigh-quotient stagnation
-POWER_MAX_ITER = 10**5
-SIGMA_RTOL = 1e-10  # contractual relative accuracy of max_singular_value
+# Choice among candidate bounds (partitions, lone players, assignments):
+# the first candidate within this distance of the optimum wins, so values
+# that tie in exact arithmetic but differ by rounding pick a fixed winner.
+TIE_TOL = 1e-12
 
 # Validation of probabilistic objects.
 DISTRIBUTION_SUM_TOL = 1e-12  # |sum p - 1| for game distributions

@@ -4,7 +4,11 @@ Each routine here recomputes a quantity the library computes some other
 way, by a deliberately different algorithm, so agreement is meaningful:
 
 * jacobi_eigenvalues: cyclic Jacobi diagonalization of a Hermitian matrix
-  (checks power-iteration singular values).
+  (checks the SVD singular values).
+* oracle_quantum_bound / oracle_biseparable_bound: game matrices filled
+  entry by entry, one Jacobi norm per matrix, and a Python loop over every
+  partition and every lone-player assignment (checks the game tensor and
+  the batched contraction in qbounds and diew).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * brute_svetlichny_value: enumeration over the joint pair's sum tables
@@ -20,6 +24,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from lingame.tolerances import TIE_TOL
 
 
 def _jacobi_rotation(a, p, q):
@@ -83,6 +89,89 @@ def oracle_max_singular_value(m):
                 gram[i, j] = sum(np.conj(m[t, i]) * m[t, j] for t in range(rows))
     eig = jacobi_eigenvalues(gram)
     return math.sqrt(max(float(eig[-1]), 0.0))
+
+
+def _first_within_tie(raws, largest):
+    """Index of the first raw within TIE_TOL of the optimum, and the
+    optimum, by a plain scan."""
+    best = max(raws) if largest else min(raws)
+    for i, raw in enumerate(raws):
+        if abs(raw - best) <= TIE_TOL:
+            return i, best
+
+
+def oracle_game_matrix(game, s_players, k):
+    """Phi_k^S[x_S, x_{S^c}] = p(x) chi_k(f(x)), one entry per input."""
+    s = tuple(s_players)
+    comp = tuple(i for i in range(game.players) if i not in s)
+    sides = [list(itertools.product(*(range(game.question_counts[i])
+                                      for i in side))) for side in (s, comp)]
+    out = np.zeros((len(sides[0]), len(sides[1])), dtype=complex)
+    for x in game.inputs():
+        row = sides[0].index(tuple(x[i] for i in s))
+        col = sides[1].index(tuple(x[i] for i in comp))
+        out[row, col] = (float(game.probability(x))
+                         * game.group.character(k, game.predicate_value(x)))
+    return out
+
+
+def oracle_quantum_bound(game):
+    """(raw bound, best partition) over every bipartition containing
+    player 0, in the order of their player bitmasks."""
+    group = game.group
+    ks = [k for k in group.elements() if k != group.identity]
+    scale = math.sqrt(math.prod(game.question_counts))
+    parts, raws = [], []
+    for mask in range(1, 2**game.players - 1):
+        if mask & 1:
+            s = tuple(i for i in range(game.players) if mask >> i & 1)
+            total = sum(oracle_max_singular_value(oracle_game_matrix(game, s, k))
+                        for k in ks)
+            parts.append(s)
+            raws.append((1.0 + scale * total) / group.size)
+    best, raw = _first_within_tie(raws, largest=False)
+    return raw, parts[best]
+
+
+def oracle_biseparable_matrix(game, lone, k, assignment):
+    """Pair matrix sum_{x_lone} p(x) chi_k(f(x) - c(x_lone)), entry by
+    entry."""
+    group = game.group
+    pair = [i for i in range(3) if i != lone]
+    out = np.zeros((game.question_counts[pair[0]],
+                    game.question_counts[pair[1]]), dtype=complex)
+    for x in game.inputs():
+        shifted = group.sub(game.predicate_value(x), assignment[x[lone]])
+        out[x[pair[0]], x[pair[1]]] += (float(game.probability(x))
+                                        * group.character(k, shifted))
+    return out
+
+
+def oracle_biseparable_partition(game, lone):
+    """(raw bound, assignment) maximized by looping over every lone-player
+    assignment in lexicographic order."""
+    group = game.group
+    ks = [k for k in group.elements() if k != group.identity]
+    pair = [i for i in range(3) if i != lone]
+    factor = math.sqrt(game.question_counts[pair[0]]
+                       * game.question_counts[pair[1]])
+    assignments = list(itertools.product(group.elements(),
+                                         repeat=game.question_counts[lone]))
+    raws = []
+    for c in assignments:
+        total = sum(oracle_max_singular_value(
+            oracle_biseparable_matrix(game, lone, k, c)) for k in ks)
+        raws.append((1.0 + factor * total) / group.size)
+    best, raw = _first_within_tie(raws, largest=True)
+    return raw, assignments[best]
+
+
+def oracle_biseparable_bound(game):
+    """(raw bound, best lone player, its assignment) over the three
+    splits."""
+    parts = [oracle_biseparable_partition(game, lone) for lone in range(3)]
+    best, raw = _first_within_tie([p[0] for p in parts], largest=True)
+    return raw, best, parts[best][1]
 
 
 def naive_classical_value(game):

@@ -79,12 +79,6 @@ def test_analyze_json_is_byte_identical(capsys):
     assert first == second
 
 
-def test_analyze_threads_do_not_change_report(capsys):
-    _, one = run_json(capsys, "analyze", CHSH22, "--json", "--threads", "1")
-    _, four = run_json(capsys, "analyze", CHSH22, "--json", "--threads", "4")
-    assert one == four
-
-
 # ---------------------------------------------------------------------------
 # chsh
 
@@ -119,6 +113,22 @@ def test_diew_with_strategy(capsys):
     assert doc["strategy"]["gap"] == pytest.approx(1 - 0.8960197525, abs=1e-6)
     assert doc["strategy"]["visibility_threshold"] == pytest.approx(
         0.8440296287, abs=1e-9)
+
+
+def test_diew_strategy_below_bound_has_no_threshold(capsys, tmp_path):
+    # unbalanced GHZ state 0.9|000> + r|111> + r|222>: success 0.767,
+    # below the biseparable bound, so no visibility beats the bound
+    doc = json.loads(Path(GHZ3_STRATEGY).read_text())
+    r = ((1 - 0.81) / 2) ** 0.5
+    amplitudes = [[0.0, 0.0]] * 27
+    amplitudes[0], amplitudes[13], amplitudes[26] = [0.9, 0.0], [r, 0.0], [r, 0.0]
+    doc["state"] = {"amplitudes": amplitudes}
+    path = tmp_path / "unbalanced.strategy"
+    path.write_text(json.dumps(doc))
+    report, _ = run_json(capsys, "diew", GHZ3, "--json", "--strategy", str(path))
+    assert report["strategy"]["success"] == pytest.approx(0.7665315068, abs=1e-9)
+    assert report["strategy"]["verdict"] == "INCONCLUSIVE"
+    assert report["strategy"]["visibility_threshold"] is None
 
 
 def test_diew_human_verdict_line(capsys):
@@ -233,15 +243,6 @@ def test_missing_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
-
-
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("LINGAME_THREADS", "4")
-    assert cli._default_threads() == 4
-    monkeypatch.setenv("LINGAME_THREADS", "not-a-number")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("LINGAME_THREADS")
-    assert cli._default_threads() == 1
 
 
 def test_parse_report_rejects_foreign_json():

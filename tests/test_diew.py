@@ -21,8 +21,10 @@ from lingame.errors import (NoThresholdError, ResourceLimitError,
                             ValidationError)
 from lingame.games import (Behavior, chsh_game, make_game, mermin_ghz3_game,
                            success_probability)
+from lingame.linalg import max_singular_value
 from lingame.qbounds import quantum_bound
 from lingame.strategies import QuantumStrategy, ghz3_reference_strategy
+from lingame.tolerances import TIE_TOL
 from lingame.values import classical_value
 
 Z3 = AbelianGroup((3,))
@@ -140,6 +142,25 @@ def test_tie_break_keeps_first_assignment():
     assert part.assignment == ((0,), (0,))
 
 
+def test_tied_assignments_keep_the_first():
+    # Shift-equivalent assignments tie in exact arithmetic; the first in
+    # lexicographic order within TIE_TOL of the maximum is reported, and
+    # the maximum itself is the partition's raw bound.
+    table = [1, 0, 0, 2, 1, 1, 1, 2, 1, 0, 2, 0, 0, 2, 1, 0, 0, 1, 2, 1, 2,
+             0, 0, 2, 2, 0, 0]
+    game = make_game(Z3, (3, 3, 3), [(v,) for v in table])
+    part = biseparable_bound_partition(game, 0)
+    raws = []
+    for c in itertools.product(Z3.elements(), repeat=3):
+        total = sum(max_singular_value(biseparable_matrix(game, 0, k, c))
+                    for k in ((1,), (2,)))
+        raws.append((1 + 3 * total) / 3)
+    assert part.assignment == ((0,), (2,), (1,))
+    assert abs(part.raw - max(raws)) <= 1e-15
+    assert max(raws) - raws[list(itertools.product(
+        Z3.elements(), repeat=3)).index(part.assignment)] <= TIE_TOL
+
+
 # ---------------------------------------------------------------------------
 # Witness verdicts
 
@@ -198,6 +219,9 @@ def test_visibility_threshold_no_gain_errors():
     game = mermin_ghz3_game()
     with pytest.raises(NoThresholdError):
         visibility_threshold(game, 1 / 3, bound=0.5)
+    # below the bound 0.896 no visibility beats it
+    with pytest.raises(NoThresholdError):
+        visibility_threshold(game, 0.85)
 
 
 def test_visibility_threshold_rejects_rank_two_strategy():

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from lingame.errors import NumericalFailureError, ShapeError
-from lingame.linalg import adjoint, matmul, max_singular_value, scale
+from lingame.algebra import AbelianGroup
+from lingame.errors import ShapeError
+from lingame.games import make_game
+from lingame.linalg import max_singular_value
+from lingame.qbounds import quantum_bound
 
 from oracles import jacobi_eigenvalues, oracle_max_singular_value
 
@@ -47,29 +52,16 @@ def test_oracle_rejects_non_hermitian():
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# --- Elementary matrix ops. ---
+# --- Input validation. ---
 
 
-def test_adjoint_is_an_involution():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    assert np.array_equal(adjoint(adjoint(m)), m)
-    assert adjoint(m).shape == (5, 3)
-
-
-def test_matmul_checks_shapes():
-    a = np.ones((2, 3))
+def test_shapes_rejected():
     with pytest.raises(ShapeError):
-        matmul(a, np.ones((2, 2)))
-    out = matmul(a, np.ones((3, 4)))
-    assert out.shape == (2, 4)
-    assert np.allclose(out, 3.0)
-
-
-def test_scale():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(scale(2j, m), 2j * m)
-    assert np.allclose(scale(0, m), 0)
+        max_singular_value(np.ones(3))
+    with pytest.raises(ShapeError):
+        max_singular_value(np.ones((0, 3)))
+    with pytest.raises(ShapeError):
+        max_singular_value(np.ones((0, 2, 2)))
 
 
 def test_non_finite_entries_rejected():
@@ -122,13 +114,29 @@ def test_deterministic_across_runs():
     assert max_singular_value(m) == max_singular_value(m.copy())
 
 
-def test_near_degenerate_spectrum_raises_with_last_iterate():
-    # A relative gap of 5e-5 between the top two Gram eigenvalues needs
-    # more iterations than the cap allows before the Rayleigh quotient
-    # stagnates, so the routine must fail loudly and carry its best
-    # estimate out.
+def test_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(23)
+    stack = rng.normal(size=(4, 3, 5, 2)) + 1j * rng.normal(size=(4, 3, 5, 2))
+    got = max_singular_value(stack)
+    assert got.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            assert abs(got[i, j] - oracle_max_singular_value(stack[i, j])) <= 1e-12
+
+
+def test_near_degenerate_spectrum_is_exact():
+    # A relative gap of 5e-5 between the top two Gram eigenvalues: an
+    # iterative method stalls here, the SVD does not.
     m = np.diag([1.0, np.sqrt(1.0 - 5e-5)])
-    with pytest.raises(NumericalFailureError) as info:
-        max_singular_value(m)
-    assert info.value.last_value == pytest.approx(1.0, abs=1e-3)
-    assert info.value.last_vector is not None
+    assert abs(max_singular_value(m) - 1.0) <= 1e-15
+    # The near-tie game: Z2, questions (2, 2), f = 0, weights 40000/79999
+    # and 39999/79999 on the diagonal; one nontrivial character.
+    dist = [Fraction(40000, 79999), 0, 0, Fraction(39999, 79999)]
+    game = make_game(AbelianGroup((2,)), (2, 2), [(0,)] * 4,
+                     distribution=dist)
+    sigma = np.linalg.svd(np.diag([40000 / 79999, 39999 / 79999]),
+                          compute_uv=False)[0]
+    report = quantum_bound(game)
+    assert abs(report.raw_bound - (1 + 2 * sigma) / 2) <= 1e-12
+    assert report.raw_bound == pytest.approx(1.00000625, abs=1e-8)
+    assert report.bound == 1.0
