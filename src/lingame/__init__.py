@@ -48,7 +48,6 @@ from .qbounds import (
 )
 from .strategies import (
     CorrelatorTensor,
-    NoisyState,
     QuantumStrategy,
     correlators,
     ghz3_reference_strategy,

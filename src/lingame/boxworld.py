@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import AbelianGroup, _is_prime
 from .errors import GameFormatError, ValidationError
-from .games import Behavior
+from .games import Behavior, answer_sums
 
 
 class FunctionTable(object):
@@ -220,18 +220,13 @@ def box_behavior(box):
     d = box.d
     n = box.players
     questions = tuple(d**m for m in box.arities)
-    n_inputs = math.prod(questions)
-    table = np.zeros((n_inputs, d**n))
-    weight = 1.0 / d**(n - 1)
+    group = AbelianGroup((d,))
     # Row index runs lexicographically over the concatenated variables,
     # matching the per-party question indexing.
-    for row, flat in enumerate(itertools.product(range(d),
-                                                 repeat=sum(box.arities))):
-        target = box.target(flat)
-        for col, answers in enumerate(itertools.product(range(d), repeat=n)):
-            if sum(answers) % d == target:
-                table[row, col] = weight
-    return Behavior(AbelianGroup((d,)), questions, table)
+    targets = np.array([box.target(flat) for flat in
+                        itertools.product(range(d), repeat=sum(box.arities))])
+    wins = answer_sums(group, n) == targets[:, None]
+    return Behavior(group, questions, np.where(wins, 1.0 / d**(n - 1), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _strategy_section(game, strategy, bound_value, margin):
         section["gap"] = gap
         try:
             section["visibility_threshold"] = diew.visibility_threshold(
-                game, observed, bound=bound_value)
+                game, strategy, bound=bound_value)
         except NoThresholdError:
             section["visibility_threshold"] = None
     return section
@@ -305,7 +305,7 @@ def cmd_diew(args):
         human.append(f"verdict         {result.verdict.value} "
                      f"(gap {result.gap:.6g})")
         try:
-            threshold = diew.visibility_threshold(game, observed,
+            threshold = diew.visibility_threshold(game, strategy,
                                                   bound=report.bound)
             doc["strategy"]["visibility_threshold"] = threshold
             human.append(f"visibility      threshold {threshold:.6g}")

@@ -184,32 +184,34 @@ def visibility_threshold(game, strategy, bound=None):
     """Least visibility V at which mixing a strategy's state with white
     noise still beats the biseparable bound.
 
-    For rank-one projective strategies the noisy success is affine in V
-    and equals 1/|G| at V = 0, so the threshold solving
-    V * omega_psi + (1 - V)/|G| = omega_B is
-    (omega_B - 1/|G|) / (omega_psi - 1/|G|), clamped below at 0.  A
-    strategy whose threshold would exceed 1 never beats the bound, and
-    NoThresholdError is raised.
+    The noisy success V * omega + (1 - V) * omega_noise is affine in V
+    (see ``strategies.noisy_success``), where omega_noise is the success
+    of white noise under the strategy's measurements: 1/|G| for rank-one
+    projectors, and set by the projector ranks in general.  The threshold
+    solving V * omega + (1 - V) * omega_noise = omega_B is
+    (omega_B - omega_noise) / (omega - omega_noise), clamped below at 0,
+    for any projector ranks.  A strategy whose threshold would exceed 1
+    never beats the bound, and NoThresholdError is raised.
 
     ``strategy`` may also be the noiseless success probability itself,
-    for thresholds against an externally evaluated value.
+    for thresholds against an externally evaluated value.  Its baseline
+    is then 1/|G|, the noise success of rank-one measurements; pass the
+    strategy itself when its projectors may have higher rank.
     """
+    from .games import success_probability
+    from .strategies import noise_behavior, strategy_behavior
     if isinstance(strategy, (int, float)):
         ideal = float(strategy)
+        base = 1.0 / game.group.size
     else:
-        from .games import success_probability
-        from .strategies import strategy_behavior
-        if not strategy.rank_one:
-            raise ValidationError(
-                "the affine noise formula needs rank-one projectors")
         ideal = success_probability(game, strategy_behavior(strategy, game))
-    base = 1.0 / game.group.size
+        base = success_probability(game, noise_behavior(strategy, game))
     if bound is None:
         bound = biseparable_bound(game).bound
     bound = float(bound)
     if ideal <= base + 1e-12:
         raise NoThresholdError(
-            f"ideal success {ideal} does not exceed the random baseline {base}")
+            f"ideal success {ideal} does not exceed the noise baseline {base}")
     v = (bound - base) / (ideal - base)
     if v > 1.0:
         raise NoThresholdError(

@@ -22,21 +22,24 @@ import numpy as np
 
 from .algebra import AbelianGroup, FiniteField
 from .errors import GameFormatError, ValidationError
-from .tolerances import BEHAVIOR_ROW_TOL, DISTRIBUTION_SUM_TOL
+from .tolerances import BEHAVIOR_ROW_TOL
 
 
 def _as_fraction(value, where="probability"):
+    """Exact rational from a Fraction, an int, a "p/q" string or a float.
+    A float is read as its shortest round-tripping decimal, so 0.1 is
+    exactly 1/10, not the binary double nearest to it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        value = repr(float(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(f"bad rational {where}: {value!r} ({e})") from None
-    if isinstance(value, float):
-        return Fraction(value)
     raise ValidationError(f"bad {where}: {value!r}")
 
 
@@ -67,9 +70,10 @@ class LinearGame:
             if p < 0:
                 raise ValidationError(f"negative probability {p} at input {x}")
         total = sum(dist)
-        if abs(total - 1) > DISTRIBUTION_SUM_TOL:
+        if total != 1:
             raise ValidationError(
-                f"distribution sums to {float(total)!r}, not 1")
+                f"distribution sums to {total} ({float(total)!r}), not exactly "
+                f"1; give probabilities as Fractions or \"p/q\" strings")
         self.distribution = tuple(dist)
 
         if len(predicate) != len(self._inputs):
@@ -254,6 +258,23 @@ def _output_tuples(group, players):
     return tuple(itertools.product(group.elements(), repeat=players))
 
 
+@lru_cache(maxsize=None)
+def answer_sums(group, players):
+    """Group-element index of a_1 + ... + a_n for every answer tuple, in
+    the lexicographic column order of behaviors.  The array is shared
+    between callers and read-only."""
+    residues = np.array(group.elements())
+    orders = np.array(group.orders)
+    total = np.zeros((1, len(orders)), dtype=np.intp)
+    for _ in range(players):
+        total = ((total[:, None, :] + residues[None, :, :]) % orders).reshape(
+            -1, len(orders))
+    # Elements enumerate lexicographically: an index is row-major.
+    sums = np.ravel_multi_index(tuple(total.T), group.orders)
+    sums.setflags(write=False)
+    return sums
+
+
 def output_tuples(group, players):
     """All answer tuples in lexicographic order (per-player enumeration)."""
     return list(_output_tuples(group, players))
@@ -331,23 +352,10 @@ def success_probability(game, behavior):
         raise ValidationError("behavior and game use different groups")
     if behavior.question_counts != game.question_counts:
         raise ValidationError("behavior and game have different question grids")
-    group = game.group
-    outputs = behavior.outputs()
-    # Column j corresponds to an answer tuple; bucket columns by answer sum.
-    sums = np.empty(len(outputs), dtype=int)
-    for j, answers in enumerate(outputs):
-        total = group.identity
-        for a in answers:
-            total = group.add(total, a)
-        sums[j] = group.index(total)
-    p = game.probabilities_float()
-    f_idx = game.predicate_indices()
-    total = 0.0
-    for row in range(game.n_inputs):
-        if p[row] == 0.0:
-            continue
-        total += p[row] * behavior.table[row, sums == f_idx[row]].sum()
-    return float(total)
+    wins = (answer_sums(game.group, game.players)
+            == game.predicate_indices()[:, None])
+    return float(game.probabilities_float()
+                 @ np.where(wins, behavior.table, 0.0).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

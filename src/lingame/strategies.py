@@ -15,7 +15,6 @@ tensor as
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -136,12 +135,6 @@ class QuantumStrategy:
     def is_pure(self):
         return self.state is not None
 
-    @property
-    def rank_one(self):
-        return all(v is not None
-                   for per_player in self._vectors
-                   for per_q in per_player for v in per_q)
-
     def questions(self, player):
         return len(self._projectors[player])
 
@@ -164,24 +157,6 @@ class QuantumStrategy:
         return self._projectors
 
 
-@dataclass(frozen=True)
-class NoisyState:
-    """A strategy whose state is mixed with white noise: at visibility V
-    the state becomes V * rho + (1 - V) * I / dim."""
-
-    strategy: QuantumStrategy
-    visibility: float
-
-    def as_strategy(self):
-        v = float(self.visibility)
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"visibility must be in [0, 1], got {v}")
-        total = math.prod(self.strategy.dims)
-        rho = v * self.strategy.density() + (1.0 - v) * np.eye(total) / total
-        return QuantumStrategy(self.strategy.dims, rho,
-                               self.strategy.measurements())
-
-
 def _check_compatible(strategy, game):
     if strategy.players != game.players:
         raise ValidationError(
@@ -199,34 +174,44 @@ def _check_compatible(strategy, game):
 
 
 def strategy_behavior(strategy, game):
-    """Born-rule behavior P(a | x) of a strategy on a game's question
-    grid."""
+    """Born-rule behavior P(a | x) = tr(rho Pi^1_{x_1,a_1} x ... x
+    Pi^n_{x_n,a_n}) of a strategy on a game's question grid.
+
+    One contraction of the state with every player's projectors, stacked
+    as (questions, outcomes, d_i, d_i), serves any projector ranks; a pure
+    state enters as conj(psi) ... psi, so no density matrix is formed.
+    """
     _check_compatible(strategy, game)
     n = game.players
-    g = game.group.size
-    table = np.empty((game.n_inputs, g**n))
-
-    pure_fast = strategy.is_pure and strategy.rank_one
-    if pure_fast:
+    # einsum labels: questions, answers, bra and ket index of each player
+    x, a, bra, ket = (list(range(s * n, (s + 1) * n)) for s in range(4))
+    operands = []
+    for i, per_player in enumerate(strategy.measurements()):
+        operands += [np.array(per_player), [x[i], a[i], bra[i], ket[i]]]
+    if strategy.is_pure:
         psi = strategy.state.reshape(strategy.dims)
+        operands += [psi.conj(), bra, psi, ket]
     else:
-        rho = strategy.density()
+        operands += [strategy.density().reshape(strategy.dims * 2), ket + bra]
+    p = np.einsum(*operands, x + a, optimize=True).real
+    return Behavior(game.group, game.question_counts,
+                    np.maximum(p, 0.0).reshape(game.n_inputs, -1))
 
-    for row, x in enumerate(game.inputs()):
-        for col, answers in enumerate(itertools.product(range(g), repeat=n)):
-            if pure_fast:
-                amp = psi
-                for i in range(n):
-                    v = strategy.vector(i, x[i], answers[i])
-                    amp = np.tensordot(v.conj(), amp, axes=(0, 0))
-                p = abs(complex(amp))**2
-            else:
-                op = strategy.projector(0, x[0], answers[0])
-                for i in range(1, n):
-                    op = np.kron(op, strategy.projector(i, x[i], answers[i]))
-                p = float(np.trace(rho @ op).real)
-            table[row, col] = max(p, 0.0)
-    return Behavior(game.group, game.question_counts, table)
+
+def noise_behavior(strategy, game):
+    """Behavior of white noise, the maximally mixed state I / D, under a
+    strategy's measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) /
+    d_i."""
+    _check_compatible(strategy, game)
+    n = game.players
+    operands = []
+    for i, (per_player, d) in enumerate(zip(strategy.measurements(),
+                                            strategy.dims)):
+        traces = np.trace(np.array(per_player), axis1=2, axis2=3).real / d
+        operands += [traces, [i, n + i]]
+    p = np.einsum(*operands, list(range(2 * n)))
+    return Behavior(game.group, game.question_counts,
+                    p.reshape(game.n_inputs, -1))
 
 
 @dataclass(frozen=True)
@@ -280,17 +265,20 @@ def success_from_correlators(game, tensor):
 
 
 def noisy_success(game, strategy, visibility):
-    """Success of a strategy whose state is mixed with white noise.
+    """Success of a strategy whose state is mixed with white noise,
+    V * rho + (1 - V) * I / D.
 
-    For rank-one projective strategies this is the straight line
-    V * omega_psi + (1 - V) / |G|; the computation goes through the mixed
-    density matrix, so it is exact for any projector ranks.
+    The Born rule is linear in the state, so this is the closed form
+    V * omega(P) + (1 - V) * omega(P_noise), with P_noise from
+    ``noise_behavior``.  omega(P_noise) is 1/|G| when every projector has
+    rank one; in general it is set by the projector ranks.
     """
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValidationError(f"visibility must be in [0, 1], got {v}")
-    noisy = NoisyState(strategy, v).as_strategy()
-    return success_probability(game, strategy_behavior(noisy, game))
+    ideal = success_probability(game, strategy_behavior(strategy, game))
+    noise = success_probability(game, noise_behavior(strategy, game))
+    return v * ideal + (1.0 - v) * noise
 
 
 # ---------------------------------------------------------------------------

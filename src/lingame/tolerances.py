@@ -12,7 +12,6 @@ tolerances when checking frozen expected values.
 TIE_TOL = 1e-12
 
 # Validation of probabilistic objects.
-DISTRIBUTION_SUM_TOL = 1e-12  # |sum p - 1| for game distributions
 BEHAVIOR_ROW_TOL = 1e-9  # |sum_a P(a|x) - 1| per behavior row
 PROJECTOR_TOL = 1e-9  # orthogonality / completeness of measurements
 
@@ -22,7 +21,6 @@ CORRELATOR_CONSISTENCY_TOL = 1e-10  # direct success vs correlator form
 FOURIER_ROUNDTRIP_TOL = 1e-10  # behavior -> correlators -> behavior
 REPLAY_TOL = 1e-12  # exact value vs float replay of a witness
 BOUND_MATCH_TOL = 1e-9  # numeric bound vs analytic bound
-AFFINE_TOL = 1e-12  # noise curve collinearity checks
 
 # Witness margins.
 WITNESS_MARGIN = 1e-9  # achieved value must beat the bound by this

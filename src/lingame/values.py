@@ -20,7 +20,7 @@ from .errors import ResourceLimitError, ValidationError
 from .games import (
     Behavior,
     DeterministicStrategy,
-    output_tuples,
+    answer_sums,
     success_probability,  # noqa: F401  (re-exported convenience)
 )
 from .tolerances import CLASSICAL_ENUMERATION_CAP
@@ -124,18 +124,8 @@ def no_signaling_value(game):
     probability one."""
     group = game.group
     n = game.players
-    outputs = output_tuples(group, n)
-    sums = np.empty(len(outputs), dtype=np.intp)
-    for j, answers in enumerate(outputs):
-        total = group.identity
-        for a in answers:
-            total = group.add(total, a)
-        sums[j] = group.index(total)
-    share = 1.0 / group.size ** (n - 1)
-    f_idx = game.predicate_indices()
-    table = np.zeros((game.n_inputs, len(outputs)))
-    for row in range(game.n_inputs):
-        table[row, sums == f_idx[row]] = share
+    wins = answer_sums(group, n) == game.predicate_indices()[:, None]
+    table = np.where(wins, 1.0 / group.size ** (n - 1), 0.0)
     return Fraction(1), Behavior(group, game.question_counts, table)
 
 

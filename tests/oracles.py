@@ -17,6 +17,10 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   orthogonality (checks the forward correlator transform).
 * reconstruct_separable: axis reconstruction of a candidate offset
   decomposition (checks the difference-relation separability test).
+* oracle_behavior_table / oracle_noisy_success: the Born rule cell by
+  cell, by vector contraction or a Kronecker product and trace, with
+  white noise mixed into a rebuilt density matrix (checks the einsum in
+  strategy_behavior and the closed-form noise of noisy_success).
 """
 
 import itertools
@@ -25,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lingame.strategies import QuantumStrategy
 from lingame.tolerances import TIE_TOL
 
 
@@ -269,3 +274,63 @@ def reconstruct_separable(game):
         if expected != game.predicate_value(x):
             return None
     return thetas
+
+
+def oracle_behavior_table(strategy, game):
+    """Born rule cell by cell, the pre-einsum path of strategy_behavior:
+    for a pure state with rank-one projectors, contract the state with one
+    measurement vector per player; otherwise take tr(rho Pi^1 x ... x
+    Pi^n) with the Kronecker product of the projectors."""
+    n = game.players
+    g = game.group.size
+    table = np.empty((game.n_inputs, g**n))
+    rank_one = all(strategy.vector(i, x, a) is not None
+                   for i in range(n)
+                   for x in range(strategy.questions(i))
+                   for a in range(strategy.outcomes(i, x)))
+    pure_fast = strategy.is_pure and rank_one
+    if pure_fast:
+        psi = strategy.state.reshape(strategy.dims)
+    else:
+        rho = strategy.density()
+    for row, x in enumerate(game.inputs()):
+        for col, answers in enumerate(itertools.product(range(g), repeat=n)):
+            if pure_fast:
+                amp = psi
+                for i in range(n):
+                    v = strategy.vector(i, x[i], answers[i])
+                    amp = np.tensordot(v.conj(), amp, axes=(0, 0))
+                p = abs(complex(amp))**2
+            else:
+                op = strategy.projector(0, x[0], answers[0])
+                for i in range(1, n):
+                    op = np.kron(op, strategy.projector(i, x[i], answers[i]))
+                p = float(np.trace(rho @ op).real)
+            table[row, col] = max(p, 0.0)
+    return table
+
+
+def oracle_success(game, table):
+    """sum_x p(x) P(sum_i a_i = f(x) | x), with each answer tuple's sum
+    folded through the group's addition."""
+    group = game.group
+    total = 0.0
+    for row, (x, p) in enumerate(zip(game.inputs(), game.distribution)):
+        for col, answers in enumerate(
+                itertools.product(group.elements(), repeat=game.players)):
+            s = group.identity
+            for a in answers:
+                s = group.add(s, a)
+            if s == game.predicate_value(x):
+                total += float(p) * table[row, col]
+    return total
+
+
+def oracle_noisy_success(game, strategy, visibility):
+    """Success of the strategy rebuilt around the mixed density matrix
+    V * rho + (1 - V) * I / D, evaluated by the cell-by-cell Born rule."""
+    total = math.prod(strategy.dims)
+    rho = (visibility * strategy.density()
+           + (1.0 - visibility) * np.eye(total) / total)
+    noisy = QuantumStrategy(strategy.dims, rho, strategy.measurements())
+    return oracle_success(game, oracle_behavior_table(noisy, game))

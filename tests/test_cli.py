@@ -13,6 +13,8 @@ from lingame.algebra import AbelianGroup
 from lingame.errors import GameFormatError
 from lingame.games import make_game, serialize_game
 
+import ghz3_c4
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CHSH22 = str(FIXTURES / "chsh22.game")
 GHZ3 = str(FIXTURES / "ghz3.game")
@@ -129,6 +131,18 @@ def test_diew_strategy_below_bound_has_no_threshold(capsys, tmp_path):
     assert report["strategy"]["success"] == pytest.approx(0.7665315068, abs=1e-9)
     assert report["strategy"]["verdict"] == "INCONCLUSIVE"
     assert report["strategy"]["visibility_threshold"] is None
+
+
+def test_threshold_uses_noise_baseline_of_rank_two_strategy(capsys, tmp_path):
+    # outcome 0 has rank two on C^4: white noise wins with 49/144, so the
+    # threshold is the crossing 0.8423878354, not 0.8440296287 from 1/3
+    path = tmp_path / "ghz3_c4.strategy"
+    path.write_text(json.dumps(ghz3_c4.document()))
+    for command in ("diew", "analyze"):
+        report, _ = run_json(capsys, command, GHZ3, "--json",
+                             "--strategy", str(path))
+        assert report["strategy"]["success"] == pytest.approx(1.0, abs=1e-9)
+        assert report["strategy"]["visibility_threshold"] == ghz3_c4.THRESHOLD
 
 
 def test_diew_human_verdict_line(capsys):

@@ -8,6 +8,7 @@ symmetry.
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,9 +24,12 @@ from lingame.games import (Behavior, chsh_game, make_game, mermin_ghz3_game,
                            success_probability)
 from lingame.linalg import max_singular_value
 from lingame.qbounds import quantum_bound
-from lingame.strategies import QuantumStrategy, ghz3_reference_strategy
+from lingame.strategies import (ghz3_reference_strategy, noisy_success,
+                                parse_strategy_file)
 from lingame.tolerances import TIE_TOL
 from lingame.values import classical_value
+
+import ghz3_c4
 
 Z3 = AbelianGroup((3,))
 
@@ -224,16 +228,16 @@ def test_visibility_threshold_no_gain_errors():
         visibility_threshold(game, 0.85)
 
 
-def test_visibility_threshold_rejects_rank_two_strategy():
+def test_visibility_threshold_is_the_noisy_crossing_on_c4_embedding():
+    # rank-two projectors: the noise baseline is 49/144, not 1/|G|
     game = mermin_ghz3_game()
-    family = [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
-              np.zeros((3, 3))]
-    meas = [[family] * 3] * 3
-    state = np.zeros(27, dtype=complex)
-    state[0] = 1.0
-    strategy = QuantumStrategy((3, 3, 3), state, meas)
-    with pytest.raises(ValidationError):
-        visibility_threshold(game, strategy)
+    strategy = parse_strategy_file(json.dumps(ghz3_c4.document()))
+    assert noisy_success(game, strategy, 0.0) == pytest.approx(
+        ghz3_c4.NOISE_SUCCESS, abs=1e-12)
+    threshold = visibility_threshold(game, strategy)
+    assert threshold == pytest.approx(ghz3_c4.THRESHOLD, abs=1e-10)
+    assert noisy_success(game, strategy, threshold) == pytest.approx(
+        biseparable_bound(game).bound, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from lingame.games import (Behavior, DeterministicStrategy, chsh_game,
                            game_hash, load_game, make_game,
                            mermin_ghz3_game, parse_game_file, serialize_game,
                            success_probability)
+from lingame.values import classical_value
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -34,6 +35,25 @@ def test_make_game_rejects_unnormalized_distribution():
             (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
     with pytest.raises(ValidationError):
         make_game(Z2, (2, 2), lambda x: (0,), distribution=dist)
+
+
+def test_float_distribution_reads_shortest_decimal():
+    # ten weights 0.1 are exactly 1/10 each, so the "exact" value of an
+    # always-won game is exactly 1, not 1 + 2**-54
+    game = make_game(Z2, (10, 1), [(0,)] * 10, distribution=[0.1] * 10)
+    assert game.distribution == (Fraction(1, 10),) * 10
+    assert classical_value(game).value == 1
+
+
+def test_float_distribution_must_sum_to_exactly_one():
+    # 0.3333333333333333 three times is 0.9999999999999999
+    with pytest.raises(ValidationError) as err:
+        make_game(Z3, (3, 1), [(0,)] * 3, distribution=[1 / 3] * 3)
+    message = str(err.value)
+    assert "9999999999999999/10000000000000000" in message
+    assert "Fraction" in message and '"p/q"' in message
+    with pytest.raises(ValidationError):
+        make_game(Z3, (3, 1), [(0,)] * 3, distribution=[float("nan"), 0.5, 0.5])
 
 
 def test_make_game_rejects_negative_probability():

@@ -12,7 +12,7 @@ from lingame.algebra import AbelianGroup
 from lingame.errors import GameFormatError, ValidationError
 from lingame.games import (Behavior, chsh_game, make_game, mermin_ghz3_game,
                            success_probability)
-from lingame.strategies import (NoisyState, QuantumStrategy, correlators,
+from lingame.strategies import (QuantumStrategy, correlators,
                                 ghz3_reference_strategy, load_strategy,
                                 noisy_success, parse_strategy_file,
                                 strategy_behavior, success_from_correlators)
@@ -100,8 +100,7 @@ def test_measurement_count_must_match_players():
 
 def test_rank_two_projector_matrix_accepted():
     meas = [[[np.eye(2), np.zeros((2, 2))]]]
-    strategy = QuantumStrategy((2,), np.array([0, 1], dtype=complex), meas)
-    assert not strategy.rank_one
+    QuantumStrategy((2,), np.array([0, 1], dtype=complex), meas)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +287,6 @@ def test_noisy_success_affine_three_point():
     w_half = noisy_success(game, strategy, 0.5)
     w1 = noisy_success(game, strategy, 1.0)
     assert abs(w_half - (w0 + w1) / 2) < 1e-12
-
-
-def test_noisy_state_behavior_is_affine_mixture():
-    game = mermin_ghz3_game()
-    strategy = ghz3_reference_strategy()
-    base = strategy_behavior(strategy, game).table
-    for v in (0.3, 0.7):
-        noisy = NoisyState(strategy, v).as_strategy()
-        table = strategy_behavior(noisy, game).table
-        assert np.abs(table - (v * base + (1 - v) / 27)).max() < 1e-12
 
 
 def test_noisy_success_rejects_bad_visibility():
