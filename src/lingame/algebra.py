@@ -100,11 +100,13 @@ class AbelianGroup:
     def character_table(self):
         """Complex array T[k_index, a_index] = chi_k(a), built once."""
         if self._char_table is None:
-            n = self.size
-            table = np.empty((n, n), dtype=complex)
-            for i, k in enumerate(self._elements):
-                for j, a in enumerate(self._elements):
-                    table[i, j] = self.character(k, a)
+            # Integer phase sum_j k_j a_j (L / d_j) mod L over L = lcm(d_j):
+            # exact like character(), and p / L rounds as float(Fraction).
+            lcm = math.lcm(*self.orders)
+            res = np.array(self._elements, dtype=np.int64)
+            scale = np.array([lcm // d for d in self.orders], dtype=np.int64)
+            phase = (res[:, None] * res[None] * scale).sum(axis=2) % lcm
+            table = np.exp(2j * np.pi * (phase / lcm))
             table.setflags(write=False)
             self._char_table = table
         return self._char_table

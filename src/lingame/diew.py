@@ -103,7 +103,13 @@ class BiseparableReport:
 def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Maximize the split bound over all answer assignments for the lone
     player, enumerated lexicographically; the first assignment within
-    TIE_TOL of the maximum is reported, with the maximum as its raw bound."""
+    TIE_TOL of the maximum is reported, with the maximum as its raw bound.
+
+    Adding t to every lone answer multiplies each Phi_k^B(c) by the phase
+    conj chi_k(t) and leaves its norm unchanged, so only the assignments
+    answering the identity on question 0 are searched: the first of every
+    shift class, and so the first optimum.  ``cap`` bounds the unreduced
+    count |G|^Q_lone."""
     _check_tripartite(game)
     _check_lone(lone)
     g = game.group.size
@@ -119,9 +125,11 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     # Row c of the digit table is the c-th assignment in lexicographic order.
     radix = g ** np.arange(q - 1, -1, -1)
     chunk = max(1, _CHUNK_ENTRIES // a_lone[:, 0].size)
-    raws = np.empty(count)
-    for start in range(0, count, chunk):
-        index = np.arange(start, min(start + chunk, count))
+    # Indices below g^(q-1) are the assignments with first digit 0.
+    reduced = count // g
+    raws = np.empty(reduced)
+    for start in range(0, reduced, chunk):
+        index = np.arange(start, min(start + chunk, reduced))
         sigma = max_singular_value(
             _contract(game, a_lone, index[:, None] // radix % g))
         raws[start:start + len(index)] = (1.0 + factor * sigma.sum(axis=0)) / g

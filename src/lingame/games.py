@@ -214,6 +214,24 @@ def _prime_power(d):
     raise ValidationError(f"alphabet size {d} is not a prime power")
 
 
+def _chsh_predicate(field):
+    """f(x) = sum_{i<j} x_i * x_j in the field, questions read as field
+    elements in enumeration order."""
+    def f(x):
+        elems = [field.element(q) for q in x]
+        total = field.zero
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                total = field.add(total, field.mul(elems[i], elems[j]))
+        return total
+    return f
+
+
+def _ghz3_predicate(x):
+    """f(x, y, z) = x*y*z mod 3."""
+    return ((x[0] * x[1] * x[2]) % 3,)
+
+
 def chsh_game(players, outcomes):
     """The n-player, GF(d)-output game with predicate
     f(x) = sum_{i<j} x_i * x_j, all products in GF(d), uniform questions.
@@ -228,16 +246,8 @@ def chsh_game(players, outcomes):
     field = FiniteField(p, r)
     group = field.additive_group()
     questions = (field.size,) * players
-
-    def f(x):
-        elems = [field.element(q) for q in x]
-        total = field.zero
-        for i in range(players):
-            for j in range(i + 1, players):
-                total = field.add(total, field.mul(elems[i], elems[j]))
-        return total
-
-    return make_game(group, questions, f, "uniform", field=field)
+    return make_game(group, questions, _chsh_predicate(field), "uniform",
+                     field=field)
 
 
 def mermin_ghz3_game():
@@ -248,9 +258,7 @@ def mermin_ghz3_game():
     questions = (3, 3, 3)
     support = [x for x in itertools.product(range(3), repeat=3)
                if sum(x) % 3 == 0]
-    return make_game(group, questions,
-                     lambda x: ((x[0] * x[1] * x[2]) % 3,),
-                     {"support": support})
+    return make_game(group, questions, _ghz3_predicate, {"support": support})
 
 
 @lru_cache(maxsize=None)
@@ -525,21 +533,14 @@ def parse_game_file(text):
                 raise GameFormatError(
                     f"predicate.builtin chsh: every player needs {field.size} "
                     f"questions")
-            def f(x):
-                elems = [field.element(q) for q in x]
-                total = field.zero
-                for i in range(players):
-                    for j in range(i + 1, players):
-                        total = field.add(total, field.mul(elems[i], elems[j]))
-                return total
-            predicate = [f(x) for x in grid]
+            predicate = list(map(_chsh_predicate(field), grid))
         elif builtin == "ghz3":
             if (players != 3 or questions != (3, 3, 3)
                     or group != AbelianGroup((3,))):
                 raise GameFormatError(
                     "predicate.builtin ghz3: needs players=3, questions "
                     "[3,3,3] and group {\"cyclic\": [3]}")
-            predicate = [((x[0] * x[1] * x[2]) % 3,) for x in grid]
+            predicate = list(map(_ghz3_predicate, grid))
         else:
             raise GameFormatError(f"predicate.builtin: unknown builtin {builtin!r}")
     else:

@@ -26,28 +26,72 @@ from .games import (
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
-def _integer_weights(game):
-    """Distribution as exact integer weights over a common denominator."""
+# Entries of one chunk's largest array, (assignments, players, inputs,
+# residues) answers or (assignments, rows, answers) scores: 2 MiB of int64.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _best_tables(game, fixed, cap):
+    """Best deterministic play when the players in ``fixed`` enumerate
+    their answer tables and the other players' answer sum is chosen
+    greedily per joint question of theirs, a free row (exact, because the
+    score splits over the free rows).
+
+    Returns (value, digits, answers): the exact winning probability, the
+    fixed players' tables as one row of element indices (player by
+    player), and the greedy element index per free row.  Assignments run
+    lexicographically; ties keep the first one and the smallest answer.
+    Adding t to every answer of a fixed player and -t to every free sum
+    keeps the score, so each fixed player answers the identity on
+    question 0, as the first optimum does.  ``cap`` bounds the unreduced
+    count |G|^(questions of the fixed players).
+    """
+    group, g = game.group, game.group.size
+    questions = [game.question_counts[i] for i in fixed]
+    required = g ** sum(questions)
+    if required > cap:
+        raise ResourceLimitError(
+            f"enumerating the tables of players {list(fixed)} needs "
+            f"{required} assignments, cap is {cap}",
+            required=required, cap=cap)
+
     den = math.lcm(*[p.denominator for p in game.distribution])
-    weights = [int(p * den) for p in game.distribution]
-    return weights, den
+    # Scores never exceed den, so below 2^53 int64 holds them exactly.
+    w = np.array([int(p * den) for p in game.distribution],
+                 dtype=np.int64 if den < 2**53 else object)
+    grid = np.array(game.inputs(), dtype=np.intp).T
+    free = [i for i in range(game.players) if i not in fixed]
+    shape = [game.question_counts[i] for i in free]
+    rows = np.ravel_multi_index(tuple(grid[free]), shape)
+    n_rows = math.prod(shape)
+    residues = np.array(group.elements(), dtype=np.intp)
+    target = np.array(game.predicate, dtype=np.intp)
+    # Elements enumerate lexicographically: an index is row-major.
+    strides = [math.prod(group.orders[j + 1:])
+               for j in range(len(group.orders))]
+    # cols[j, x]: digit column of fixed player j's answer on input x.
+    offsets = np.cumsum([0] + questions[:-1])
+    cols = offsets[:, None] + grid[list(fixed)]
+    unpinned = [o + x for o, q in zip(offsets, questions) for x in range(1, q)]
+    radix = g ** np.arange(len(unpinned) - 1, -1, -1)
 
-
-def _weights_array(weights):
-    if max(weights) < 2**53:
-        return np.array(weights, dtype=np.int64)
-    return np.array(weights, dtype=object)
-
-
-def _group_index_tables(group):
-    g = group.size
-    add = np.empty((g, g), dtype=np.intp)
-    sub = np.empty((g, g), dtype=np.intp)
-    for i, a in enumerate(group.elements()):
-        for j, b in enumerate(group.elements()):
-            add[i, j] = group.index(group.add(a, b))
-            sub[i, j] = group.index(group.sub(a, b))
-    return add, sub
+    chunk = max(1, _CHUNK_ENTRIES // max(cols.size * len(strides), n_rows * g))
+    count = g ** len(unpinned)
+    best_total, best = -1, None
+    for start in range(0, count, chunk):
+        index = np.arange(start, min(start + chunk, count))
+        digits = np.zeros((len(index), sum(questions)), dtype=np.intp)
+        digits[:, unpinned] = index[:, None] // radix % g
+        answer = residues[digits[:, cols]].sum(axis=1)
+        rest = ((target - answer) % group.orders) @ strides
+        scores = np.zeros((len(index), n_rows, g), dtype=w.dtype)
+        np.add.at(scores, (np.arange(len(index))[:, None], rows, rest), w)
+        totals = scores.max(axis=2).sum(axis=1)
+        i = int(np.argmax(totals))
+        if totals[i] > best_total:
+            best_total = int(totals[i])
+            best = digits[i], scores[i].argmax(axis=1)
+    return Fraction(best_total, den), best[0], best[1]
 
 
 @dataclass(frozen=True)
@@ -64,58 +108,17 @@ def classical_value(game, cap=CLASSICAL_ENUMERATION_CAP):
     Players 2..n are enumerated outright; player 1's best answer is then
     chosen greedily per question (exact, because the objective splits over
     player 1's questions).  Ties keep the smallest element in enumeration
-    order.  Enumerating more than ``cap`` assignments raises
-    ResourceLimitError.
+    order.  Each of players 2..n answers the identity on question 0, which
+    loses nothing because player 1 can absorb any shift; ``cap`` still
+    bounds the unreduced count |G|^(Q_2 + ... + Q_n), and exceeding it
+    raises ResourceLimitError.
     """
-    group = game.group
-    g = group.size
-    n = game.players
-    questions = game.question_counts
-
-    required = 1
-    for q in questions[1:]:
-        required *= g**q
-    if required > cap:
-        raise ResourceLimitError(
-            f"classical enumeration needs {required} assignments, cap is {cap}",
-            required=required, cap=cap)
-
-    weights, den = _integer_weights(game)
-    w = _weights_array(weights)
-    add_idx, sub_idx = _group_index_tables(group)
-    f_idx = game.predicate_indices()
-    grid = np.array(game.inputs(), dtype=np.intp)
-    rows_by_q1 = [np.nonzero(grid[:, 0] == q)[0] for q in range(questions[0])]
-
-    best_total = -1
-    best_combo = None
-    best_player1 = None
-    # One table per player 2..n: a tuple of element indices, one per question.
-    rest_tables = [itertools.product(range(g), repeat=q) for q in questions[1:]]
-    for combo in itertools.product(*rest_tables):
-        rest = np.zeros(len(grid), dtype=np.intp)
-        for i, table in enumerate(combo, start=1):
-            answers = np.asarray(table, dtype=np.intp)[grid[:, i]]
-            rest = add_idx[rest, answers]
-        target = sub_idx[f_idx, rest]
-        total = 0
-        player1 = []
-        for rows in rows_by_q1:
-            wins = np.zeros(g, dtype=w.dtype)
-            np.add.at(wins, target[rows], w[rows])
-            a1 = int(np.argmax(wins))
-            player1.append(a1)
-            total += int(wins[a1])
-        if total > best_total:
-            best_total = total
-            best_combo = combo
-            best_player1 = tuple(player1)
-
-    elements = group.elements()
-    outputs = (tuple(elements[a] for a in best_player1),)
-    outputs += tuple(tuple(elements[a] for a in table) for table in best_combo)
-    return ClassicalResult(Fraction(best_total, den),
-                           DeterministicStrategy(outputs))
+    value, digits, player1 = _best_tables(game, range(1, game.players), cap)
+    elements = game.group.elements()
+    tables = [player1] + np.split(digits,
+                                  np.cumsum(game.question_counts[1:-1]))
+    outputs = tuple(tuple(elements[a] for a in table) for table in tables)
+    return ClassicalResult(value, DeterministicStrategy(outputs))
 
 
 def no_signaling_value(game):
@@ -137,7 +140,8 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     over the three bipartitions.  For each deterministic assignment of the
     solo player, the pair's best joint answer sum is chosen greedily per
     joint question (exact for linear games, where only the pair's answer
-    sum matters).
+    sum matters).  The solo player answers the identity on question 0, as
+    in ``classical_value``; ``cap`` bounds the unreduced count |G|^Q_solo.
     """
     if game.players != 3:
         raise ValidationError(
@@ -149,34 +153,7 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
             raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
         lones = (lone,)
 
-    group = game.group
-    g = group.size
-    weights, den = _integer_weights(game)
-    _, sub_idx = _group_index_tables(group)
-    f_idx = game.predicate_indices()
-    grid = np.array(game.inputs(), dtype=np.intp)
-
-    best = 0
-    for solo in lones:
-        q_solo = game.question_counts[solo]
-        required = g**q_solo
-        if required > cap:
-            raise ResourceLimitError(
-                f"solo-player enumeration needs {required} assignments, "
-                f"cap is {cap}", required=required, cap=cap)
-        pair = [i for i in range(3) if i != solo]
-        q_a, q_b = (game.question_counts[pair[0]], game.question_counts[pair[1]])
-        jq = grid[:, pair[0]] * q_b + grid[:, pair[1]]
-        w = _weights_array(weights)
-        for c in itertools.product(range(g), repeat=q_solo):
-            c_on_grid = np.asarray(c, dtype=np.intp)[grid[:, solo]]
-            target = sub_idx[f_idx, c_on_grid]
-            wins = np.zeros((q_a * q_b, g), dtype=w.dtype)
-            np.add.at(wins, (jq, target), w)
-            best = max(best, int(wins.max(axis=1).sum()))
-    return Fraction(best, den)
-
-
+    return max(_best_tables(game, (solo,), cap)[0] for solo in lones)
 @dataclass(frozen=True)
 class SeparabilityReport:
     """Outcome of the additive-separability test for uniform games."""

@@ -11,6 +11,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   the batched contraction in qbounds and diew).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
+* oracle_classical_result: the pre-engine classical_value, one Python
+  iteration per table of players 2..n with a greedy player 1 and no shift
+  reduction (checks the value and the witness of the chunked engine).
 * brute_svetlichny_value: enumeration over the joint pair's sum tables
   (checks the per-question greedy in svetlichny_value).
 * behavior_from_full_correlators: inverse Fourier transform from character
@@ -203,6 +206,47 @@ def naive_classical_value(game):
     return best
 
 
+def oracle_classical_result(game):
+    """(value, outputs) by looping over every table of players 2..n in
+    lexicographic order, player 1 answering greedily per question; ties
+    keep the first table and the smallest answer."""
+    group = game.group
+    g = group.size
+    den = math.lcm(*[p.denominator for p in game.distribution])
+    weights = [int(p * den) for p in game.distribution]
+    w = np.array(weights, dtype=np.int64 if max(weights) < 2**53 else object)
+    elements = group.elements()
+    add_idx = np.array([[group.index(group.add(a, b)) for b in elements]
+                        for a in elements])
+    sub_idx = np.array([[group.index(group.sub(a, b)) for b in elements]
+                        for a in elements])
+    f_idx = game.predicate_indices()
+    grid = np.array(game.inputs(), dtype=np.intp)
+    rows_by_q1 = [np.nonzero(grid[:, 0] == q)[0]
+                  for q in range(game.question_counts[0])]
+
+    best_total, best_combo, best_player1 = -1, None, None
+    rest_tables = [itertools.product(range(g), repeat=q)
+                   for q in game.question_counts[1:]]
+    for combo in itertools.product(*rest_tables):
+        rest = np.zeros(len(grid), dtype=np.intp)
+        for i, table in enumerate(combo, start=1):
+            rest = add_idx[rest, np.asarray(table, dtype=np.intp)[grid[:, i]]]
+        target = sub_idx[f_idx, rest]
+        total, player1 = 0, []
+        for rows in rows_by_q1:
+            wins = np.zeros(g, dtype=w.dtype)
+            np.add.at(wins, target[rows], w[rows])
+            a1 = int(np.argmax(wins))
+            player1.append(a1)
+            total += int(wins[a1])
+        if total > best_total:
+            best_total, best_combo, best_player1 = total, combo, player1
+    outputs = (tuple(elements[a] for a in best_player1),)
+    outputs += tuple(tuple(elements[a] for a in table) for table in best_combo)
+    return Fraction(best_total, den), outputs
+
+
 def brute_svetlichny_value(game, lone):
     """Hybrid value for the bipartition that leaves ``lone`` alone, by
     enumerating the pair's joint sum tables outright (no greedy step)."""
@@ -218,7 +262,8 @@ def brute_svetlichny_value(game, lone):
     # weight[c_index][joint question][s] = score if the pair answers sum s.
     best = 0
     for c in itertools.product(range(g), repeat=q_lone):
-        weight = np.zeros((n_joint, g), dtype=np.int64)
+        weight = np.zeros((n_joint, g),
+                          dtype=np.int64 if denominator < 2**62 else object)
         for x, p, f in zip(game.inputs(), game.distribution, game.predicate):
             if p == 0:
                 continue

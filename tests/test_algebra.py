@@ -98,11 +98,12 @@ def test_trivial_character_is_one():
 
 
 def test_character_table_matches_pointwise():
-    g = AbelianGroup([2, 3])
-    table = g.character_table()
-    for i, k in enumerate(g.elements()):
-        for j, a in enumerate(g.elements()):
-            assert abs(table[i, j] - g.character(k, a)) < 1e-12
+    # The broadcast table is bit-identical to the exact-phase character().
+    for g in GROUPS + [AbelianGroup([4, 6]), AbelianGroup([2, 2, 2])]:
+        table = g.character_table()
+        for i, k in enumerate(g.elements()):
+            for j, a in enumerate(g.elements()):
+                assert table[i, j] == g.character(k, a), (g, k, a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""The chunked enumeration engine of values against the slow paths it
+replaced or that check it (tests/oracles.py): the per-table Python loop of
+the old classical_value, full enumeration of every strategy, and the
+pair's joint sum tables enumerated outright."""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lingame import values
+from lingame.algebra import AbelianGroup
+from lingame.games import chsh_game, make_game, mermin_ghz3_game
+from lingame.values import classical_value, svetlichny_value
+
+from oracles import (brute_svetlichny_value, naive_classical_value,
+                     oracle_classical_result)
+
+GROUPS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((4,)),
+          AbelianGroup((2, 2))]
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+# The loop oracle is slow on GHZ3; the chunk test asks it three times.
+loop_result = functools.cache(oracle_classical_result)
+
+
+@st.composite
+def games(draw, players):
+    """Games with zero-probability inputs and, one time in four, a
+    constant predicate under which every table ties."""
+    group = draw(st.sampled_from(GROUPS))
+    n = draw(st.sampled_from(players))
+    top = 3 if n == 2 else 2
+    questions = tuple(draw(st.lists(st.integers(1, top),
+                                    min_size=n, max_size=n)))
+    size = 1
+    for q in questions:
+        size *= q
+    element = st.integers(0, group.size - 1).map(group.element)
+    if draw(st.integers(0, 3)) == 0:
+        predicate = [draw(element)] * size
+    else:
+        predicate = draw(st.lists(element, min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                   .filter(lambda w: sum(w) > 0))
+    dist = [Fraction(w, sum(weights)) for w in weights]
+    return make_game(group, questions, predicate, distribution=dist)
+
+
+def assert_classical_matches_loop(game):
+    result = classical_value(game)
+    value, outputs = loop_result(game)
+    assert result.value == value
+    assert result.strategy.outputs == outputs
+
+
+@SETTINGS
+@given(games(players=(2, 3, 4)))
+def test_classical_value_and_witness_match_the_loop(game):
+    assert_classical_matches_loop(game)
+
+
+@SETTINGS
+@given(games(players=(3,)))
+def test_svetlichny_matches_joint_tables_and_dominates_classical(game):
+    per_lone = [svetlichny_value(game, lone=lone) for lone in range(3)]
+    for lone, value in enumerate(per_lone):
+        assert value == brute_svetlichny_value(game, lone)
+    assert svetlichny_value(game) == max(per_lone)
+    assert classical_value(game).value <= max(per_lone) <= 1
+
+
+def test_denominators_beyond_int64_stay_exact():
+    # Denominators of at least 2^53 take the object-dtype scores; 2^80
+    # would overflow int64 outright.
+    z3 = AbelianGroup((3,))
+    for den in (3 * 2**55, 2**80):
+        dist = [Fraction(w, den) for w in (1, den - 7, 2, 0, 3, 1)]
+        dist += [Fraction(0)] * 6
+        game = make_game(z3, (2, 3, 2),
+                         [(v,) for v in (0, 1, 2, 2, 1, 0, 1, 1, 0, 2, 0, 1)],
+                         distribution=dist)
+        result = classical_value(game)
+        assert result.value == naive_classical_value(game)
+        assert result.value.denominator > 2**53
+        assert_classical_matches_loop(game)
+        for lone in range(3):
+            assert (svetlichny_value(game, lone=lone)
+                    == brute_svetlichny_value(game, lone))
+
+
+@pytest.mark.parametrize("entries", [1, 50, 200])
+def test_first_optimum_survives_chunk_boundaries(monkeypatch, entries):
+    monkeypatch.setattr(values, "_CHUNK_ENTRIES", entries)
+    z3 = AbelianGroup((3,))
+    tied = [make_game(z3, (2, 3, 2), lambda x: (1,)),
+            make_game(AbelianGroup((2, 2)), (3, 2), lambda x: (x[0] % 2, 1)),
+            chsh_game(3, 2), chsh_game(2, 3), mermin_ghz3_game()]
+    for game in tied:
+        assert_classical_matches_loop(game)
+        if game.players == 3:
+            assert svetlichny_value(game) == max(
+                brute_svetlichny_value(game, lone) for lone in range(3))
