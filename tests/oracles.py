@@ -20,6 +20,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   orthogonality (checks the forward correlator transform).
 * reconstruct_separable: axis reconstruction of a candidate offset
   decomposition (checks the difference-relation separability test).
+* oracle_separability_check: the pre-vectorization separability_check,
+  one difference relation at a time over every question tuple (checks
+  the offsets, constant and strategy of the array version).
 * oracle_behavior_table / oracle_noisy_success: the Born rule cell by
   cell, by vector contraction or a Kronecker product and trace, with
   white noise mixed into a rebuilt density matrix (checks the einsum in
@@ -32,8 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from lingame.errors import ValidationError
+from lingame.games import DeterministicStrategy
 from lingame.strategies import QuantumStrategy
 from lingame.tolerances import TIE_TOL
+from lingame.values import SeparabilityReport
 
 
 def _jacobi_rotation(a, p, q):
@@ -319,6 +325,54 @@ def reconstruct_separable(game):
         if expected != game.predicate_value(x):
             return None
     return thetas
+
+
+def oracle_separability_check(game):
+    """SeparabilityReport by checking, for each player i and question
+    x_i, that f with x_i substituted minus f with 0 substituted is the
+    same for every choice of the other players' questions."""
+    uniform = Fraction(1, game.n_inputs)
+    if any(p != uniform for p in game.distribution):
+        raise ValidationError(
+            "separability analysis applies to uniform total-function games")
+
+    group = game.group
+    n = game.players
+    offsets = []
+    separable = True
+    for i in range(n):
+        others = [range(q) for j, q in enumerate(game.question_counts) if j != i]
+        theta = [group.identity]
+        for xi in range(1, game.question_counts[i]):
+            delta = None
+            for rest in itertools.product(*others):
+                x_hi = rest[:i] + (xi,) + rest[i:]
+                x_lo = rest[:i] + (0,) + rest[i:]
+                d = group.sub(game.predicate_value(x_hi),
+                              game.predicate_value(x_lo))
+                if delta is None:
+                    delta = d
+                elif d != delta:
+                    separable = False
+                    break
+            if not separable:
+                break
+            theta.append(delta)
+        if not separable:
+            break
+        offsets.append(tuple(theta))
+
+    if not separable:
+        return SeparabilityReport(False, None, None, None)
+
+    constant = game.predicate_value((0,) * n)
+    # Base answers summing to f(0,...,0): give it all to player 1.
+    tables = []
+    for i in range(n):
+        base = constant if i == 0 else group.identity
+        tables.append(tuple(group.add(base, t) for t in offsets[i]))
+    return SeparabilityReport(True, tuple(offsets), constant,
+                              DeterministicStrategy(tuple(tables)))
 
 
 def oracle_behavior_table(strategy, game):

@@ -273,3 +273,20 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = cli.parse_report(proc.stdout)
     assert doc["classical"]["rational"] == "3/4"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = [line.split() for line in
+                   (GOLDEN / "commands.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name, argv",
+                         [(c[0], c[1:]) for c in GOLDEN_COMMANDS],
+                         ids=[c[0] for c in GOLDEN_COMMANDS])
+def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
+    # The commands name fixtures relative to the repository root, as the
+    # CI step that runs the installed console script does.
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -268,3 +269,179 @@ def test_builtin_games_pass_validation():
     for game in (chsh_game(2, 2), chsh_game(3, 3), chsh_game(2, 4),
                  mermin_ghz3_game()):
         assert abs(sum(game.probabilities_float()) - 1) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Every GameFormatError message, pinned word for word
+
+
+_BASE = {"players": 2, "questions": [2, 2], "group": {"cyclic": [2]},
+         "distribution": "uniform", "predicate": {"builtin": "chsh"}}
+_E00 = {"x": [0, 0], "f": 0}
+
+
+def _doc(**changes):
+    """The base CHSH document with keys replaced, or removed when None."""
+    doc = dict(_BASE, **changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+def _dist(table):
+    return _doc(distribution={"table": table})
+
+
+def _pred(table, **changes):
+    return _doc(predicate={"table": table}, **changes)
+
+
+_TOTAL = " (the predicate must be total)"
+_SUM = ', not exactly 1; give probabilities as Fractions or "p/q" strings'
+
+FORMAT_ERRORS = [
+    # document
+    ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "document: expected an object"),
+    (_doc(players=None), "document: missing key(s) ['players']"),
+    (_doc(extra=1), "document: unknown key(s) ['extra']"),
+    (_doc(players=1), "players: expected an integer >= 2, got 1"),
+    (_doc(players=True), "players: expected an integer >= 2, got True"),
+    (_doc(questions=[2]), "questions: expected 2 integers >= 1, got [2]"),
+    (_doc(questions=[2, 0]), "questions: expected 2 integers >= 1, got [2, 0]"),
+    (_doc(questions=[2, True]),
+     "questions: expected 2 integers >= 1, got [2, True]"),
+    # group
+    (_doc(group=[2]), 'group: expected exactly one of {"cyclic": [...]} or '
+                      '{"field": {"p": ..., "r": ...}}'),
+    (_doc(group={"cyclic": [2], "field": {"p": 2, "r": 1}}),
+     'group: expected exactly one of {"cyclic": [...]} or '
+     '{"field": {"p": ..., "r": ...}}'),
+    (_doc(group={"ring": [2]}), "group: unknown form ['ring']"),
+    (_doc(group={"cyclic": []}), "group.cyclic: bad factor list []"),
+    (_doc(group={"cyclic": [1]}), "group.cyclic: bad factor list [1]"),
+    (_doc(group={"cyclic": [2, True]}),
+     "group.cyclic: bad factor list [2, True]"),
+    (_doc(group={"field": [2, 1]}), "group.field: expected an object"),
+    (_doc(group={"field": {"p": 2}}), "group.field: missing key(s) ['r']"),
+    (_doc(group={"field": {"p": 2, "r": 1, "q": 3}}),
+     "group.field: unknown key(s) ['q']"),
+    (_doc(group={"field": {"p": "2", "r": 1}}),
+     "group.field: p and r must be integers"),
+    (_doc(group={"field": {"p": 2, "r": 1.0}}),
+     "group.field: p and r must be integers"),
+    (_doc(group={"field": {"p": 2, "r": True}}),
+     "group.field: p and r must be integers"),
+    (_doc(group={"field": {"p": True, "r": 1}}),
+     "group.field: p and r must be integers"),
+    (_doc(group={"field": {"p": 4, "r": 1}}),
+     "group.field: field characteristic must be prime, got 4"),
+    (_doc(group={"field": {"p": 2, "r": 0}}),
+     "group.field: field extension degree must be >= 1, got 0"),
+    # distribution
+    (_doc(distribution="skewed"),
+     'distribution: expected "uniform", {"support": ...} or {"table": ...}'),
+    (_doc(distribution=[0.25] * 4),
+     'distribution: expected "uniform", {"support": ...} or {"table": ...}'),
+    (_doc(distribution={"support": [], "table": []}),
+     'distribution: expected "uniform", {"support": ...} or {"table": ...}'),
+    (_doc(distribution={"support": []}),
+     "distribution.support: expected a non-empty list"),
+    (_doc(distribution={"support": [0, 0]}),
+     "distribution.support[0]: expected a question tuple of length 2"),
+    (_doc(distribution={"support": [[0, True]]}),
+     "distribution.support[0]: expected a question tuple of length 2"),
+    (_doc(distribution={"support": [[0, 2]]}),
+     "distribution.support[0]: question tuple [0, 2] out of range"),
+    (_doc(distribution={"support": [[0, 1], [0, 1]]}),
+     "distribution.support[1]: duplicate input [0, 1]"),
+    (_dist({}), "distribution.table: expected a list"),
+    (_dist([[0, 0]]), "distribution.table[0]: expected an object"),
+    (_dist([{"x": [0, 0]}]), "distribution.table[0]: missing key(s) ['p']"),
+    (_dist([{"x": [0, 0], "p": "1", "w": 1}]),
+     "distribution.table[0]: unknown key(s) ['w']"),
+    (_dist([{"x": [0, 0, 0], "p": "1"}]),
+     "distribution.table[0].x: expected a question tuple of length 2"),
+    (_dist([{"x": [-1, 0], "p": "1"}]),
+     "distribution.table[0].x: question tuple [-1, 0] out of range"),
+    (_dist([{"x": [0, 0], "p": "1/2"}, {"x": [0, 0], "p": "1/2"}]),
+     "distribution.table[1]: duplicate input [0, 0]"),
+    (_dist([{"x": [0, 0], "p": 0.5}]),
+     'distribution.table[0].p: expected "num/den" or an integer, got 0.5'),
+    (_dist([{"x": [0, 0], "p": True}]),
+     'distribution.table[0].p: expected "num/den" or an integer, got True'),
+    (_dist([{"x": [0, 0], "p": "half"}]),
+     "distribution.table[0].p: Invalid literal for Fraction: 'half'"),
+    (_dist([{"x": [0, 0], "p": "1/0"}]),
+     "distribution.table[0].p: Fraction(1, 0)"),
+    # passed through from LinearGame
+    (_dist([{"x": [0, 0], "p": "-1/2"}, {"x": [1, 1], "p": "3/2"}]),
+     "negative probability -1/2 at input (0, 0)"),
+    (_dist([{"x": [0, 0], "p": "1/2"}, {"x": [1, 1], "p": "1/3"}]),
+     "distribution sums to 5/6 (0.8333333333333334)" + _SUM),
+    (_dist([{"x": [0, 0], "p": 2}]), "distribution sums to 2 (2.0)" + _SUM),
+    # predicate
+    (_doc(predicate="chsh"),
+     'predicate: expected {"table": ...} or {"builtin": ...}'),
+    (_doc(predicate={"table": [], "builtin": "chsh"}),
+     'predicate: expected {"table": ...} or {"builtin": ...}'),
+    (_pred({}), "predicate.table: expected a list"),
+    (_pred([[0, 0]]), "predicate.table[0]: expected an object"),
+    (_pred([{"x": [0, 0]}]), "predicate.table[0]: missing key(s) ['f']"),
+    (_pred([{"x": [0, 0], "f": 0, "g": 0}]),
+     "predicate.table[0]: unknown key(s) ['g']"),
+    (_pred([{"x": [0], "f": 0}]),
+     "predicate.table[0].x: expected a question tuple of length 2"),
+    (_pred([{"x": [2, 0], "f": 0}]),
+     "predicate.table[0].x: question tuple [2, 0] out of range"),
+    (_pred([_E00, _E00]), "predicate.table[1]: duplicate input [0, 0]"),
+    (_pred([{"x": [0, 0], "f": True}]),
+     "predicate.table[0].f: expected a group element, got True"),
+    (_pred([{"x": [0, 0], "f": "0"}]),
+     "predicate.table[0].f: expected a group element, got '0'"),
+    (_pred([{"x": [0, 0], "f": [0, False]}]),
+     "predicate.table[0].f: expected a group element, got [0, False]"),
+    (_pred([{"x": [0, 0], "f": [0, 0]}]),
+     "predicate.table[0].f: (0, 0) is not an element of AbelianGroup([2])"),
+    (_pred([{"x": [0, 0], "f": 2}]),
+     "predicate.table[0].f: (2,) is not an element of AbelianGroup([2])"),
+    (_pred([_E00]),
+     "predicate.table: missing input(s) [[0, 1], [1, 0], [1, 1]]" + _TOTAL),
+    (_pred([_E00], questions=[3, 3]),
+     "predicate.table: missing input(s) [[0, 1], [0, 2], [1, 0], [1, 1], "
+     "[1, 2]] ..." + _TOTAL),
+    # builtins
+    (_doc(group={"cyclic": [4]}),
+     "predicate.builtin chsh: field characteristic must be prime, got 4"),
+    (_doc(group={"cyclic": [2, 2]}),
+     'predicate.builtin chsh: multi-factor groups need the {"field": ...} '
+     'group form'),
+    (_doc(questions=[2, 3]),
+     "predicate.builtin chsh: every player needs 2 questions"),
+    (_doc(group={"field": {"p": 2, "r": 2}}),
+     "predicate.builtin chsh: every player needs 4 questions"),
+    (_doc(predicate={"builtin": "ghz3"}),
+     'predicate.builtin ghz3: needs players=3, questions [3,3,3] and group '
+     '{"cyclic": [3]}'),
+    (_doc(predicate={"builtin": "mermin"}),
+     "predicate.builtin: unknown builtin 'mermin'"),
+    (_doc(predicate={"builtin": ["chsh"]}),
+     "predicate.builtin: unknown builtin ['chsh']"),
+]
+
+
+@pytest.mark.parametrize("text, message", FORMAT_ERRORS,
+                         ids=[str(i) for i in range(len(FORMAT_ERRORS))])
+def test_format_error_messages(text, message):
+    with pytest.raises(GameFormatError) as err:
+        parse_game_file(text)
+    assert str(err.value) == message
+
+
+def test_readme_game_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("**Game** (`*.game`)"):]
+    block = section[section.index("```json\n") + 8:]
+    game = parse_game_file(block[:block.index("```")])
+    assert game.question_counts == (2, 2) and game.group == Z2
+    assert game.probability((0, 0)) == Fraction(1, 2)
+    assert game.predicate_value((1, 1)) == (1,)

@@ -1,9 +1,12 @@
-"""The chunked enumeration engine of values against the slow paths it
-replaced or that check it (tests/oracles.py): the per-table Python loop of
-the old classical_value, full enumeration of every strategy, and the
-pair's joint sum tables enumerated outright."""
+"""The chunked enumeration engine and the separability test of values
+against the slow paths they replaced or that check them
+(tests/oracles.py): the per-table Python loop of the old classical_value,
+full enumeration of every strategy, the pair's joint sum tables
+enumerated outright, and the per-tuple difference relations of the old
+separability_check."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 from lingame import values
 from lingame.algebra import AbelianGroup
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
-from lingame.values import classical_value, svetlichny_value
+from lingame.errors import ValidationError
+from lingame.values import classical_value, separability_check, svetlichny_value
 
 from oracles import (brute_svetlichny_value, naive_classical_value,
-                     oracle_classical_result)
+                     oracle_classical_result, oracle_separability_check)
 
 GROUPS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((4,)),
           AbelianGroup((2, 2))]
@@ -101,3 +105,42 @@ def test_first_optimum_survives_chunk_boundaries(monkeypatch, entries):
         if game.players == 3:
             assert svetlichny_value(game) == max(
                 brute_svetlichny_value(game, lone) for lone in range(3))
+
+
+@st.composite
+def uniform_games(draw):
+    """Uniform games whose predicate is separable, separable but for one
+    changed input, or arbitrary."""
+    group = draw(st.sampled_from(GROUPS))
+    n = draw(st.sampled_from((2, 3, 4)))
+    top = 3 if n < 4 else 2
+    questions = tuple(draw(st.lists(st.integers(1, top),
+                                    min_size=n, max_size=n)))
+    grid = list(itertools.product(*(range(q) for q in questions)))
+    element = st.integers(0, group.size - 1).map(group.element)
+    kind = draw(st.sampled_from(("separable", "changed", "arbitrary")))
+    if kind == "arbitrary":
+        predicate = draw(st.lists(element, min_size=len(grid),
+                                  max_size=len(grid)))
+    else:
+        thetas = [draw(st.lists(element, min_size=q, max_size=q))
+                  for q in questions]
+        predicate = [functools.reduce(group.add, [t[q] for t, q in zip(thetas, x)])
+                     for x in grid]
+        if kind == "changed":
+            i = draw(st.integers(0, len(grid) - 1))
+            predicate[i] = group.add(predicate[i], draw(element))
+    return make_game(group, questions, predicate)
+
+
+@SETTINGS
+@given(uniform_games())
+def test_separability_matches_the_difference_loop(game):
+    assert separability_check(game) == oracle_separability_check(game)
+
+
+def test_separability_rejects_non_uniform_games_like_the_loop():
+    game = mermin_ghz3_game()
+    for check in (separability_check, oracle_separability_check):
+        with pytest.raises(ValidationError, match="uniform total-function"):
+            check(game)
