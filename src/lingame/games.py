@@ -44,7 +44,15 @@ def _as_fraction(value, where="probability"):
 
 
 class LinearGame:
-    """An n-player linear game over a finite Abelian group."""
+    """An n-player linear game over a finite Abelian group.
+
+    Besides the exact tuples ``distribution`` and ``predicate``, a game
+    holds read-only arrays, one row per question tuple in lexicographic
+    grid order: ``grid`` (the tuples), ``residues`` (f(x) as residue
+    tuples) and ``weights`` (p(x) times the common denominator ``den``:
+    int64 below 2^53, where every sum of weights is exact, else Python
+    ints in an object array).
+    """
 
     def __init__(self, group, question_counts, distribution, predicate,
                  field=None):
@@ -58,36 +66,52 @@ class LinearGame:
         self.group = group
         self.question_counts = question_counts
         self.field = field
-        self._inputs = list(itertools.product(*(range(q) for q in question_counts)))
-        self._input_index = {x: i for i, x in enumerate(self._inputs)}
-
-        if len(distribution) != len(self._inputs):
+        grid = np.indices(question_counts).reshape(len(question_counts), -1).T
+        n_inputs = len(grid)
+        if len(distribution) != n_inputs:
             raise ValidationError(
                 f"distribution covers {len(distribution)} inputs, grid has "
-                f"{len(self._inputs)}")
+                f"{n_inputs}")
         dist = [_as_fraction(p) for p in distribution]
-        for x, p in zip(self._inputs, dist):
-            if p < 0:
-                raise ValidationError(f"negative probability {p} at input {x}")
-        total = sum(dist)
+        self.den = math.lcm(*(p.denominator for p in dist))
+        weights = [p.numerator * (self.den // p.denominator) for p in dist]
+        for i, w in enumerate(weights):
+            if w < 0:
+                raise ValidationError(f"negative probability {dist[i]} at "
+                                      f"input {tuple(grid[i].tolist())}")
+        total = Fraction(sum(weights), self.den)
         if total != 1:
             raise ValidationError(
                 f"distribution sums to {total} ({float(total)!r}), not exactly "
                 f"1; give probabilities as Fractions or \"p/q\" strings")
         self.distribution = tuple(dist)
 
-        if len(predicate) != len(self._inputs):
+        if len(predicate) != n_inputs:
             raise ValidationError(
                 f"predicate defined on {len(predicate)} inputs, grid has "
-                f"{len(self._inputs)} (the predicate must be total)")
+                f"{n_inputs} (the predicate must be total)")
         values = []
-        for x, a in zip(self._inputs, predicate):
+        for i, a in enumerate(predicate):
             try:
                 values.append(group.coerce(a))
             except ValueError:
                 raise ValidationError(
-                    f"predicate value {a!r} at input {x} is not in {group!r}")
+                    f"predicate value {a!r} at input {tuple(grid[i].tolist())} "
+                    f"is not in {group!r}")
         self.predicate = tuple(values)
+
+        self.grid = grid
+        self.residues = np.array(values, dtype=np.intp)
+        self.weights = np.array(weights,
+                                dtype=np.int64 if self.den < 2**53 else object)
+        # float(p) for every p: below 2^53 both operands are exact doubles
+        # and the division rounds once; above, int / int rounds once.
+        self._probabilities = (self.weights / self.den).astype(float)
+        # Elements enumerate lexicographically: an index is row-major.
+        self._f_index = np.ravel_multi_index(tuple(self.residues.T), group.orders)
+        for a in (self.grid, self.residues, self.weights, self._probabilities,
+                  self._f_index):
+            a.setflags(write=False)
 
     @property
     def players(self):
@@ -95,20 +119,22 @@ class LinearGame:
 
     @property
     def n_inputs(self):
-        return len(self._inputs)
+        return len(self.grid)
+
+    @property
+    def is_uniform(self):
+        """True when every question tuple has probability 1/n_inputs."""
+        return bool((self.weights == self.weights[0]).all())
 
     def inputs(self):
         """All question tuples in lexicographic order."""
-        return list(self._inputs)
+        return [tuple(x) for x in self.grid.tolist()]
 
     def input_index(self, x):
         try:
-            return self._input_index[tuple(x)]
-        except KeyError:
+            return int(np.ravel_multi_index(tuple(x), self.question_counts))
+        except (TypeError, ValueError):
             raise ValidationError(f"{x!r} is not a question tuple of this game")
-
-    def input_tuple(self, i):
-        return self._inputs[i]
 
     def probability(self, x):
         return self.distribution[self.input_index(x)]
@@ -117,14 +143,14 @@ class LinearGame:
         return self.predicate[self.input_index(x)]
 
     def probabilities_float(self):
-        return np.array([float(p) for p in self.distribution])
+        return self._probabilities
 
     def predicate_indices(self):
         """Group-element index of f(x) for every input, in grid order."""
-        return np.array([self.group.index(a) for a in self.predicate])
+        return self._f_index
 
     def support(self):
-        return [x for x, p in zip(self._inputs, self.distribution) if p > 0]
+        return [tuple(x) for x in self.grid[self.weights > 0].tolist()]
 
     def __eq__(self, other):
         return (isinstance(other, LinearGame)
@@ -373,6 +399,10 @@ def success_probability(game, behavior):
 _GAME_KEYS = {"players", "questions", "group", "distribution", "predicate"}
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_keys(obj, required, optional=frozenset(), path="document"):
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: expected an object")
@@ -390,8 +420,7 @@ def _parse_element(raw, group, path):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     if isinstance(raw, int):
         raw = [raw]
-    if (not isinstance(raw, list)
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw)):
+    if not isinstance(raw, list) or not all(_is_int(c) for c in raw):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     try:
         return group.coerce(tuple(raw))
@@ -399,9 +428,19 @@ def _parse_element(raw, group, path):
         raise GameFormatError(f"{path}: {e}") from None
 
 
+def _parse_probability(raw, path):
+    if not _is_int(raw) and not isinstance(raw, str):
+        raise GameFormatError(
+            f'{path}: expected "num/den" or an integer, got {raw!r}')
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as e:
+        raise GameFormatError(f"{path}: {e}") from None
+
+
 def _parse_input(raw, questions, path):
     if (not isinstance(raw, list) or len(raw) != len(questions)
-            or not all(isinstance(q, int) and not isinstance(q, bool) for q in raw)):
+            or not all(_is_int(q) for q in raw)):
         raise GameFormatError(
             f"{path}: expected a question tuple of length {len(questions)}")
     x = tuple(raw)
@@ -410,8 +449,81 @@ def _parse_input(raw, questions, path):
     return x
 
 
+def _parse_table(entries, questions, path, key, parse_value):
+    """{x: value} from a list of {"x": ..., key: ...} entries, each
+    question tuple on the grid and listed once."""
+    if not isinstance(entries, list):
+        raise GameFormatError(f"{path}: expected a list")
+    table = {}
+    for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        _expect_keys(entry, {"x", key}, path=where)
+        x = _parse_input(entry["x"], questions, f"{where}.x")
+        if x in table:
+            raise GameFormatError(f"{where}: duplicate input {list(x)}")
+        table[x] = parse_value(entry[key], f"{where}.{key}")
+    return table
+
+
+def _parse_group(raw):
+    """(group, field) from the "group" entry; field is None for the
+    cyclic form."""
+    if not isinstance(raw, dict) or len(raw) != 1:
+        raise GameFormatError(
+            'group: expected exactly one of {"cyclic": [...]} or '
+            '{"field": {"p": ..., "r": ...}}')
+    if "cyclic" in raw:
+        orders = raw["cyclic"]
+        if (not isinstance(orders, list) or not orders
+                or not all(_is_int(d) and d >= 2 for d in orders)):
+            raise GameFormatError(f"group.cyclic: bad factor list {orders!r}")
+        return AbelianGroup(orders), None
+    if "field" in raw:
+        _expect_keys(raw["field"], {"p", "r"}, path="group.field")
+        p, r = raw["field"]["p"], raw["field"]["r"]
+        if not _is_int(p) or not _is_int(r):
+            raise GameFormatError("group.field: p and r must be integers")
+        try:
+            field = FiniteField(p, r)
+        except ValueError as e:
+            raise GameFormatError(f"group.field: {e}") from None
+        return field.additive_group(), field
+    raise GameFormatError(f"group: unknown form {sorted(raw)}")
+
+
+def _parse_builtin(builtin, group, field, questions):
+    """(predicate callable, field) of a builtin predicate."""
+    if builtin == "chsh":
+        if field is None:
+            if len(group.orders) != 1:
+                raise GameFormatError(
+                    "predicate.builtin chsh: multi-factor groups need the "
+                    '{"field": ...} group form')
+            try:
+                field = FiniteField(group.orders[0], 1)
+            except ValueError as e:
+                raise GameFormatError(f"predicate.builtin chsh: {e}") from None
+        if any(q != field.size for q in questions):
+            raise GameFormatError(
+                f"predicate.builtin chsh: every player needs {field.size} "
+                f"questions")
+        return _chsh_predicate(field), field
+    if builtin == "ghz3":
+        if questions != (3, 3, 3) or group != AbelianGroup((3,)):
+            raise GameFormatError(
+                "predicate.builtin ghz3: needs players=3, questions "
+                "[3,3,3] and group {\"cyclic\": [3]}")
+        return _ghz3_predicate, field
+    raise GameFormatError(f"predicate.builtin: unknown builtin {builtin!r}")
+
+
 def parse_game_file(text):
-    """Parse the JSON game-file format into a LinearGame."""
+    """Parse the JSON game-file format into a LinearGame.
+
+    Only the file format is checked here: JSON types, field paths, ranges
+    and duplicates.  The distribution ("uniform", {"support": [...]} or a
+    {x: Fraction} table) and the predicate ({x: element} or a builtin's
+    callable) go to ``make_game``, which expands them over the grid."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -419,136 +531,58 @@ def parse_game_file(text):
     _expect_keys(doc, _GAME_KEYS)
 
     players = doc["players"]
-    if not isinstance(players, int) or isinstance(players, bool) or players < 2:
+    if not _is_int(players) or players < 2:
         raise GameFormatError(f"players: expected an integer >= 2, got {players!r}")
     questions = doc["questions"]
     if (not isinstance(questions, list) or len(questions) != players
-            or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 1
-                       for q in questions)):
+            or not all(_is_int(q) and q >= 1 for q in questions)):
         raise GameFormatError(
             f"questions: expected {players} integers >= 1, got {questions!r}")
     questions = tuple(questions)
+    group, field = _parse_group(doc["group"])
 
-    raw_group = doc["group"]
-    if not isinstance(raw_group, dict) or len(raw_group) != 1:
-        raise GameFormatError(
-            'group: expected exactly one of {"cyclic": [...]} or '
-            '{"field": {"p": ..., "r": ...}}')
-    field = None
-    if "cyclic" in raw_group:
-        orders = raw_group["cyclic"]
-        if (not isinstance(orders, list) or not orders
-                or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 2
-                           for d in orders)):
-            raise GameFormatError(f"group.cyclic: bad factor list {orders!r}")
-        group = AbelianGroup(orders)
-    elif "field" in raw_group:
-        _expect_keys(raw_group["field"], {"p", "r"}, path="group.field")
-        p, r = raw_group["field"]["p"], raw_group["field"]["r"]
-        if not isinstance(p, int) or not isinstance(r, int):
-            raise GameFormatError("group.field: p and r must be integers")
-        try:
-            field = FiniteField(p, r)
-        except ValueError as e:
-            raise GameFormatError(f"group.field: {e}") from None
-        group = field.additive_group()
-    else:
-        raise GameFormatError(f"group: unknown form {sorted(raw_group)}")
-
-    grid = list(itertools.product(*(range(q) for q in questions)))
     raw_dist = doc["distribution"]
     if raw_dist == "uniform":
-        dist = [Fraction(1, len(grid))] * len(grid)
+        dist = raw_dist
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"support"}:
         support = raw_dist["support"]
         if not isinstance(support, list) or not support:
             raise GameFormatError("distribution.support: expected a non-empty list")
-        seen = []
+        seen = {}
         for i, raw_x in enumerate(support):
             x = _parse_input(raw_x, questions, f"distribution.support[{i}]")
             if x in seen:
                 raise GameFormatError(
                     f"distribution.support[{i}]: duplicate input {list(x)}")
-            seen.append(x)
-        p = Fraction(1, len(seen))
-        in_support = set(seen)
-        dist = [p if x in in_support else Fraction(0) for x in grid]
+            seen[x] = None
+        dist = {"support": list(seen)}
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"table"}:
-        entries = raw_dist["table"]
-        if not isinstance(entries, list):
-            raise GameFormatError("distribution.table: expected a list")
-        by_input = {}
-        for i, entry in enumerate(entries):
-            path = f"distribution.table[{i}]"
-            _expect_keys(entry, {"x", "p"}, path=path)
-            x = _parse_input(entry["x"], questions, f"{path}.x")
-            if x in by_input:
-                raise GameFormatError(f"{path}: duplicate input {list(x)}")
-            raw_p = entry["p"]
-            if isinstance(raw_p, bool) or not isinstance(raw_p, (str, int)):
-                raise GameFormatError(
-                    f'{path}.p: expected "num/den" or an integer, got {raw_p!r}')
-            try:
-                by_input[x] = Fraction(raw_p)
-            except (ValueError, ZeroDivisionError) as e:
-                raise GameFormatError(f"{path}.p: {e}") from None
-        dist = [by_input.get(x, Fraction(0)) for x in grid]
+        dist = _parse_table(raw_dist["table"], questions, "distribution.table",
+                            "p", _parse_probability)
     else:
         raise GameFormatError(
             'distribution: expected "uniform", {"support": ...} or {"table": ...}')
 
     raw_pred = doc["predicate"]
     if isinstance(raw_pred, dict) and set(raw_pred) == {"table"}:
-        entries = raw_pred["table"]
-        if not isinstance(entries, list):
-            raise GameFormatError("predicate.table: expected a list")
-        by_input = {}
-        for i, entry in enumerate(entries):
-            path = f"predicate.table[{i}]"
-            _expect_keys(entry, {"x", "f"}, path=path)
-            x = _parse_input(entry["x"], questions, f"{path}.x")
-            if x in by_input:
-                raise GameFormatError(f"{path}: duplicate input {list(x)}")
-            by_input[x] = _parse_element(entry["f"], group, f"{path}.f")
-        missing = [x for x in grid if x not in by_input]
-        if missing:
+        predicate = _parse_table(
+            raw_pred["table"], questions, "predicate.table", "f",
+            lambda raw, path: _parse_element(raw, group, path))
+        if len(predicate) < math.prod(questions):
+            missing = [x for x in itertools.product(*map(range, questions))
+                       if x not in predicate]
             raise GameFormatError(
                 f"predicate.table: missing input(s) {[list(x) for x in missing[:5]]}"
                 f"{' ...' if len(missing) > 5 else ''} (the predicate must be total)")
-        predicate = [by_input[x] for x in grid]
     elif isinstance(raw_pred, dict) and set(raw_pred) == {"builtin"}:
-        builtin = raw_pred["builtin"]
-        if builtin == "chsh":
-            if field is None:
-                if len(group.orders) == 1:
-                    try:
-                        field = FiniteField(group.orders[0], 1)
-                    except ValueError as e:
-                        raise GameFormatError(f"predicate.builtin chsh: {e}") from None
-                else:
-                    raise GameFormatError(
-                        "predicate.builtin chsh: multi-factor groups need the "
-                        '{"field": ...} group form')
-            if any(q != field.size for q in questions):
-                raise GameFormatError(
-                    f"predicate.builtin chsh: every player needs {field.size} "
-                    f"questions")
-            predicate = list(map(_chsh_predicate(field), grid))
-        elif builtin == "ghz3":
-            if (players != 3 or questions != (3, 3, 3)
-                    or group != AbelianGroup((3,))):
-                raise GameFormatError(
-                    "predicate.builtin ghz3: needs players=3, questions "
-                    "[3,3,3] and group {\"cyclic\": [3]}")
-            predicate = list(map(_ghz3_predicate, grid))
-        else:
-            raise GameFormatError(f"predicate.builtin: unknown builtin {builtin!r}")
+        predicate, field = _parse_builtin(raw_pred["builtin"], group, field,
+                                          questions)
     else:
         raise GameFormatError(
             'predicate: expected {"table": ...} or {"builtin": ...}')
 
     try:
-        return LinearGame(group, questions, dist, predicate, field=field)
+        return make_game(group, questions, predicate, dist, field=field)
     except ValidationError as e:
         raise GameFormatError(str(e)) from None
 
@@ -565,13 +599,12 @@ def serialize_game(game):
     else:
         group_doc = {"cyclic": list(game.group.orders)}
 
-    uniform = Fraction(1, game.n_inputs)
-    if all(p == uniform for p in game.distribution):
+    if game.is_uniform:
         dist_doc = "uniform"
     else:
         dist_doc = {"table": [
-            {"x": list(x), "p": f"{p.numerator}/{p.denominator}"}
-            for x, p in zip(game.inputs(), game.distribution) if p > 0]}
+            {"x": x, "p": f"{p.numerator}/{p.denominator}"}
+            for x, p in zip(game.grid.tolist(), game.distribution) if p > 0]}
 
     doc = {
         "players": game.players,
@@ -579,8 +612,8 @@ def serialize_game(game):
         "group": group_doc,
         "distribution": dist_doc,
         "predicate": {"table": [
-            {"x": list(x), "f": _element_json(a)}
-            for x, a in zip(game.inputs(), game.predicate)]},
+            {"x": x, "f": _element_json(a)}
+            for x, a in zip(game.grid.tolist(), game.predicate)]},
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -9,7 +9,6 @@ earliest candidate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,17 +54,12 @@ def _best_tables(game, fixed, cap):
             f"{required} assignments, cap is {cap}",
             required=required, cap=cap)
 
-    den = math.lcm(*[p.denominator for p in game.distribution])
-    # Scores never exceed den, so below 2^53 int64 holds them exactly.
-    w = np.array([int(p * den) for p in game.distribution],
-                 dtype=np.int64 if den < 2**53 else object)
-    grid = np.array(game.inputs(), dtype=np.intp).T
+    grid = game.grid.T
     free = [i for i in range(game.players) if i not in fixed]
     shape = [game.question_counts[i] for i in free]
     rows = np.ravel_multi_index(tuple(grid[free]), shape)
     n_rows = math.prod(shape)
-    residues = np.array(group.elements(), dtype=np.intp)
-    target = np.array(game.predicate, dtype=np.intp)
+    elements = np.array(group.elements(), dtype=np.intp)
     # Elements enumerate lexicographically: an index is row-major.
     strides = [math.prod(group.orders[j + 1:])
                for j in range(len(group.orders))]
@@ -82,16 +76,17 @@ def _best_tables(game, fixed, cap):
         index = np.arange(start, min(start + chunk, count))
         digits = np.zeros((len(index), sum(questions)), dtype=np.intp)
         digits[:, unpinned] = index[:, None] // radix % g
-        answer = residues[digits[:, cols]].sum(axis=1)
-        rest = ((target - answer) % group.orders) @ strides
-        scores = np.zeros((len(index), n_rows, g), dtype=w.dtype)
-        np.add.at(scores, (np.arange(len(index))[:, None], rows, rest), w)
+        answer = elements[digits[:, cols]].sum(axis=1)
+        rest = ((game.residues - answer) % group.orders) @ strides
+        scores = np.zeros((len(index), n_rows, g), dtype=game.weights.dtype)
+        np.add.at(scores, (np.arange(len(index))[:, None], rows, rest),
+                  game.weights)
         totals = scores.max(axis=2).sum(axis=1)
         i = int(np.argmax(totals))
         if totals[i] > best_total:
             best_total = int(totals[i])
             best = digits[i], scores[i].argmax(axis=1)
-    return Fraction(best_total, den), best[0], best[1]
+    return Fraction(best_total, game.den), best[0], best[1]
 
 
 @dataclass(frozen=True)
@@ -168,51 +163,34 @@ def separability_check(game):
     """Decide whether f(x) = sum_i theta_i(x_i) + const, and if so extract
     a perfect classical strategy.
 
-    Tests the difference relations: for each player i and question x_i,
-    f with x_i substituted minus f with 0 substituted must not depend on
-    the other players' questions.  The common difference is theta_i(x_i).
-    Requires the uniform total-function setting, where passing all
-    relations is equivalent to separability and to classical value 1.
+    Tests the difference relations: for each player i, f minus f with x_i
+    replaced by 0 must not depend on the other players' questions, and
+    that difference is theta_i(x_i).  Requires the uniform total-function
+    setting, where passing all relations is equivalent to separability and
+    to classical value 1.
     """
-    uniform = Fraction(1, game.n_inputs)
-    if any(p != uniform for p in game.distribution):
+    if not game.is_uniform:
         raise ValidationError(
             "separability analysis applies to uniform total-function games")
 
-    group = game.group
-    n = game.players
+    orders = np.array(game.group.orders)
+    f = game.residues.reshape(game.question_counts + (len(orders),))
     offsets = []
-    separable = True
-    for i in range(n):
-        others = [range(q) for j, q in enumerate(game.question_counts) if j != i]
-        theta = [group.identity]
-        for xi in range(1, game.question_counts[i]):
-            delta = None
-            for rest in itertools.product(*others):
-                x_hi = rest[:i] + (xi,) + rest[i:]
-                x_lo = rest[:i] + (0,) + rest[i:]
-                d = group.sub(game.predicate_value(x_hi),
-                              game.predicate_value(x_lo))
-                if delta is None:
-                    delta = d
-                elif d != delta:
-                    separable = False
-                    break
-            if not separable:
-                break
-            theta.append(delta)
-        if not separable:
-            break
-        offsets.append(tuple(theta))
+    for i in range(game.players):
+        diff = (f - f.take([0], axis=i)) % orders
+        # theta_i: the differences where every other player asks question 0
+        theta = diff[tuple(slice(None) if j == i else slice(1)
+                           for j in range(game.players))]
+        if (diff != theta).any():
+            return SeparabilityReport(False, None, None, None)
+        offsets.append(theta.reshape(-1, len(orders)))
 
-    if not separable:
-        return SeparabilityReport(False, None, None, None)
+    def elements(rows):
+        return tuple(map(tuple, rows.tolist()))
 
-    constant = game.predicate_value((0,) * n)
     # Base answers summing to f(0,...,0): give it all to player 1.
-    tables = []
-    for i in range(n):
-        base = constant if i == 0 else group.identity
-        tables.append(tuple(group.add(base, t) for t in offsets[i]))
-    return SeparabilityReport(True, tuple(offsets), constant,
-                              DeterministicStrategy(tuple(tables)))
+    tables = [offsets[0] + game.residues[0]] + offsets[1:]
+    return SeparabilityReport(True, tuple(map(elements, offsets)),
+                              game.predicate[0],
+                              DeterministicStrategy(tuple(
+                                  elements(t % orders) for t in tables)))
