@@ -186,11 +186,10 @@ def separability_check(game):
         offsets.append(theta.reshape(-1, len(orders)))
 
     def elements(rows):
-        return tuple(map(tuple, rows.tolist()))
+        return tuple(map(tuple, (rows % orders).tolist()))
 
     # Base answers summing to f(0,...,0): give it all to player 1.
     tables = [offsets[0] + game.residues[0]] + offsets[1:]
+    strategy = DeterministicStrategy(tuple(map(elements, tables)))
     return SeparabilityReport(True, tuple(map(elements, offsets)),
-                              game.predicate[0],
-                              DeterministicStrategy(tuple(
-                                  elements(t % orders) for t in tables)))
+                              game.predicate[0], strategy)
