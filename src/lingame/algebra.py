@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 class AbelianGroup:
     """A finite Abelian group written as a product of cyclic factors.
@@ -70,9 +72,8 @@ class AbelianGroup:
 
     def coerce(self, a):
         """Accept a residue tuple, list, or bare int (single-factor groups)."""
-        if isinstance(a, int):
-            a = (a,)
-        a = tuple(int(x) for x in a)
+        a = as_int_tuple((a,) if isinstance(a, (int, np.integer)) else a,
+                         "group element residues")
         if a not in self._index:
             raise ValueError(f"{a!r} is not an element of {self!r}")
         return a
@@ -119,6 +120,19 @@ class AbelianGroup:
 
     def __repr__(self):
         return f"AbelianGroup({list(self.orders)})"
+
+
+def as_int_tuple(values, what):
+    """``values`` as a tuple of Python ints; booleans and non-integral or
+    non-numeric entries raise ValidationError instead of being truncated."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be integers, got {values!r}") from None
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValidationError(f"{what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def _is_prime(n):
@@ -243,11 +257,11 @@ class FiniteField:
         return i
 
     def coerce(self, a):
-        if isinstance(a, int):
+        if isinstance(a, (int, np.integer)) and not isinstance(a, bool):
             if not 0 <= a < self.size:
                 raise ValueError(f"index {a} out of range for {self!r}")
-            return self.element(a)
-        a = tuple(int(x) for x in a)
+            return self.element(int(a))
+        a = as_int_tuple(a, "field element coefficients")
         if len(a) != self.r or any(not 0 <= c < self.p for c in a):
             raise ValueError(f"{a!r} is not an element of {self!r}")
         return a

@@ -10,7 +10,9 @@ such boxes collapses communication complexity: every
 F: Z_d^{m_1} x ... x Z_d^{m_n} -> Z_d is a polynomial of per-variable
 degree at most d-1, each monomial is one box use, and the mu-weighted sums
 of local box outputs are shares of F, so n-1 dits finish the job.  The
-protocol spends one box per exponent tuple, d^{m_1+...+m_n} in total.
+protocol spends one box per exponent tuple, d^{m_1+...+m_n} in total, and
+samples them all in one batched draw of shape (boxes, n-1): the generator
+hands out the same values as one draw per box in lexicographic order.
 
 Functional boxes whose predicate has a partial derivative of the shape
 lambda*x*y*z + g(x) + h(y) + s(z) can simulate a PR box: iterated
@@ -21,15 +23,14 @@ re-randomizes the outputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .algebra import AbelianGroup, _is_prime
+from .algebra import AbelianGroup, _is_prime, as_int_tuple
 from .errors import GameFormatError, ValidationError
 from .games import Behavior, answer_sums
 
@@ -46,7 +47,7 @@ class FunctionTable(object):
         if not self.arities or any(m < 1 for m in self.arities):
             raise ValidationError(f"arities must be positive, got {arities!r}")
         self.variables = sum(self.arities)
-        self.values = tuple(int(v) for v in values)
+        self.values = as_int_tuple(values, "table entries")
         if len(self.values) != self.d**self.variables:
             raise ValidationError(
                 f"table has {len(self.values)} entries, expected "
@@ -57,6 +58,11 @@ class FunctionTable(object):
     @property
     def players(self):
         return len(self.arities)
+
+    @cached_property
+    def _mu(self):
+        """Read-only flat polynomial coefficients, lexicographic order."""
+        return interpolate_polynomial(self).coeffs.reshape(-1)
 
     def as_array(self):
         """Table reshaped to one axis per variable."""
@@ -205,13 +211,20 @@ def _flatten_inputs(arities, inputs, d):
     return flat
 
 
+def _sample_boxes(d, players, targets, rng):
+    """Outputs of len(targets) box uses, one row per box: the first
+    players-1 outputs are uniform, the last closes the sum to the box's
+    target.  The one (boxes, players-1) draw takes the same values from
+    the generator as one draw per box, in order."""
+    head = rng.integers(0, d, size=(len(targets), players - 1))
+    return np.column_stack([head, (targets - head.sum(axis=1)) % d])
+
+
 def box_sample(box, inputs, rng):
-    """One use of a box: the first n-1 outputs are uniform, the last one
-    closes the sum constraint."""
-    target = box.target(inputs)
-    n = box.players
-    head = [int(v) for v in rng.integers(0, box.d, size=n - 1)]
-    return tuple(head) + ((target - sum(head)) % box.d,)
+    """One use of a box: the one-row case of the batched kernel."""
+    row = _sample_boxes(box.d, box.players, np.array([box.target(inputs)]),
+                        rng)[0]
+    return tuple(int(v) for v in row)
 
 
 def box_behavior(box):
@@ -223,36 +236,16 @@ def box_behavior(box):
     group = AbelianGroup((d,))
     # Row index runs lexicographically over the concatenated variables,
     # matching the per-party question indexing.
-    targets = np.array([box.target(flat) for flat in
-                        itertools.product(range(d), repeat=sum(box.arities))])
+    if isinstance(box, FunctionalBox):
+        targets = np.array(box.table.values)
+    else:
+        targets = np.indices((d,) * n).reshape(n, -1).prod(axis=0) % d
     wins = answer_sums(group, n) == targets[:, None]
     return Behavior(group, questions, np.where(wins, 1.0 / d**(n - 1), 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Polynomial interpolation over Z_d
-
-
-def _modular_inverse_matrix(mat, p):
-    """Gauss-Jordan inverse of an integer matrix modulo a prime."""
-    n = len(mat)
-    a = [[int(v) % p for v in row] for row in mat]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p), None)
-        if pivot is None:
-            raise ValidationError("matrix is singular modulo p")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = pow(a[col][col], -1, p)
-        a[col] = [v * scale % p for v in a[col]]
-        inv[col] = [v * scale % p for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(v - factor * w) % p for v, w in zip(a[r], a[col])]
-                inv[r] = [(v - factor * w) % p for v, w in zip(inv[r], inv[col])]
-    return np.array(inv, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +257,12 @@ def _vandermonde(d):
 
 @lru_cache(maxsize=None)
 def _vandermonde_inverse(d):
-    return _modular_inverse_matrix(_vandermonde(d).tolist(), d)
+    # Over Z_d, sum_x x^k is -1 for k > 0 a multiple of d-1 and 0 otherwise,
+    # so mu_b = -sum_x f(x) x^(d-1-b) for b > 0, and mu_0 = f(0).
+    w = -_vandermonde(d)[:, ::-1].T % d
+    w[0] = np.arange(d) == 0
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -382,30 +380,16 @@ def cc_protocol(table, inputs, rng):
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
     d = table.d
-    n = table.players
     flat = _flatten_inputs(table.arities, inputs, d)
-    mu = interpolate_polynomial(table).coeffs.reshape(-1)
-    box = PRBox(n, d)
-    totals = [0] * n
-    boxes_used = 0
-    for exponents in itertools.product(range(d), repeat=table.variables):
-        pos = 0
-        local = []
-        for m in table.arities:
-            value = 1
-            for j in range(m):
-                value = value * pow(flat[pos + j], exponents[pos + j], d) % d
-            local.append(value)
-            pos += m
-        outputs = box_sample(box, tuple(local), rng)
-        weight = int(mu[boxes_used])  # same lexicographic order
-        for i in range(n):
-            totals[i] = (totals[i] + weight * outputs[i]) % d
-        boxes_used += 1
-    dits = tuple(totals[1:])
-    return ProtocolTranscript(boxes_used=boxes_used,
-                              local_outputs=tuple(totals),
-                              dits=dits,
+    # Box e (lexicographic over exponent tuples) gets the parties' local
+    # monomials; its PR target, their product, is the full monomial x^e.
+    powers = np.ix_(*_vandermonde(d)[list(flat)])
+    targets = reduce(lambda a, b: a * b % d, powers).reshape(-1)
+    outputs = _sample_boxes(d, table.players, targets, rng)
+    totals = tuple(int(t) for t in table._mu @ outputs % d)
+    return ProtocolTranscript(boxes_used=len(targets),
+                              local_outputs=totals,
+                              dits=totals[1:],
                               result=sum(totals) % d)
 
 
@@ -432,15 +416,24 @@ class Reduction:
         return sum(((v,) * o for v, o in enumerate(self.order)), ())
 
 
-def _eval_coeff_vector(coeffs, x, d):
-    return sum(c * pow(x, e, d) for e, c in enumerate(coeffs)) % d
+@lru_cache(maxsize=None)
+def _derived_interpolators(d):
+    """M[o] = W . Delta^o mod d for o < d: the coefficients of the o-th
+    forward difference along one axis, W the inverse Vandermonde."""
+    delta = (np.roll(np.eye(d, dtype=np.int64), 1, axis=1)
+             - np.eye(d, dtype=np.int64))
+    m = [_vandermonde_inverse(d)]
+    for _ in range(d - 1):
+        m.append(m[-1] @ delta % d)
+    m = np.array(m)
+    m.setflags(write=False)
+    return m
 
 
 def reduce_to_pr(table):
-    """Search derivative multi-orders (breadth-first by total order, then
-    lexicographic) for one whose polynomial has only pure-variable
-    monomials plus an x*y*z term with nonzero coefficient.  Returns None
-    when no order works."""
+    """First derivative multi-order (by total order, then lexicographic)
+    whose polynomial has only pure-variable monomials plus an x*y*z term
+    with nonzero coefficient.  Returns None when no order works."""
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
     if table.arities != (1, 1, 1):
@@ -448,49 +441,43 @@ def reduce_to_pr(table):
             f"reduction needs three single-dit parties, got arities "
             f"{table.arities}")
     d = table.d
-    orders = sorted(itertools.product(range(d), repeat=3),
-                    key=lambda o: (sum(o), o))
-    for order in orders:
-        derived = table
-        for variable, times in enumerate(order):
-            for _ in range(times):
-                derived = partial_derivative(derived, variable)
-        mu = interpolate_polynomial(derived).coeffs
-        lam = int(mu[1, 1, 1])
-        if lam == 0:
-            continue
-        structure_ok = True
-        for idx in np.ndindex(mu.shape):
-            if idx == (1, 1, 1) or mu[idx] == 0:
-                continue
-            if sum(1 for e in idx if e) > 1:
-                structure_ok = False
-                break
-        if not structure_ok:
-            continue
-        g = tuple(int(mu[e, 0, 0]) for e in range(d))
-        h = tuple(int(mu[0, e, 0]) if e else 0 for e in range(d))
-        s = tuple(int(mu[0, 0, e]) if e else 0 for e in range(d))
-        return Reduction(d=d, order=order, lam=lam, g=g, h=h, s=s)
-    return None
+    m = _derived_interpolators(d)
+    # mu[o1, o2, o3, a, b, c]: coefficient of x^a y^b z^c after o_v
+    # derivatives in variable v, for every order at once.
+    mu = np.einsum("pax,xyz->payz", m, table.as_array()) % d
+    mu = np.einsum("qby,payz->pqabz", m, mu) % d
+    mu = np.einsum("rcz,pqabz->pqrabc", m, mu) % d
+    e = np.indices((d, d, d))
+    mixed = ((e > 0).sum(axis=0) > 1) & ((e != 1).any(axis=0))
+    ok = (mu[..., 1, 1, 1] != 0) & ~(mu[..., mixed] != 0).any(axis=-1)
+    if not ok.any():
+        return None
+    order = min((tuple(int(v) for v in o) for o in np.argwhere(ok)),
+                key=lambda o: (sum(o), o))
+    c = mu[order]
+    return Reduction(d=d, order=order, lam=int(c[1, 1, 1]),
+                     g=tuple(int(v) for v in c[:, 0, 0]),
+                     h=(0,) + tuple(int(v) for v in c[0, 1:, 0]),
+                     s=(0,) + tuple(int(v) for v in c[0, 0, 1:]))
 
 
 def _check_reduction(box, reduction):
     if box.d != reduction.d:
         raise ValidationError("reduction was computed for a different d")
-    derived = box.table
+    d = box.d
+    derived = box.table.as_array()
     for variable, times in enumerate(reduction.order):
         for _ in range(times):
-            derived = partial_derivative(derived, variable)
-    d = box.d
-    for x, y, z in itertools.product(range(d), repeat=3):
-        expected = (reduction.lam * x * y * z
-                    + _eval_coeff_vector(reduction.g, x, d)
-                    + _eval_coeff_vector(reduction.h, y, d)
-                    + _eval_coeff_vector(reduction.s, z, d)) % d
-        if derived.value((x, y, z)) != expected:
-            raise ValidationError(
-                "reduction does not match the box's derivative table")
+            derived = (np.roll(derived, -1, axis=variable) - derived) % d
+    v = _vandermonde(d)
+    x = np.arange(d)
+    expected = (reduction.lam * np.multiply.outer(np.multiply.outer(x, x), x)
+                + (v @ reduction.g)[:, None, None]
+                + (v @ reduction.h)[None, :, None]
+                + (v @ reduction.s)[None, None, :]) % d
+    if not np.array_equal(derived, expected):
+        raise ValidationError(
+            "reduction does not match the box's derivative table")
 
 
 def simulate_pr_from_functional(box, reduction, inputs, rng):
@@ -511,20 +498,18 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
             f"{box.arities}")
     _check_reduction(box, reduction)
     d = box.d
-    x, y, z = _flatten_inputs(box.arities, inputs, d)
-    o1, o2, o3 = reduction.order
-    total = o1 + o2 + o3
-    shares = [0, 0, 0]
-    for bits in itertools.product((0, 1), repeat=total):
-        shifts = (sum(bits[:o1]), sum(bits[o1:o1 + o2]), sum(bits[o1 + o2:]))
-        sign = 1 if (total - sum(bits)) % 2 == 0 else d - 1
-        outputs = box_sample(box, ((x + shifts[0]) % d, (y + shifts[1]) % d,
-                                   (z + shifts[2]) % d), rng)
-        for i in range(3):
-            shares[i] = (shares[i] + sign * outputs[i]) % d
-    lam_inv = pow(reduction.lam, -1, d)
-    a = lam_inv * (shares[0] - _eval_coeff_vector(reduction.g, x, d)) % d
-    b = lam_inv * (shares[1] - _eval_coeff_vector(reduction.h, y, d)) % d
-    c = lam_inv * (shares[2] - _eval_coeff_vector(reduction.s, z, d)) % d
+    point = np.array(_flatten_inputs(box.arities, inputs, d))
+    total = sum(reduction.order)
+    # One row per derivative bit pattern, lexicographic, first bit most
+    # significant; bit j shifts the variable that derivative step j acts on.
+    bits = np.arange(2**total)[:, None] >> np.arange(total)[::-1] & 1
+    owner = np.arange(3) == np.array(reduction.sequence, dtype=int)[:, None]
+    shifted = (point + bits @ owner) % d
+    sign = np.where((total - bits.sum(axis=1)) % 2, d - 1, 1)
+    outputs = _sample_boxes(d, 3, box.table.as_array()[tuple(shifted.T)], rng)
+    shares = sign @ outputs % d
+    additive = _vandermonde(d)[point] * [reduction.g, reduction.h, reduction.s]
+    a, b, c = (pow(reduction.lam, -1, d) * (shares - additive.sum(axis=1))
+               % d).tolist()
     k = int(rng.integers(0, d))
     return ((a + k) % d, (b + k) % d, (c - 2 * k) % d)

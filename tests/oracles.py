@@ -27,6 +27,13 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   cell, by vector contraction or a Kronecker product and trace, with
   white noise mixed into a rebuilt density matrix (checks the einsum in
   strategy_behavior and the closed-form noise of noisy_success).
+* modular_inverse_matrix: Gauss-Jordan inversion modulo a prime (checks
+  the closed-form inverse Vandermonde matrix of boxworld).
+* oracle_cc_protocol / oracle_simulate_pr / oracle_reduce_to_pr /
+  oracle_check_reduction / oracle_box_behavior_table: the pre-batching boxworld
+  loops, one box_sample call per box, one derivative order at a time and
+  one table cell at a time (checks the batched kernel, its random stream
+  and the einsum reduction search).
 """
 
 import itertools
@@ -35,8 +42,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from lingame.algebra import AbelianGroup
+from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
+                              box_sample, interpolate_polynomial,
+                              partial_derivative, _flatten_inputs)
 from lingame.errors import ValidationError
-from lingame.games import DeterministicStrategy
+from lingame.games import DeterministicStrategy, answer_sums
 from lingame.strategies import QuantumStrategy
 from lingame.tolerances import TIE_TOL
 from lingame.values import SeparabilityReport
@@ -433,3 +444,133 @@ def oracle_noisy_success(game, strategy, visibility):
            + (1.0 - visibility) * np.eye(total) / total)
     noisy = QuantumStrategy(strategy.dims, rho, strategy.measurements())
     return oracle_success(game, oracle_behavior_table(noisy, game))
+
+
+def _eval_coeff_vector(coeffs, x, d):
+    return sum(c * pow(x, e, d) for e, c in enumerate(coeffs)) % d
+
+
+def oracle_cc_protocol(table, inputs, rng):
+    """The protocol with one PR box draw per exponent tuple."""
+    d = table.d
+    n = table.players
+    flat = _flatten_inputs(table.arities, inputs, d)
+    mu = interpolate_polynomial(table).coeffs.reshape(-1)
+    box = PRBox(n, d)
+    totals = [0] * n
+    boxes_used = 0
+    for exponents in itertools.product(range(d), repeat=table.variables):
+        pos = 0
+        local = []
+        for m in table.arities:
+            value = 1
+            for j in range(m):
+                value = value * pow(flat[pos + j], exponents[pos + j], d) % d
+            local.append(value)
+            pos += m
+        outputs = box_sample(box, tuple(local), rng)
+        weight = int(mu[boxes_used])  # same lexicographic order
+        for i in range(n):
+            totals[i] = (totals[i] + weight * outputs[i]) % d
+        boxes_used += 1
+    return ProtocolTranscript(boxes_used=boxes_used,
+                              local_outputs=tuple(totals),
+                              dits=tuple(totals[1:]),
+                              result=sum(totals) % d)
+
+
+def _derive(table, order):
+    for variable, times in enumerate(order):
+        for _ in range(times):
+            table = partial_derivative(table, variable)
+    return table
+
+
+def oracle_reduce_to_pr(table):
+    """One interpolation per derivative order, in (total, lex) order."""
+    d = table.d
+    orders = sorted(itertools.product(range(d), repeat=3),
+                    key=lambda o: (sum(o), o))
+    for order in orders:
+        mu = interpolate_polynomial(_derive(table, order)).coeffs
+        lam = int(mu[1, 1, 1])
+        if lam == 0:
+            continue
+        if any(mu[idx] and idx != (1, 1, 1) and sum(1 for e in idx if e) > 1
+               for idx in np.ndindex(mu.shape)):
+            continue
+        g = tuple(int(mu[e, 0, 0]) for e in range(d))
+        h = tuple(int(mu[0, e, 0]) if e else 0 for e in range(d))
+        s = tuple(int(mu[0, 0, e]) if e else 0 for e in range(d))
+        return Reduction(d=d, order=order, lam=lam, g=g, h=h, s=s)
+    return None
+
+
+def oracle_check_reduction(box, reduction):
+    """Cell-by-cell comparison of the derivative table with the form."""
+    if box.d != reduction.d:
+        raise ValidationError("reduction was computed for a different d")
+    derived = _derive(box.table, reduction.order)
+    d = box.d
+    for x, y, z in itertools.product(range(d), repeat=3):
+        expected = (reduction.lam * x * y * z
+                    + _eval_coeff_vector(reduction.g, x, d)
+                    + _eval_coeff_vector(reduction.h, y, d)
+                    + _eval_coeff_vector(reduction.s, z, d)) % d
+        if derived.value((x, y, z)) != expected:
+            raise ValidationError(
+                "reduction does not match the box's derivative table")
+
+
+def oracle_simulate_pr(box, reduction, inputs, rng):
+    """One functional-box draw per derivative bit pattern."""
+    oracle_check_reduction(box, reduction)
+    d = box.d
+    x, y, z = _flatten_inputs(box.arities, inputs, d)
+    o1, o2, o3 = reduction.order
+    total = o1 + o2 + o3
+    shares = [0, 0, 0]
+    for bits in itertools.product((0, 1), repeat=total):
+        shifts = (sum(bits[:o1]), sum(bits[o1:o1 + o2]), sum(bits[o1 + o2:]))
+        sign = 1 if (total - sum(bits)) % 2 == 0 else d - 1
+        outputs = box_sample(box, ((x + shifts[0]) % d, (y + shifts[1]) % d,
+                                   (z + shifts[2]) % d), rng)
+        for i in range(3):
+            shares[i] = (shares[i] + sign * outputs[i]) % d
+    lam_inv = pow(reduction.lam, -1, d)
+    a = lam_inv * (shares[0] - _eval_coeff_vector(reduction.g, x, d)) % d
+    b = lam_inv * (shares[1] - _eval_coeff_vector(reduction.h, y, d)) % d
+    c = lam_inv * (shares[2] - _eval_coeff_vector(reduction.s, z, d)) % d
+    k = int(rng.integers(0, d))
+    return ((a + k) % d, (b + k) % d, (c - 2 * k) % d)
+
+
+def oracle_box_behavior_table(box):
+    """The box's behavior table from one box.target call per input."""
+    d, n = box.d, box.players
+    targets = np.array([box.target(flat) for flat in
+                        itertools.product(range(d), repeat=sum(box.arities))])
+    wins = answer_sums(AbelianGroup((d,)), n) == targets[:, None]
+    return np.where(wins, 1.0 / d**(n - 1), 0.0)
+
+
+def modular_inverse_matrix(mat, p):
+    """Gauss-Jordan inverse of an integer matrix modulo a prime."""
+    n = len(mat)
+    a = [[int(v) % p for v in row] for row in mat]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] % p), None)
+        if pivot is None:
+            raise ValidationError("matrix is singular modulo p")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = pow(a[col][col], -1, p)
+        a[col] = [v * scale % p for v in a[col]]
+        inv[col] = [v * scale % p for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [(v - factor * w) % p for v, w in zip(a[r], a[col])]
+                inv[r] = [(v - factor * w) % p for v, w in zip(inv[r], inv[col])]
+    return np.array(inv, dtype=np.int64)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 
+import numpy as np
 import pytest
 
 from lingame.algebra import (
@@ -9,6 +10,7 @@ from lingame.algebra import (
     is_irreducible,
     smallest_irreducible,
 )
+from lingame.errors import ValidationError
 
 GROUPS = [
     AbelianGroup([2]),
@@ -45,6 +47,25 @@ def test_group_arithmetic():
     assert g.neg((1, 2)) == (3, 1)
     assert g.sub((0, 0), (1, 2)) == (3, 1)
     assert g.identity == (0, 0)
+
+
+@pytest.mark.parametrize("element", [
+    (1.7,), 1.5, (True,), True, None, ("1",), (np.float64(1),)])
+def test_group_coerce_rejects_non_integers(element):
+    with pytest.raises(ValidationError, match="must be integers"):
+        AbelianGroup([3]).coerce(element)
+
+
+@pytest.mark.parametrize("element", [(1.5, 0), (True, 0), True, None, 1.0])
+def test_field_coerce_rejects_non_integers(element):
+    with pytest.raises(ValidationError, match="must be integers"):
+        FiniteField(2, 2).coerce(element)
+
+
+def test_coerce_accepts_numpy_integers():
+    assert AbelianGroup([3]).coerce(np.int64(2)) == (2,)
+    assert AbelianGroup([2, 3]).coerce(np.array([1, 2])) == (1, 2)
+    assert FiniteField(2, 2).coerce(np.int8(3)) == (1, 1)
 
 
 def test_character_sign_convention():

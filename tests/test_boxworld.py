@@ -1,8 +1,10 @@
 """Nonlocal boxes, polynomial interpolation, the communication protocol,
 and PR-box simulation from functional boxes."""
 
+import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ Z3 = AbelianGroup((3,))
 
 class ScriptedGenerator:
     """Deterministic stand-in for a random generator: hands out a
-    prescribed sequence of values, so box randomness can be enumerated."""
+    prescribed sequence of values, so box randomness can be enumerated.
+    A draw of shape ``size`` takes prod(size) values in row-major order."""
 
     def __init__(self, sequence):
         self.sequence = list(sequence)
@@ -32,12 +35,12 @@ class ScriptedGenerator:
 
     def integers(self, low, high=None, size=None):
         low, high = (0, low) if high is None else (low, high)
-        count = 1 if size is None else int(size)
+        count = 1 if size is None else math.prod(np.atleast_1d(size))
         chunk = self.sequence[self.position:self.position + count]
         assert len(chunk) == count, "scripted sequence exhausted"
         assert all(low <= v < high for v in chunk)
         self.position += count
-        return chunk[0] if size is None else np.array(chunk)
+        return chunk[0] if size is None else np.array(chunk).reshape(size)
 
 
 def _table(expr, d=3, variables=3):
@@ -62,6 +65,20 @@ def test_function_table_validation():
         FunctionTable(3, (1, 1), [0] * 8 + [7])  # entry outside Z_3
     with pytest.raises(ValidationError):
         FunctionTable(3, (), [0])  # no parties
+
+
+@pytest.mark.parametrize("values", [
+    [1.7, 0.2], [1.0, 0], [True, 0], [0, np.True_], [None, 0], ["1", 0],
+    [[1], 0], [0, np.float64(1)]])
+def test_function_table_rejects_non_integer_entries(values):
+    # Entries used to be truncated by int(): [1.7, 0.2] stored (1, 0).
+    with pytest.raises(ValidationError, match="table entries must be integers"):
+        FunctionTable(2, (1,), values)
+
+
+def test_function_table_accepts_numpy_integers():
+    table = FunctionTable(2, (1,), np.array([1, 0], dtype=np.int8))
+    assert table.values == (1, 0) and type(table.values[0]) is int
 
 
 def test_function_file_round_trip():
@@ -326,6 +343,20 @@ def test_antiderivative_reduces_after_one_step():
     assert reduction.sequence == (0,)
     assert reduction.lam == 1
     assert reduction.g == reduction.h == reduction.s == (0, 0, 0)
+
+
+def test_search_prefers_the_lower_total_order():
+    # Both (0, 2, 1) and (2, 0, 0) reduce C(x,3)yz + x C(y,3) C(z,2) over
+    # Z_5 to xyz; the search ranks by total order before lexicographic.
+    table = FunctionTable(5, (1, 1, 1), [
+        (math.comb(x, 3) * y * z + x * math.comb(y, 3) * math.comb(z, 2)) % 5
+        for x, y, z in itertools.product(range(5), repeat=3)])
+    reduction = reduce_to_pr(table)
+    assert reduction.order == (2, 0, 0)
+    assert reduction.lam == 1
+    simulate_pr_from_functional(  # (0, 2, 1) describes the table as well
+        table, dataclasses.replace(reduction, order=(0, 2, 1)), (1, 1, 1),
+        np.random.default_rng(0))
 
 
 def test_reduce_requires_three_single_dit_parties():

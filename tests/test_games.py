@@ -69,6 +69,13 @@ def test_make_game_rejects_predicate_outside_group():
         make_game(Z2, (2, 2), lambda x: (5,))
 
 
+@pytest.mark.parametrize("value", [(1.7,), 1.7, (True,), None, ("1",)])
+def test_make_game_rejects_non_integer_predicate_values(value):
+    # (1.7,) used to be truncated to (1,); None escaped as a TypeError.
+    with pytest.raises(ValidationError, match="predicate value"):
+        make_game(Z2, (1, 2), [value, (0,)])
+
+
 def test_make_game_support_distribution():
     support = [x for x in itertools.product(range(3), repeat=3)
                if sum(x) % 3 == 0]
