@@ -129,6 +129,8 @@ def as_int_tuple(values, what):
         values = tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be integers, got {values!r}") from None
+    if all(type(v) is int for v in values):
+        return values
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValidationError(f"{what} must be integers, got {v!r}")

@@ -211,19 +211,18 @@ def _flatten_inputs(arities, inputs, d):
     return flat
 
 
-def _sample_boxes(d, players, targets, rng):
-    """Outputs of len(targets) box uses, one row per box: the first
-    players-1 outputs are uniform, the last closes the sum to the box's
-    target.  The one (boxes, players-1) draw takes the same values from
-    the generator as one draw per box, in order."""
-    head = rng.integers(0, d, size=(len(targets), players - 1))
-    return np.column_stack([head, (targets - head.sum(axis=1)) % d])
+def _sample_boxes(box, targets, rng):
+    """Outputs of len(targets) uses of ``box``, one row per use: the first
+    n-1 outputs are uniform, the last closes the sum to that use's target.
+    The one (uses, n-1) draw takes the same values from the generator as
+    one draw per use, in order."""
+    head = rng.integers(0, box.d, size=(len(targets), box.players - 1))
+    return np.column_stack([head, (targets - head.sum(axis=1)) % box.d])
 
 
 def box_sample(box, inputs, rng):
     """One use of a box: the one-row case of the batched kernel."""
-    row = _sample_boxes(box.d, box.players, np.array([box.target(inputs)]),
-                        rng)[0]
+    row = _sample_boxes(box, np.array([box.target(inputs)]), rng)[0]
     return tuple(int(v) for v in row)
 
 
@@ -385,7 +384,7 @@ def cc_protocol(table, inputs, rng):
     # monomials; its PR target, their product, is the full monomial x^e.
     powers = np.ix_(*_vandermonde(d)[list(flat)])
     targets = reduce(lambda a, b: a * b % d, powers).reshape(-1)
-    outputs = _sample_boxes(d, table.players, targets, rng)
+    outputs = _sample_boxes(PRBox(table.players, d), targets, rng)
     totals = tuple(int(t) for t in table._mu @ outputs % d)
     return ProtocolTranscript(boxes_used=len(targets),
                               local_outputs=totals,
@@ -420,8 +419,7 @@ class Reduction:
 def _derived_interpolators(d):
     """M[o] = W . Delta^o mod d for o < d: the coefficients of the o-th
     forward difference along one axis, W the inverse Vandermonde."""
-    delta = (np.roll(np.eye(d, dtype=np.int64), 1, axis=1)
-             - np.eye(d, dtype=np.int64))
+    delta = np.roll(np.eye(d, dtype=int), 1, axis=1) - np.eye(d, dtype=int)
     m = [_vandermonde_inverse(d)]
     for _ in range(d - 1):
         m.append(m[-1] @ delta % d)
@@ -442,19 +440,20 @@ def reduce_to_pr(table):
             f"{table.arities}")
     d = table.d
     m = _derived_interpolators(d)
-    # mu[o1, o2, o3, a, b, c]: coefficient of x^a y^b z^c after o_v
-    # derivatives in variable v, for every order at once.
-    mu = np.einsum("pax,xyz->payz", m, table.as_array()) % d
-    mu = np.einsum("qby,payz->pqabz", m, mu) % d
-    mu = np.einsum("rcz,pqabz->pqrabc", m, mu) % d
+    arr = table.as_array()
     e = np.indices((d, d, d))
     mixed = ((e > 0).sum(axis=0) > 1) & ((e != 1).any(axis=0))
-    ok = (mu[..., 1, 1, 1] != 0) & ~(mu[..., mixed] != 0).any(axis=-1)
+    # yz[o2, o3, x, b, c]: y and z derived o2 and o3 times and interpolated.
+    yz = np.einsum("qby,rcz,xyz->qrxbc", m, m, arr, optimize=True) % d
+    ok = np.zeros((d, d, d), dtype=bool)
+    for p in range(d):  # one x-order per pass: d^5 coefficients, not d^6
+        mu = np.einsum("ax,qrxbc->qrabc", m[p], yz) % d
+        ok[p] = (mu[..., 1, 1, 1] != 0) & ~(mu[..., mixed] != 0).any(axis=-1)
     if not ok.any():
         return None
     order = min((tuple(int(v) for v in o) for o in np.argwhere(ok)),
                 key=lambda o: (sum(o), o))
-    c = mu[order]
+    c = np.einsum("ax,by,cz,xyz->abc", *m[list(order)], arr) % d
     return Reduction(d=d, order=order, lam=int(c[1, 1, 1]),
                      g=tuple(int(v) for v in c[:, 0, 0]),
                      h=(0,) + tuple(int(v) for v in c[0, 1:, 0]),
@@ -506,7 +505,7 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
     owner = np.arange(3) == np.array(reduction.sequence, dtype=int)[:, None]
     shifted = (point + bits @ owner) % d
     sign = np.where((total - bits.sum(axis=1)) % 2, d - 1, 1)
-    outputs = _sample_boxes(d, 3, box.table.as_array()[tuple(shifted.T)], rng)
+    outputs = _sample_boxes(box, box.table.as_array()[tuple(shifted.T)], rng)
     shares = sign @ outputs % d
     additive = _vandermonde(d)[point] * [reduction.g, reduction.h, reduction.s]
     a, b, c = (pow(reduction.lam, -1, d) * (shares - additive.sum(axis=1))

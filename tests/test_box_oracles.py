@@ -47,9 +47,9 @@ def protocol_tables(draw):
 @st.composite
 def three_party_tables(draw):
     """Random, pure-reducible (lambda*xyz + g(x) + h(y) + s(z)) and lifted
-    tables of three single-dit parties.  A lifted table is a periodic
-    antiderivative in x of a pure form, taken twice for d = 5, so that its
-    reduction needs derivatives."""
+    tables of three single-dit parties, with their variables permuted.  A
+    lifted table is a periodic antiderivative in x of a pure form, taken
+    twice for d = 5, so that its reduction needs derivatives."""
     d = draw(st.sampled_from(PRIMES))
     kind = draw(st.sampled_from(("random", "pure", "lifted")))
     dits = st.integers(0, d - 1)
@@ -69,6 +69,7 @@ def three_party_tables(draw):
         base = np.array(draw(st.lists(dits, min_size=d * d,
                                       max_size=d * d))).reshape(1, d, d)
         table = np.concatenate([base, base + np.cumsum(table, axis=0)[:-1]])
+    table = np.transpose(table, draw(st.permutations(range(3))))
     return FunctionTable(d, (1, 1, 1), (table % d).reshape(-1).tolist())
 
 

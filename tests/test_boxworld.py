@@ -296,6 +296,13 @@ def test_protocol_multi_dit_parties():
         assert transcript.boxes_used == 16
 
 
+def test_protocol_needs_two_parties():
+    # A lone party has no box to share.
+    with pytest.raises(ValidationError, match="at least 2 parties"):
+        cc_protocol(FunctionTable(3, (2,), [0] * 9), (1, 2),
+                    np.random.default_rng(0))
+
+
 def test_transcript_serializable():
     rng = np.random.default_rng(251)
     doc = cc_protocol(XYZ, (1, 2, 1), rng).as_dict()
