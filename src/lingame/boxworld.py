@@ -75,12 +75,10 @@ class FunctionTable(object):
         if len(variables) != self.variables:
             raise ValidationError(
                 f"expected {self.variables} variables, got {len(variables)}")
-        idx = 0
         for v in variables:
             if not 0 <= v < self.d:
                 raise ValidationError(f"input symbol {v} outside Z_{self.d}")
-            idx = idx * self.d + v
-        return self.values[idx]
+        return self.values[reduce(lambda i, v: i * self.d + v, variables, 0)]
 
     def __eq__(self, other):
         return (isinstance(other, FunctionTable)
@@ -192,10 +190,8 @@ def _flatten_inputs(arities, inputs, d):
     elif len(inputs) == len(arities):
         flat = []
         for i, (m, value) in enumerate(zip(arities, inputs)):
-            if isinstance(value, (int, np.integer)):
-                part = (int(value),)
-            else:
-                part = tuple(int(v) for v in value)
+            part = ((int(value),) if isinstance(value, (int, np.integer))
+                    else tuple(int(v) for v in value))
             if len(part) != m:
                 raise ValidationError(
                     f"party {i} input has {len(part)} symbols, expected {m}")
@@ -229,8 +225,7 @@ def box_sample(box, inputs, rng):
 def box_behavior(box):
     """Exact conditional distribution of a box, as a behavior over the
     cyclic group Z_d with one question per possible party input."""
-    d = box.d
-    n = box.players
+    d, n = box.d, box.players
     questions = tuple(d**m for m in box.arities)
     group = AbelianGroup((d,))
     # Row index runs lexicographically over the concatenated variables,
@@ -276,11 +271,8 @@ class PolyCoefficients:
     def degree(self, variable):
         """Largest exponent of ``variable`` with a nonzero coefficient;
         -1 for the zero polynomial."""
-        moved = np.moveaxis(self.coeffs, variable, 0)
-        for e in range(self.d - 1, -1, -1):
-            if moved[e].any():
-                return e
-        return -1
+        moved = np.moveaxis(self.coeffs, variable, 0).reshape(self.d, -1)
+        return int(np.append(-1, np.flatnonzero(moved.any(axis=1)))[-1])
 
     def monomials(self):
         """Sorted list of (exponent tuple, coefficient) with nonzero
@@ -440,43 +432,50 @@ def reduce_to_pr(table):
             f"{table.arities}")
     d = table.d
     m = _derived_interpolators(d)
-    arr = table.as_array()
+    flat = table.as_array().reshape(d, -1)
     e = np.indices((d, d, d))
     mixed = ((e > 0).sum(axis=0) > 1) & ((e != 1).any(axis=0))
-    # yz[o2, o3, x, b, c]: y and z derived o2 and o3 times and interpolated.
-    yz = np.einsum("qby,rcz,xyz->qrxbc", m, m, arr, optimize=True) % d
-    ok = np.zeros((d, d, d), dtype=bool)
-    for p in range(d):  # one x-order per pass: d^5 coefficients, not d^6
-        mu = np.einsum("ax,qrxbc->qrabc", m[p], yz) % d
-        ok[p] = (mu[..., 1, 1, 1] != 0) & ~(mu[..., mixed] != 0).any(axis=-1)
-    if not ok.any():
-        return None
-    order = min((tuple(int(v) for v in o) for o in np.argwhere(ok)),
-                key=lambda o: (sum(o), o))
-    c = np.einsum("ax,by,cz,xyz->abc", *m[list(order)], arr) % d
-    return Reduction(d=d, order=order, lam=int(c[1, 1, 1]),
-                     g=tuple(int(v) for v in c[:, 0, 0]),
-                     h=(0,) + tuple(int(v) for v in c[0, 1:, 0]),
-                     s=(0,) + tuple(int(v) for v in c[0, 0, 1:]))
+    orders = e.reshape(3, -1)
+    orders = orders[:, np.lexsort((*orders[::-1], orders.sum(axis=0)))]
+    # Score the orders in blocks that double up to 2^16 coefficients, so a
+    # low order is found early and memory stays O(max(2^16, d^3)).
+    j, block = 0, 1
+    while j < d**3:
+        p, q, r = orders[:, j:j + block]
+        mu = (m[p].reshape(-1, d) @ flat % d).reshape(-1, d, d, d)
+        mu = m[q][:, None] @ mu % d
+        mu = mu @ m[r].transpose(0, 2, 1)[:, None] % d
+        ok = (mu[:, 1, 1, 1] != 0) & ~((mu != 0) & mixed).any(axis=(1, 2, 3))
+        if ok.any():
+            c, order = mu[ok.argmax()], orders[:, j + ok.argmax()].tolist()
+            return Reduction(d=d, order=tuple(order), lam=int(c[1, 1, 1]),
+                             g=tuple(c[:, 0, 0].tolist()),
+                             h=(0, *c[0, 1:, 0].tolist()),
+                             s=(0, *c[0, 0, 1:].tolist()))
+        j, block = j + block, min(2 * block, max(1, 2**16 // d**3))
+    return None
 
 
 def _check_reduction(box, reduction):
+    """Raise unless the reduction matches the box's derivative table; else
+    return lambda and the rows g, h, s evaluated on Z_d (Python-int sums,
+    so coefficient tuples of any length and size are read as written)."""
     if box.d != reduction.d:
         raise ValidationError("reduction was computed for a different d")
     d = box.d
     derived = box.table.as_array()
-    for variable, times in enumerate(reduction.order):
-        for _ in range(times):
-            derived = (np.roll(derived, -1, axis=variable) - derived) % d
-    v = _vandermonde(d)
-    x = np.arange(d)
-    expected = (reduction.lam * np.multiply.outer(np.multiply.outer(x, x), x)
-                + (v @ reduction.g)[:, None, None]
-                + (v @ reduction.h)[None, :, None]
-                + (v @ reduction.s)[None, None, :]) % d
+    for variable in reduction.sequence:
+        derived = (np.roll(derived, -1, axis=variable) - derived) % d
+    lam = reduction.lam % d
+    rows = (reduction.g, reduction.h, reduction.s)
+    additive = np.array([[sum(c * pow(x, e, d) for e, c in enumerate(row)) % d
+                          for x in range(d)] for row in rows])
+    expected = (lam * reduce(np.multiply.outer, [np.arange(d)] * 3)
+                + reduce(np.add.outer, additive)) % d
     if not np.array_equal(derived, expected):
         raise ValidationError(
             "reduction does not match the box's derivative table")
+    return lam, additive
 
 
 def simulate_pr_from_functional(box, reduction, inputs, rng):
@@ -495,7 +494,7 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
         raise ValidationError(
             f"PR simulation needs three single-dit parties, got arities "
             f"{box.arities}")
-    _check_reduction(box, reduction)
+    lam, additive = _check_reduction(box, reduction)
     d = box.d
     point = np.array(_flatten_inputs(box.arities, inputs, d))
     total = sum(reduction.order)
@@ -507,8 +506,7 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
     sign = np.where((total - bits.sum(axis=1)) % 2, d - 1, 1)
     outputs = _sample_boxes(box, box.table.as_array()[tuple(shifted.T)], rng)
     shares = sign @ outputs % d
-    additive = _vandermonde(d)[point] * [reduction.g, reduction.h, reduction.s]
-    a, b, c = (pow(reduction.lam, -1, d) * (shares - additive.sum(axis=1))
+    a, b, c = (pow(lam, -1, d) * (shares - additive[range(3), point])
                % d).tolist()
     k = int(rng.integers(0, d))
     return ((a + k) % d, (b + k) % d, (c - 2 * k) % d)

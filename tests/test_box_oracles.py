@@ -5,13 +5,14 @@ reductions are the same order and coefficients, and box behaviors are the
 same tables."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
-                              box_behavior, cc_protocol, reduce_to_pr,
+                              Reduction, box_behavior, cc_protocol, reduce_to_pr,
                               simulate_pr_from_functional, _vandermonde,
                               _vandermonde_inverse)
 from lingame.errors import ValidationError
@@ -123,3 +124,49 @@ def test_box_behaviors_match_the_target_loop(table, n):
     for box in (FunctionalBox(table), PRBox(n, table.d)):
         assert np.array_equal(box_behavior(box).table,
                               oracle_box_behavior_table(box))
+
+
+def test_hand_built_reductions_are_read_as_written():
+    """Short, over-long and oversized coefficients spell the same form:
+    the check and the simulation read them as the per-cell loop does."""
+    d = 5
+    x = np.arange(d)
+    form = (2 * x[:, None, None] * x[None, :, None] * x[None, None, :]
+            + 3 + x[:, None, None] + 4 * x[None, None, :]**2) % d
+    box = FunctionalBox(FunctionTable(d, (1, 1, 1), form.reshape(-1).tolist()))
+    assert reduce_to_pr(box.table) == Reduction(
+        d, (0, 0, 0), 2, (3, 1, 0, 0, 0), (0,) * d, (0, 0, 4, 0, 0))
+    big = d * 2**70
+    for reduction in (Reduction(d, (0, 0, 0), 2, (3, 1), (), (0, 0, 4)),
+                      Reduction(d, (0, 0, 0), 2 + big, (3, 1, 0, 0, 0, d),
+                                (0,) * 7, (big, 0, 4 - big))):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for inputs in ((1, 2, 3), (4, 0, 2), (0, 0, 0)):
+            assert (simulate_pr_from_functional(box, reduction, inputs, rng)
+                    == oracle_simulate_pr(box, reduction, inputs, ref))
+    with pytest.raises(ValidationError):
+        simulate_pr_from_functional(
+            box, Reduction(d, (0, 0, 0), 2, (3,), (), (0, 0, 4)), (0, 0, 0),
+            np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("d, lifts", [(11, 1), (31, 0)])
+def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
+    """A low order is found without scoring every order, and the scored
+    blocks stay small: at d = 31 all d^3 orders at once would need
+    gigabytes."""
+    x = np.arange(d)
+    table = x[:, None, None] * x[None, :, None] * x[None, None, :] % d
+    for _ in range(lifts):
+        table = np.concatenate([table[:1], table[:1]
+                                + np.cumsum(table, axis=0)[:-1]]) % d
+    table = FunctionTable(d, (1, 1, 1), table.reshape(-1).tolist())
+    tracemalloc.start()
+    try:
+        reduction = reduce_to_pr(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduction == oracle_reduce_to_pr(table)
+    assert reduction.order == (lifts, 0, 0)
+    assert peak < 64 * 2**20
