@@ -1,4 +1,4 @@
-"""Run every benchmark workload over a seed set and record the medians.
+"""Run every benchmark workload over seeds 1 to 10 and record the medians.
 
     python3 tools/bench_record.py --out BENCH_7.json \\
         --run parent=PARENT_CHECKOUT --run change=.
@@ -8,15 +8,16 @@ is run from it (so it measures that checkout's ``src/`` with that
 checkout's benchmark) for every workload listed in this repository's
 ``BENCHMARK.json`` and every seed, at its ``run_seconds``.  The labels
 alternate run by run, and the label that goes first swaps from one seed to
-the next.  A checkout of the parent commit can be made with ``git clone``,
-``git worktree add`` or ``git archive``.
+the next, so two labels give ten alternating pairs per workload.  A
+checkout of the parent commit can be made with ``git clone``, ``git
+worktree add`` or ``git archive``.
 
 The output file keeps, per label and workload, the median of every
 end-to-end metric over the seeds, and every run's own figures, with the
-core count and the numpy and Python versions.  Labels already in the file
-and not run again are kept.  When the file holds both ``parent`` and
-``change``, the change/parent ratios of the medians are stored and
-printed.  Standard library only.
+core count and the numpy and Python versions; an existing file is
+overwritten.  When ``parent`` and ``change`` are both run, the
+change/parent ratios of the medians are stored and printed.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = tuple(range(1, 11))
 
 
 def _commit(checkout):
@@ -74,8 +76,6 @@ def main(argv=None):
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--run", action="append", required=True,
                     metavar="LABEL=DIR", help="a label and its checkout")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = ap.parse_args(argv)
     runs = []
     for item in args.run:
@@ -84,18 +84,17 @@ def main(argv=None):
             ap.error(f"--run {item!r}: expected LABEL=DIR of a checkout")
         runs.append((label, Path(checkout).resolve()))
 
-    doc = (json.loads(args.out.read_text()) if args.out.is_file()
-           else {"labels": {}})
-    doc.update({"benchmark": "perfbench/run.py", "seconds": args.seconds,
-                "seeds": args.seeds, "cpu_count": os.cpu_count(),
-                "numpy": importlib.metadata.version("numpy"),
-                "python": platform.python_version()})
+    seconds = bench["run_seconds"]
+    doc = {"benchmark": "perfbench/run.py", "seconds": seconds,
+           "seeds": list(SEEDS), "cpu_count": os.cpu_count(),
+           "numpy": importlib.metadata.version("numpy"),
+           "python": platform.python_version(), "labels": {}}
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(SEEDS):
         for workload in workloads:
             for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
-                run = _run_once(checkout, workload, seed, args.seconds)
+                run = _run_once(checkout, workload, seed, seconds)
                 results[label][workload].append(run)
                 print(f"{label:>8} {workload:>8} seed {seed}: "
                       + " ".join(f"{k}={v:.4g}"
