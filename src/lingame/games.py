@@ -51,7 +51,8 @@ class LinearGame:
     grid order: ``grid`` (the tuples), ``residues`` (f(x) as residue
     tuples) and ``weights`` (p(x) times the common denominator ``den``:
     int64 below 2^53, where every sum of weights is exact, else Python
-    ints in an object array).
+    ints in an object array).  ``histogram[x_1, ..., x_n, r]`` is the
+    weight of x where f(x) has element index r, else 0.
     """
 
     def __init__(self, group, question_counts, distribution, predicate,
@@ -109,8 +110,10 @@ class LinearGame:
         self._probabilities = (self.weights / self.den).astype(float)
         # Elements enumerate lexicographically: an index is row-major.
         self._f_index = np.ravel_multi_index(tuple(self.residues.T), group.orders)
+        hist = (self._f_index[:, None] == np.arange(group.size)) * self.weights[:, None]
+        self.histogram = hist.reshape(question_counts + (group.size,))
         for a in (self.grid, self.residues, self.weights, self._probabilities,
-                  self._f_index):
+                  self._f_index, self.histogram):
             a.setflags(write=False)
 
     @property

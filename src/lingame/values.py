@@ -25,8 +25,7 @@ from .games import (
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
-# Entries of one chunk's largest array, (assignments, players, inputs,
-# residues) answers or (assignments, rows, answers) scores: 2 MiB of int64.
+# Entries of one score block, (|G|, tables, free rows): 2 MiB of int64.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -36,16 +35,22 @@ def _best_tables(game, fixed, cap):
     greedily per joint question of theirs, a free row (exact, because the
     score splits over the free rows).
 
-    Returns (value, digits, answers): the exact winning probability, the
-    fixed players' tables as one row of element indices (player by
-    player), and the greedy element index per free row.  Assignments run
-    lexicographically; ties keep the first one and the smallest answer.
-    Adding t to every answer of a fixed player and -t to every free sum
-    keeps the score, so each fixed player answers the identity on
-    question 0, as the first optimum does.  ``cap`` bounds the unreduced
-    count |G|^(questions of the fixed players).
+    Returns (value, tables, answers): the exact winning probability, each
+    fixed player's table as element indices, and the greedy element index
+    per free row.  Assignments run lexicographically; ties keep the first
+    one and the smallest answer.  Adding t to every answer of a fixed
+    player and -t to every free sum keeps the score, so each fixed player
+    answers the identity on question 0, as the first optimum does.
+    ``cap`` bounds the unreduced count |G|^(questions of the fixed players).
+
+    The histogram H[r, fixed players' axes, free rows] folds out one
+    player at a time: table c gives H'[r, ...] = sum_x H[r + c(x), x, ...],
+    an outer sum of the player's question slices shifted by every answer
+    (one gather).  Folds run depth-first in table order, each question
+    split answer by answer while the tables below it exceed
+    ``_CHUNK_ENTRIES``; r outermost makes the maximum over r elementwise.
     """
-    group, g = game.group, game.group.size
+    g = game.group.size
     questions = [game.question_counts[i] for i in fixed]
     required = g ** sum(questions)
     if required > cap:
@@ -54,39 +59,38 @@ def _best_tables(game, fixed, cap):
             f"{required} assignments, cap is {cap}",
             required=required, cap=cap)
 
-    grid = game.grid.T
     free = [i for i in range(game.players) if i not in fixed]
-    shape = [game.question_counts[i] for i in free]
-    rows = np.ravel_multi_index(tuple(grid[free]), shape)
-    n_rows = math.prod(shape)
-    elements = np.array(group.elements(), dtype=np.intp)
-    # Elements enumerate lexicographically: an index is row-major.
-    strides = [math.prod(group.orders[j + 1:])
-               for j in range(len(group.orders))]
-    # cols[j, x]: digit column of fixed player j's answer on input x.
-    offsets = np.cumsum([0] + questions[:-1])
-    cols = offsets[:, None] + grid[list(fixed)]
-    unpinned = [o + x for o, q in zip(offsets, questions) for x in range(1, q)]
-    radix = g ** np.arange(len(unpinned) - 1, -1, -1)
+    n_rows = math.prod(game.question_counts[i] for i in free)
+    shift = answer_sums(game.group, 2).reshape(g, g)  # index of a + c at [c, a]
+    unpinned = (g,) * (sum(questions) - len(questions))
 
-    chunk = max(1, _CHUNK_ENTRIES // max(cols.size * len(strides), n_rows * g))
-    count = g ** len(unpinned)
-    best_total, best = -1, None
-    for start in range(0, count, chunk):
-        index = np.arange(start, min(start + chunk, count))
-        digits = np.zeros((len(index), sum(questions)), dtype=np.intp)
-        digits[:, unpinned] = index[:, None] // radix % g
-        answer = elements[digits[:, cols]].sum(axis=1)
-        rest = ((game.residues - answer) % group.orders) @ strides
-        scores = np.zeros((len(index), n_rows, g), dtype=game.weights.dtype)
-        np.add.at(scores, (np.arange(len(index))[:, None], rows, rest),
-                  game.weights)
-        totals = scores.max(axis=2).sum(axis=1)
-        i = int(np.argmax(totals))
+    def fold(partial, shifted, j, tables):
+        # partial: (|G|, tables before j, of j's first questions, later
+        # axes); shifted: j's other questions by answer; tables below each.
+        while not len(shifted):
+            if j + 1 == len(questions):
+                yield partial.reshape(g, -1, n_rows)
+                return
+            j += 1
+            a = partial.reshape(g, -1, questions[j], partial.shape[3] // questions[j])
+            partial, shifted = a[:, :, :1], a[:, :, 1:][shift].transpose(3, 1, 2, 0, 4)
+        whole = tables * n_rows * g <= _CHUNK_ENTRIES
+        for part in [shifted[0]] if whole else np.split(shifted[0], g, axis=2):
+            step = np.add(partial[:, :, :, None], part[:, :, None], order="C")
+            yield from fold(step.reshape(g, step.shape[1], -1, step.shape[4]),
+                            shifted[1:], j, tables // g)
+
+    hist = game.histogram.transpose([game.players] + list(fixed) + free)
+    start, best_total, best = 0, -1, None
+    for scores in fold(hist.reshape(g, 1, 1, -1), (), -1, math.prod(unpinned)):
+        totals = scores.max(axis=0).sum(axis=1)
+        i = int(totals.argmax())
         if totals[i] > best_total:
-            best_total = int(totals[i])
-            best = digits[i], scores[i].argmax(axis=1)
-    return Fraction(best_total, game.den), best[0], best[1]
+            best_total, best = int(totals[i]), (start + i, scores[:, i].argmax(axis=0))
+        start += scores.shape[1]
+    digits = iter(np.unravel_index(best[0], unpinned))
+    tables = [[0] + [int(next(digits)) for _ in range(q - 1)] for q in questions]
+    return Fraction(best_total, game.den), tables, best[1]
 
 
 @dataclass(frozen=True)
@@ -100,19 +104,17 @@ class ClassicalResult:
 def classical_value(game, cap=CLASSICAL_ENUMERATION_CAP):
     """Exact maximum winning probability over deterministic strategies.
 
-    Players 2..n are enumerated outright; player 1's best answer is then
-    chosen greedily per question (exact, because the objective splits over
-    player 1's questions).  Ties keep the smallest element in enumeration
-    order.  Each of players 2..n answers the identity on question 0, which
-    loses nothing because player 1 can absorb any shift; ``cap`` still
-    bounds the unreduced count |G|^(Q_2 + ... + Q_n), and exceeding it
-    raises ResourceLimitError.
+    Players 2..n fold their tables out of the game's answer histogram;
+    player 1's best answer is then chosen greedily per question (exact,
+    because the objective splits over player 1's questions).  Ties keep
+    the first table and the smallest element in enumeration order.  Each
+    of players 2..n answers the identity on question 0, which loses
+    nothing because player 1 can absorb any shift; ``cap`` still bounds
+    the unreduced count |G|^(Q_2 + ... + Q_n), and exceeding it raises
+    ResourceLimitError.
     """
-    value, digits, player1 = _best_tables(game, range(1, game.players), cap)
-    elements = game.group.elements()
-    tables = [player1] + np.split(digits,
-                                  np.cumsum(game.question_counts[1:-1]))
-    outputs = tuple(tuple(elements[a] for a in table) for table in tables)
+    value, tables, player1 = _best_tables(game, range(1, game.players), cap)
+    outputs = tuple(tuple(map(game.group.element, t)) for t in [player1] + tables)
     return ClassicalResult(value, DeterministicStrategy(outputs))
 
 
@@ -120,8 +122,7 @@ def no_signaling_value(game):
     """No-signaling teams win every linear game: the behavior that answers
     uniformly over tuples summing to f(x) is no-signaling and wins with
     probability one."""
-    group = game.group
-    n = game.players
+    group, n = game.group, game.players
     wins = answer_sums(group, n) == game.predicate_indices()[:, None]
     table = np.where(wins, 1.0 / group.size ** (n - 1), 0.0)
     return Fraction(1), Behavior(group, game.question_counts, table)
@@ -132,22 +133,18 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     is classical, correlated only by shared randomness.
 
     ``lone`` picks the solo player; by default the value is the maximum
-    over the three bipartitions.  For each deterministic assignment of the
-    solo player, the pair's best joint answer sum is chosen greedily per
-    joint question (exact for linear games, where only the pair's answer
-    sum matters).  The solo player answers the identity on question 0, as
-    in ``classical_value``; ``cap`` bounds the unreduced count |G|^Q_solo.
+    over the three bipartitions.  Each solo player's tables fold out of
+    the game's one answer histogram, as in ``classical_value``, and the
+    pair's best joint answer sum is chosen greedily per joint question
+    (exact for linear games, where only the pair's answer sum matters).
+    The solo player answers the identity on question 0; ``cap`` bounds
+    the unreduced count |G|^Q_solo.
     """
     if game.players != 3:
-        raise ValidationError(
-            "hybrid bipartition values are implemented for 3 players")
-    if lone is None:
-        lones = (0, 1, 2)
-    else:
-        if lone not in (0, 1, 2):
-            raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
-        lones = (lone,)
-
+        raise ValidationError("hybrid bipartition values are implemented for 3 players")
+    if lone not in (None, 0, 1, 2):
+        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+    lones = (0, 1, 2) if lone is None else (lone,)
     return max(_best_tables(game, (solo,), cap)[0] for solo in lones)
 @dataclass(frozen=True)
 class SeparabilityReport:

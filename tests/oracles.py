@@ -14,6 +14,10 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_classical_result: the pre-engine classical_value, one Python
   iteration per table of players 2..n with a greedy player 1 and no shift
   reduction (checks the value and the witness of the chunked engine).
+* oracle_best_tables: the chunked engine that preceded the histogram
+  fold, which decodes every reduced assignment and scatters the weights
+  of every question with np.add.at (checks the value, the fixed tables
+  and the free answers of values._best_tables on every split).
 * brute_svetlichny_value: enumeration over the joint pair's sum tables
   (checks the per-question greedy in svetlichny_value).
 * behavior_from_full_correlators: inverse Fourier transform from character
@@ -46,7 +50,7 @@ from lingame.algebra import AbelianGroup
 from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
                               box_sample, interpolate_polynomial,
                               partial_derivative, _flatten_inputs)
-from lingame.errors import ValidationError
+from lingame.errors import ResourceLimitError, ValidationError
 from lingame.games import DeterministicStrategy, answer_sums
 from lingame.strategies import QuantumStrategy
 from lingame.tolerances import TIE_TOL
@@ -262,6 +266,57 @@ def oracle_classical_result(game):
     outputs = (tuple(elements[a] for a in best_player1),)
     outputs += tuple(tuple(elements[a] for a in table) for table in best_combo)
     return Fraction(best_total, den), outputs
+
+
+def oracle_best_tables(game, fixed, cap, chunk_entries=1 << 18):
+    """(value, digits, answers) of the best deterministic play with the
+    players in ``fixed`` enumerating their tables, each answering the
+    identity on question 0, and the other players' answer sum chosen per
+    free row: every assignment decoded in lexicographic chunks, its
+    answers gathered input by input and scattered with np.add.at.  The
+    digits are the fixed players' tables in one row; ties keep the first
+    assignment and the smallest answer."""
+    group, g = game.group, game.group.size
+    questions = [game.question_counts[i] for i in fixed]
+    required = g ** sum(questions)
+    if required > cap:
+        raise ResourceLimitError(
+            f"enumerating the tables of players {list(fixed)} needs "
+            f"{required} assignments, cap is {cap}",
+            required=required, cap=cap)
+
+    grid = game.grid.T
+    free = [i for i in range(game.players) if i not in fixed]
+    shape = [game.question_counts[i] for i in free]
+    rows = np.ravel_multi_index(tuple(grid[free]), shape)
+    n_rows = math.prod(shape)
+    elements = np.array(group.elements(), dtype=np.intp)
+    strides = [math.prod(group.orders[j + 1:])
+               for j in range(len(group.orders))]
+    # cols[j, x]: digit column of fixed player j's answer on input x.
+    offsets = np.cumsum([0] + questions[:-1])
+    cols = offsets[:, None] + grid[list(fixed)]
+    unpinned = [o + x for o, q in zip(offsets, questions) for x in range(1, q)]
+    radix = g ** np.arange(len(unpinned) - 1, -1, -1)
+
+    chunk = max(1, chunk_entries // max(cols.size * len(strides), n_rows * g))
+    count = g ** len(unpinned)
+    best_total, best = -1, None
+    for start in range(0, count, chunk):
+        index = np.arange(start, min(start + chunk, count))
+        digits = np.zeros((len(index), sum(questions)), dtype=np.intp)
+        digits[:, unpinned] = index[:, None] // radix % g
+        answer = elements[digits[:, cols]].sum(axis=1)
+        rest = ((game.residues - answer) % group.orders) @ strides
+        scores = np.zeros((len(index), n_rows, g), dtype=game.weights.dtype)
+        np.add.at(scores, (np.arange(len(index))[:, None], rows, rest),
+                  game.weights)
+        totals = scores.max(axis=2).sum(axis=1)
+        i = int(np.argmax(totals))
+        if totals[i] > best_total:
+            best_total = int(totals[i])
+            best = digits[i], scores[i].argmax(axis=1)
+    return Fraction(best_total, game.den), best[0], best[1]
 
 
 def brute_svetlichny_value(game, lone):

@@ -1,13 +1,15 @@
-"""The chunked enumeration engine and the separability test of values
-against the slow paths they replaced or that check them
-(tests/oracles.py): the per-table Python loop of the old classical_value,
-full enumeration of every strategy, the pair's joint sum tables
-enumerated outright, and the per-tuple difference relations of the old
-separability_check."""
+"""The histogram engine and the separability test of values against the
+slow paths they replaced or that check them (tests/oracles.py): the
+chunked decode-and-scatter engine, the per-table Python loop of the old
+classical_value, full enumeration of every strategy, the pair's joint sum
+tables enumerated outright, and the per-tuple difference relations of the
+old separability_check."""
 
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 from lingame import values
 from lingame.algebra import AbelianGroup
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
-from lingame.errors import ValidationError
+from lingame.errors import ResourceLimitError, ValidationError
+from lingame.tolerances import CLASSICAL_ENUMERATION_CAP as CAP
 from lingame.values import classical_value, separability_check, svetlichny_value
 
 from oracles import (brute_svetlichny_value, naive_classical_value,
-                     oracle_classical_result, oracle_separability_check)
+                     oracle_best_tables, oracle_classical_result,
+                     oracle_separability_check)
 
 GROUPS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((4,)),
           AbelianGroup((2, 2))]
@@ -29,12 +33,13 @@ loop_result = functools.cache(oracle_classical_result)
 
 
 @st.composite
-def games(draw, players):
+def games(draw, players, groups=GROUPS, top=None):
     """Games with zero-probability inputs and, one time in four, a
-    constant predicate under which every table ties."""
-    group = draw(st.sampled_from(GROUPS))
+    constant predicate under which every table ties.  Each player has one
+    to ``top`` questions: 3 for two players and 2 for more by default."""
+    group = draw(st.sampled_from(groups))
     n = draw(st.sampled_from(players))
-    top = 3 if n == 2 else 2
+    top = top or (3 if n == 2 else 2)
     questions = tuple(draw(st.lists(st.integers(1, top),
                                     min_size=n, max_size=n)))
     size = 1
@@ -75,7 +80,7 @@ def test_svetlichny_matches_joint_tables_and_dominates_classical(game):
 
 
 def test_denominators_beyond_int64_stay_exact():
-    # Denominators of at least 2^53 take the object-dtype scores; 2^80
+    # Denominators of at least 2^53 take the object-dtype histogram; 2^80
     # would overflow int64 outright.
     z3 = AbelianGroup((3,))
     for den in (3 * 2**55, 2**80):
@@ -91,6 +96,83 @@ def test_denominators_beyond_int64_stay_exact():
         for lone in range(3):
             assert (svetlichny_value(game, lone=lone)
                     == brute_svetlichny_value(game, lone))
+
+
+def assert_engine_matches_oracle(game, fixed):
+    value, tables, answers = values._best_tables(game, fixed, CAP)
+    o_value, o_digits, o_answers = oracle_best_tables(game, fixed, CAP)
+    assert value == o_value
+    assert sum(tables, []) == o_digits.tolist()
+    assert answers.tolist() == o_answers.tolist()
+
+
+@SETTINGS
+@given(games(players=(2, 3), groups=GROUPS + [AbelianGroup((2, 3))], top=3),
+       st.sampled_from([1, 50, values._CHUNK_ENTRIES]))
+def test_histogram_engine_matches_the_chunked_engine(game, entries):
+    """Value, fixed tables and free answers on the classical split and on
+    every lone player, with blocks from one table up to the default."""
+    splits = dict.fromkeys([tuple(range(1, game.players))]
+                           + [(i,) for i in range(game.players)])
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        for fixed in splits:
+            assert_engine_matches_oracle(game, fixed)
+
+
+def test_svetlichny_beyond_2_to_the_53_matches_the_oracle():
+    z2z2 = AbelianGroup((2, 2))
+    den = 2**80
+    weights = [5, den - 17, 0, 3, 1, 0, 2, 6]
+    game = make_game(z2z2, (2, 2, 2),
+                     [z2z2.element(i) for i in (1, 0, 3, 0, 3, 3, 0, 3)],
+                     distribution=[Fraction(w, den) for w in weights])
+    assert game.histogram.dtype == object
+    assert game.histogram.sum() == den
+    for lone in range(3):
+        assert_engine_matches_oracle(game, (lone,))
+        value = svetlichny_value(game, lone=lone)
+        assert value == oracle_best_tables(game, (lone,), CAP)[0]
+        assert value == brute_svetlichny_value(game, lone)
+        assert value.denominator > 2**53
+
+
+def test_cap_counts_unreduced_tables_before_allocating():
+    game = chsh_game(2, 9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            classical_value(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required == 9**9
+    assert err.value.cap == CAP
+    assert peak < 2**16
+
+
+def test_blocks_bound_the_memory_of_a_near_cap_search():
+    """Unchunked, the 5^8 tables of chsh(3, 5) would need 49 million
+    entries; about three blocks are alive at once."""
+    game = chsh_game(3, 5)
+    tracemalloc.start()
+    try:
+        result = classical_value(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == Fraction(2, 5)
+    assert peak < 4 * values._CHUNK_ENTRIES * 8
+
+
+def test_near_cap_value_and_witness_match_the_chunked_engine():
+    # Frozen from oracle_best_tables(chsh_game(4, 4), (1, 2, 3), CAP),
+    # which takes several seconds.
+    result = classical_value(chsh_game(4, 4))
+    gf4 = AbelianGroup((2, 2)).elements()
+    assert result.value == Fraction(25, 64)
+    assert result.strategy.outputs == tuple(
+        tuple(gf4[a] for a in table)
+        for table in ([2, 1, 1, 3], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]))
 
 
 @pytest.mark.parametrize("entries", [1, 50, 200])

@@ -15,9 +15,12 @@ worktree add`` or ``git archive``.
 The output file keeps, per label and workload, the median of every
 end-to-end metric over the seeds, and every run's own figures, with the
 core count and the numpy and Python versions; an existing file is
-overwritten.  When ``parent`` and ``change`` are both run, the
-change/parent ratios of the medians are stored and printed.  Standard
-library only.
+overwritten.  Under ``scale`` it keeps, per label, the best of three
+in-process timings of ``classical_value`` on the near-cap games
+chsh(3,5), chsh(4,4) and chsh(6,3), each game in a fresh single-threaded
+interpreter.  When ``parent`` and ``change`` are both run, the
+change/parent ratios of the medians and of the scale timings are stored
+and printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1, 11))
+SCALE_GAMES = ((3, 5), (4, 4), (6, 3))
+_SCALE_SCRIPT = """
+import sys, time
+from lingame.games import chsh_game
+from lingame.values import classical_value
+game = chsh_game(int(sys.argv[1]), int(sys.argv[2]))
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    classical_value(game)
+    times.append(time.perf_counter() - start)
+print(min(times))
+"""
 
 
 def _commit(checkout):
@@ -57,6 +73,20 @@ def _run_once(checkout, workload, seed, seconds):
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _scale_once(checkout, players, d):
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env.update({k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                 "MKL_NUM_THREADS")})
+    proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, str(players),
+                           str(d)], cwd=checkout, env=env, capture_output=True,
+                          text=True, timeout=600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"timing chsh({players},{d}) in {checkout} exited "
+                         f"with {proc.returncode}")
+    return float(proc.stdout)
 
 
 def _ratios(labels):
@@ -100,6 +130,13 @@ def main(argv=None):
                       + " ".join(f"{k}={v:.4g}"
                                  for k, v in run["metrics"].items()),
                       flush=True)
+    scale = {label: {} for label, _ in runs}
+    for players, d in SCALE_GAMES:
+        for label, checkout in runs:
+            name = f"classical_value chsh({players},{d})"
+            scale[label][name] = _scale_once(checkout, players, d)
+            print(f"{label:>8} {name}: {scale[label][name]:.4g} s", flush=True)
+    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     for label, checkout in runs:
         doc["labels"][label] = {"commit": _commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
@@ -108,10 +145,14 @@ def main(argv=None):
             for w, rs in results[label].items()}}
     if {"parent", "change"} <= doc["labels"].keys():
         doc["ratios"] = _ratios(doc["labels"])
+        doc["scale"]["ratios"] = {name: scale["change"][name] / t
+                                  for name, t in scale["parent"].items()}
         print("change/parent ratios of the medians:")
         for workload, ratios in doc["ratios"].items():
             print(f"  {workload:>8} " + " ".join(f"{m}={r:.3f}"
                                                  for m, r in ratios.items()))
+        for name, ratio in doc["scale"]["ratios"].items():
+            print(f"  {name}: {ratio:.3f}")
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
