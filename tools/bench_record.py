@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_7.json \\
+    python3 tools/bench_record.py --out BENCH_8.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -119,6 +119,13 @@ def main(argv=None):
            "seeds": list(SEEDS), "cpu_count": os.cpu_count(),
            "numpy": importlib.metadata.version("numpy"),
            "python": platform.python_version(), "labels": {}}
+    scale = {label: {} for label, _ in runs}
+    for players, d in SCALE_GAMES:
+        for label, checkout in runs:
+            name = f"classical_value chsh({players},{d})"
+            scale[label][name] = _scale_once(checkout, players, d)
+            print(f"{label:>8} {name}: {scale[label][name]:.4g} s", flush=True)
+    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
     for i, seed in enumerate(SEEDS):
@@ -130,13 +137,6 @@ def main(argv=None):
                       + " ".join(f"{k}={v:.4g}"
                                  for k, v in run["metrics"].items()),
                       flush=True)
-    scale = {label: {} for label, _ in runs}
-    for players, d in SCALE_GAMES:
-        for label, checkout in runs:
-            name = f"classical_value chsh({players},{d})"
-            scale[label][name] = _scale_once(checkout, players, d)
-            print(f"{label:>8} {name}: {scale[label][name]:.4g} s", flush=True)
-    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     for label, checkout in runs:
         doc["labels"][label] = {"commit": _commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
