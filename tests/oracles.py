@@ -268,7 +268,7 @@ def oracle_classical_result(game):
     return Fraction(best_total, den), outputs
 
 
-def oracle_best_tables(game, fixed, cap, chunk_entries=1 << 18):
+def oracle_best_tables(game, fixed, cap):
     """(value, digits, answers) of the best deterministic play with the
     players in ``fixed`` enumerating their tables, each answering the
     identity on question 0, and the other players' answer sum chosen per
@@ -299,7 +299,7 @@ def oracle_best_tables(game, fixed, cap, chunk_entries=1 << 18):
     unpinned = [o + x for o, q in zip(offsets, questions) for x in range(1, q)]
     radix = g ** np.arange(len(unpinned) - 1, -1, -1)
 
-    chunk = max(1, chunk_entries // max(cols.size * len(strides), n_rows * g))
+    chunk = max(1, (1 << 18) // max(cols.size * len(strides), n_rows * g))
     count = g ** len(unpinned)
     best_total, best = -1, None
     for start in range(0, count, chunk):
