@@ -57,9 +57,6 @@ class AbelianGroup:
         """All elements in enumeration (lexicographic) order."""
         return list(self._elements)
 
-    def contains(self, a):
-        return a in self._index
-
     def index(self, a):
         """Position of an element in enumeration order."""
         try:

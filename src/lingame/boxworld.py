@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import AbelianGroup, _is_prime, as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import Behavior, answer_sums
+from .games import target_behavior
 
 
 class FunctionTable(object):
@@ -234,8 +234,7 @@ def box_behavior(box):
         targets = np.array(box.table.values)
     else:
         targets = np.indices((d,) * n).reshape(n, -1).prod(axis=0) % d
-    wins = answer_sums(group, n) == targets[:, None]
-    return Behavior(group, questions, np.where(wins, 1.0 / d**(n - 1), 0.0))
+    return target_behavior(group, questions, targets)
 
 
 # ---------------------------------------------------------------------------

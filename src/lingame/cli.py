@@ -129,46 +129,41 @@ def _cap_kw(args):
     return {} if args.cap is None else {"cap": args.cap}
 
 
-def _strategy_section(game, strategy, bound_value, margin):
+def _strategy_section(game, strategy, report, margin):
+    """The --strategy section of a report and its human lines.  The
+    verdict and the visibility threshold compare the observed success,
+    clamped to 1, with the biseparable ``report``; without one (the game
+    is not tripartite) only the success is given."""
     observed = games.success_probability(game, strategy_behavior(strategy, game))
     section = {"success": observed}
-    if bound_value is not None:
-        gap = observed - bound_value
-        verdict = (diew.Verdict.GENUINE_TRIPARTITE_ENTANGLEMENT
-                   if gap > margin else diew.Verdict.INCONCLUSIVE)
-        section["verdict"] = verdict.name
-        section["gap"] = gap
+    human = [f"strategy        success {observed:.6g}"]
+    if report is not None:
+        result = diew.witness_verdict(game, min(observed, 1.0), margin=margin,
+                                      report=report)
         try:
-            section["visibility_threshold"] = diew.visibility_threshold(
-                game, strategy, bound=bound_value)
+            threshold = diew.visibility_threshold(game, strategy,
+                                                  bound=report.bound)
         except NoThresholdError:
-            section["visibility_threshold"] = None
-    return section
+            threshold = None
+        section.update(verdict=result.verdict.name, gap=result.gap,
+                       visibility_threshold=threshold)
+        human.append(f"verdict         {result.verdict.value} "
+                     f"(gap {result.gap:.6g})")
+        if threshold is not None:
+            human.append(f"visibility      threshold {threshold:.6g}")
+    return section, human
 
 
-def _load_game(path):
+def _read(load, path):
+    """``load(path)``, with an unreadable file as a ValidationError."""
     try:
-        return games.load_game(path)
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e.strerror}") from None
-
-
-def _load_strategy(path):
-    try:
-        return load_strategy(path)
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e.strerror}") from None
-
-
-def _load_function(path):
-    try:
-        return boxworld.load_function(path)
+        return load(path)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror}") from None
 
 
 def cmd_analyze(args):
-    game = _load_game(args.game)
+    game = _read(games.load_game, args.game)
     timings = {}
 
     t0 = time.perf_counter()
@@ -211,6 +206,7 @@ def cmd_analyze(args):
     ]
 
     sandwich_ok = float(classical.value) <= bound.bound + 1e-9
+    bisep = None
     if game.players == 3:
         t0 = time.perf_counter()
         svet = values.svetlichny_value(game, **_cap_kw(args))
@@ -232,18 +228,9 @@ def cmd_analyze(args):
     human.append(f"sandwich        {'ok' if sandwich_ok else 'VIOLATED'}")
 
     if args.strategy:
-        strategy = _load_strategy(args.strategy)
-        bisep_bound = doc.get("biseparable", {}).get("bound")
-        section = _strategy_section(game, strategy, bisep_bound,
-                                    args.tolerance)
-        doc["strategy"] = section
-        human.append(f"strategy        success {section['success']:.6g}")
-        if "verdict" in section:
-            human.append(f"                verdict {section['verdict']} "
-                         f"(gap {section['gap']:.6g})")
-        if section.get("visibility_threshold") is not None:
-            human.append(f"                visibility threshold "
-                         f"{section['visibility_threshold']:.6g}")
+        doc["strategy"], lines = _strategy_section(
+            game, _read(load_strategy, args.strategy), bisep, args.tolerance)
+        human += lines
     return _emit(args, doc, human)
 
 
@@ -275,7 +262,7 @@ def cmd_chsh(args):
 
 
 def cmd_diew(args):
-    game = _load_game(args.game)
+    game = _read(games.load_game, args.game)
     t0 = time.perf_counter()
     report = diew.biseparable_bound(game, **_cap_kw(args))
     elapsed = time.perf_counter() - t0
@@ -293,29 +280,14 @@ def cmd_diew(args):
         f"lone player {report.best_lone})   [{elapsed:.3f} s]",
     ]
     if args.strategy:
-        strategy = _load_strategy(args.strategy)
-        observed = games.success_probability(
-            game, strategy_behavior(strategy, game))
-        result = diew.witness_verdict(game, min(observed, 1.0),
-                                      margin=args.tolerance, report=report)
-        doc["strategy"] = {"success": observed,
-                           "verdict": result.verdict.name,
-                           "gap": result.gap}
-        human.append(f"strategy        success {observed:.6g}")
-        human.append(f"verdict         {result.verdict.value} "
-                     f"(gap {result.gap:.6g})")
-        try:
-            threshold = diew.visibility_threshold(game, strategy,
-                                                  bound=report.bound)
-            doc["strategy"]["visibility_threshold"] = threshold
-            human.append(f"visibility      threshold {threshold:.6g}")
-        except NoThresholdError:
-            doc["strategy"]["visibility_threshold"] = None
+        doc["strategy"], lines = _strategy_section(
+            game, _read(load_strategy, args.strategy), report, args.tolerance)
+        human += lines
     return _emit(args, doc, human)
 
 
 def cmd_separable(args):
-    game = _load_game(args.game)
+    game = _read(games.load_game, args.game)
     t0 = time.perf_counter()
     report = values.separability_check(game)
     elapsed = time.perf_counter() - t0
@@ -339,7 +311,7 @@ def cmd_separable(args):
 
 
 def cmd_boxes_run(args):
-    table = _load_function(args.function)
+    table = _read(boxworld.load_function, args.function)
     rng = np.random.default_rng(args.seed)
     runs = []
     correct = True
@@ -374,7 +346,7 @@ def cmd_boxes_run(args):
 
 
 def cmd_boxes_reduce(args):
-    table = _load_function(args.function)
+    table = _read(boxworld.load_function, args.function)
     t0 = time.perf_counter()
     reduction = boxworld.reduce_to_pr(table)
     elapsed = time.perf_counter() - t0

@@ -23,13 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoThresholdError, ResourceLimitError, ValidationError
+from .errors import NoThresholdError, ValidationError
+from .games import answer_sums
 from .linalg import max_singular_value
-from .qbounds import first_optimum, game_tensor
+from .qbounds import first_optimum
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, WITNESS_MARGIN
-
-# Complex entries of one chunk of contracted matrices (2^18 * 16 B = 4 MiB).
-_CHUNK_ENTRIES = 1 << 18
+from .values import fold_tables, table_digits
 
 
 def _check_tripartite(game):
@@ -43,19 +42,18 @@ def _check_lone(lone):
         raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
 
 
-def _lone_tensor(game, lone):
-    """A_lone[k, x_lone, x_i, x_j] for the pair i < j of joint players."""
-    pair = tuple(i for i in range(3) if i != lone)
-    return game_tensor(game).transpose(0, 1 + lone, 1 + pair[0], 1 + pair[1])
-
-
-def _contract(game, a_lone, assignments):
-    """B[k, c, i, j] = sum_l conj chi_k(c_l) A_lone[k, l, i, j] for each row
-    c of ``assignments`` (group-element indices, one per lone question)."""
-    ks, q, rows, cols = a_lone.shape
+def _pair_matrices(game, lone, block):
+    """B[k, t, x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den for
+    every nontrivial k and every lone-player table t of a block F of
+    ``values.fold_tables``, where F[s, t] sums the weights of the
+    questions x with f(x) - c_t(x_lone) = s: Phi_k^B(c_t) for the pair
+    i < j of joint players."""
+    g, tables, _ = block.shape
     chi = game.group.character_table()[1:]
-    b = chi[:, assignments].conj() @ a_lone.reshape(ks, q, rows * cols)
-    return b.reshape(ks, len(assignments), rows, cols)
+    # complex @ complex runs in BLAS; complex @ float does not.
+    b = chi @ np.asarray(block.reshape(g, -1) / game.den, dtype=complex)
+    return b.reshape((len(chi), tables) + tuple(
+        q for i, q in enumerate(game.question_counts) if i != lone))
 
 
 def biseparable_matrix(game, lone, k, assignment):
@@ -71,7 +69,12 @@ def biseparable_matrix(game, lone, k, assignment):
         raise ValidationError(
             f"assignment has {len(assignment)} entries, lone player has "
             f"{game.question_counts[lone]} questions")
-    b = _contract(game, _lone_tensor(game, lone), np.array([assignment]))
+    # F[s] = sum_l H[s + c_l, l, ...]: the fold of the one table c.
+    g = game.group.size
+    shift = answer_sums(game.group, 2).reshape(g, g)  # index of s + c at [c, s]
+    hist = np.moveaxis(game.histogram, [3, lone], [0, 1])
+    f = hist[shift[assignment], np.arange(len(assignment))[:, None]].sum(axis=0)
+    b = _pair_matrices(game, lone, f.reshape(g, 1, -1))
     return b[game.group.index(k) - 1, 0]
 
 
@@ -101,46 +104,37 @@ class BiseparableReport:
 
 
 def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
-    """Maximize the split bound over all answer assignments for the lone
-    player, enumerated lexicographically; the first assignment within
-    TIE_TOL of the maximum is reported, with the maximum as its raw bound.
+    """Maximize the split bound over all answer tables c of the lone
+    player, enumerated lexicographically by ``values.fold_tables``; the
+    first table within TIE_TOL of the maximum is reported, with the
+    maximum as its raw bound.
 
-    Adding t to every lone answer multiplies each Phi_k^B(c) by the phase
-    conj chi_k(t) and leaves its norm unchanged, so only the assignments
-    answering the identity on question 0 are searched: the first of every
-    shift class, and so the first optimum.  ``cap`` bounds the unreduced
-    count |G|^Q_lone."""
+    Each block of the fold gives every Phi_k^B(c) of its tables by one
+    character sum and their norms by one batched SVD.  Adding t to every
+    lone answer multiplies each Phi_k^B(c) by the phase conj chi_k(t) and
+    leaves its norm unchanged, so only the tables answering the identity
+    on question 0 are searched: the first of every shift class, and so
+    the first optimum.  ``cap`` bounds the unreduced count |G|^Q_lone."""
     _check_tripartite(game)
     _check_lone(lone)
     g = game.group.size
-    q = game.question_counts[lone]
-    count = g**q
-    if count > cap:
-        raise ResourceLimitError(
-            f"{count} lone-player assignments exceed the cap of {cap}",
-            required=count, cap=cap)
-
-    a_lone = _lone_tensor(game, lone)
-    factor = math.sqrt(a_lone[0, 0].size)
-    # Row c of the digit table is the c-th assignment in lexicographic order.
-    radix = g ** np.arange(q - 1, -1, -1)
-    chunk = max(1, _CHUNK_ENTRIES // a_lone[:, 0].size)
-    # Indices below g^(q-1) are the assignments with first digit 0.
-    reduced = count // g
-    raws = np.empty(reduced)
-    for start in range(0, reduced, chunk):
-        index = np.arange(start, min(start + chunk, reduced))
-        sigma = max_singular_value(
-            _contract(game, a_lone, index[:, None] // radix % g))
-        raws[start:start + len(index)] = (1.0 + factor * sigma.sum(axis=0)) / g
-
+    sigma = np.empty((g - 1, g ** (game.question_counts[lone] - 1)))
+    start = 0
+    for block in fold_tables(game, (lone,), cap):
+        tables = block.shape[1]
+        # Copied out: the norms are a view that would keep all of the
+        # block's singular values alive.
+        sigma[:, start:start + tables] = max_singular_value(
+            _pair_matrices(game, lone, block))
+        start += tables
+    factor = math.sqrt(game.n_inputs // game.question_counts[lone])
+    raws = (1.0 + factor * sigma.sum(axis=0)) / g
     best, raw = first_optimum(raws, largest=True)
-    digits = best // radix % g
-    sigma = max_singular_value(_contract(game, a_lone, digits[None, :]))
-    norms = dict(zip(game.group.elements()[1:], sigma[:, 0].tolist()))
+    assignment = table_digits(game, (lone,), best)[0]
     return BiseparablePartition(
-        lone=lone, assignment=tuple(game.group.element(i) for i in digits),
-        norms=norms, raw=raw, value=min(raw, 1.0))
+        lone=lone, assignment=tuple(map(game.group.element, assignment)),
+        norms=dict(zip(game.group.elements()[1:], sigma[:, best].tolist())),
+        raw=raw, value=min(raw, 1.0))
 
 
 def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):

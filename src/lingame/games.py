@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class LinearGame:
     tuples) and ``weights`` (p(x) times the common denominator ``den``:
     int64 below 2^53, where every sum of weights is exact, else Python
     ints in an object array).  ``histogram[x_1, ..., x_n, r]`` is the
-    weight of x where f(x) has element index r, else 0.
+    weight of x where f(x) has element index r, else 0; it is built on
+    first use, |G| entries per question tuple.
     """
 
     def __init__(self, group, question_counts, distribution, predicate,
@@ -110,11 +111,16 @@ class LinearGame:
         self._probabilities = (self.weights / self.den).astype(float)
         # Elements enumerate lexicographically: an index is row-major.
         self._f_index = np.ravel_multi_index(tuple(self.residues.T), group.orders)
-        hist = (self._f_index[:, None] == np.arange(group.size)) * self.weights[:, None]
-        self.histogram = hist.reshape(question_counts + (group.size,))
         for a in (self.grid, self.residues, self.weights, self._probabilities,
-                  self._f_index, self.histogram):
+                  self._f_index):
             a.setflags(write=False)
+
+    @cached_property
+    def histogram(self):
+        hist = (self._f_index[:, None] == np.arange(self.group.size)) * self.weights[:, None]
+        hist = hist.reshape(self.question_counts + (self.group.size,))
+        hist.setflags(write=False)
+        return hist
 
     @property
     def players(self):
@@ -291,11 +297,6 @@ def mermin_ghz3_game():
 
 
 @lru_cache(maxsize=None)
-def _output_tuples(group, players):
-    return tuple(itertools.product(group.elements(), repeat=players))
-
-
-@lru_cache(maxsize=None)
 def answer_sums(group, players):
     """Group-element index of a_1 + ... + a_n for every answer tuple, in
     the lexicographic column order of behaviors.  The array is shared
@@ -310,11 +311,6 @@ def answer_sums(group, players):
     sums = np.ravel_multi_index(tuple(total.T), group.orders)
     sums.setflags(write=False)
     return sums
-
-
-def output_tuples(group, players):
-    """All answer tuples in lexicographic order (per-player enumeration)."""
-    return list(_output_tuples(group, players))
 
 
 def output_index(group, answers):
@@ -353,14 +349,21 @@ class Behavior:
     def players(self):
         return len(self.question_counts)
 
-    def outputs(self):
-        return output_tuples(self.group, self.players)
-
     def prob(self, answers, x):
         row = 0
         for q, count in zip(x, self.question_counts):
             row = row * count + q
         return self.table[row, output_index(self.group, answers)]
+
+
+def target_behavior(group, question_counts, targets):
+    """The behavior that answers uniformly over the |G|^(n-1) answer
+    tuples summing to the element of index ``targets[x]``, for every
+    question tuple x in grid order."""
+    n = len(question_counts)
+    wins = answer_sums(group, n) == np.asarray(targets)[:, None]
+    return Behavior(group, question_counts,
+                    np.where(wins, 1.0 / group.size ** (n - 1), 0.0))
 
 
 @dataclass(frozen=True)

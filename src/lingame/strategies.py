@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GameFormatError, ValidationError
-from .games import Behavior, output_tuples, success_probability  # noqa: F401
+from .games import Behavior, success_probability
 from .tolerances import PROJECTOR_TOL
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .games import (
-    Behavior,
     DeterministicStrategy,
     answer_sums,
     success_probability,  # noqa: F401  (re-exported convenience)
+    target_behavior,
 )
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
@@ -29,26 +29,21 @@ from .tolerances import CLASSICAL_ENUMERATION_CAP
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _best_tables(game, fixed, cap):
-    """Best deterministic play when the players in ``fixed`` enumerate
-    their answer tables and the other players' answer sum is chosen
-    greedily per joint question of theirs, a free row (exact, because the
-    score splits over the free rows).
-
-    Returns (value, tables, answers): the exact winning probability, each
-    fixed player's table as element indices, and the greedy element index
-    per free row.  Assignments run lexicographically; ties keep the first
-    one and the smallest answer.  Adding t to every answer of a fixed
-    player and -t to every free sum keeps the score, so each fixed player
-    answers the identity on question 0, as the first optimum does.
-    ``cap`` bounds the unreduced count |G|^(questions of the fixed players).
+def fold_tables(game, fixed, cap):
+    """Blocks H'[r, tables, free rows] of the answer histogram once the
+    players in ``fixed`` play answer tables, for every table in
+    lexicographic order: entry [r, t, y] is the weight of the questions
+    in free row y where f(x) minus the answers of table t is element r.
+    Each fixed player answers the identity on question 0 (see
+    ``table_digits``); ``cap`` bounds the unreduced count
+    |G|^(questions of the fixed players).
 
     The histogram H[r, fixed players' axes, free rows] folds out one
     player at a time: table c gives H'[r, ...] = sum_x H[r + c(x), x, ...],
     an outer sum of the player's question slices shifted by every answer
     (one gather).  Folds run depth-first in table order, each question
     split answer by answer while the tables below it exceed
-    ``_CHUNK_ENTRIES``; r outermost makes the maximum over r elementwise.
+    ``_CHUNK_ENTRIES``.
     """
     g = game.group.size
     questions = [game.question_counts[i] for i in fixed]
@@ -62,7 +57,6 @@ def _best_tables(game, fixed, cap):
     free = [i for i in range(game.players) if i not in fixed]
     n_rows = math.prod(game.question_counts[i] for i in free)
     shift = answer_sums(game.group, 2).reshape(g, g)  # index of a + c at [c, a]
-    unpinned = (g,) * (sum(questions) - len(questions))
 
     def fold(partial, shifted, j, tables):
         # partial: (|G|, tables before j, of j's first questions, later
@@ -81,16 +75,47 @@ def _best_tables(game, fixed, cap):
                             shifted[1:], j, tables // g)
 
     hist = game.histogram.transpose([game.players] + list(fixed) + free)
+    yield from fold(hist.reshape(g, 1, 1, -1), (), -1,
+                    g ** (sum(questions) - len(questions)))
+
+
+def table_digits(game, fixed, index):
+    """The answer tables, as element indices, at position ``index`` of the
+    enumeration of ``fold_tables``.  Adding t to every answer of a fixed
+    player shifts each block's r axis by t, so only the tables answering
+    the identity on question 0 are enumerated: the first of every shift
+    class."""
+    questions = [game.question_counts[i] for i in fixed]
+    digits = iter(np.unravel_index(
+        index, (game.group.size,) * (sum(questions) - len(questions))))
+    return [[0] + [int(next(digits)) for _ in range(q - 1)] for q in questions]
+
+
+def _best_tables(game, fixed, cap):
+    """Best deterministic play when the players in ``fixed`` enumerate
+    their answer tables and the other players' answer sum is chosen
+    greedily per joint question of theirs, a free row (exact, because the
+    score splits over the free rows).
+
+    Returns (value, tables, answers): the exact winning probability, each
+    fixed player's table as element indices, and the greedy element index
+    per free row.  Assignments run lexicographically; ties keep the first
+    one and the smallest answer.  Adding t to every answer of a fixed
+    player and -t to every free sum keeps the score, so each fixed player
+    answers the identity on question 0, as the first optimum does.
+    ``cap`` bounds the unreduced count |G|^(questions of the fixed players).
+
+    The tables' blocks come from ``fold_tables``; r outermost makes the
+    maximum over r elementwise.
+    """
     start, best_total, best = 0, -1, None
-    for scores in fold(hist.reshape(g, 1, 1, -1), (), -1, math.prod(unpinned)):
+    for scores in fold_tables(game, fixed, cap):
         totals = scores.max(axis=0).sum(axis=1)
         i = int(totals.argmax())
         if totals[i] > best_total:
             best_total, best = int(totals[i]), (start + i, scores[:, i].argmax(axis=0))
         start += scores.shape[1]
-    digits = iter(np.unravel_index(best[0], unpinned))
-    tables = [[0] + [int(next(digits)) for _ in range(q - 1)] for q in questions]
-    return Fraction(best_total, game.den), tables, best[1]
+    return Fraction(best_total, game.den), table_digits(game, fixed, best[0]), best[1]
 
 
 @dataclass(frozen=True)
@@ -122,10 +147,8 @@ def no_signaling_value(game):
     """No-signaling teams win every linear game: the behavior that answers
     uniformly over tuples summing to f(x) is no-signaling and wins with
     probability one."""
-    group, n = game.group, game.players
-    wins = answer_sums(group, n) == game.predicate_indices()[:, None]
-    table = np.where(wins, 1.0 / group.size ** (n - 1), 0.0)
-    return Fraction(1), Behavior(group, game.question_counts, table)
+    return Fraction(1), target_behavior(game.group, game.question_counts,
+                                        game.predicate_indices())
 
 
 def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):

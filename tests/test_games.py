@@ -14,6 +14,7 @@ from lingame.games import (Behavior, DeterministicStrategy, chsh_game,
                            game_hash, load_game, make_game,
                            mermin_ghz3_game, parse_game_file, serialize_game,
                            success_probability)
+from lingame.qbounds import quantum_bound
 from lingame.values import classical_value
 
 Z2 = AbelianGroup((2,))
@@ -129,6 +130,19 @@ def test_chsh_distribution_exactly_uniform():
         game = chsh_game(n, d)
         for x in game.inputs():
             assert game.probability(x) == Fraction(1, d**n)
+
+
+def test_histogram_is_built_on_first_use_only():
+    """A norm bound never reads the answer histogram, so it is not built;
+    once built it is kept, read-only, with the weights as its total."""
+    game = chsh_game(3, 3)
+    quantum_bound(game)
+    assert "histogram" not in vars(game)
+    hist = game.histogram
+    assert hist is game.histogram
+    assert not hist.flags.writeable
+    assert hist.shape == (3, 3, 3, 3)
+    assert hist.sum() == game.den
 
 
 def test_ghz3_game_promise_and_predicate():

@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_8.json \\
+    python3 tools/bench_record.py --out BENCH_9.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -17,8 +17,9 @@ end-to-end metric over the seeds, and every run's own figures, with the
 core count and the numpy and Python versions; an existing file is
 overwritten.  Under ``scale`` it keeps, per label, the best of three
 in-process timings of ``classical_value`` on the near-cap games
-chsh(3,5), chsh(4,4) and chsh(6,3), each game in a fresh single-threaded
-interpreter.  When ``parent`` and ``change`` are both run, the
+chsh(3,5), chsh(4,4) and chsh(6,3), and of
+``biseparable_bound_partition`` on chsh(3,7) with lone player 0, each
+row in a fresh single-threaded interpreter.  When ``parent`` and ``change`` are both run, the
 change/parent ratios of the medians and of the scale timings are stored
 and printed.  Standard library only.
 """
@@ -37,16 +38,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1, 11))
-SCALE_GAMES = ((3, 5), (4, 4), (6, 3))
+# (call, players, outcomes) of each scale row; the game is chsh(players,
+# outcomes) and the biseparable search takes lone player 0.
+SCALE_ROWS = (("classical_value", 3, 5), ("classical_value", 4, 4),
+              ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7))
 _SCALE_SCRIPT = """
 import sys, time
+from lingame import diew, values
 from lingame.games import chsh_game
-from lingame.values import classical_value
-game = chsh_game(int(sys.argv[1]), int(sys.argv[2]))
+game = chsh_game(int(sys.argv[2]), int(sys.argv[3]))
+call = {"classical_value": lambda: values.classical_value(game),
+        "biseparable_bound_partition":
+            lambda: diew.biseparable_bound_partition(game, 0)}[sys.argv[1]]
 times = []
 for _ in range(3):
     start = time.perf_counter()
-    classical_value(game)
+    call()
     times.append(time.perf_counter() - start)
 print(min(times))
 """
@@ -75,17 +82,17 @@ def _run_once(checkout, workload, seed, seconds):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _scale_once(checkout, players, d):
+def _scale_once(checkout, call, players, d):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     env.update({k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                  "MKL_NUM_THREADS")})
-    proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, str(players),
-                           str(d)], cwd=checkout, env=env, capture_output=True,
-                          text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, call,
+                           str(players), str(d)], cwd=checkout, env=env,
+                          capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"timing chsh({players},{d}) in {checkout} exited "
-                         f"with {proc.returncode}")
+        raise SystemExit(f"timing {call} chsh({players},{d}) in {checkout} "
+                         f"exited with {proc.returncode}")
     return float(proc.stdout)
 
 
@@ -120,10 +127,12 @@ def main(argv=None):
            "numpy": importlib.metadata.version("numpy"),
            "python": platform.python_version(), "labels": {}}
     scale = {label: {} for label, _ in runs}
-    for players, d in SCALE_GAMES:
+    for call, players, d in SCALE_ROWS:
+        name = f"{call} chsh({players},{d})"
+        if call == "biseparable_bound_partition":
+            name += " lone 0"
         for label, checkout in runs:
-            name = f"classical_value chsh({players},{d})"
-            scale[label][name] = _scale_once(checkout, players, d)
+            scale[label][name] = _scale_once(checkout, call, players, d)
             print(f"{label:>8} {name}: {scale[label][name]:.4g} s", flush=True)
     doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     workloads = [w["name"] for w in bench["workloads"]]
