@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 

@@ -12,6 +12,11 @@ where c assigns one fixed answer to each of X's questions and
 
 Observed success above omega_B = max over the three splits certifies
 genuine tripartite entanglement from statistics alone.
+
+The tables c are enumerated by the histogram fold of the exact values
+(``values.fold_tables``), with its order, cap and blocks: a block holds,
+for each of its tables, F_c[s] = the weight of f(x) - c(x_X) = s over the
+pair's questions, and Phi_k^B(c) = sum_s chi_k(s) F_c[s] / den.
 """
 
 from __future__ import annotations
@@ -43,11 +48,9 @@ def _check_lone(lone):
 
 
 def _pair_matrices(game, lone, block):
-    """B[k, t, x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den for
-    every nontrivial k and every lone-player table t of a block F of
-    ``values.fold_tables``, where F[s, t] sums the weights of the
-    questions x with f(x) - c_t(x_lone) = s: Phi_k^B(c_t) for the pair
-    i < j of joint players."""
+    """Phi_k^B(c_t)[x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den
+    at [k, t, x_i, x_j], for every nontrivial k and every table t of a
+    block F of ``values.fold_tables``; i < j is the pair."""
     g, tables, _ = block.shape
     chi = game.group.character_table()[1:]
     # complex @ complex runs in BLAS; complex @ float does not.

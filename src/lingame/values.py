@@ -30,13 +30,14 @@ _CHUNK_ENTRIES = 1 << 18
 
 
 def fold_tables(game, fixed, cap):
-    """Blocks H'[r, tables, free rows] of the answer histogram once the
-    players in ``fixed`` play answer tables, for every table in
-    lexicographic order: entry [r, t, y] is the weight of the questions
-    in free row y where f(x) minus the answers of table t is element r.
-    Each fixed player answers the identity on question 0 (see
-    ``table_digits``); ``cap`` bounds the unreduced count
-    |G|^(questions of the fixed players).
+    """Iterator over the blocks H'[r, tables, free rows] of the answer
+    histogram once the players in ``fixed`` play answer tables, for every
+    table in lexicographic order: entry [r, t, y] is the weight of the
+    questions in free row y where f(x) minus the answers of table t is
+    element r.  Each fixed player answers the identity on question 0
+    (see ``table_digits``).  ``cap`` bounds the unreduced count
+    |G|^(questions of the fixed players); above it ResourceLimitError
+    is raised at the call, before any block is built.
 
     The histogram H[r, fixed players' axes, free rows] folds out one
     player at a time: table c gives H'[r, ...] = sum_x H[r + c(x), x, ...],
@@ -75,8 +76,8 @@ def fold_tables(game, fixed, cap):
                             shifted[1:], j, tables // g)
 
     hist = game.histogram.transpose([game.players] + list(fixed) + free)
-    yield from fold(hist.reshape(g, 1, 1, -1), (), -1,
-                    g ** (sum(questions) - len(questions)))
+    return fold(hist.reshape(g, 1, 1, -1), (), -1,
+                g ** (sum(questions) - len(questions)))
 
 
 def table_digits(game, fixed, index):

@@ -135,8 +135,10 @@ def test_separable_predicate_bound_is_one():
 
 def test_assignment_cap():
     game = mermin_ghz3_game()
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^enumerating the tables of "
+                       r"players \[0\] needs 27 assignments, cap is 10$") as err:
         biseparable_bound_partition(game, 0, cap=10)
+    assert (err.value.required, err.value.cap) == (27, 10)
 
 
 def test_tie_break_keeps_first_assignment():
