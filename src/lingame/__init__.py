@@ -84,6 +84,7 @@ from .boxworld import (
     parse_function_file,
     partial_derivative,
     polynomial_table,
+    protocol_runs,
     reduce_to_pr,
     serialize_function,
     simulate_pr_from_functional,

@@ -13,6 +13,8 @@ of local box outputs are shares of F, so n-1 dits finish the job.  The
 protocol spends one box per exponent tuple, d^{m_1+...+m_n} in total, and
 samples them all in one batched draw of shape (boxes, n-1): the generator
 hands out the same values as one draw per box in lexicographic order.
+Many runs on random inputs take one draw for all their shots, each row a
+shot's inputs and then its boxes, in the order of run-by-run draws.
 
 Functional boxes whose predicate has a partial derivative of the shape
 lambda*x*y*z + g(x) + h(y) + s(z) can simulate a PR box: iterated
@@ -359,28 +361,59 @@ class ProtocolTranscript:
                 "result": self.result}
 
 
+def _protocol_size(table):
+    """d, the party count n and the boxes per run, d^m for m variables."""
+    if not isinstance(table, FunctionTable):
+        raise ValidationError("expected a FunctionTable")
+    PRBox(table.players, table.d)  # a lone party has no box to share
+    return table.d, table.players, table.d ** table.variables
+
+
+def _protocol_totals(table, inputs, draws):
+    """Local totals at [shot, party] of protocol runs on the flat inputs at
+    [shot, variable], given the first n-1 outputs of each box at [shot,
+    box, party].  Box e (lexicographic over exponent tuples) has the full
+    monomial x^e as its PR target, the product of the parties' local
+    monomials, and its last output closes its sum to that target."""
+    d, m = table.d, table.variables
+    exponents = np.indices((d,) * m).reshape(m, -1)
+    # A product of m powers below d stays below d^m, the box count.
+    targets = _vandermonde(d)[inputs[:, :, None], exponents].prod(axis=1) % d
+    last = (targets - draws.sum(axis=2)) % d
+    return table._mu @ np.concatenate([draws, last[:, :, None]], axis=2) % d
+
+
 def cc_protocol(table, inputs, rng):
     """Compute F(inputs) with n-1 dits of communication, one PR box per
-    monomial exponent tuple.
+    monomial exponent tuple: the one-shot case of ``protocol_runs``.
 
     Party i feeds its box the value of its local monomial, keeps the
     mu-weighted sum of its box outputs, and every party but the first
     sends that single dit to party 1, who adds everything up.
     """
-    if not isinstance(table, FunctionTable):
-        raise ValidationError("expected a FunctionTable")
-    d = table.d
-    flat = _flatten_inputs(table.arities, inputs, d)
-    # Box e (lexicographic over exponent tuples) gets the parties' local
-    # monomials; its PR target, their product, is the full monomial x^e.
-    powers = np.ix_(*_vandermonde(d)[list(flat)])
-    targets = reduce(lambda a, b: a * b % d, powers).reshape(-1)
-    outputs = _sample_boxes(PRBox(table.players, d), targets, rng)
-    totals = tuple(int(t) for t in table._mu @ outputs % d)
-    return ProtocolTranscript(boxes_used=len(targets),
+    d, n, boxes = _protocol_size(table)
+    flat = np.array([_flatten_inputs(table.arities, inputs, d)])
+    draws = rng.integers(0, d, size=(1, boxes, n - 1))
+    totals = tuple(_protocol_totals(table, flat, draws)[0].tolist())
+    return ProtocolTranscript(boxes_used=boxes,
                               local_outputs=totals,
                               dits=totals[1:],
                               result=sum(totals) % d)
+
+
+def protocol_runs(table, shots, rng):
+    """Flat inputs at [shot, variable] and local totals at [shot, party] of
+    ``shots`` runs on uniform random inputs; a run computes the sum of its
+    totals mod d.  One draw holds a row per shot, its m inputs and then its
+    boxes: the values that drawing each shot's inputs and then calling
+    ``cc_protocol`` on them take from the generator."""
+    d, n, boxes = _protocol_size(table)
+    if shots < 0:
+        raise ValidationError(f"shots must be non-negative, got {shots}")
+    m = table.variables
+    row = rng.integers(0, d, size=(shots, m + boxes * (n - 1)))
+    draws = row[:, m:].reshape(shots, boxes, n - 1)
+    return row[:, :m], _protocol_totals(table, row[:, :m], draws)
 
 
 # ---------------------------------------------------------------------------

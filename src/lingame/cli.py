@@ -22,6 +22,7 @@ rounds to 6 significant digits and includes wall-clock timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -311,26 +312,26 @@ def cmd_separable(args):
 def cmd_boxes_run(args):
     table = _read(boxworld.load_function, args.function)
     rng = np.random.default_rng(args.seed)
-    runs = []
-    correct = True
     t0 = time.perf_counter()
-    for _ in range(args.shots):
-        flat = tuple(int(v) for v in rng.integers(0, table.d,
-                                                  size=table.variables))
-        transcript = boxworld.cc_protocol(table, flat, rng)
-        expected = table.value(flat)
-        correct = correct and transcript.result == expected
-        runs.append({"inputs": list(flat), "expected": expected,
-                     **transcript.as_dict()})
+    inputs, totals = boxworld.protocol_runs(table, args.shots, rng)
+    expected = table.as_array()[tuple(inputs.T)]
+    results = totals.sum(axis=1) % table.d
+    correct = bool((results == expected).all())
+    boxes, dits = table.d ** table.variables, table.players - 1
+    runs = [{"inputs": x, "expected": e, "boxes_used": boxes,
+             "local_outputs": t, "dits": t[1:], "dits_communicated": dits,
+             "result": r}
+            for x, e, t, r in zip(inputs.tolist(), expected.tolist(),
+                                  totals.tolist(), results.tolist())]
     elapsed = time.perf_counter() - t0
     doc = {"command": "boxes run",
            "d": table.d,
            "arities": list(table.arities),
            "seed": args.seed,
            "shots": args.shots,
-           "boxes_per_run": runs[0]["boxes_used"] if runs else 0,
-           "dits_per_run": runs[0]["dits_communicated"] if runs else 0,
-           "all_correct": bool(correct),
+           "boxes_per_run": boxes,
+           "dits_per_run": dits,
+           "all_correct": correct,
            "runs": runs}
     human = [
         f"function        {args.function} (d={table.d}, "
@@ -373,6 +374,7 @@ def cmd_boxes_reduce(args):
     return _emit(args, doc, human)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import NoThresholdError, ValidationError
 from .games import answer_sums
 from .linalg import max_singular_value
 from .qbounds import first_optimum
-from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, WITNESS_MARGIN
+from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
 from .values import fold_tables, table_digits
 
 
@@ -121,23 +122,29 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     _check_tripartite(game)
     _check_lone(lone)
     g = game.group.size
-    sigma = np.empty((g - 1, g ** (game.question_counts[lone] - 1)))
-    start = 0
-    for block in fold_tables(game, (lone,), cap):
-        tables = block.shape[1]
-        # Copied out: the norms are a view that would keep all of the
-        # block's singular values alive.
-        sigma[:, start:start + tables] = max_singular_value(
-            _pair_matrices(game, lone, block))
-        start += tables
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
-    raws = (1.0 + factor * sigma.sum(axis=0)) / g
-    best, raw = first_optimum(raws, largest=True)
+    # The first table within TIE_TOL of the maximum beats every table
+    # before it, so it is among the tables that raise the running maximum;
+    # of those, (raw, table, norms) are kept while within TIE_TOL of it.
+    tables = g ** (game.question_counts[lone] - 1)
+    records, top, start = [], -math.inf, 0
+    for block in fold_tables(game, (lone,), cap):
+        sigma = max_singular_value(_pair_matrices(game, lone, block))
+        # Summed as numpy sums the norms of all tables at once: row by row,
+        # or pairwise for the one column of a lone table.
+        total = reduce(np.add, sigma) if tables > 1 else sigma.sum(axis=0)
+        for t, raw in enumerate(((1.0 + factor * total) / g).tolist()):
+            if raw > top:
+                top = raw
+                records = [r for r in records if top - r[0] <= TIE_TOL]
+                records.append((raw, start + t, sigma[:, t].tolist()))
+        start += sigma.shape[1]
+    _, best, norms = records[0]
     assignment = table_digits(game, (lone,), best)[0]
     return BiseparablePartition(
         lone=lone, assignment=tuple(map(game.group.element, assignment)),
-        norms=dict(zip(game.group.elements()[1:], sigma[:, best].tolist())),
-        raw=raw, value=min(raw, 1.0))
+        norms=dict(zip(game.group.elements()[1:], norms)),
+        raw=top, value=min(top, 1.0))
 
 
 def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):

@@ -9,6 +9,10 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   entry by entry, one Jacobi norm per matrix, and a Python loop over every
   partition and every lone-player assignment (checks the game tensor and
   the batched contraction in qbounds and diew).
+* oracle_biseparable_search: the fold search for one split that kept the
+  norms of every table and read the winner's column at the end (checks
+  that the search keeping only the tables near the running maximum
+  reports the same partition, bit for bit).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -38,6 +42,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   loops, one box_sample call per box, one derivative order at a time and
   one table cell at a time (checks the batched kernel, its random stream
   and the einsum reduction search).
+* oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
+  run`` (checks protocol_runs, its one draw for all shots, and the
+  report built from it).
 """
 
 import itertools
@@ -46,6 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lingame import diew
 from lingame.algebra import AbelianGroup
 from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
                               box_sample, interpolate_polynomial,
@@ -53,8 +61,9 @@ from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
 from lingame.errors import ResourceLimitError, ValidationError
 from lingame.games import DeterministicStrategy, answer_sums
 from lingame.strategies import QuantumStrategy
-from lingame.tolerances import TIE_TOL
-from lingame.values import SeparabilityReport
+from lingame.qbounds import first_optimum
+from lingame.tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL
+from lingame.values import SeparabilityReport, fold_tables, table_digits
 
 
 def _jacobi_rotation(a, p, q):
@@ -201,6 +210,29 @@ def oracle_biseparable_bound(game):
     parts = [oracle_biseparable_partition(game, lone) for lone in range(3)]
     best, raw = _first_within_tie([p[0] for p in parts], largest=True)
     return raw, best, parts[best][1]
+
+
+def oracle_biseparable_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
+    """The histogram-fold search for one split as it was when it kept the
+    norms of every table in one (|G|-1, tables) array and read the
+    winner's column at the end; norms go through diew.max_singular_value,
+    so a test may script them for both searches."""
+    g = game.group.size
+    sigma = np.empty((g - 1, g ** (game.question_counts[lone] - 1)))
+    start = 0
+    for block in fold_tables(game, (lone,), cap):
+        tables = block.shape[1]
+        sigma[:, start:start + tables] = diew.max_singular_value(
+            diew._pair_matrices(game, lone, block))
+        start += tables
+    factor = math.sqrt(game.n_inputs // game.question_counts[lone])
+    raws = (1.0 + factor * sigma.sum(axis=0)) / g
+    best, raw = first_optimum(raws, largest=True)
+    assignment = table_digits(game, (lone,), best)[0]
+    return diew.BiseparablePartition(
+        lone=lone, assignment=tuple(map(game.group.element, assignment)),
+        norms=dict(zip(game.group.elements()[1:], sigma[:, best].tolist())),
+        raw=raw, value=min(raw, 1.0))
 
 
 def naive_classical_value(game):
@@ -532,6 +564,22 @@ def oracle_cc_protocol(table, inputs, rng):
                               local_outputs=tuple(totals),
                               dits=tuple(totals[1:]),
                               result=sum(totals) % d)
+
+
+def oracle_boxes_runs(table, shots, rng):
+    """The report loop of ``lingame boxes run`` before batching: each shot
+    draws its inputs, runs oracle_cc_protocol and reads table.value.
+    Returns the report's runs and whether every result was correct."""
+    runs, correct = [], True
+    for _ in range(shots):
+        flat = tuple(int(v) for v in rng.integers(0, table.d,
+                                                  size=table.variables))
+        transcript = oracle_cc_protocol(table, flat, rng)
+        expected = table.value(flat)
+        correct = correct and transcript.result == expected
+        runs.append({"inputs": list(flat), "expected": expected,
+                     **transcript.as_dict()})
+    return runs, correct
 
 
 def _derive(table, order):

@@ -7,10 +7,11 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lingame import values
+from lingame import diew, values
 from lingame.algebra import AbelianGroup
 from lingame.diew import (biseparable_bound, biseparable_bound_partition,
                           biseparable_matrix)
@@ -19,7 +20,8 @@ from lingame.qbounds import quantum_bound
 from lingame.tolerances import TIE_TOL
 
 from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
-                     oracle_max_singular_value, oracle_quantum_bound)
+                     oracle_biseparable_search, oracle_max_singular_value,
+                     oracle_quantum_bound)
 
 Z3 = AbelianGroup((3,))
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -65,12 +67,11 @@ def assert_biseparable_matches(game):
 
 
 @st.composite
-def tripartite_games(draw):
+def tripartite_games(draw, groups=((2,), (4,), (2, 2), (2, 3))):
     """Three-player games over groups other than Z3, one to three
     questions a player, with zero-probability inputs and, one time in
     four, a constant predicate under which every table ties."""
-    group = draw(st.sampled_from([AbelianGroup((2,)), AbelianGroup((4,)),
-                                  AbelianGroup((2, 2)), AbelianGroup((2, 3))]))
+    group = AbelianGroup(draw(st.sampled_from(groups)))
     questions = tuple(draw(st.lists(st.integers(1, 3), min_size=3,
                                     max_size=3)))
     size = questions[0] * questions[1] * questions[2]
@@ -128,10 +129,68 @@ def test_biseparable_search_beyond_2_to_the_53_matches_oracle(entries):
         assert_biseparable_matches(game)
 
 
+TIED_Z3_GAME = make_game(Z3, (3, 3, 3), [(v,) for v in (
+    1, 0, 0, 2, 1, 1, 1, 2, 1, 0, 2, 0, 0, 2, 1, 0, 0, 1, 2, 1, 2, 0, 0, 2, 2,
+    0, 0)])
+
+
+def assert_search_keeps_the_report(game, entries):
+    """Every split reports, bit for bit, what the search that kept the
+    norms of every table reports."""
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        for lone in range(3):
+            assert (biseparable_bound_partition(game, lone)
+                    == oracle_biseparable_search(game, lone))
+
+
+@pytest.mark.parametrize("entries", [1, 50, values._CHUNK_ENTRIES])
+@pytest.mark.parametrize("game", [TIED_Z3_GAME, mermin_ghz3_game(),
+                                  chsh_game(3, 3), chsh_game(3, 4)],
+                         ids=["tied-z3", "ghz3", "chsh33", "chsh34"])
+def test_search_near_the_maximum_keeps_the_builtin_reports(game, entries):
+    assert_search_keeps_the_report(game, entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(z3_games((3, 3, 3)), tripartite_games(),
+                 tripartite_games(groups=((3, 3), (2, 2, 3), (11,)))),
+       st.sampled_from([1, 50, values._CHUNK_ENTRIES]))
+def test_search_near_the_maximum_keeps_the_report(game, entries):
+    """Groups of up to 12 elements: sums over 8 or more characters too."""
+    assert_search_keeps_the_report(game, entries)
+
+
+@pytest.mark.parametrize("entries", [1, 4, values._CHUNK_ENTRIES])
+def test_tables_near_a_rising_maximum_are_kept_and_dropped(entries):
+    """Scripted norms whose raw bounds climb by less than TIE_TOL at a
+    time: a table near the maximum is dropped only once the maximum has
+    moved more than TIE_TOL above it, and the first table near the final
+    maximum is reported with its own norms."""
+    steps = [0, 6, 12, 3, 18, 18, 25, 0, 22]  # tenths of TIE_TOL
+    base = 0.5
+
+    def scripted():
+        norms = iter([(0.1 + 0.01 * t, base + s * TIE_TOL / 10 - 0.1 - 0.01 * t)
+                      for t, s in enumerate(steps)])
+
+        def max_singular_value(stack):
+            return np.array([next(norms) for _ in range(stack.shape[1])]).T
+        return mock.patch.object(diew, "max_singular_value",
+                                 max_singular_value)
+
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        with scripted():
+            part = biseparable_bound_partition(TIED_Z3_GAME, 0)
+        with scripted():
+            assert part == oracle_biseparable_search(TIED_Z3_GAME, 0)
+    assert part.assignment == ((0,), (1,), (1,))  # table 4, the first 18
+    assert list(part.norms.values()) == [0.1 + 0.01 * 4, base + 18 * TIE_TOL
+                                         / 10 - 0.1 - 0.01 * 4]
+
+
 def test_blocks_bound_the_memory_of_the_biseparable_search():
     """Each block's character sums and singular values are dropped before
-    the next block; about one block's worth of complex entries is alive,
-    with the norms of every table."""
+    the next block; about one block's worth of complex entries is alive."""
     game = chsh_game(3, 5)
     tracemalloc.start()
     try:
@@ -141,3 +200,21 @@ def test_blocks_bound_the_memory_of_the_biseparable_search():
         tracemalloc.stop()
     assert part.assignment == ((0,), (0,), (4,), (2,), (4,))
     assert peak < 3 * values._CHUNK_ENTRIES * 8
+
+
+def test_search_keeps_no_norms_per_table():
+    """2^16 lone-player tables in blocks of 2^10 entries: only a block and
+    the norms of the tables near the running maximum are alive, not the
+    512 KiB of one norm per table."""
+    z2 = AbelianGroup((2,))
+    game = make_game(z2, (17, 1, 1), [z2.element(i % 2) for i in range(17)])
+    game.histogram
+    with mock.patch.object(values, "_CHUNK_ENTRIES", 2**10):
+        tracemalloc.start()
+        try:
+            part = biseparable_bound_partition(game, 0, cap=2**17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert part.raw == 1.0
+    assert peak < 256 * 2**10

@@ -1,25 +1,32 @@
 """The batched box kernel of boxworld against the per-box loops it
-replaced (tests/oracles.py): from one seed, protocol transcripts,
-simulated PR outputs and the generator state left behind are equal,
-reductions are the same order and coefficients, and box behaviors are the
-same tables."""
+replaced (tests/oracles.py): from one seed, protocol transcripts, batched
+protocol runs and the `boxes run` report, simulated PR outputs and the
+generator state left behind are equal, reductions are the same order and
+coefficients, and box behaviors are the same tables."""
 
+import contextlib
 import dataclasses
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lingame import cli
 from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
-                              Reduction, box_behavior, cc_protocol, reduce_to_pr,
+                              Reduction, box_behavior, cc_protocol,
+                              protocol_runs, reduce_to_pr, serialize_function,
                               simulate_pr_from_functional, _vandermonde,
                               _vandermonde_inverse)
 from lingame.errors import ValidationError
 
 from oracles import (modular_inverse_matrix, oracle_box_behavior_table,
-                     oracle_cc_protocol, oracle_check_reduction,
-                     oracle_reduce_to_pr, oracle_simulate_pr)
+                     oracle_boxes_runs, oracle_cc_protocol,
+                     oracle_check_reduction, oracle_reduce_to_pr,
+                     oracle_simulate_pr)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 PRIMES = (2, 3, 5)
@@ -85,6 +92,36 @@ def test_protocol_transcripts_match_the_box_loop(table, seed):
         assert cc_protocol(table, inputs, rng) == oracle_cc_protocol(
             table, inputs, ref)
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+@SETTINGS
+@given(protocol_tables(), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_protocol_runs_match_the_shot_loop(table, shots, seed):
+    """One draw for all shots gives the inputs, totals and results of the
+    shot-by-shot loop and leaves the generator where it does; the `boxes
+    run` report built on it has the loop's runs and verdict."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    inputs, totals = protocol_runs(table, shots, rng)
+    runs, correct = oracle_boxes_runs(table, shots, ref)
+    assert inputs.tolist() == [run["inputs"] for run in runs]
+    assert totals.tolist() == [run["local_outputs"] for run in runs]
+    assert (totals.sum(axis=1) % table.d).tolist() == [
+        run["result"] for run in runs]
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.function"
+        path.write_text(serialize_function(table))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["boxes", "run", str(path), "--json", "--shots",
+                             str(shots), "--seed", str(seed)]) == 0
+    doc = cli.parse_report(out.getvalue())
+    runs, correct = oracle_boxes_runs(table, shots,
+                                      np.random.default_rng(seed))
+    assert doc["runs"] == runs
+    assert doc["all_correct"] is correct
+    assert (doc["boxes_per_run"], doc["dits_per_run"]) == (
+        table.d**table.variables, table.players - 1)
 
 
 @SETTINGS

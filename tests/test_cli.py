@@ -205,6 +205,24 @@ def test_boxes_run_seed_changes_inputs(capsys):
     assert doc3["runs"] != doc4["runs"]
 
 
+@pytest.mark.parametrize("shots, runs", [(-1, None), (0, 0), (1, 1)])
+def test_boxes_run_shot_counts(capsys, shots, runs):
+    # The boxes and dits per run come from the table, with or without runs;
+    # a negative count is refused.
+    code, out, err = run_cli(capsys, "boxes", "run", XYZ_FUNCTION, "--json",
+                             "--shots", str(shots))
+    if runs is None:
+        assert code == 1
+        assert out == ""
+        assert "shots must be non-negative, got -1" in err
+        return
+    assert code == 0, err
+    doc = cli.parse_report(out)
+    assert (doc["shots"], len(doc["runs"])) == (shots, runs)
+    assert (doc["boxes_per_run"], doc["dits_per_run"]) == (27, 2)
+    assert doc["all_correct"] is True
+
+
 def test_boxes_reduce_xyz(capsys):
     doc, _ = run_json(capsys, "boxes", "reduce", XYZ_FUNCTION, "--json")
     assert doc["reducible"] is True
@@ -257,6 +275,28 @@ def test_missing_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once; no option of one call leaks into the next.
+    doc, _ = run_json(capsys, "boxes", "run", XYZ_FUNCTION, "--json",
+                      "--shots", "2", "--seed", "5")
+    assert (doc["shots"], doc["seed"]) == (2, 5)
+    doc, _ = run_json(capsys, "analyze", GHZ3, "--json",
+                      "--strategy", GHZ3_STRATEGY)
+    assert "strategy" in doc
+    doc, _ = run_json(capsys, "chsh", "--players", "2", "--outcomes", "2",
+                      "--json")
+    assert doc["agreement"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["boxes", "run", XYZ_FUNCTION, "--shots", "many"])
+    assert exc.value.code == 1
+    assert "invalid int value" in capsys.readouterr().err
+    doc, _ = run_json(capsys, "boxes", "run", XYZ_FUNCTION, "--json")
+    assert (doc["shots"], doc["seed"]) == (10, 0)
+    doc, _ = run_json(capsys, "analyze", GHZ3, "--json")
+    assert "strategy" not in doc
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_parse_report_rejects_foreign_json():
