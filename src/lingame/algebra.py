@@ -22,6 +22,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -281,6 +282,20 @@ class FiniteField:
         prod = _poly_mul(a, b, self.p)
         rem = _poly_rem(prod, self.modulus, self.p)
         return tuple(([0] * (self.r - len(rem)) + list(rem))[-self.r:])
+
+    @cached_property
+    def mul_table(self):
+        """Read-only |F| x |F| array: the element index of a * b."""
+        p, r = self.p, self.r
+        digits = np.array(self.elements())
+        prod = np.zeros((self.size, self.size, 2 * r - 1), dtype=np.int64)
+        for i, j in itertools.product(range(r), repeat=2):
+            prod[:, :, i + j] += np.outer(digits[:, i], digits[:, j])
+        for k in range(r - 1):  # cancel degree 2r-2-k with the monic modulus
+            prod[:, :, k:k + r + 1] -= (prod[:, :, k, None] % p) * self.modulus
+        table = (prod[:, :, r - 1:] % p) @ p ** np.arange(r - 1, -1, -1)
+        table.setflags(write=False)
+        return table
 
     def pow(self, a, e):
         a = self.coerce(a)

@@ -97,28 +97,26 @@ def _group_label(game):
     return label
 
 
+def _game_json(game):
+    return {"hash": games.game_hash(game), "players": game.players,
+            "group": list(game.group.orders),
+            "questions": list(game.question_counts)}
+
+
+def _part_json(part, **fields):
+    return {**fields, "raw": part.raw, "value": part.value,
+            "norms": {_element_str(k): v for k, v in part.norms.items()}}
+
+
 def _partition_json(report):
-    rows = []
-    for part in report.partitions:
-        rows.append({
-            "players": list(part.players),
-            "norms": {_element_str(k): v for k, v in part.norms.items()},
-            "raw": part.raw,
-            "value": part.value,
-        })
-    return rows
+    return [_part_json(part, players=list(part.players))
+            for part in report.partitions]
 
 
 def _biseparable_json(report):
-    rows = []
-    for part in report.partitions:
-        rows.append({
-            "lone": part.lone,
-            "assignment": [list(a) for a in part.assignment],
-            "norms": {_element_str(k): v for k, v in part.norms.items()},
-            "raw": part.raw,
-            "value": part.value,
-        })
+    rows = [_part_json(part, lone=part.lone,
+                       assignment=[list(a) for a in part.assignment])
+            for part in report.partitions]
     return {"bound": report.bound, "raw": report.raw_bound,
             "best_lone": report.best_lone, "partitions": rows}
 
@@ -175,12 +173,7 @@ def cmd_analyze(args):
 
     doc = {
         "command": "analyze",
-        "game": {
-            "hash": games.game_hash(game),
-            "players": game.players,
-            "group": list(game.group.orders),
-            "questions": list(game.question_counts),
-        },
+        "game": _game_json(game),
         "classical": {**_fraction_fields(classical.value),
                       "witness": _witness_json(classical.strategy)},
         "no_signaling": float(ns_value),
@@ -267,10 +260,7 @@ def cmd_diew(args):
     elapsed = time.perf_counter() - t0
     doc = {
         "command": "diew",
-        "game": {"hash": games.game_hash(game),
-                 "players": game.players,
-                 "group": list(game.group.orders),
-                 "questions": list(game.question_counts)},
+        "game": _game_json(game),
         "biseparable": _biseparable_json(report),
     }
     human = [
@@ -291,10 +281,7 @@ def cmd_separable(args):
     report = values.separability_check(game)
     elapsed = time.perf_counter() - t0
     doc = {"command": "separable",
-           "game": {"hash": games.game_hash(game),
-                    "players": game.players,
-                    "group": list(game.group.orders),
-                    "questions": list(game.question_counts)},
+           "game": _game_json(game),
            "separable": report.separable}
     human = [f"game            {args.game}",
              f"separable       {'yes' if report.separable else 'no'}   "

@@ -5,7 +5,8 @@ sum to f(x).
 A game is the data (question counts, group, distribution p over question
 tuples, predicate f).  Promise games keep the full question grid and put
 probability zero on excluded rows, so matrix code never special-cases
-them.  Probabilities are exact rationals until numeric matrix building.
+them.  A game is two arrays over the grid, the element index of f(x) and
+the integer weight p(x) * den, so probabilities stay exact.
 """
 
 from __future__ import annotations
@@ -14,49 +15,49 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import AbelianGroup, FiniteField
+from .algebra import AbelianGroup, FiniteField, as_int_tuple
 from .errors import GameFormatError, ValidationError
 from .tolerances import BEHAVIOR_ROW_TOL
 
 
-def _as_fraction(value, where="probability"):
-    """Exact rational from a Fraction, an int, a "p/q" string or a float.
-    A float is read as its shortest round-tripping decimal, so 0.1 is
-    exactly 1/10, not the binary double nearest to it."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _as_fraction(value):
+    """Exact rational from a rational number (Fraction, int or numpy
+    integer, not bool), a "p/q" string or a float.  A float is read as its
+    shortest round-tripping decimal, so 0.1 is exactly 1/10, not the
+    binary double nearest to it."""
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return (value if isinstance(value, Fraction)
+                else Fraction(int(value.numerator), int(value.denominator)))
     if isinstance(value, float):
         value = repr(float(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
-            raise ValidationError(f"bad rational {where}: {value!r} ({e})") from None
-    raise ValidationError(f"bad {where}: {value!r}")
+            raise ValidationError(f"bad rational probability: {value!r} ({e})") from None
+    raise ValidationError(f"bad probability: {value!r}")
 
 
 class LinearGame:
-    """An n-player linear game over a finite Abelian group.
+    """An n-player linear game over a finite Abelian group, built from
+    ``f_index`` (the element index of f(x)) and integer ``weights``
+    (p(x) * den), one entry per question tuple in lexicographic grid order.
 
-    Besides the exact tuples ``distribution`` and ``predicate``, a game
-    holds read-only arrays, one row per question tuple in lexicographic
-    grid order: ``grid`` (the tuples), ``residues`` (f(x) as residue
-    tuples) and ``weights`` (p(x) times the common denominator ``den``:
-    int64 below 2^53, where every sum of weights is exact, else Python
-    ints in an object array).  ``histogram[x_1, ..., x_n, r]`` is the
-    weight of x where f(x) has element index r, else 0; it is built on
-    first use, |G| entries per question tuple.
+    Read-only arrays, one row per question tuple: ``grid`` (the tuples),
+    ``residues`` (f(x) as residue tuples) and ``weights`` (int64 below
+    2^53, where every sum is exact, else Python ints).  The exact tuples
+    ``distribution`` and ``predicate``, and ``histogram[x_1, ..., x_n, r]``
+    (the weight of x where f(x) has element index r), are built on first use.
     """
 
-    def __init__(self, group, question_counts, distribution, predicate,
+    def __init__(self, group, question_counts, f_index, weights, den,
                  field=None):
         if not isinstance(group, AbelianGroup):
             raise ValidationError("group must be an AbelianGroup")
@@ -68,52 +69,50 @@ class LinearGame:
         self.group = group
         self.question_counts = question_counts
         self.field = field
-        grid = np.indices(question_counts).reshape(len(question_counts), -1).T
-        n_inputs = len(grid)
-        if len(distribution) != n_inputs:
+        self.grid = np.indices(question_counts).reshape(len(question_counts), -1).T
+        n_inputs = len(self.grid)
+
+        weights, f_index, den = np.asarray(weights), np.asarray(f_index), int(den)
+        if weights.shape != (n_inputs,):
             raise ValidationError(
-                f"distribution covers {len(distribution)} inputs, grid has "
-                f"{n_inputs}")
-        dist = [_as_fraction(p) for p in distribution]
-        self.den = math.lcm(*(p.denominator for p in dist))
-        weights = [p.numerator * (self.den // p.denominator) for p in dist]
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise ValidationError(f"negative probability {dist[i]} at "
-                                      f"input {tuple(grid[i].tolist())}")
-        total = Fraction(sum(weights), self.den)
+                f"distribution covers {weights.size} inputs, grid has {n_inputs}")
+        for i in np.flatnonzero(weights < 0)[:1]:
+            raise ValidationError(
+                f"negative probability {Fraction(int(weights[i]), den)} at "
+                f"input {tuple(self.grid[i].tolist())}")
+        total = Fraction(int(weights.sum()), den)
         if total != 1:
             raise ValidationError(
                 f"distribution sums to {total} ({float(total)!r}), not exactly "
                 f"1; give probabilities as Fractions or \"p/q\" strings")
-        self.distribution = tuple(dist)
-
-        if len(predicate) != n_inputs:
+        if f_index.shape != (n_inputs,):
             raise ValidationError(
-                f"predicate defined on {len(predicate)} inputs, grid has "
+                f"predicate defined on {f_index.size} inputs, grid has "
                 f"{n_inputs} (the predicate must be total)")
-        values = []
-        for i, a in enumerate(predicate):
-            try:
-                values.append(group.coerce(a))
-            except ValueError:
-                raise ValidationError(
-                    f"predicate value {a!r} at input {tuple(grid[i].tolist())} "
-                    f"is not in {group!r}")
-        self.predicate = tuple(values)
+        for i in np.flatnonzero((f_index < 0) | (f_index >= group.size))[:1]:
+            raise ValidationError(
+                f"predicate index {f_index[i]} at input "
+                f"{tuple(self.grid[i].tolist())} is not in range({group.size})")
 
-        self.grid = grid
-        self.residues = np.array(values, dtype=np.intp)
-        self.weights = np.array(weights,
-                                dtype=np.int64 if self.den < 2**53 else object)
+        common = int(np.gcd.reduce(weights))  # den: the lcm of p's denominators
+        self.den = den // common
+        self.weights = (weights // common).astype(np.int64 if self.den < 2**53 else object)
         # float(p) for every p: below 2^53 both operands are exact doubles
         # and the division rounds once; above, int / int rounds once.
         self._probabilities = (self.weights / self.den).astype(float)
-        # Elements enumerate lexicographically: an index is row-major.
-        self._f_index = np.ravel_multi_index(tuple(self.residues.T), group.orders)
+        self._f_index = f_index.astype(np.intp)
+        self.residues = np.array(group.elements(), dtype=np.intp)[self._f_index]
         for a in (self.grid, self.residues, self.weights, self._probabilities,
                   self._f_index):
             a.setflags(write=False)
+
+    @cached_property
+    def distribution(self):
+        return tuple(Fraction(w, self.den) for w in self.weights.tolist())
+
+    @cached_property
+    def predicate(self):
+        return tuple(map(tuple, self.residues.tolist()))
 
     @cached_property
     def histogram(self):
@@ -140,16 +139,13 @@ class LinearGame:
         return [tuple(x) for x in self.grid.tolist()]
 
     def input_index(self, x):
-        try:
-            return int(np.ravel_multi_index(tuple(x), self.question_counts))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{x!r} is not a question tuple of this game")
+        return _position(x, self.question_counts, "question tuple")
 
     def probability(self, x):
-        return self.distribution[self.input_index(x)]
+        return Fraction(int(self.weights[self.input_index(x)]), self.den)
 
     def predicate_value(self, x):
-        return self.predicate[self.input_index(x)]
+        return tuple(self.residues[self.input_index(x)].tolist())
 
     def probabilities_float(self):
         return self._probabilities
@@ -165,106 +161,112 @@ class LinearGame:
         return (isinstance(other, LinearGame)
                 and self.group == other.group
                 and self.question_counts == other.question_counts
-                and self.distribution == other.distribution
-                and self.predicate == other.predicate)
+                and self.den == other.den
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self._f_index, other._f_index))
 
     def __hash__(self):
-        return hash((self.group, self.question_counts, self.distribution,
-                     self.predicate))
+        # The bytes of an object array are pointers: hash its ints instead.
+        weights = (self.weights.tobytes() if self.weights.dtype == np.int64
+                   else tuple(self.weights.tolist()))
+        return hash((self.group, self.question_counts, self.den, weights,
+                     self._f_index.tobytes()))
 
     def __repr__(self):
         return (f"LinearGame(players={self.players}, "
                 f"questions={list(self.question_counts)}, group={self.group!r})")
 
 
-def make_game(group, questions, predicate, distribution="uniform", field=None):
-    """Build a validated LinearGame from flexible pieces.
+def _position(x, questions, what):
+    """Grid position of the question tuple x."""
+    try:
+        return int(np.ravel_multi_index(as_int_tuple(x, what), questions))
+    except ValueError:
+        raise ValidationError(f"{what} {x!r} is off the grid") from None
 
-    predicate may be a callable on question tuples, a dict keyed by them,
-    or a full-grid list in lexicographic order.  distribution may be
-    "uniform", a dict {"support": [...]} for uniform-over-support, a dict
-    keyed by question tuples (missing entries are zero), or a full-grid
-    list.
-    """
-    questions = tuple(int(q) for q in questions)
-    grid = list(itertools.product(*(range(q) for q in questions)))
-    n_inputs = len(grid)
 
-    if callable(predicate):
-        f_values = [predicate(x) for x in grid]
-    elif isinstance(predicate, dict):
-        try:
-            f_values = [predicate[x] for x in grid]
-        except KeyError as e:
-            raise ValidationError(f"predicate missing input {e.args[0]!r}")
-    else:
-        f_values = list(predicate)
-
+def _weights(distribution, questions):
+    """(weights, den) of a ``make_game`` distribution."""
+    n_inputs = math.prod(questions)
     if isinstance(distribution, str):
         if distribution != "uniform":
             raise ValidationError(f"unknown distribution {distribution!r}")
-        p_values = [Fraction(1, n_inputs)] * n_inputs
-    elif isinstance(distribution, dict) and set(distribution) == {"support"}:
-        grid_set = set(grid)
+        return np.ones(n_inputs, dtype=np.int64), n_inputs
+    if isinstance(distribution, dict) and set(distribution) == {"support"}:
         support = [tuple(x) for x in distribution["support"]]
         if not support:
             raise ValidationError("distribution support is empty")
-        seen = set()
+        weights = np.zeros(n_inputs, dtype=np.int64)
         for x in support:
-            if x not in grid_set:
-                raise ValidationError(f"support input {x!r} is off the grid")
-            if x in seen:
+            i = _position(x, questions, "support input")
+            if weights[i]:
                 raise ValidationError(f"support input {x!r} listed twice")
-            seen.add(x)
-        p = Fraction(1, len(support))
-        p_values = [p if x in seen else Fraction(0) for x in grid]
-    elif isinstance(distribution, dict):
-        grid_set = set(grid)
-        table = {tuple(x): _as_fraction(v) for x, v in distribution.items()}
-        for x in table:
-            if x not in grid_set:
-                raise ValidationError(f"distribution input {x!r} is off the grid")
-        p_values = [table.get(x, Fraction(0)) for x in grid]
+            weights[i] = 1
+        return weights, len(support)
+    if isinstance(distribution, dict):
+        table = {_position(tuple(x), questions, "distribution input"): _as_fraction(p)
+                 for x, p in distribution.items()}
     else:
-        p_values = list(distribution)
+        table = dict(enumerate(map(_as_fraction, distribution)))
+        n_inputs = len(table)
+    den = math.lcm(*(p.denominator for p in table.values()))
+    weights = np.zeros(n_inputs, dtype=object)
+    for i, p in table.items():
+        weights[i] = p.numerator * (den // p.denominator)
+    return weights, den
 
-    return LinearGame(group, questions, p_values, f_values, field=field)
+
+def make_game(group, questions, predicate, distribution="uniform", field=None):
+    """Build a validated LinearGame from flexible pieces, checking each
+    predicate value question by question: predicate may be a callable on
+    question tuples, a dict keyed by them, or a full-grid list in
+    lexicographic order; distribution may be "uniform", a dict
+    {"support": [...]} for uniform-over-support, a dict keyed by question
+    tuples (missing entries are zero), or a full-grid list."""
+    questions = tuple(int(q) for q in questions)
+    grid = itertools.product(*map(range, questions))
+    if callable(predicate):
+        values = [predicate(x) for x in grid]
+    elif isinstance(predicate, dict):
+        try:
+            values = [predicate[x] for x in grid]
+        except KeyError as e:
+            raise ValidationError(f"predicate missing input {e.args[0]!r}")
+    else:
+        values = list(predicate)
+    weights, den = _weights(distribution, questions)
+    f_index = []
+    for i, a in enumerate(values):
+        try:
+            f_index.append(group.index(group.coerce(a)))
+        except ValueError:
+            x = (tuple(int(q) for q in np.unravel_index(i, questions))
+                 if i < math.prod(questions) else i)
+            raise ValidationError(f"predicate value {a!r} at input {x} is "
+                                  f"not in {group!r}") from None
+    return LinearGame(group, questions, f_index, weights, den, field=field)
 
 
 def _prime_power(d):
     """Return (p, r) with d = p**r, or raise."""
     if d < 2:
         raise ValidationError(f"alphabet size must be >= 2, got {d}")
-    for p in range(2, d + 1):
-        if d % p == 0:
-            r = 0
-            m = d
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m == 1:
-                return p, r
-            raise ValidationError(
-                f"alphabet size {d} is not a prime power")
-    raise ValidationError(f"alphabet size {d} is not a prime power")
+    p = next(q for q in range(2, d + 1) if d % q == 0)
+    r = round(math.log(d, p))
+    if p ** r != d:
+        raise ValidationError(f"alphabet size {d} is not a prime power")
+    return p, r
 
 
-def _chsh_predicate(field):
-    """f(x) = sum_{i<j} x_i * x_j in the field, questions read as field
-    elements in enumeration order."""
-    def f(x):
-        elems = [field.element(q) for q in x]
-        total = field.zero
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                total = field.add(total, field.mul(elems[i], elems[j]))
-        return total
-    return f
-
-
-def _ghz3_predicate(x):
-    """f(x, y, z) = x*y*z mod 3."""
-    return ((x[0] * x[1] * x[2]) % 3,)
+def _chsh_indices(field, players):
+    """Element index of f(x) = sum_{i<j} x_i * x_j in the field, in grid order,
+    one gather per pair of players; field and additive group share indices."""
+    add = answer_sums(field.additive_group(), 2).reshape(field.size, field.size)
+    x = np.ix_(*[np.arange(field.size)] * players)
+    total = 0
+    for i, j in itertools.combinations(range(players), 2):
+        total = add[total, field.mul_table[x[i], x[j]]]
+    return total.ravel()
 
 
 def chsh_game(players, outcomes):
@@ -279,21 +281,20 @@ def chsh_game(players, outcomes):
         raise ValidationError("the quadratic game needs at least 2 players")
     p, r = _prime_power(int(outcomes))
     field = FiniteField(p, r)
-    group = field.additive_group()
     questions = (field.size,) * players
-    return make_game(group, questions, _chsh_predicate(field), "uniform",
-                     field=field)
+    return LinearGame(field.additive_group(), questions,
+                      _chsh_indices(field, players),
+                      *_weights("uniform", questions), field=field)
 
 
 def mermin_ghz3_game():
     """The ternary GHZ game: questions x, y, z in Z_3 promised to satisfy
     x + y + z = 0 mod 3 (uniform over the nine such tuples), win when
     a + b + c = x*y*z mod 3."""
-    group = AbelianGroup((3,))
-    questions = (3, 3, 3)
-    support = [x for x in itertools.product(range(3), repeat=3)
-               if sum(x) % 3 == 0]
-    return make_game(group, questions, _ghz3_predicate, {"support": support})
+    x, y, z = np.ix_(*[np.arange(3)] * 3)
+    support = ((x + y + z) % 3 == 0).astype(np.int64)
+    return LinearGame(AbelianGroup((3,)), (3, 3, 3), (x * y * z % 3).ravel(),
+                      support.ravel(), 9)
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +312,6 @@ def answer_sums(group, players):
     sums = np.ravel_multi_index(tuple(total.T), group.orders)
     sums.setflags(write=False)
     return sums
-
-
-def output_index(group, answers):
-    i = 0
-    for a in answers:
-        i = i * group.size + group.index(a)
-    return i
 
 
 class Behavior:
@@ -350,10 +344,9 @@ class Behavior:
         return len(self.question_counts)
 
     def prob(self, answers, x):
-        row = 0
-        for q, count in zip(x, self.question_counts):
-            row = row * count + q
-        return self.table[row, output_index(self.group, answers)]
+        answers = [self.group.index(a) for a in answers]
+        return self.table[np.ravel_multi_index(x, self.question_counts),
+                          np.ravel_multi_index(answers, (self.group.size,) * self.players)]
 
 
 def target_behavior(group, question_counts, targets):
@@ -377,12 +370,12 @@ class DeterministicStrategy:
         return self.outputs[player][question]
 
     def behavior(self, group, question_counts):
-        n = len(question_counts)
-        n_inputs = math.prod(question_counts)
-        table = np.zeros((n_inputs, group.size**n))
-        for row, x in enumerate(itertools.product(*(range(q) for q in question_counts))):
-            answers = tuple(self.outputs[i][x[i]] for i in range(n))
-            table[row, output_index(group, answers)] = 1.0
+        grid = np.indices(question_counts).reshape(len(question_counts), -1)
+        answers = [np.array([group.index(a) for a in out])[x]
+                   for out, x in zip(self.outputs, grid)]
+        table = np.zeros((grid.shape[1], group.size ** len(grid)))
+        table[np.arange(grid.shape[1]),
+              np.ravel_multi_index(answers, (group.size,) * len(grid))] = 1.0
         return Behavior(group, question_counts, table)
 
 
@@ -498,7 +491,8 @@ def _parse_group(raw):
 
 
 def _parse_builtin(builtin, group, field, questions):
-    """(predicate callable, field) of a builtin predicate."""
+    """(element index of f(x) in grid order, field) of a builtin
+    predicate."""
     if builtin == "chsh":
         if field is None:
             if len(group.orders) != 1:
@@ -513,13 +507,13 @@ def _parse_builtin(builtin, group, field, questions):
             raise GameFormatError(
                 f"predicate.builtin chsh: every player needs {field.size} "
                 f"questions")
-        return _chsh_predicate(field), field
+        return _chsh_indices(field, len(questions)), field
     if builtin == "ghz3":
         if questions != (3, 3, 3) or group != AbelianGroup((3,)):
             raise GameFormatError(
                 "predicate.builtin ghz3: needs players=3, questions "
                 "[3,3,3] and group {\"cyclic\": [3]}")
-        return _ghz3_predicate, field
+        return mermin_ghz3_game().predicate_indices(), field
     raise GameFormatError(f"predicate.builtin: unknown builtin {builtin!r}")
 
 
@@ -527,9 +521,10 @@ def parse_game_file(text):
     """Parse the JSON game-file format into a LinearGame.
 
     Only the file format is checked here: JSON types, field paths, ranges
-    and duplicates.  The distribution ("uniform", {"support": [...]} or a
-    {x: Fraction} table) and the predicate ({x: element} or a builtin's
-    callable) go to ``make_game``, which expands them over the grid."""
+    and duplicates.  The predicate becomes element indices in grid order,
+    from its table or a builtin; the distribution ("uniform", {"support":
+    [...]} or a {x: Fraction} table) becomes weights as in ``make_game``,
+    and the game is built from both."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -580,15 +575,17 @@ def parse_game_file(text):
             raise GameFormatError(
                 f"predicate.table: missing input(s) {[list(x) for x in missing[:5]]}"
                 f"{' ...' if len(missing) > 5 else ''} (the predicate must be total)")
+        f_index = [group.index(predicate[x]) for x in sorted(predicate)]  # grid order
     elif isinstance(raw_pred, dict) and set(raw_pred) == {"builtin"}:
-        predicate, field = _parse_builtin(raw_pred["builtin"], group, field,
-                                          questions)
+        f_index, field = _parse_builtin(raw_pred["builtin"], group, field,
+                                        questions)
     else:
         raise GameFormatError(
             'predicate: expected {"table": ...} or {"builtin": ...}')
 
     try:
-        return make_game(group, questions, predicate, dist, field=field)
+        return LinearGame(group, questions, f_index,
+                          *_weights(dist, questions), field=field)
     except ValidationError as e:
         raise GameFormatError(str(e)) from None
 

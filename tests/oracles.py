@@ -45,11 +45,19 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
+* oracle_make_game / oracle_chsh_predicate / oracle_deterministic_table:
+  the per-question game builder that preceded the array constructor, one
+  Fraction per question tuple, their lcm and one coerce per predicate
+  value, with the chsh predicate in FiniteField.add/mul and the
+  deterministic behavior filled row by row (checks make_game, the builtin
+  gathers, LinearGame equality and hashing, and
+  DeterministicStrategy.behavior).
 """
 
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -677,3 +685,64 @@ def modular_inverse_matrix(mat, p):
                 a[r] = [(v - factor * w) % p for v, w in zip(a[r], a[col])]
                 inv[r] = [(v - factor * w) % p for v, w in zip(inv[r], inv[col])]
     return np.array(inv, dtype=np.int64)
+
+
+def _oracle_fraction(value):
+    return Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+
+
+def oracle_make_game(group, questions, predicate, distribution="uniform"):
+    """The game data as the per-question builder made it: the question
+    grid from itertools.product, one Fraction per question tuple, den the
+    lcm of their denominators, and every predicate value coerced on its
+    own.  Inputs are assumed valid."""
+    grid = list(itertools.product(*(range(q) for q in questions)))
+    if callable(predicate):
+        f_values = [predicate(x) for x in grid]
+    elif isinstance(predicate, dict):
+        f_values = [predicate[x] for x in grid]
+    else:
+        f_values = list(predicate)
+    if isinstance(distribution, str):
+        dist = [Fraction(1, len(grid))] * len(grid)
+    elif isinstance(distribution, dict) and set(distribution) == {"support"}:
+        support = {tuple(x) for x in distribution["support"]}
+        dist = [Fraction(int(x in support), len(support)) for x in grid]
+    elif isinstance(distribution, dict):
+        table = {tuple(x): _oracle_fraction(v) for x, v in distribution.items()}
+        dist = [table.get(x, Fraction(0)) for x in grid]
+    else:
+        dist = [_oracle_fraction(p) for p in distribution]
+    den = math.lcm(*(p.denominator for p in dist))
+    weights = [p.numerator * (den // p.denominator) for p in dist]
+    predicate = tuple(group.coerce(a) for a in f_values)
+    return SimpleNamespace(
+        grid=np.array(grid, dtype=np.intp), residues=np.array(predicate, dtype=np.intp),
+        weights=np.array(weights, dtype=np.int64 if den < 2**53 else object),
+        den=den, distribution=tuple(dist), predicate=predicate)
+
+
+def oracle_chsh_predicate(field):
+    """f(x) = sum_{i<j} x_i * x_j by FiniteField.add and FiniteField.mul,
+    questions read as field elements in enumeration order."""
+    def f(x):
+        elems = [field.element(q) for q in x]
+        total = field.zero
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                total = field.add(total, field.mul(elems[i], elems[j]))
+        return total
+    return f
+
+
+def oracle_deterministic_table(strategy, group, question_counts):
+    """The behavior table of a deterministic strategy, one row per question
+    tuple, the answer column found by a base-|G| loop."""
+    n = len(question_counts)
+    table = np.zeros((math.prod(question_counts), group.size**n))
+    for row, x in enumerate(itertools.product(*(range(q) for q in question_counts))):
+        column = 0
+        for i in range(n):
+            column = column * group.size + group.index(strategy.outputs[i][x[i]])
+        table[row, column] = 1.0
+    return table

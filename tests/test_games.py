@@ -37,6 +37,9 @@ def test_make_game_rejects_unnormalized_distribution():
             (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
     with pytest.raises(ValidationError):
         make_game(Z2, (2, 2), lambda x: (0,), distribution=dist)
+    # a bool is not a probability, as in the file format
+    with pytest.raises(ValidationError, match="bad probability: True"):
+        make_game(Z2, (2, 2), lambda x: (0,), distribution={(0, 0): True})
 
 
 def test_float_distribution_reads_shortest_decimal():
@@ -45,6 +48,11 @@ def test_float_distribution_reads_shortest_decimal():
     game = make_game(Z2, (10, 1), [(0,)] * 10, distribution=[0.1] * 10)
     assert game.distribution == (Fraction(1, 10),) * 10
     assert classical_value(game).value == 1
+    # numpy integers are exact rationals, like the same array as floats
+    ints = make_game(Z2, (2, 2), [0, 1, 1, 0], distribution=np.array([1, 0, 0, 0]))
+    floats = make_game(Z2, (2, 2), [0, 1, 1, 0],
+                       distribution=np.array([1.0, 0, 0, 0]))
+    assert ints == floats and ints.distribution[0] == 1
 
 
 def test_float_distribution_must_sum_to_exactly_one():

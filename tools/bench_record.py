@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_9.json \\
+    python3 tools/bench_record.py --out BENCH_11.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -17,11 +17,14 @@ end-to-end metric over the seeds, and every run's own figures, with the
 core count and the numpy and Python versions; an existing file is
 overwritten.  Under ``scale`` it keeps, per label, the best of three
 in-process timings of ``classical_value`` on the near-cap games
-chsh(3,5), chsh(4,4) and chsh(6,3), and of
-``biseparable_bound_partition`` on chsh(3,7) with lone player 0, each
-row in a fresh single-threaded interpreter.  When ``parent`` and ``change`` are both run, the
-change/parent ratios of the medians and of the scale timings are stored
-and printed.  Standard library only.
+chsh(3,5), chsh(4,4) and chsh(6,3), of ``biseparable_bound_partition``
+on chsh(3,7) with lone player 0, and of building chsh(6,7) with
+``chsh_game``, each row in a fresh single-threaded interpreter.  When
+``parent`` and ``change`` are both run, the change/parent ratios of the
+medians and of the scale timings are stored and printed.  The ratios of
+every label's medians and scale timings to the ``change`` label of the
+newest committed ``BENCH_*.json`` are stored and printed as well, under
+``previous``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,17 +42,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1, 11))
 # (call, players, outcomes) of each scale row; the game is chsh(players,
-# outcomes) and the biseparable search takes lone player 0.
+# outcomes), the biseparable search takes lone player 0, and the
+# chsh_game row times building the game itself.
 SCALE_ROWS = (("classical_value", 3, 5), ("classical_value", 4, 4),
-              ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7))
+              ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7),
+              ("chsh_game", 6, 7))
 _SCALE_SCRIPT = """
 import sys, time
 from lingame import diew, values
 from lingame.games import chsh_game
-game = chsh_game(int(sys.argv[2]), int(sys.argv[3]))
-call = {"classical_value": lambda: values.classical_value(game),
-        "biseparable_bound_partition":
-            lambda: diew.biseparable_bound_partition(game, 0)}[sys.argv[1]]
+shape = int(sys.argv[2]), int(sys.argv[3])
+if sys.argv[1] == "chsh_game":
+    call = lambda: chsh_game(*shape)
+else:
+    game = chsh_game(*shape)
+    call = {"classical_value": lambda: values.classical_value(game),
+            "biseparable_bound_partition":
+                lambda: diew.biseparable_bound_partition(game, 0)}[sys.argv[1]]
 times = []
 for _ in range(3):
     start = time.perf_counter()
@@ -96,15 +105,42 @@ def _scale_once(checkout, call, players, d):
     return float(proc.stdout)
 
 
-def _ratios(labels):
+def _ratios(base, new):
+    """new/base ratios of the medians of every workload and metric both
+    runs have."""
     ratios = {}
-    for workload, base in labels["parent"]["workloads"].items():
-        new = labels["change"]["workloads"].get(workload)
-        if new:
-            ratios[workload] = {m: new["median"][m] / v
-                                for m, v in base["median"].items()
-                                if m in new["median"] and v}
+    for workload, old in base.items():
+        if workload in new:
+            ratios[workload] = {m: new[workload]["median"][m] / v
+                                for m, v in old["median"].items()
+                                if m in new[workload]["median"] and v}
     return ratios
+
+
+def _scale_ratios(base, new):
+    return {name: new[name] / t for name, t in base.items() if name in new and t}
+
+
+def _print_ratios(title, ratios, scale_ratios):
+    print(title)
+    for workload, row in ratios.items():
+        print(f"  {workload:>8} " + " ".join(f"{m}={r:.3f}"
+                                             for m, r in row.items()))
+    for name, ratio in scale_ratios.items():
+        print(f"  {name}: {ratio:.3f}")
+
+
+def _newest_committed(out):
+    """(name, document) of the committed BENCH_<N>.json with the largest
+    N, other than ``out``; None when there is none."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "ls-files", "BENCH_*.json"],
+                          capture_output=True, text=True)
+    names = [n for n in proc.stdout.split()
+             if n[6:-5].isdigit() and (ROOT / n).resolve() != out.resolve()]
+    if proc.returncode != 0 or not names:
+        return None
+    name = max(names, key=lambda n: int(n[6:-5]))
+    return name, json.loads((ROOT / name).read_text())
 
 
 def main(argv=None):
@@ -153,15 +189,25 @@ def main(argv=None):
                 "runs": rs}
             for w, rs in results[label].items()}}
     if {"parent", "change"} <= doc["labels"].keys():
-        doc["ratios"] = _ratios(doc["labels"])
-        doc["scale"]["ratios"] = {name: scale["change"][name] / t
-                                  for name, t in scale["parent"].items()}
-        print("change/parent ratios of the medians:")
-        for workload, ratios in doc["ratios"].items():
-            print(f"  {workload:>8} " + " ".join(f"{m}={r:.3f}"
-                                                 for m, r in ratios.items()))
-        for name, ratio in doc["scale"]["ratios"].items():
-            print(f"  {name}: {ratio:.3f}")
+        doc["ratios"] = _ratios(doc["labels"]["parent"]["workloads"],
+                                doc["labels"]["change"]["workloads"])
+        doc["scale"]["ratios"] = _scale_ratios(scale["parent"], scale["change"])
+        _print_ratios("change/parent ratios of the medians:", doc["ratios"],
+                      doc["scale"]["ratios"])
+    previous = _newest_committed(args.out)
+    if previous and "change" in previous[1]["labels"]:
+        name, prev = previous
+        doc["previous"] = {"file": name, "label": "change", "labels": {}}
+        for label in doc["labels"]:
+            ratios = _ratios(prev["labels"]["change"]["workloads"],
+                             doc["labels"][label]["workloads"])
+            scale_ratios = _scale_ratios(
+                prev.get("scale", {}).get("labels", {}).get("change", {}),
+                scale[label])
+            doc["previous"]["labels"][label] = {"ratios": ratios,
+                                                "scale_ratios": scale_ratios}
+            _print_ratios(f"{label}/{name} change ratios of the medians:",
+                          ratios, scale_ratios)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
