@@ -61,11 +61,7 @@ class LinearGame:
                  field=None):
         if not isinstance(group, AbelianGroup):
             raise ValidationError("group must be an AbelianGroup")
-        question_counts = tuple(int(q) for q in question_counts)
-        if len(question_counts) < 2:
-            raise ValidationError("a game needs at least two players")
-        if any(q < 1 for q in question_counts):
-            raise ValidationError("every player needs at least one question")
+        question_counts = _question_counts(question_counts)
         self.group = group
         self.question_counts = question_counts
         self.field = field
@@ -177,6 +173,16 @@ class LinearGame:
                 f"questions={list(self.question_counts)}, group={self.group!r})")
 
 
+def _question_counts(questions):
+    """The question counts as a tuple of ints, at least two, each >= 1."""
+    counts = tuple(int(q) for q in questions)
+    if len(counts) < 2:
+        raise ValidationError("a game needs at least two players")
+    if any(q < 1 for q in counts):
+        raise ValidationError("every player needs at least one question")
+    return counts
+
+
 def _position(x, questions, what):
     """Grid position of the question tuple x."""
     try:
@@ -223,7 +229,7 @@ def make_game(group, questions, predicate, distribution="uniform", field=None):
     lexicographic order; distribution may be "uniform", a dict
     {"support": [...]} for uniform-over-support, a dict keyed by question
     tuples (missing entries are zero), or a full-grid list."""
-    questions = tuple(int(q) for q in questions)
+    questions = _question_counts(questions)
     grid = itertools.product(*map(range, questions))
     if callable(predicate):
         values = [predicate(x) for x in grid]

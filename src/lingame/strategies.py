@@ -15,6 +15,7 @@ tensor as
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -98,25 +99,17 @@ class QuantumStrategy:
             proj_rows = []
             vec_rows = []
             for x, outcomes in enumerate(per_player):
-                mats = []
-                vecs = []
-                for o, raw in enumerate(outcomes):
-                    mat, vec = _as_projector(
-                        raw, self.dims[i], f"measurement[{i}][{x}][{o}]")
-                    mats.append(mat)
-                    vecs.append(vec)
-                ok = True
-                for m in mats:
-                    if (np.abs(m - m.conj().T).max() > PROJECTOR_TOL
-                            or np.abs(m @ m - m).max() > PROJECTOR_TOL):
-                        ok = False
-                for a in range(len(mats)):
-                    for b in range(a + 1, len(mats)):
-                        if np.abs(mats[a] @ mats[b]).max() > PROJECTOR_TOL:
-                            ok = False
-                if np.abs(sum(mats) - np.eye(self.dims[i])).max() > PROJECTOR_TOL:
-                    ok = False
-                if not ok:
+                pairs = [_as_projector(raw, self.dims[i],
+                                       f"measurement[{i}][{x}][{o}]")
+                         for o, raw in enumerate(outcomes)]
+                mats = [mat for mat, _ in pairs]
+                vecs = [vec for _, vec in pairs]
+                errors = [np.abs(sum(mats) - np.eye(self.dims[i])).max()]
+                errors += [np.abs(m - m.conj().T).max() for m in mats]
+                errors += [np.abs(m @ m - m).max() for m in mats]
+                errors += [np.abs(p @ q).max()
+                           for p, q in itertools.combinations(mats, 2)]
+                if not np.max(errors) <= PROJECTOR_TOL:  # NaN is not a projector
                     bad.append((i, x))
                 proj_rows.append(mats)
                 vec_rows.append(vecs)
@@ -177,25 +170,30 @@ def strategy_behavior(strategy, game):
     """Born-rule behavior P(a | x) = tr(rho Pi^1_{x_1,a_1} x ... x
     Pi^n_{x_n,a_n}) of a strategy on a game's question grid.
 
-    One contraction of the state with every player's projectors, stacked
-    as (questions, outcomes, d_i, d_i), serves any projector ranks; a pure
-    state enters as conj(psi) ... psi, so no density matrix is formed.
+    One tensordot per player contracts the state, viewed as (ket_i, later
+    kets, bra_i, later bras and the (question, answer) axes of earlier
+    players), with player i's projectors of any rank, stacked as
+    (questions, outcomes, d_i, d_i).  A pure state enters only in player
+    0's step, as conj(psi) and psi, so no density matrix is formed.
     """
     _check_compatible(strategy, game)
-    n = game.players
-    # einsum labels: questions, answers, bra and ket index of each player
-    x, a, bra, ket = (list(range(s * n, (s + 1) * n)) for s in range(4))
-    operands = []
-    for i, per_player in enumerate(strategy.measurements()):
-        operands += [np.array(per_player), [x[i], a[i], bra[i], ket[i]]]
+    n, dims = game.players, strategy.dims
+    stacks = [np.array(per_player) for per_player in strategy.measurements()]
     if strategy.is_pure:
-        psi = strategy.state.reshape(strategy.dims)
-        operands += [psi.conj(), bra, psi, ket]
+        psi = strategy.state.reshape(dims[0], -1)
+        t = np.tensordot(psi.conj(), stacks[0], ([0], [2]))
+        t, first = np.tensordot(psi, t, ([0], [3])), 1
     else:
-        operands += [strategy.density().reshape(strategy.dims * 2), ket + bra]
-    p = np.einsum(*operands, x + a, optimize=True).real
+        t, first = strategy.density(), 0
+    for i in range(first, n):
+        t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
+        t = np.tensordot(t, stacks[i], ([0, 2], [3, 2]))
+    p = t.real.reshape([s for stack in stacks for s in stack.shape[:2]])
+    np.maximum(p, 0.0, out=p)  # in place: t is ours, and a call allocates less
+    # (x_1, a_1, ..., x_n, a_n) -> (x_1, ..., x_n, a_1, ..., a_n)
+    p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
     return Behavior(game.group, game.question_counts,
-                    np.maximum(p, 0.0).reshape(game.n_inputs, -1))
+                    p.reshape(game.n_inputs, -1))
 
 
 def noise_behavior(strategy, game):
@@ -258,9 +256,7 @@ def success_from_correlators(game, tensor):
     chi = game.group.character_table()
     p = game.probabilities_float()
     f_idx = game.predicate_indices()
-    total = 0.0 + 0.0j
-    for k in range(1, game.group.size):
-        total += (p * chi[k, f_idx] * tensor.diagonal[k]).sum()
+    total = (p * chi[1:, f_idx] * tensor.diagonal[1:]).sum()
     return float((1.0 + total.real) / game.group.size)
 
 
@@ -322,10 +318,14 @@ def ghz3_reference_strategy():
 # Strategy files
 
 
+def _looks_like_pair(raw):
+    return (isinstance(raw, list) and len(raw) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in raw))
+
+
 def _parse_complex(raw, path):
-    if (not isinstance(raw, list) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in raw)):
+    if not _looks_like_pair(raw):
         raise GameFormatError(f"{path}: expected [re, im], got {raw!r}")
     return complex(raw[0], raw[1])
 
@@ -335,12 +335,6 @@ def _parse_vector(raw, path):
         raise GameFormatError(f"{path}: expected a non-empty vector")
     return np.array([_parse_complex(v, f"{path}[{j}]")
                      for j, v in enumerate(raw)])
-
-
-def _looks_like_pair(raw):
-    return (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in raw))
 
 
 def parse_strategy_file(text):

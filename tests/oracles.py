@@ -33,8 +33,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   the offsets, constant and strategy of the array version).
 * oracle_behavior_table / oracle_noisy_success: the Born rule cell by
   cell, by vector contraction or a Kronecker product and trace, with
-  white noise mixed into a rebuilt density matrix (checks the einsum in
-  strategy_behavior and the closed-form noise of noisy_success).
+  white noise mixed into a rebuilt density matrix (checks the per-player
+  tensordot loop of strategy_behavior and the closed-form noise of
+  noisy_success).
 * modular_inverse_matrix: Gauss-Jordan inversion modulo a prime (checks
   the closed-form inverse Vandermonde matrix of boxworld).
 * oracle_cc_protocol / oracle_simulate_pr / oracle_reduce_to_pr /
@@ -482,7 +483,7 @@ def oracle_separability_check(game):
 
 
 def oracle_behavior_table(strategy, game):
-    """Born rule cell by cell, the pre-einsum path of strategy_behavior:
+    """Born rule cell by cell, the first path of strategy_behavior:
     for a pure state with rank-one projectors, contract the state with one
     measurement vector per player; otherwise take tr(rho Pi^1 x ... x
     Pi^n) with the Kronecker product of the projectors."""

@@ -1,4 +1,4 @@
-"""The einsum Born rule and closed-form white noise against the slow
+"""The per-player Born rule and closed-form white noise against the slow
 paths they replaced: the cell-by-cell vector contraction, the Kronecker
 product and trace, and the density matrix rebuilt around
 V * rho + (1 - V) * I / D (tests/oracles.py)."""
@@ -8,9 +8,11 @@ import json
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from lingame.algebra import AbelianGroup
-from lingame.games import make_game, mermin_ghz3_game
+from lingame.games import chsh_game, make_game, mermin_ghz3_game
 from lingame.strategies import (QuantumStrategy, ghz3_reference_strategy,
                                 noisy_success, parse_strategy_file,
                                 strategy_behavior)
@@ -99,3 +101,38 @@ def test_noisy_success_matches_density_rebuild():
         for v in (0.0, 0.3, 0.8, 1.0):
             assert abs(noisy_success(game, strategy, v)
                        - oracle_noisy_success(game, strategy, v)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.data())
+def test_born_rule_matches_oracle_property(dims, data):
+    # 2 to 4 players of local dimension 1 to 3; rank-one vectors wherever
+    # d_i == |G| and rank_one is drawn, matrix projectors elsewhere
+    g = data.draw(st.sampled_from((2, 3)), label="group order")
+    questions = data.draw(st.lists(st.integers(1, 2), min_size=len(dims),
+                                   max_size=len(dims)), label="questions")
+    mixed = data.draw(st.booleans(), label="mixed")
+    rank_one = data.draw(st.booleans(), label="rank_one")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    game = make_game(AbelianGroup((g,)), questions,
+                     [(int(v),) for v in rng.integers(0, g, math.prod(questions))])
+    strategy = _strategy(rng, dims, questions, g, mixed, rank_one)
+    table = strategy_behavior(strategy, game).table
+    assert np.abs(table - oracle_behavior_table(strategy, game)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("strategy, game", [
+    (ghz3_reference_strategy(), mermin_ghz3_game()),
+    (parse_strategy_file(json.dumps(ghz3_c4.document())), mermin_ghz3_game()),
+    (_strategy(np.random.default_rng(7), (2,) * 4, (2,) * 4, 2, False, True),
+     chsh_game(4, 2)),
+], ids=["ghz3", "ghz3_c4", "chsh42"])
+def test_pure_state_never_forms_density(strategy, game, monkeypatch):
+    expected = oracle_behavior_table(strategy, game)
+
+    def refuse(self):
+        raise AssertionError("density() called for a pure state")
+
+    monkeypatch.setattr(QuantumStrategy, "density", refuse)
+    table = strategy_behavior(strategy, game).table
+    assert np.abs(table - expected).max() <= 1e-12

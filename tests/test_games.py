@@ -101,6 +101,14 @@ def test_make_game_needs_two_players():
         make_game(Z2, (2,), lambda x: (0,))
 
 
+@pytest.mark.parametrize("questions", [(2, 0), (2, -1)])
+def test_make_game_rejects_empty_question_sets(questions):
+    # (2, -1) met numpy's negative grid before the counts were checked
+    with pytest.raises(ValidationError) as err:
+        make_game(Z2, questions, lambda x: 0)
+    assert str(err.value) == "every player needs at least one question"
+
+
 def test_chsh_22_is_product_predicate():
     game = chsh_game(2, 2)
     for x, y in itertools.product(range(2), repeat=2):
@@ -454,6 +462,9 @@ FORMAT_ERRORS = [
      "predicate.builtin: unknown builtin 'mermin'"),
     (_doc(predicate={"builtin": ["chsh"]}),
      "predicate.builtin: unknown builtin ['chsh']"),
+    # rows added later, at the end, so the ids of the rows above stay put
+    (_doc(questions=[2, -1]),
+     "questions: expected 2 integers >= 1, got [2, -1]"),
 ]
 
 

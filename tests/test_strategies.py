@@ -92,6 +92,14 @@ def test_incomplete_family_rejected():
         QuantumStrategy((3,), np.array([1, 0, 0], dtype=complex), meas)
 
 
+def test_nan_projector_rejected():
+    # every comparison with NaN is false, so each check used to pass it
+    v0 = np.array([1, 0])
+    meas = [[[v0, np.array([0, np.nan])]]]
+    with pytest.raises(ValidationError, match=r"\(0, 0\)"):
+        QuantumStrategy((2,), np.array([1, 0], dtype=complex), meas)
+
+
 def test_measurement_count_must_match_players():
     with pytest.raises(ValidationError):
         QuantumStrategy((2, 2), np.array([1, 0, 0, 0], dtype=complex),

@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_11.json \\
+    python3 tools/bench_record.py --out BENCH_12.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -18,8 +18,13 @@ core count and the numpy and Python versions; an existing file is
 overwritten.  Under ``scale`` it keeps, per label, the best of three
 in-process timings of ``classical_value`` on the near-cap games
 chsh(3,5), chsh(4,4) and chsh(6,3), of ``biseparable_bound_partition``
-on chsh(3,7) with lone player 0, and of building chsh(6,7) with
-``chsh_game``, each row in a fresh single-threaded interpreter.  When
+on chsh(3,7) with lone player 0, of building chsh(6,7) with
+``chsh_game``, and of ``strategy_behavior`` on chsh(4,4) and chsh(5,3)
+(a pure state and rank-one bases drawn from ``default_rng(0)``, each
+timing the mean of 20 calls), each row in a fresh single-threaded
+interpreter.  Every run and every scale row gets a new empty
+``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label imports
+bytecode that an earlier run left in its checkout.  When
 ``parent`` and ``change`` are both run, the change/parent ratios of the
 medians and of the scale timings are stored and printed.  The ratios of
 every label's medians and scale timings to the ``change`` label of the
@@ -37,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,14 +52,29 @@ SEEDS = tuple(range(1, 11))
 # chsh_game row times building the game itself.
 SCALE_ROWS = (("classical_value", 3, 5), ("classical_value", 4, 4),
               ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7),
-              ("chsh_game", 6, 7))
+              ("chsh_game", 6, 7), ("strategy_behavior", 4, 4),
+              ("strategy_behavior", 5, 3))
 _SCALE_SCRIPT = """
 import sys, time
-from lingame import diew, values
+import numpy as np
+from lingame import diew, strategies, values
 from lingame.games import chsh_game
 shape = int(sys.argv[2]), int(sys.argv[3])
+repeats = 1
 if sys.argv[1] == "chsh_game":
     call = lambda: chsh_game(*shape)
+elif sys.argv[1] == "strategy_behavior":
+    # a pure state and rank-one bases, d = |G| per player
+    game, (n, d), rng = chsh_game(*shape), shape, np.random.default_rng(0)
+    def unitary():
+        gauss = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return np.linalg.qr(gauss)[0]
+    bases = [[list(unitary().T) for _ in range(q)] for q in game.question_counts]
+    psi = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    strategy = strategies.QuantumStrategy(
+        (d,) * n, psi / np.linalg.norm(psi), bases)
+    call = lambda: strategies.strategy_behavior(strategy, game)
+    repeats = 20  # a call takes milliseconds: time the mean of 20
 else:
     game = chsh_game(*shape)
     call = {"classical_value": lambda: values.classical_value(game),
@@ -62,8 +83,9 @@ else:
 times = []
 for _ in range(3):
     start = time.perf_counter()
-    call()
-    times.append(time.perf_counter() - start)
+    for _ in range(repeats):
+        call()
+    times.append((time.perf_counter() - start) / repeats)
 print(min(times))
 """
 
@@ -76,11 +98,23 @@ def _commit(checkout):
     return proc.stdout.strip()
 
 
-def _run_once(checkout, workload, seed, seconds):
+def _env(cache_root, **extra):
+    """The caller's environment for one run, with a new empty
+    PYTHONPYCACHEPREFIX under ``cache_root`` and bytecode writing on: every
+    run starts with no compiled module at all, whatever ``__pycache__`` its
+    checkout or the installed packages hold, and its later interpreters
+    import what its first one compiled."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPYCACHEPREFIX"] = tempfile.mkdtemp(dir=cache_root)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def _run_once(checkout, workload, seed, seconds, cache_root):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=600)
+    proc = subprocess.run(cmd, cwd=checkout, env=_env(cache_root),
+                          capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited with "
@@ -91,10 +125,10 @@ def _run_once(checkout, workload, seed, seconds):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _scale_once(checkout, call, players, d):
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    env.update({k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                 "MKL_NUM_THREADS")})
+def _scale_once(checkout, call, players, d, cache_root):
+    env = _env(cache_root, PYTHONPATH=str(checkout / "src"),
+               **{k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS")})
     proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, call,
                            str(players), str(d)], cwd=checkout, env=env,
                           capture_output=True, text=True, timeout=600)
@@ -163,25 +197,29 @@ def main(argv=None):
            "numpy": importlib.metadata.version("numpy"),
            "python": platform.python_version(), "labels": {}}
     scale = {label: {} for label, _ in runs}
-    for call, players, d in SCALE_ROWS:
-        name = f"{call} chsh({players},{d})"
-        if call == "biseparable_bound_partition":
-            name += " lone 0"
-        for label, checkout in runs:
-            scale[label][name] = _scale_once(checkout, call, players, d)
-            print(f"{label:>8} {name}: {scale[label][name]:.4g} s", flush=True)
-    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
-    for i, seed in enumerate(SEEDS):
-        for workload in workloads:
-            for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
-                run = _run_once(checkout, workload, seed, seconds)
-                results[label][workload].append(run)
-                print(f"{label:>8} {workload:>8} seed {seed}: "
-                      + " ".join(f"{k}={v:.4g}"
-                                 for k, v in run["metrics"].items()),
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache_root:
+        for call, players, d in SCALE_ROWS:
+            name = f"{call} chsh({players},{d})"
+            if call == "biseparable_bound_partition":
+                name += " lone 0"
+            for label, checkout in runs:
+                scale[label][name] = _scale_once(checkout, call, players, d,
+                                                 cache_root)
+                print(f"{label:>8} {name}: {scale[label][name]:.4g} s",
                       flush=True)
+        for i, seed in enumerate(SEEDS):
+            for workload in workloads:
+                for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
+                    run = _run_once(checkout, workload, seed, seconds,
+                                    cache_root)
+                    results[label][workload].append(run)
+                    print(f"{label:>8} {workload:>8} seed {seed}: "
+                          + " ".join(f"{k}={v:.4g}"
+                                     for k, v in run["metrics"].items()),
+                          flush=True)
+    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
     for label, checkout in runs:
         doc["labels"][label] = {"commit": _commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
