@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import AbelianGroup, _is_prime, as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import target_behavior
+from .games import json_text, target_behavior
 
 
 class FunctionTable(object):
@@ -66,14 +66,21 @@ class FunctionTable(object):
         """Read-only flat polynomial coefficients, lexicographic order."""
         return interpolate_polynomial(self).coeffs.reshape(-1)
 
-    def as_array(self):
-        """Table reshaped to one axis per variable."""
-        return np.array(self.values, dtype=np.int64).reshape(
+    @cached_property
+    def _array(self):
+        arr = np.array(self.values, dtype=np.int64).reshape(
             (self.d,) * self.variables)
+        arr.setflags(write=False)
+        return arr
+
+    def as_array(self):
+        """Table reshaped to one axis per variable: one read-only array,
+        built on first use."""
+        return self._array
 
     def value(self, variables):
         """Value at a flat tuple of all input variables."""
-        variables = tuple(int(v) for v in variables)
+        variables = as_int_tuple(variables, "input symbols")
         if len(variables) != self.variables:
             raise ValidationError(
                 f"expected {self.variables} variables, got {len(variables)}")
@@ -130,7 +137,7 @@ def load_function(path):
 def serialize_function(table):
     doc = {"d": table.d, "arities": list(table.arities),
            "table": list(table.values)}
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +193,14 @@ def _flatten_inputs(arities, inputs, d):
     already-flat tuple of all variables."""
     inputs = tuple(inputs)
     total = sum(arities)
-    if len(inputs) == total and all(
-            isinstance(v, (int, np.integer)) for v in inputs):
-        flat = tuple(int(v) for v in inputs)
+    if len(inputs) == total and not any(hasattr(v, "__len__")
+                                        for v in inputs):
+        flat = as_int_tuple(inputs, "input symbols")
     elif len(inputs) == len(arities):
         flat = []
         for i, (m, value) in enumerate(zip(arities, inputs)):
-            part = ((int(value),) if isinstance(value, (int, np.integer))
-                    else tuple(int(v) for v in value))
+            part = as_int_tuple((value,) if isinstance(value, (int, np.integer))
+                                else value, f"party {i} input")
             if len(part) != m:
                 raise ValidationError(
                     f"party {i} input has {len(part)} symbols, expected {m}")
@@ -300,7 +307,7 @@ def interpolate_polynomial(table):
 
 def evaluate_polynomial(coeffs, variables):
     """Value of an interpolated polynomial at one point."""
-    variables = tuple(int(v) for v in variables)
+    variables = as_int_tuple(variables, "input symbols")
     if len(variables) != sum(coeffs.arities):
         raise ValidationError(
             f"expected {sum(coeffs.arities)} variables, got {len(variables)}")
@@ -369,14 +376,23 @@ def _protocol_size(table):
     return table.d, table.players, table.d ** table.variables
 
 
+@lru_cache(maxsize=32)  # bounded: a grid is m times its table's size
+def _exponent_grid(d, m):
+    """Read-only exponent tuples of the d^m boxes at [variable, box],
+    lexicographic over the boxes."""
+    exponents = np.indices((d,) * m).reshape(m, -1)
+    exponents.setflags(write=False)
+    return exponents
+
+
 def _protocol_totals(table, inputs, draws):
     """Local totals at [shot, party] of protocol runs on the flat inputs at
     [shot, variable], given the first n-1 outputs of each box at [shot,
     box, party].  Box e (lexicographic over exponent tuples) has the full
     monomial x^e as its PR target, the product of the parties' local
     monomials, and its last output closes its sum to that target."""
-    d, m = table.d, table.variables
-    exponents = np.indices((d,) * m).reshape(m, -1)
+    d = table.d
+    exponents = _exponent_grid(d, table.variables)
     # A product of m powers below d stays below d^m, the box count.
     targets = _vandermonde(d)[inputs[:, :, None], exponents].prod(axis=1) % d
     last = (targets - draws.sum(axis=2)) % d
@@ -488,10 +504,24 @@ def reduce_to_pr(table):
     return None
 
 
+def _additive_table(rows, d):
+    """The polynomial rows (ascending coefficients) evaluated on Z_d, at
+    [row, x].  Each row is first folded onto exponents 0..d-1 in Python
+    ints mod d, by Fermat: x^e = x^(1 + (e-1) mod (d-1)) on Z_d for e >= 1,
+    so rows of any length and coefficients of any size are read as
+    written."""
+    folded = []
+    for row in rows:
+        bins = [0] * d
+        for e, c in enumerate(row):
+            bins[e and 1 + (e - 1) % (d - 1)] += c
+        folded.append([b % d for b in bins])
+    return np.array(folded) @ _vandermonde(d).T % d
+
+
 def _check_reduction(box, reduction):
     """Raise unless the reduction matches the box's derivative table; else
-    return lambda and the rows g, h, s evaluated on Z_d (Python-int sums,
-    so coefficient tuples of any length and size are read as written)."""
+    return lambda and the rows g, h, s evaluated on Z_d."""
     if box.d != reduction.d:
         raise ValidationError("reduction was computed for a different d")
     d = box.d
@@ -499,15 +529,29 @@ def _check_reduction(box, reduction):
     for variable in reduction.sequence:
         derived = (np.roll(derived, -1, axis=variable) - derived) % d
     lam = reduction.lam % d
-    rows = (reduction.g, reduction.h, reduction.s)
-    additive = np.array([[sum(c * pow(x, e, d) for e, c in enumerate(row)) % d
-                          for x in range(d)] for row in rows])
+    additive = _additive_table((reduction.g, reduction.h, reduction.s), d)
     expected = (lam * reduce(np.multiply.outer, [np.arange(d)] * 3)
                 + reduce(np.add.outer, additive)) % d
     if not np.array_equal(derived, expected):
         raise ValidationError(
             "reduction does not match the box's derivative table")
     return lam, additive
+
+
+@lru_cache(maxsize=32)  # bounded: a stencil has 2^(total order) rows
+def _difference_stencil(sequence, d):
+    """Read-only shifts at [pattern, variable] and signs mod d of the
+    iterated difference along ``sequence``: one row per derivative bit
+    pattern, lexicographic, first bit most significant; bit j shifts the
+    variable that derivative step j acts on."""
+    total = len(sequence)
+    bits = np.arange(2**total)[:, None] >> np.arange(total)[::-1] & 1
+    owner = np.arange(3) == np.array(sequence, dtype=int)[:, None]
+    shifts = bits @ owner
+    sign = np.where((total - bits.sum(axis=1)) % 2, d - 1, 1)
+    shifts.setflags(write=False)
+    sign.setflags(write=False)
+    return shifts, sign
 
 
 def simulate_pr_from_functional(box, reduction, inputs, rng):
@@ -529,13 +573,8 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
     lam, additive = _check_reduction(box, reduction)
     d = box.d
     point = np.array(_flatten_inputs(box.arities, inputs, d))
-    total = sum(reduction.order)
-    # One row per derivative bit pattern, lexicographic, first bit most
-    # significant; bit j shifts the variable that derivative step j acts on.
-    bits = np.arange(2**total)[:, None] >> np.arange(total)[::-1] & 1
-    owner = np.arange(3) == np.array(reduction.sequence, dtype=int)[:, None]
-    shifted = (point + bits @ owner) % d
-    sign = np.where((total - bits.sum(axis=1)) % 2, d - 1, 1)
+    shifts, sign = _difference_stencil(reduction.sequence, d)
+    shifted = (point + shifts) % d
     outputs = _sample_boxes(box, box.table.as_array()[tuple(shifted.T)], rng)
     shares = sign @ outputs % d
     a, b, c = (pow(lam, -1, d) * (shares - additive[range(3), point])

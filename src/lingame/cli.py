@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -46,23 +47,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _round_floats(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+def _non_negative(convert, what):
+    """An argparse type: ``convert(text)`` when it is finite and at least
+    0, else a usage error naming ``what``."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
-    if isinstance(value, float):
-        return float(f"{value:.10g}")
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return parse
 
 
 def _emit(args, doc, human_lines):
     if args.json:
-        doc = dict(doc)
-        doc["schema"] = SCHEMA
-        text = json.dumps(_round_floats(doc), sort_keys=True, indent=2)
+        text = games.json_text({**doc, "schema": SCHEMA}, sort_keys=True)
         sys.stdout.write(text + "\n")
     else:
         for line in human_lines:
@@ -366,9 +367,12 @@ def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", default=None,
+                        type=_non_negative(int, "a non-negative integer"),
                         help="enumeration cap override")
-    common.add_argument("--tolerance", type=float, default=WITNESS_MARGIN,
+    common.add_argument("--tolerance", default=WITNESS_MARGIN,
+                        type=_non_negative(float,
+                                           "a finite non-negative number"),
                         help="agreement/witness margin (default 1e-9)")
 
     parser = _Parser(prog="lingame",

@@ -177,10 +177,13 @@ def witness_verdict(game, observed, margin=WITNESS_MARGIN,
                     report: Optional[BiseparableReport] = None):
     """Compare an observed winning probability against the biseparable
     bound.  Certification requires clearing the bound by ``margin``."""
-    observed = float(observed)
+    observed, margin = float(observed), float(margin)
     if not 0.0 <= observed <= 1.0 + 1e-12:
         raise ValidationError(
             f"observed success must be a probability, got {observed}")
+    if not 0.0 <= margin < math.inf:
+        raise ValidationError(
+            f"margin must be finite and non-negative, got {margin}")
     if report is None:
         report = biseparable_bound(game)
     gap = observed - report.bound

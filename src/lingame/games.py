@@ -19,6 +19,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -600,9 +601,70 @@ def _element_json(a):
     return a[0] if len(a) == 1 else list(a)
 
 
-def serialize_game(game):
-    """Canonical JSON for a game: fixed key order, explicit tables in grid
-    order, rational probabilities as "num/den" strings."""
+def json_text(value, sort_keys=False):
+    """``json.dumps(value, sort_keys=sort_keys, indent=2)`` with every float
+    first rounded to 10 significant digits, in one recursive walk.  Values
+    are dicts with string keys, lists, tuples, strings, ints, floats, bools
+    and None; anything else raises TypeError."""
+    out = []
+    _write_json(value, "\n", sort_keys, out)
+    return "".join(out)
+
+
+def _float_text(value):
+    text = float.__repr__(float(f"{value:.10g}"))
+    return _NON_FINITE.get(text, text)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 float: _float_text, bool: lambda v: "true" if v else "false",
+                 type(None): lambda v: "null"}
+
+
+def _write_json(value, newline, sort_keys, out):
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            out.append(f"[{inner}{(',' + inner).join(map(str, value))}"
+                       f"{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, sort_keys, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(item, inner, sort_keys, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # subclasses: an int enum is written as its int, numpy's float64
+        # as its rounded float
+        base = next((t for t in (str, int, float) if isinstance(value, t)),
+                    None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+        out.append(_JSON_SCALARS[base](value))
+
+
+def _game_document(game):
     if game.field is not None:
         group_doc = {"field": {"p": game.field.p, "r": game.field.r}}
     else:
@@ -615,7 +677,7 @@ def serialize_game(game):
             {"x": x, "p": f"{p.numerator}/{p.denominator}"}
             for x, p in zip(game.grid.tolist(), game.distribution) if p > 0]}
 
-    doc = {
+    return {
         "players": game.players,
         "questions": list(game.question_counts),
         "group": group_doc,
@@ -624,7 +686,12 @@ def serialize_game(game):
             {"x": x, "f": _element_json(a)}
             for x, a in zip(game.grid.tolist(), game.predicate)]},
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_game(game):
+    """Canonical JSON for a game: fixed key order, explicit tables in grid
+    order, rational probabilities as "num/den" strings."""
+    return json_text(_game_document(game)) + "\n"
 
 
 def game_hash(game):

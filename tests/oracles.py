@@ -43,6 +43,13 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   loops, one box_sample call per box, one derivative order at a time and
   one table cell at a time (checks the batched kernel, its random stream
   and the einsum reduction search).
+* oracle_additive_table: the pow loop that evaluated the additive rows g,
+  h, s of a reduction at every point of Z_d (checks the Fermat fold of
+  boxworld._additive_table on long rows and huge or negative
+  coefficients).
+* oracle_round_floats: the float rounding pass that ran before
+  json.dumps in the CLI (with json.dumps, checks games.json_text, the one
+  writer of reports, game files and function files).
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
@@ -544,6 +551,26 @@ def oracle_noisy_success(game, strategy, visibility):
 
 def _eval_coeff_vector(coeffs, x, d):
     return sum(c * pow(x, e, d) for e, c in enumerate(coeffs)) % d
+
+
+def oracle_additive_table(rows, d):
+    """Each coefficient row evaluated at every x in Z_d by pow, at [row, x]."""
+    return np.array([[_eval_coeff_vector(row, x, d) for x in range(d)]
+                     for row in rows])
+
+
+def oracle_round_floats(value):
+    """``value`` with every float rounded to 10 significant digits and
+    tuples as lists, ready for json.dumps."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {k: oracle_round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_round_floats(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def oracle_cc_protocol(table, inputs, rng):

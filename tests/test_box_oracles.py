@@ -2,7 +2,8 @@
 replaced (tests/oracles.py): from one seed, protocol transcripts, batched
 protocol runs and the `boxes run` report, simulated PR outputs and the
 generator state left behind are equal, reductions are the same order and
-coefficients, and box behaviors are the same tables."""
+coefficients, additive rows folded by Fermat are the values the pow loop
+reads, and box behaviors are the same tables."""
 
 import contextlib
 import dataclasses
@@ -19,11 +20,12 @@ from lingame import cli
 from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
                               Reduction, box_behavior, cc_protocol,
                               protocol_runs, reduce_to_pr, serialize_function,
-                              simulate_pr_from_functional, _vandermonde,
-                              _vandermonde_inverse)
+                              simulate_pr_from_functional, _additive_table,
+                              _vandermonde, _vandermonde_inverse)
 from lingame.errors import ValidationError
 
-from oracles import (modular_inverse_matrix, oracle_box_behavior_table,
+from oracles import (modular_inverse_matrix, oracle_additive_table,
+                     oracle_box_behavior_table,
                      oracle_boxes_runs, oracle_cc_protocol,
                      oracle_check_reduction, oracle_reduce_to_pr,
                      oracle_simulate_pr)
@@ -159,6 +161,17 @@ def test_box_behaviors_match_the_target_loop(table, n):
     for box in (FunctionalBox(table), PRBox(n, table.d)):
         assert np.array_equal(box_behavior(box).table,
                               oracle_box_behavior_table(box))
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES + (7, 13)),
+       st.lists(st.lists(st.integers(-2**90, 2**90), max_size=30),
+                min_size=3, max_size=3))
+def test_folded_additive_rows_match_the_pow_loop(d, rows):
+    """Rows longer than d, with huge and negative coefficients, fold by
+    Fermat to the values the pow loop reads."""
+    assert np.array_equal(_additive_table(rows, d),
+                          oracle_additive_table(rows, d))
 
 
 def test_hand_built_reductions_are_read_as_written():

@@ -81,6 +81,15 @@ def test_function_table_accepts_numpy_integers():
     assert table.values == (1, 0) and type(table.values[0]) is int
 
 
+def test_table_array_is_built_once_and_read_only():
+    table = _table(lambda x, y, z: x + y * z)
+    arr = table.as_array()
+    assert arr is table.as_array() and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0, 0] = 1
+    assert arr.shape == (3, 3, 3) and arr[1, 2, 2] == (1 + 4) % 3
+
+
 def test_function_file_round_trip():
     text = serialize_function(XYZ)
     assert parse_function_file(text) == XYZ
@@ -140,6 +149,29 @@ def test_box_sample_rejects_bad_inputs():
         box_sample(box, (0, 5), rng)
     with pytest.raises(ValidationError):
         box_sample(box, (0,), rng)
+
+
+@pytest.mark.parametrize("inputs", [
+    (1.9, 1, 1), (True, 1, 1), (1, np.float64(1), 0), (1, None, 1),
+    ("1", 1, 1), ((1.7,), 1, 1), (1, (np.True_,), 1)])
+def test_box_inputs_are_integers_or_rejected(inputs):
+    # (1.9, 1, 1) used to be read as (1, 1, 1), and cc_protocol raised a
+    # bare TypeError on (1.7, 1, 1).
+    rng = np.random.default_rng(0)
+    coeffs = interpolate_polynomial(XYZ)
+    for call in (XYZ.value, FunctionalBox(XYZ).target, PRBox(3, 3).target,
+                 lambda v: evaluate_polynomial(coeffs, v),
+                 lambda v: cc_protocol(XYZ, v, rng)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            call(inputs)
+
+
+def test_box_inputs_take_numpy_integers_and_per_party_tuples():
+    one = np.int8(1)
+    assert XYZ.value((one, 1, 1)) == 1
+    assert evaluate_polynomial(interpolate_polynomial(XYZ), (1, one, 2)) == 2
+    rng = np.random.default_rng(0)
+    assert cc_protocol(XYZ, (one, (1,), np.int64(2)), rng).result == 2
 
 
 def test_box_sample_marginals_uniform():

@@ -265,6 +265,30 @@ def test_cap_exceeded_exits_2(capsys):
     assert "cap" in err
 
 
+def test_cap_zero_is_a_cap_that_is_exceeded(capsys):
+    code, _, err = run_cli(capsys, "analyze", CHSH22, "--cap", "0")
+    assert code == 2
+    assert "cap is 0" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cap", "-3"), ("--cap", "2.5"), ("--tolerance", "nan"),
+    ("--tolerance", "inf"), ("--tolerance", "-1e-9"), ("--tolerance", "x")])
+def test_bad_cap_or_tolerance_is_a_usage_error(capsys, flag, value):
+    # --cap -3 used to exit 2 ("cap is -3"), and --tolerance nan printed an
+    # inconclusive verdict for a certified witness, with exit 0.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diew", GHZ3, "--strategy", GHZ3_STRATEGY, flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+
+
+def test_zero_tolerance_still_certifies(capsys):
+    doc, _ = run_json(capsys, "diew", GHZ3, "--strategy", GHZ3_STRATEGY,
+                      "--tolerance", "0", "--json")
+    assert doc["strategy"]["verdict"] == "GENUINE_TRIPARTITE_ENTANGLEMENT"
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", CHSH22, "--frobnicate"])

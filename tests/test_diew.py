@@ -203,6 +203,13 @@ def test_witness_rejects_non_probability():
         witness_verdict(mermin_ghz3_game(), 1.5)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -1e-9])
+def test_witness_rejects_a_margin_that_is_not_finite_and_non_negative(margin):
+    # A NaN margin used to turn every verdict inconclusive.
+    with pytest.raises(ValidationError, match="margin"):
+        witness_verdict(mermin_ghz3_game(), 1.0, margin=margin)
+
+
 # ---------------------------------------------------------------------------
 # Visibility thresholds
 

@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_12.json \\
+    python3 tools/bench_record.py --out BENCH_13.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -15,16 +15,19 @@ worktree add`` or ``git archive``.
 The output file keeps, per label and workload, the median of every
 end-to-end metric over the seeds, and every run's own figures, with the
 core count and the numpy and Python versions; an existing file is
-overwritten.  Under ``scale`` it keeps, per label, the best of three
-in-process timings of ``classical_value`` on the near-cap games
-chsh(3,5), chsh(4,4) and chsh(6,3), of ``biseparable_bound_partition``
-on chsh(3,7) with lone player 0, of building chsh(6,7) with
-``chsh_game``, and of ``strategy_behavior`` on chsh(4,4) and chsh(5,3)
-(a pure state and rank-one bases drawn from ``default_rng(0)``, each
-timing the mean of 20 calls), each row in a fresh single-threaded
-interpreter.  Every run and every scale row gets a new empty
-``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label imports
-bytecode that an earlier run left in its checkout.  When
+overwritten.  Under ``scale`` it keeps timings of ``classical_value`` on
+the near-cap games chsh(3,5), chsh(4,4) and chsh(6,3), of
+``biseparable_bound_partition`` on chsh(3,7) with lone player 0, of
+building chsh(6,7) with ``chsh_game``, of ``strategy_behavior`` on
+chsh(4,4) and chsh(5,3) (a pure state and rank-one bases drawn from
+``default_rng(0)``) and of ``game_hash`` on chsh(6,3); the last three
+time the mean of 20 calls.  A sample is the best of three such timings
+in a fresh single-threaded interpreter.  Each row takes five samples per
+label, the labels alternating sample by sample, and keeps every sample
+and, per label, their median: fresh interpreters spread by about 20%,
+more than one sample can resolve.  Every run and every scale sample gets
+a new empty ``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label
+imports bytecode that an earlier run left in its checkout.  When
 ``parent`` and ``change`` are both run, the change/parent ratios of the
 medians and of the scale timings are stored and printed.  The ratios of
 every label's medians and scale timings to the ``change`` label of the
@@ -53,16 +56,21 @@ SEEDS = tuple(range(1, 11))
 SCALE_ROWS = (("classical_value", 3, 5), ("classical_value", 4, 4),
               ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7),
               ("chsh_game", 6, 7), ("strategy_behavior", 4, 4),
-              ("strategy_behavior", 5, 3))
+              ("strategy_behavior", 5, 3), ("game_hash", 6, 3))
+SCALE_SAMPLES = 5  # fresh interpreters per label and scale row
 _SCALE_SCRIPT = """
 import sys, time
 import numpy as np
 from lingame import diew, strategies, values
-from lingame.games import chsh_game
+from lingame.games import chsh_game, game_hash
 shape = int(sys.argv[2]), int(sys.argv[3])
 repeats = 1
 if sys.argv[1] == "chsh_game":
     call = lambda: chsh_game(*shape)
+elif sys.argv[1] == "game_hash":
+    game = chsh_game(*shape)
+    call = lambda: game_hash(game)
+    repeats = 20  # a call takes milliseconds: time the mean of 20
 elif sys.argv[1] == "strategy_behavior":
     # a pure state and rank-one bases, d = |G| per player
     game, (n, d), rng = chsh_game(*shape), shape, np.random.default_rng(0)
@@ -197,6 +205,7 @@ def main(argv=None):
            "numpy": importlib.metadata.version("numpy"),
            "python": platform.python_version(), "labels": {}}
     scale = {label: {} for label, _ in runs}
+    scale_runs = {label: {} for label, _ in runs}
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache_root:
@@ -204,9 +213,12 @@ def main(argv=None):
             name = f"{call} chsh({players},{d})"
             if call == "biseparable_bound_partition":
                 name += " lone 0"
-            for label, checkout in runs:
-                scale[label][name] = _scale_once(checkout, call, players, d,
-                                                 cache_root)
+            for i in range(SCALE_SAMPLES):
+                for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
+                    scale_runs[label].setdefault(name, []).append(
+                        _scale_once(checkout, call, players, d, cache_root))
+            for label, _ in runs:
+                scale[label][name] = statistics.median(scale_runs[label][name])
                 print(f"{label:>8} {name}: {scale[label][name]:.4g} s",
                       flush=True)
         for i, seed in enumerate(SEEDS):
@@ -219,7 +231,8 @@ def main(argv=None):
                           + " ".join(f"{k}={v:.4g}"
                                      for k, v in run["metrics"].items()),
                           flush=True)
-    doc["scale"] = {"unit": "s", "best_of": 3, "labels": scale}
+    doc["scale"] = {"unit": "s", "best_of": 3, "samples": SCALE_SAMPLES,
+                    "labels": scale, "runs": scale_runs}
     for label, checkout in runs:
         doc["labels"][label] = {"commit": _commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
