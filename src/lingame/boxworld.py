@@ -25,7 +25,6 @@ re-randomizes the outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -34,7 +33,8 @@ import numpy as np
 
 from .algebra import AbelianGroup, _is_prime, as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import json_text, target_behavior
+from .games import (_is_int, _load, _nonempty_list, _read_document, json_text,
+                    target_behavior)
 
 
 class FunctionTable(object):
@@ -101,28 +101,18 @@ class FunctionTable(object):
 def parse_function_file(text):
     """Parse the JSON function-table format: keys ``d`` (prime),
     ``arities`` (int array) and ``table`` (flat lexicographic values)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise GameFormatError("document: expected an object")
-    if set(doc) != {"d", "arities", "table"}:
-        raise GameFormatError(
-            f"document: expected keys d/arities/table, got {sorted(doc)}")
-
-    def _int(value, path):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise GameFormatError(f"{path}: expected an integer, got {value!r}")
-        return value
-
-    d = _int(doc["d"], "d")
-    if not isinstance(doc["arities"], list) or not doc["arities"]:
-        raise GameFormatError("arities: expected a non-empty array")
-    arities = [_int(v, f"arities[{i}]") for i, v in enumerate(doc["arities"])]
-    if not isinstance(doc["table"], list):
+    doc = _read_document(text, {"d", "arities", "table"})
+    d, table = doc["d"], doc["table"]
+    if not _is_int(d):
+        raise GameFormatError(f"d: expected an integer, got {d!r}")
+    arities = _nonempty_list(doc["arities"], "arities", "a non-empty array")
+    if not isinstance(table, list):
         raise GameFormatError("table: expected an array")
-    table = [_int(v, f"table[{i}]") for i, v in enumerate(doc["table"])]
+    for key, values in (("arities", arities), ("table", table)):
+        for i, v in enumerate(values):
+            if not _is_int(v):
+                raise GameFormatError(
+                    f"{key}[{i}]: expected an integer, got {v!r}")
     try:
         return FunctionTable(d, arities, table)
     except ValidationError as e:
@@ -130,8 +120,7 @@ def parse_function_file(text):
 
 
 def load_function(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_function_file(fh.read())
+    return _load(path, parse_function_file)
 
 
 def serialize_function(table):
@@ -191,7 +180,11 @@ class FunctionalBox:
 def _flatten_inputs(arities, inputs, d):
     """Accepts per-party inputs (ints for arity 1, tuples otherwise) or an
     already-flat tuple of all variables."""
-    inputs = tuple(inputs)
+    try:
+        inputs = tuple(inputs)
+    except TypeError:
+        raise ValidationError(
+            f"input symbols must be integers, got {inputs!r}") from None
     total = sum(arities)
     if len(inputs) == total and not any(hasattr(v, "__len__")
                                         for v in inputs):
@@ -372,7 +365,8 @@ def _protocol_size(table):
     """d, the party count n and the boxes per run, d^m for m variables."""
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
-    PRBox(table.players, table.d)  # a lone party has no box to share
+    if table.players < 2:  # a lone party has no box to share
+        raise ValidationError("a box needs at least 2 parties")
     return table.d, table.players, table.d ** table.variables
 
 

@@ -34,7 +34,7 @@ from . import boxworld, diew, games, qbounds, values
 from .errors import (GameFormatError, NoThresholdError, ResourceLimitError,
                      ValidationError)
 from .strategies import load_strategy, strategy_behavior
-from .tolerances import WITNESS_MARGIN
+from .tolerances import SANDWICH_TOL, WITNESS_MARGIN
 
 SCHEMA = "lingame/1"
 
@@ -198,7 +198,7 @@ def cmd_analyze(args):
         f"[{timings['quantum_bound']:.3f} s]",
     ]
 
-    sandwich_ok = float(classical.value) <= bound.bound + 1e-9
+    sandwich_ok = float(classical.value) <= bound.bound + SANDWICH_TOL
     bisep = None
     if game.players == 3:
         t0 = time.perf_counter()
@@ -210,8 +210,8 @@ def cmd_analyze(args):
         doc["svetlichny"] = _fraction_fields(svet)
         doc["biseparable"] = _biseparable_json(bisep)
         sandwich_ok = (sandwich_ok
-                       and float(classical.value) <= bisep.bound + 1e-9
-                       and bisep.bound <= bound.bound + 1e-9)
+                       and float(classical.value) <= bisep.bound + SANDWICH_TOL
+                       and bisep.bound <= bound.bound + SANDWICH_TOL)
         human.append(f"svetlichny      {float(svet):.6g} ({svet})   "
                      f"[{timings['svetlichny']:.3f} s]")
         human.append(f"biseparable     {bisep.bound:.6g} "
@@ -373,7 +373,7 @@ def _build_parser():
     common.add_argument("--tolerance", default=WITNESS_MARGIN,
                         type=_non_negative(float,
                                            "a finite non-negative number"),
-                        help="agreement/witness margin (default 1e-9)")
+                        help="agreement/witness margin (default %(default)g)")
 
     parser = _Parser(prog="lingame",
                      description="Linear nonlocal games over finite "

@@ -29,6 +29,8 @@ from typing import Optional
 
 import numpy as np
 
+# Called through their modules, where per-layer tracing wraps them.
+from . import games, strategies
 from .errors import NoThresholdError, ValidationError
 from .games import answer_sums
 from .linalg import max_singular_value
@@ -213,14 +215,14 @@ def visibility_threshold(game, strategy, bound=None):
     is then 1/|G|, the noise success of rank-one measurements; pass the
     strategy itself when its projectors may have higher rank.
     """
-    from .games import success_probability
-    from .strategies import noise_behavior, strategy_behavior
     if isinstance(strategy, (int, float)):
         ideal = float(strategy)
         base = 1.0 / game.group.size
     else:
-        ideal = success_probability(game, strategy_behavior(strategy, game))
-        base = success_probability(game, noise_behavior(strategy, game))
+        ideal = games.success_probability(
+            game, strategies.strategy_behavior(strategy, game))
+        base = games.success_probability(
+            game, strategies.noise_behavior(strategy, game))
     if bound is None:
         bound = biseparable_bound(game).bound
     bound = float(bound)

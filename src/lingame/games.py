@@ -409,16 +409,38 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expect_keys(obj, required, optional=frozenset(), path="document"):
+def _expect_keys(obj, required, path="document"):
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: expected an object")
     keys = set(obj)
     missing = required - keys
     if missing:
         raise GameFormatError(f"{path}: missing key(s) {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = keys - required
     if unknown:
         raise GameFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
+
+
+def _read_document(text, keys):
+    """The JSON object in ``text``, with exactly the keys ``keys``: the
+    reader of the game, strategy and function file formats."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GameFormatError(f"invalid JSON: {e}") from None
+    _expect_keys(doc, keys)
+    return doc
+
+
+def _nonempty_list(raw, path, what):
+    if not isinstance(raw, list) or not raw:
+        raise GameFormatError(f"{path}: expected {what}")
+    return raw
+
+
+def _load(path, parse):
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def _parse_element(raw, group, path):
@@ -532,11 +554,7 @@ def parse_game_file(text):
     from its table or a builtin; the distribution ("uniform", {"support":
     [...]} or a {x: Fraction} table) becomes weights as in ``make_game``,
     and the game is built from both."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"invalid JSON: {e}") from None
-    _expect_keys(doc, _GAME_KEYS)
+    doc = _read_document(text, _GAME_KEYS)
 
     players = doc["players"]
     if not _is_int(players) or players < 2:
@@ -553,9 +571,8 @@ def parse_game_file(text):
     if raw_dist == "uniform":
         dist = raw_dist
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"support"}:
-        support = raw_dist["support"]
-        if not isinstance(support, list) or not support:
-            raise GameFormatError("distribution.support: expected a non-empty list")
+        support = _nonempty_list(raw_dist["support"], "distribution.support",
+                                 "a non-empty list")
         seen = {}
         for i, raw_x in enumerate(support):
             x = _parse_input(raw_x, questions, f"distribution.support[{i}]")
@@ -700,5 +717,4 @@ def game_hash(game):
 
 
 def load_game(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_game_file(fh.read())
+    return _load(path, parse_game_file)

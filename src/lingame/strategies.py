@@ -15,8 +15,6 @@ tensor as
 from __future__ import annotations
 
 import cmath
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GameFormatError, ValidationError
-from .games import Behavior, success_probability
-from .tolerances import PROJECTOR_TOL
+from .games import (Behavior, _is_int, _load, _nonempty_list, _read_document,
+                    success_probability)
+from .tolerances import PROJECTOR_TOL, STATE_TOL
 
 
 def _as_projector(raw, dim, where):
@@ -46,13 +45,31 @@ def _as_projector(raw, dim, where):
         f"(expected a vector, a short vector list, or a {dim}x{dim} matrix)")
 
 
+def _family_errors(stack):
+    """Largest deviation, per question, of a (questions, outcomes, d, d)
+    stack from a complete family of orthogonal projectors: of sum_a P_a from
+    the identity, of each P_a from its adjoint and of each P_a P_b from
+    delta_ab P_a (one a at a time, in the stack's memory).  NaN entries
+    give NaN, which fails every <= test."""
+    _, o, d, _ = stack.shape
+    errors = [np.abs(stack.sum(axis=1) - np.eye(d)).max(axis=(1, 2)),
+              np.abs(stack - stack.conj().swapaxes(2, 3)).max(
+                  axis=(1, 2, 3), initial=0.0)]
+    for a in range(o):
+        products = stack[:, a, None] @ stack  # P_a P_b at [x, b]
+        products[:, a] -= stack[:, a]
+        errors.append(np.abs(products).max(axis=(1, 2, 3)))
+    return np.max(errors, axis=0)
+
+
 class QuantumStrategy:
     """A shared state plus per-player, per-question projective
     measurements with one outcome per group element.
 
     ``state`` may be a length-prod(dims) amplitude vector or a density
     matrix.  Each measurement outcome may be a single vector (rank one), a
-    list of orthonormal vectors, or an explicit projector matrix.
+    list of orthonormal vectors, or an explicit projector matrix.  Every
+    question of a player needs the same number of outcomes.
     """
 
     def __init__(self, dims, state, measurements):
@@ -67,7 +84,7 @@ class QuantumStrategy:
                 raise ValidationError(
                     f"state vector has length {state.shape[0]}, expected {total}")
             norm = np.linalg.norm(state)
-            if abs(norm - 1.0) > 1e-9:
+            if abs(norm - 1.0) > STATE_TOL:
                 raise ValidationError(f"state vector has norm {norm!r}, not 1")
             self.state = state
             self._density = None
@@ -76,12 +93,12 @@ class QuantumStrategy:
                 raise ValidationError(
                     f"density matrix has shape {state.shape}, expected "
                     f"{(total, total)}")
-            if np.abs(state - state.conj().T).max() > 1e-9:
+            if np.abs(state - state.conj().T).max() > STATE_TOL:
                 raise ValidationError("density matrix is not Hermitian")
-            if abs(np.trace(state).real - 1.0) > 1e-9:
+            if abs(np.trace(state).real - 1.0) > STATE_TOL:
                 raise ValidationError(
                     f"density matrix has trace {np.trace(state)!r}, not 1")
-            if np.linalg.eigvalsh(state).min() < -1e-9:
+            if np.linalg.eigvalsh(state).min() < -STATE_TOL:
                 raise ValidationError("density matrix has a negative eigenvalue")
             self.state = None
             self._density = state
@@ -92,29 +109,23 @@ class QuantumStrategy:
             raise ValidationError(
                 f"{len(measurements)} measurement families for "
                 f"{len(self.dims)} players")
-        self._projectors = []
-        self._vectors = []
-        bad = []
-        for i, per_player in enumerate(measurements):
-            proj_rows = []
-            vec_rows = []
-            for x, outcomes in enumerate(per_player):
-                pairs = [_as_projector(raw, self.dims[i],
-                                       f"measurement[{i}][{x}][{o}]")
-                         for o, raw in enumerate(outcomes)]
-                mats = [mat for mat, _ in pairs]
-                vecs = [vec for _, vec in pairs]
-                errors = [np.abs(sum(mats) - np.eye(self.dims[i])).max()]
-                errors += [np.abs(m - m.conj().T).max() for m in mats]
-                errors += [np.abs(m @ m - m).max() for m in mats]
-                errors += [np.abs(p @ q).max()
-                           for p, q in itertools.combinations(mats, 2)]
-                if not np.max(errors) <= PROJECTOR_TOL:  # NaN is not a projector
-                    bad.append((i, x))
-                proj_rows.append(mats)
-                vec_rows.append(vecs)
-            self._projectors.append(proj_rows)
-            self._vectors.append(vec_rows)
+        self._projectors, self._vectors, bad = [], [], []
+        for i, (per_player, d) in enumerate(zip(measurements, self.dims)):
+            pairs = [[_as_projector(raw, d, f"measurement[{i}][{x}][{o}]")
+                      for o, raw in enumerate(outcomes)]
+                     for x, outcomes in enumerate(per_player)]
+            counts = sorted({len(row) for row in pairs})
+            if len(counts) != 1:
+                raise ValidationError(
+                    f"player {i} needs one or more questions with equal "
+                    f"outcome counts, got outcome counts {counts}")
+            stack = np.array([[mat for mat, _ in row] for row in pairs],
+                             dtype=complex).reshape(len(pairs), counts[0], d, d)
+            stack.setflags(write=False)
+            bad += [(i, int(x)) for x in
+                    np.flatnonzero(~(_family_errors(stack) <= PROJECTOR_TOL))]
+            self._projectors.append(stack)
+            self._vectors.append([[vec for _, vec in row] for row in pairs])
         if bad:
             raise ValidationError(
                 f"measurements at (player, question) {bad} are not complete "
@@ -135,7 +146,7 @@ class QuantumStrategy:
         return len(self._projectors[player][question])
 
     def projector(self, player, question, outcome):
-        return self._projectors[player][question][outcome]
+        return self._projectors[player][question, outcome]
 
     def vector(self, player, question, outcome):
         return self._vectors[player][question][outcome]
@@ -146,24 +157,18 @@ class QuantumStrategy:
         return np.outer(self.state, self.state.conj())
 
     def measurements(self):
-        """Raw projector families, [player][question][outcome]."""
+        """Projector families, one read-only (questions, outcomes, d_i,
+        d_i) array per player, stacked and checked at construction."""
         return self._projectors
 
 
 def _check_compatible(strategy, game):
-    if strategy.players != game.players:
+    have = [stack.shape[:2] for stack in strategy.measurements()]
+    need = [(q, game.group.size) for q in game.question_counts]
+    if have != need:
         raise ValidationError(
-            f"strategy has {strategy.players} players, game has {game.players}")
-    for i in range(game.players):
-        if strategy.questions(i) != game.question_counts[i]:
-            raise ValidationError(
-                f"player {i} has {strategy.questions(i)} measurement "
-                f"settings, game asks {game.question_counts[i]} questions")
-        for x in range(game.question_counts[i]):
-            if strategy.outcomes(i, x) != game.group.size:
-                raise ValidationError(
-                    f"measurement[{i}][{x}] has {strategy.outcomes(i, x)} "
-                    f"outcomes, the group has {game.group.size}")
+            f"strategy measures (questions, outcomes) {have} per player, "
+            f"the game needs {need}")
 
 
 def strategy_behavior(strategy, game):
@@ -178,7 +183,7 @@ def strategy_behavior(strategy, game):
     """
     _check_compatible(strategy, game)
     n, dims = game.players, strategy.dims
-    stacks = [np.array(per_player) for per_player in strategy.measurements()]
+    stacks = strategy.measurements()
     if strategy.is_pure:
         psi = strategy.state.reshape(dims[0], -1)
         t = np.tensordot(psi.conj(), stacks[0], ([0], [2]))
@@ -203,10 +208,8 @@ def noise_behavior(strategy, game):
     _check_compatible(strategy, game)
     n = game.players
     operands = []
-    for i, (per_player, d) in enumerate(zip(strategy.measurements(),
-                                            strategy.dims)):
-        traces = np.trace(np.array(per_player), axis1=2, axis2=3).real / d
-        operands += [traces, [i, n + i]]
+    for i, (stack, d) in enumerate(zip(strategy.measurements(), strategy.dims)):
+        operands += [np.trace(stack, axis1=2, axis2=3).real / d, [i, n + i]]
     p = np.einsum(*operands, list(range(2 * n)))
     return Behavior(game.group, game.question_counts,
                     p.reshape(game.n_inputs, -1))
@@ -331,10 +334,24 @@ def _parse_complex(raw, path):
 
 
 def _parse_vector(raw, path):
-    if not isinstance(raw, list) or not raw:
-        raise GameFormatError(f"{path}: expected a non-empty vector")
-    return np.array([_parse_complex(v, f"{path}[{j}]")
-                     for j, v in enumerate(raw)])
+    return np.array([_parse_complex(v, f"{path}[{j}]") for j, v in
+                     enumerate(_nonempty_list(raw, path, "a non-empty vector"))])
+
+
+def _parse_rows(raw, path, what):
+    """Vectors of one length, stacked as the rows of a matrix."""
+    rows = [_parse_vector(v, f"{path}[{j}]")
+            for j, v in enumerate(_nonempty_list(raw, path, what))]
+    if len({len(row) for row in rows}) != 1:
+        raise GameFormatError(f"{path}: rows differ in length")
+    return np.array(rows)
+
+
+def _parse_outcome(raw, path):
+    """A vector, or a list of vectors for a projector of higher rank."""
+    if _looks_like_pair(_nonempty_list(raw, path, "a vector")[0]):
+        return _parse_vector(raw, path)
+    return _parse_rows(raw, path, "a vector")
 
 
 def parse_strategy_file(text):
@@ -344,21 +361,10 @@ def parse_strategy_file(text):
     pairs; an outcome may instead be a list of such vectors when its
     projector has rank above one.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise GameFormatError("document: expected an object")
-    keys = set(doc)
-    if keys != {"dims", "state", "measurements"}:
-        raise GameFormatError(
-            f"document: expected keys dims/state/measurements, got {sorted(keys)}")
-
+    doc = _read_document(text, {"dims", "state", "measurements"})
     dims = doc["dims"]
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                       for d in dims)):
+            or not all(_is_int(d) and d >= 1 for d in dims)):
         raise GameFormatError(f"dims: expected positive integers, got {dims!r}")
 
     raw_state = doc["state"]
@@ -368,13 +374,7 @@ def parse_strategy_file(text):
     if "amplitudes" in raw_state:
         state = _parse_vector(raw_state["amplitudes"], "state.amplitudes")
     elif "density" in raw_state:
-        rows = raw_state["density"]
-        if not isinstance(rows, list) or not rows:
-            raise GameFormatError("state.density: expected a matrix")
-        state = np.array([
-            [_parse_complex(v, f"state.density[{i}][{j}]")
-             for j, v in enumerate(row)]
-            for i, row in enumerate(rows)])
+        state = _parse_rows(raw_state["density"], "state.density", "a matrix")
     else:
         raise GameFormatError(f"state: unknown form {sorted(raw_state)}")
 
@@ -384,26 +384,12 @@ def parse_strategy_file(text):
             f"measurements: expected one entry per player ({len(dims)})")
     measurements = []
     for i, per_player in enumerate(raw_meas):
-        if not isinstance(per_player, list) or not per_player:
-            raise GameFormatError(f"measurements[{i}]: expected question entries")
-        questions = []
-        for x, outcomes in enumerate(per_player):
-            if not isinstance(outcomes, list) or not outcomes:
-                raise GameFormatError(
-                    f"measurements[{i}][{x}]: expected outcome entries")
-            parsed = []
-            for o, raw in enumerate(outcomes):
-                path = f"measurements[{i}][{x}][{o}]"
-                if not isinstance(raw, list) or not raw:
-                    raise GameFormatError(f"{path}: expected a vector")
-                if _looks_like_pair(raw[0]):
-                    parsed.append(_parse_vector(raw, path))
-                else:
-                    parsed.append(np.array(
-                        [_parse_vector(v, f"{path}[{j}]")
-                         for j, v in enumerate(raw)]))
-            questions.append(parsed)
-        measurements.append(questions)
+        path = f"measurements[{i}]"
+        per_player = _nonempty_list(per_player, path, "question entries")
+        measurements.append([
+            [_parse_outcome(raw, f"{path}[{x}][{o}]") for o, raw in enumerate(
+                _nonempty_list(outcomes, f"{path}[{x}]", "outcome entries"))]
+            for x, outcomes in enumerate(per_player)])
 
     try:
         return QuantumStrategy(dims, state, measurements)
@@ -412,5 +398,4 @@ def parse_strategy_file(text):
 
 
 def load_strategy(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_strategy_file(fh.read())
+    return _load(path, parse_strategy_file)

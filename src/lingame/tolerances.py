@@ -8,6 +8,8 @@ TIE_TOL = 1e-12
 # Validation of probabilistic objects.
 BEHAVIOR_ROW_TOL = 1e-9  # |sum_a P(a|x) - 1| per behavior row
 PROJECTOR_TOL = 1e-9  # orthogonality / completeness of measurements
+STATE_TOL = 1e-9  # norm, trace, Hermiticity and eigenvalues of a state
+SANDWICH_TOL = 1e-9  # classical <= biseparable <= quantum bound in reports
 
 # Witness margin.
 WITNESS_MARGIN = 1e-9  # achieved value must beat the bound by this

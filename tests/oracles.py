@@ -36,6 +36,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   white noise mixed into a rebuilt density matrix (checks the per-player
   tensordot loop of strategy_behavior and the closed-form noise of
   noisy_success).
+* oracle_projector_check: the question-by-question projector check that
+  preceded the stacked one, one Python product per pair of outcomes
+  (checks the (questions, outcomes, d, d) check of QuantumStrategy).
 * modular_inverse_matrix: Gauss-Jordan inversion modulo a prime (checks
   the closed-form inverse Vandermonde matrix of boxworld).
 * oracle_cc_protocol / oracle_simulate_pr / oracle_reduce_to_pr /
@@ -76,9 +79,10 @@ from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
                               partial_derivative, _flatten_inputs)
 from lingame.errors import ResourceLimitError, ValidationError
 from lingame.games import DeterministicStrategy, answer_sums
-from lingame.strategies import QuantumStrategy
+from lingame.strategies import QuantumStrategy, _as_projector
 from lingame.qbounds import first_optimum
-from lingame.tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL
+from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
+                                TIE_TOL)
 from lingame.values import SeparabilityReport, fold_tables, table_digits
 
 
@@ -547,6 +551,25 @@ def oracle_noisy_success(game, strategy, visibility):
            + (1.0 - visibility) * np.eye(total) / total)
     noisy = QuantumStrategy(strategy.dims, rho, strategy.measurements())
     return oracle_success(game, oracle_behavior_table(noisy, game))
+
+
+def oracle_projector_check(dims, measurements):
+    """(player, question) pairs whose outcomes, normalized as
+    QuantumStrategy reads them, miss completeness, Hermiticity,
+    idempotence or pairwise orthogonality by more than PROJECTOR_TOL,
+    one question and one outcome pair at a time; NaN fails."""
+    bad = []
+    for i, per_player in enumerate(measurements):
+        for x, outcomes in enumerate(per_player):
+            mats = [_as_projector(raw, dims[i], "")[0] for raw in outcomes]
+            errors = [np.abs(sum(mats) - np.eye(dims[i])).max()]
+            errors += [np.abs(m - m.conj().T).max() for m in mats]
+            errors += [np.abs(m @ m - m).max() for m in mats]
+            errors += [np.abs(p @ q).max()
+                       for p, q in itertools.combinations(mats, 2)]
+            if not np.max(errors) <= PROJECTOR_TOL:
+                bad.append((i, x))
+    return bad
 
 
 def _eval_coeff_vector(coeffs, x, d):

@@ -1,7 +1,8 @@
-"""The per-player Born rule and closed-form white noise against the slow
-paths they replaced: the cell-by-cell vector contraction, the Kronecker
-product and trace, and the density matrix rebuilt around
-V * rho + (1 - V) * I / D (tests/oracles.py)."""
+"""The per-player Born rule, closed-form white noise and the stacked
+projector check against the slow paths they replaced: the cell-by-cell
+vector contraction, the Kronecker product and trace, the density matrix
+rebuilt around V * rho + (1 - V) * I / D, and the question-by-question
+projector check (tests/oracles.py)."""
 
 import itertools
 import json
@@ -13,12 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from lingame.algebra import AbelianGroup
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
-from lingame.strategies import (QuantumStrategy, ghz3_reference_strategy,
-                                noisy_success, parse_strategy_file,
-                                strategy_behavior)
+from lingame.errors import ValidationError
+from lingame.strategies import (QuantumStrategy, _as_projector,
+                                ghz3_reference_strategy, noisy_success,
+                                parse_strategy_file, strategy_behavior)
+from lingame.tolerances import PROJECTOR_TOL
 
 import ghz3_c4
-from oracles import oracle_behavior_table, oracle_noisy_success
+from oracles import (oracle_behavior_table, oracle_noisy_success,
+                     oracle_projector_check)
 
 # (group order, local dimensions, question counts): 2 and 3 players,
 # equal and unequal dimensions; d_i == |G| admits rank-one measurements.
@@ -136,3 +140,72 @@ def test_pure_state_never_forms_density(strategy, game, monkeypatch):
     monkeypatch.setattr(QuantumStrategy, "density", refuse)
     table = strategy_behavior(strategy, game).table
     assert np.abs(table - expected).max() <= 1e-12
+
+
+def _family(rng, dim, outcomes, form):
+    """A random complete family of ``outcomes`` orthogonal projectors on
+    C^dim in one of the three forms QuantumStrategy reads: rank-one
+    vectors (outcomes == dim), short lists of orthonormal vectors (2 <=
+    outcomes, so no list holds all dim vectors) or explicit matrices."""
+    gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    unitary, _ = np.linalg.qr(gauss)
+    labels = np.concatenate([np.arange(outcomes),
+                             rng.integers(0, outcomes, dim - outcomes)])
+    labels = labels[rng.permutation(dim)]
+    if form == "vectors":
+        return [unitary[:, o] for o in range(dim)]
+    if form == "lists":
+        return [unitary[:, labels == o].T.copy() for o in range(outcomes)]
+    cols = [unitary[:, labels == o] for o in range(outcomes)]
+    return [c @ c.conj().T for c in cols]
+
+
+_SHIFTS = {"small": 0.1 * PROJECTOR_TOL, "large": 10 * PROJECTOR_TOL,
+           "nan": np.nan}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_projector_check_matches_oracle_property(dims, data):
+    # Complete families in every form, then a few entries moved by 0.1x
+    # (accepted) or 10x (rejected) PROJECTOR_TOL or set to NaN (rejected):
+    # the stacked check rejects the (player, question) list of the oracle.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    measurements, forms = [], []
+    for d in dims:
+        k = data.draw(st.integers(1, d), label="outcomes")
+        allowed = ["matrices"] + ["vectors"] * (k == d) + ["lists"] * (k >= 2)
+        q = data.draw(st.integers(1, 3), label="questions")
+        row = [data.draw(st.sampled_from(allowed)) for _ in range(q)]
+        measurements.append([_family(rng, d, k, f) for f in row])
+        forms.append(row)
+    moved = set()
+    for _ in range(data.draw(st.integers(0, 3), label="shifts")):
+        i = data.draw(st.integers(0, len(dims) - 1))
+        x = data.draw(st.integers(0, len(forms[i]) - 1))
+        family = measurements[i][x]
+        raw = family[data.draw(st.integers(0, len(family) - 1))]
+        if raw.size == 0:
+            continue
+        kind = data.draw(st.sampled_from(sorted(_SHIFTS)))
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in raw.shape)
+        raw[index] = raw[index] + _SHIFTS[kind]
+        if kind != "small":
+            moved.add((i, x))
+    expected = oracle_projector_check(dims, measurements)
+    assert expected == sorted(moved)
+    state = np.zeros(math.prod(dims), dtype=complex)
+    state[0] = 1.0
+    if expected:
+        with pytest.raises(ValidationError) as err:
+            QuantumStrategy(dims, state, measurements)
+        assert f"(player, question) {expected} are not" in str(err.value)
+        return
+    strategy = QuantumStrategy(dims, state, measurements)
+    for i, (stack, d) in enumerate(zip(strategy.measurements(), dims)):
+        assert stack.shape == (len(forms[i]), len(measurements[i][0]), d, d)
+        assert not stack.flags.writeable
+        for x, family in enumerate(measurements[i]):
+            for o, raw in enumerate(family):
+                assert np.array_equal(stack[x, o],
+                                      _as_projector(raw, d, "")[0])

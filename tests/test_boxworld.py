@@ -97,6 +97,23 @@ def test_function_file_round_trip():
     assert doc["d"] == 3 and doc["arities"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "document: expected an object"),
+    ('{"d": 3, "arities": [1]}', "document: missing key(s) ['table']"),
+    ('{"d": 3, "arities": [1], "table": [0, 1, 2], "x": 0}',
+     "document: unknown key(s) ['x']"),
+    ('{"d": 3, "arities": [], "table": [0, 1, 2]}',
+     "arities: expected a non-empty array"),
+    ('{"d": 3, "arities": [1], "table": [0, 1, true]}',
+     "table[2]: expected an integer, got True"),
+], ids=["json", "object", "missing", "unknown", "arities", "table"])
+def test_function_file_error_messages(text, message):
+    with pytest.raises(GameFormatError) as err:
+        parse_function_file(text)
+    assert str(err.value) == message
+
+
 def test_function_file_rejects_bad_documents():
     with pytest.raises(GameFormatError):
         parse_function_file("[]")
@@ -153,10 +170,11 @@ def test_box_sample_rejects_bad_inputs():
 
 @pytest.mark.parametrize("inputs", [
     (1.9, 1, 1), (True, 1, 1), (1, np.float64(1), 0), (1, None, 1),
-    ("1", 1, 1), ((1.7,), 1, 1), (1, (np.True_,), 1)])
+    ("1", 1, 1), ((1.7,), 1, 1), (1, (np.True_,), 1), 5, None])
 def test_box_inputs_are_integers_or_rejected(inputs):
     # (1.9, 1, 1) used to be read as (1, 1, 1), and cc_protocol raised a
-    # bare TypeError on (1.7, 1, 1).
+    # bare TypeError on (1.7, 1, 1); the boxes and cc_protocol raised one
+    # on an input that is not a sequence, such as 5 or None.
     rng = np.random.default_rng(0)
     coeffs = interpolate_polynomial(XYZ)
     for call in (XYZ.value, FunctionalBox(XYZ).target, PRBox(3, 3).target,

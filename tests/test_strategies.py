@@ -106,6 +106,28 @@ def test_measurement_count_must_match_players():
                         [[[np.array([1, 0]), np.array([0, 1])]]])
 
 
+V0, V1 = np.array([1, 0]), np.array([0, 1])
+
+
+@pytest.mark.parametrize("family", [
+    [[V0, V1], [np.eye(2)]],  # 2 outcomes at question 0, 1 at question 1
+    [],  # no questions
+], ids=["ragged", "no_questions"])
+def test_player_needs_questions_with_one_outcome_count(family):
+    with pytest.raises(ValidationError,
+                       match=r"player 0 needs one or more questions"):
+        QuantumStrategy((2,), np.array([1, 0], dtype=complex), [family])
+
+
+def test_measurements_are_read_only_stacks():
+    strategy = ghz3_reference_strategy()
+    for stack in strategy.measurements():
+        assert stack.shape == (3, 3, 3, 3) and not stack.flags.writeable
+    assert strategy.questions(2) == 3 and strategy.outcomes(2, 1) == 3
+    assert np.array_equal(strategy.projector(1, 2, 0),
+                          strategy.measurements()[1][2, 0])
+
+
 def test_rank_two_projector_matrix_accepted():
     meas = [[[np.eye(2), np.zeros((2, 2))]]]
     QuantumStrategy((2,), np.array([0, 1], dtype=complex), meas)
@@ -330,6 +352,45 @@ def test_fixture_strategy_round_trip():
     game = mermin_ghz3_game()
     value = success_probability(game, strategy_behavior(strategy, game))
     assert abs(value - 1.0) < 1e-9
+
+
+_E0, _E1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+
+
+def _strategy_doc(**changes):
+    """A one-qubit strategy document with keys replaced, or removed when
+    None."""
+    doc = dict({"dims": [2], "state": {"amplitudes": _E0},
+                "measurements": [[[_E0, _E1]]]}, **changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+STRATEGY_FILE_ERRORS = [
+    ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "document: expected an object"),
+    (_strategy_doc(state=None), "document: missing key(s) ['state']"),
+    (_strategy_doc(extra=1), "document: unknown key(s) ['extra']"),
+    (_strategy_doc(measurements=[[]]),
+     "measurements[0]: expected question entries"),
+    (_strategy_doc(measurements=[[[_E0, _E1], [[_E0, _E1]]]]),
+     "player 0 needs one or more questions with equal outcome counts, "
+     "got outcome counts [1, 2]"),
+    # used to raise a bare TypeError, then two bare ValueErrors
+    (_strategy_doc(state={"density": [1, 2]}),
+     "state.density[0]: expected a non-empty vector"),
+    (_strategy_doc(state={"density": [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0]]]}),
+     "state.density: rows differ in length"),
+    (_strategy_doc(measurements=[[[[_E0, [[0.0, 0.0]]], _E1]]]),
+     "measurements[0][0][0]: rows differ in length"),
+]
+
+
+@pytest.mark.parametrize("text, message", STRATEGY_FILE_ERRORS,
+                         ids=[str(i) for i in range(len(STRATEGY_FILE_ERRORS))])
+def test_strategy_file_error_messages(text, message):
+    with pytest.raises(GameFormatError) as err:
+        parse_strategy_file(text)
+    assert str(err.value) == message
 
 
 def test_parse_strategy_rejects_unknown_keys():
