@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -73,7 +72,7 @@ def _emit(args, doc, human_lines):
 
 def parse_report(text):
     """Parse a --json report back into a dict (integration-test hook)."""
-    doc = json.loads(text)
+    doc = games._decode(text)
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise GameFormatError(f"not a {SCHEMA} report")
     return doc
@@ -306,11 +305,11 @@ def cmd_boxes_run(args):
     results = totals.sum(axis=1) % table.d
     correct = bool((results == expected).all())
     boxes, dits = table.d ** table.variables, table.players - 1
-    runs = [{"inputs": x, "expected": e, "boxes_used": boxes,
-             "local_outputs": t, "dits": t[1:], "dits_communicated": dits,
-             "result": r}
-            for x, e, t, r in zip(inputs.tolist(), expected.tolist(),
-                                  totals.tolist(), results.tolist())]
+    runs = games.Records({"inputs": inputs, "expected": expected,
+                          "boxes_used": np.full(args.shots, boxes),
+                          "local_outputs": totals, "dits": totals[:, 1:],
+                          "dits_communicated": np.full(args.shots, dits),
+                          "result": results})
     elapsed = time.perf_counter() - t0
     doc = {"command": "boxes run",
            "d": table.d,

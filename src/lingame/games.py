@@ -421,13 +421,18 @@ def _expect_keys(obj, required, path="document"):
         raise GameFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _decode(text):
+    """The JSON value in ``text``; invalid JSON raises GameFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GameFormatError(f"invalid JSON: {e}") from None
+
+
 def _read_document(text, keys):
     """The JSON object in ``text``, with exactly the keys ``keys``: the
     reader of the game, strategy and function file formats."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"invalid JSON: {e}") from None
+    doc = _decode(text)
     _expect_keys(doc, keys)
     return doc
 
@@ -614,18 +619,74 @@ def parse_game_file(text):
         raise GameFormatError(str(e)) from None
 
 
-def _element_json(a):
-    return a[0] if len(a) == 1 else list(a)
-
-
 def json_text(value, sort_keys=False):
     """``json.dumps(value, sort_keys=sort_keys, indent=2)`` with every float
     first rounded to 10 significant digits, in one recursive walk.  Values
-    are dicts with string keys, lists, tuples, strings, ints, floats, bools
-    and None; anything else raises TypeError."""
+    are dicts with string keys, lists, tuples, strings, ints, floats, bools,
+    None and ``Records``; anything else raises TypeError.  A ``Records``
+    table is written as the list of objects its rows make, each row's keys
+    in column order (sorted with ``sort_keys``), from one template."""
     out = []
     _write_json(value, "\n", sort_keys, out)
     return "".join(out)
+
+
+class Records:
+    """A list of JSON objects given by columns, written by ``json_text``
+    without a dict per row.  ``columns`` maps each key to a column of one
+    entry per row: an integer array of shape (rows,) (each entry an int) or
+    (rows, w) (each entry a list of w ints), or a sequence of strings.
+    Integer arrays have an integer dtype or hold Python ints in an object
+    array; other dtypes, non-string keys and non-string cells raise
+    TypeError, and no columns, columns of unequal length or of another
+    shape raise ValueError."""
+
+    def __init__(self, columns):
+        self._columns = {}  # key: 1-D (one value per row) or 2-D array
+        for key, column in columns.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            if not isinstance(column, np.ndarray):
+                column = np.array([encode_basestring_ascii(v) for v in column],
+                                  dtype=object)
+            elif not (column.dtype.kind in "iu" or (
+                    column.dtype == object
+                    and all(type(v) is int for v in column.flat))):
+                raise TypeError(f"column {key!r}: expected integers, got "
+                                f"dtype {column.dtype}")
+            elif column.ndim not in (1, 2):
+                raise ValueError(f"column {key!r}: expected 1 or 2 "
+                                 f"dimensions, got shape {column.shape}")
+            self._columns[key] = column
+        lengths = {len(column) for column in self._columns.values()}
+        if len(lengths) != 1:
+            raise ValueError(f"expected columns of one length, got lengths "
+                             f"{sorted(lengths)}")
+        (self.rows,) = lengths
+
+    def _text(self, newline, sort_keys):
+        """The table at indent ``newline``: one row template with a %s per
+        int or string, repeated and filled from every cell at once."""
+        if not self.rows:
+            return "[]"
+        inner, field = newline + "  ", newline + "    "
+        parts, cells = [], []
+        for key, column in (sorted(self._columns.items()) if sort_keys
+                            else self._columns.items()):
+            head = f"{field}{encode_basestring_ascii(key).replace('%', '%%')}: "
+            if column.ndim == 1:
+                parts.append(head + "%s")
+                column = column[:, None]
+            elif column.shape[1]:
+                items = ",".join([field + "  %s"] * column.shape[1])
+                parts.append(f"{head}[{items}{field}]")
+            else:
+                parts.append(head + "[]")
+            cells.append(column)
+        row = "{" + ",".join(parts) + inner + "}"
+        values = np.concatenate(cells, axis=1, dtype=object).ravel().tolist()
+        return (f"[{inner}{(row + ',' + inner) * (self.rows - 1)}{row}"
+                f"{newline}]") % tuple(values)
 
 
 def _float_text(value):
@@ -671,6 +732,8 @@ def _write_json(value, newline, sort_keys, out):
             _write_json(item, inner, sort_keys, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, Records):
+        out.append(value._text(newline, sort_keys))
     else:
         # subclasses: an int enum is written as its int, numpy's float64
         # as its rounded float
@@ -690,18 +753,20 @@ def _game_document(game):
     if game.is_uniform:
         dist_doc = "uniform"
     else:
-        dist_doc = {"table": [
-            {"x": x, "p": f"{p.numerator}/{p.denominator}"}
-            for x, p in zip(game.grid.tolist(), game.distribution) if p > 0]}
+        dist_doc = {"table": Records({
+            "x": game.grid[game.weights > 0],
+            "p": [f"{p.numerator}/{p.denominator}"
+                  for p in game.distribution if p]})}
 
+    # f is an int for a one-factor group, else a list
+    residues = (game.residues[:, 0] if len(game.group.orders) == 1
+                else game.residues)
     return {
         "players": game.players,
         "questions": list(game.question_counts),
         "group": group_doc,
         "distribution": dist_doc,
-        "predicate": {"table": [
-            {"x": x, "f": _element_json(a)}
-            for x, a in zip(game.grid.tolist(), game.predicate)]},
+        "predicate": {"table": Records({"x": game.grid, "f": residues})},
     }
 
 

@@ -45,6 +45,16 @@ def _as_projector(raw, dim, where):
         f"(expected a vector, a short vector list, or a {dim}x{dim} matrix)")
 
 
+def _items(raw, where, what):
+    """``list(raw)``; a ValidationError naming ``where`` when ``raw`` is
+    not a sequence."""
+    try:
+        return list(raw)
+    except TypeError:
+        raise ValidationError(
+            f"{where}: expected {what}, got {raw!r}") from None
+
+
 def _family_errors(stack):
     """Largest deviation, per question, of a (questions, outcomes, d, d)
     stack from a complete family of orthogonal projectors: of sum_a P_a from
@@ -105,15 +115,21 @@ class QuantumStrategy:
         else:
             raise ValidationError("state must be a vector or a density matrix")
 
+        measurements = _items(measurements, "measurements",
+                              "one family per player")
         if len(measurements) != len(self.dims):
             raise ValidationError(
                 f"{len(measurements)} measurement families for "
                 f"{len(self.dims)} players")
         self._projectors, self._vectors, bad = [], [], []
         for i, (per_player, d) in enumerate(zip(measurements, self.dims)):
+            questions = _items(per_player, f"player {i}",
+                               "a list of questions")
             pairs = [[_as_projector(raw, d, f"measurement[{i}][{x}][{o}]")
-                      for o, raw in enumerate(outcomes)]
-                     for x, outcomes in enumerate(per_player)]
+                      for o, raw in enumerate(_items(
+                          outcomes, f"(player, question) {(i, x)}",
+                          "a list of outcomes"))]
+                     for x, outcomes in enumerate(questions)]
             counts = sorted({len(row) for row in pairs})
             if len(counts) != 1:
                 raise ValidationError(

@@ -53,6 +53,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_round_floats: the float rounding pass that ran before
   json.dumps in the CLI (with json.dumps, checks games.json_text, the one
   writer of reports, game files and function files).
+* oracle_game_document: the game document built one dict per question
+  (with json.dumps, checks serialize_game and game_hash, whose tables
+  json_text writes from columns).
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
@@ -594,6 +597,31 @@ def oracle_round_floats(value):
     if isinstance(value, (list, tuple)):
         return [oracle_round_floats(v) for v in value]
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def oracle_game_document(game):
+    """The document of serialize_game with one dict per question: x as a
+    list, f as an int for a one-factor group and a list otherwise, p as
+    "num/den" on the support only."""
+    if game.field is not None:
+        group_doc = {"field": {"p": game.field.p, "r": game.field.r}}
+    else:
+        group_doc = {"cyclic": list(game.group.orders)}
+    if game.is_uniform:
+        dist_doc = "uniform"
+    else:
+        dist_doc = {"table": [
+            {"x": x, "p": f"{p.numerator}/{p.denominator}"}
+            for x, p in zip(game.grid.tolist(), game.distribution) if p > 0]}
+    return {
+        "players": game.players,
+        "questions": list(game.question_counts),
+        "group": group_doc,
+        "distribution": dist_doc,
+        "predicate": {"table": [
+            {"x": x, "f": a[0] if len(a) == 1 else list(a)}
+            for x, a in zip(game.grid.tolist(), game.predicate)]},
+    }
 
 
 def oracle_cc_protocol(table, inputs, rng):

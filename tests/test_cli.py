@@ -328,6 +328,9 @@ def test_parse_report_rejects_foreign_json():
         cli.parse_report(json.dumps({"schema": "other/9"}))
     with pytest.raises(GameFormatError):
         cli.parse_report("[1, 2, 3]")
+    for text in ("", "{", "not json"):
+        with pytest.raises(GameFormatError, match="invalid JSON"):
+            cli.parse_report(text)
 
 
 def test_module_entry_point():

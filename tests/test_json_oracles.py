@@ -1,10 +1,13 @@
 """The one JSON writer, games.json_text, against the standard library it
 replaced (tests/oracles.py): on any document it writes the bytes of
-json.dumps(..., indent=2) after the float rounding pass, and the game and
-function files it writes are the indented dumps of their documents."""
+json.dumps(..., indent=2) after the float rounding pass, a records table
+given by columns as the dump of its rows' dicts, and the game and function
+files it writes are the indented dumps of their documents."""
 
+import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingame import games
+from lingame.algebra import AbelianGroup
 from lingame.boxworld import load_function, serialize_function
-from lingame.games import (chsh_game, json_text, load_game, mermin_ghz3_game,
-                           serialize_game)
+from lingame.games import (Records, chsh_game, game_hash, json_text, load_game,
+                           make_game, mermin_ghz3_game, serialize_game)
 
-from oracles import oracle_round_floats
+from oracles import oracle_game_document, oracle_round_floats
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 _TEXT = (st.text(max_size=8)
          | st.sampled_from(["", "é", " ", "\x00\x1f\x7f", '"\\/',
-                            "\ud800", "\U0001f600", "Z3xZ3"]))
+                            "\ud800", "\U0001f600", "Z3xZ3", "%s", "50%"]))
 _SCALARS = (st.none() | st.booleans()
             | st.integers(-2**80, 2**80)
             | st.floats(allow_nan=True, allow_infinity=True)
@@ -62,19 +66,143 @@ def test_writer_takes_string_keys_only(doc):
         json_text(doc, sort_keys=True)
 
 
+# (dtype, ints) of an integer column: object arrays hold ints beyond int64
+_INT_KINDS = st.sampled_from([
+    (np.int64, st.integers(-2**63, 2**63 - 1)),
+    (np.uint8, st.integers(0, 255)),
+    (object, st.integers(-2**80, 2**80))])
+
+
+@st.composite
+def records(draw):
+    """(Records, the list of dicts it stands for): 0 to 4 rows, 1 to 4
+    columns, each an int, a list of 0 to 4 ints or a string per row."""
+    rows = draw(st.integers(0, 4))
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    columns, dicts = {}, [{} for _ in range(rows)]
+    for key in keys:
+        kind = draw(st.sampled_from(["int", "list", "str"]))
+        if kind == "str":
+            values = draw(st.lists(_TEXT, min_size=rows, max_size=rows))
+            columns[key] = values
+        else:
+            dtype, ints = draw(_INT_KINDS)
+            shape = ((rows,) if kind == "int"
+                     else (rows, draw(st.integers(0, 4))))
+            flat = draw(st.lists(ints, min_size=math.prod(shape),
+                                 max_size=math.prod(shape)))
+            column = np.empty(len(flat), dtype=dtype)
+            column[:] = flat
+            columns[key] = column.reshape(shape)
+            values = columns[key].tolist()
+        for row, value in zip(dicts, values):
+            row[key] = value
+    return Records(columns), dicts
+
+
+@st.composite
+def placed_records(draw):
+    """(document, its json.dumps-ready copy): a records table at top
+    level or nested up to two levels in dicts and lists beside other
+    values."""
+    doc, plain = draw(records())
+    for _ in range(draw(st.integers(0, 2))):
+        sibling = draw(_DOCS)
+        if draw(st.booleans()):
+            key, other = draw(st.lists(_TEXT, min_size=2, max_size=2,
+                                       unique=True))
+            doc, plain = ({key: doc, other: sibling},
+                          {key: plain, other: oracle_round_floats(sibling)})
+        else:
+            doc, plain = [sibling, doc], [oracle_round_floats(sibling), plain]
+    return doc, plain
+
+
+@SETTINGS
+@given(placed_records(), st.booleans())
+def test_records_are_written_as_the_dump_of_their_rows(placed, sort_keys):
+    doc, plain = placed
+    assert json_text(doc, sort_keys) == json.dumps(plain, sort_keys=sort_keys,
+                                                   indent=2)
+
+
+@pytest.mark.parametrize("columns, error", [
+    ({"a": np.array([True, False])}, TypeError),
+    ({"a": np.array([1.0, 2.0])}, TypeError),
+    ({"a": np.array([[0.5]])}, TypeError),
+    ({"a": np.array([1, True], dtype=object)}, TypeError),
+    ({"a": np.array([1, np.int64(2)], dtype=object)}, TypeError),
+    ({"a": ["x", 5]}, TypeError),
+    ({1: np.arange(2)}, TypeError),
+    ({"a": np.arange(2), "b": np.arange(3)}, ValueError),
+    ({"a": np.zeros((2, 1), dtype=int), "b": ["x"]}, ValueError),
+    ({"a": np.zeros((2, 2, 2), dtype=int)}, ValueError),
+    ({"a": np.array(3)}, ValueError),
+    ({}, ValueError),
+], ids=["bool", "float", "float_2d", "object_bool", "object_numpy_int",
+        "non_string", "int_key", "unequal", "unequal_strings", "3d", "0d",
+        "no_columns"])
+def test_records_reject_other_columns(columns, error):
+    with pytest.raises(error):
+        Records(columns)
+
+
+def _zero_weight_game():
+    z3 = AbelianGroup((3,))
+    return make_game(z3, (2, 3), [(v,) for v in (2, 0, 1, 1, 2, 0)],
+                     distribution=[Fraction(1, 4), 0, Fraction(1, 6),
+                                   Fraction(5, 12), 0, Fraction(1, 6)])
+
+
+def _den_2_80_game(group, f_index):
+    """A non-uniform game whose weights are Python ints beyond int64."""
+    den = 2**80
+    weights = [5, den - 17, 0, 3, 1, 0, 2, 6]
+    return make_game(group, (2, 2, 2), [group.element(i) for i in f_index],
+                     distribution=[Fraction(w, den) for w in weights])
+
+
 CHSH_GRID = [(n, d) for n in (2, 3, 4) for d in (2, 3, 4, 5) if d**n <= 625]
+# game_hash of each game at the commit before its tables were written from
+# columns, when json.dumps wrote one dict per question
+PINNED_HASHES = {
+    "chsh22.game": "1a471cad95aecaa375ac7ac6358cc7640892e36b9eb0e66f34acccd656802280",
+    "ghz3.game": "aeddc8a993ea8fc8bb2753a02ed8a006379632f3e666973e6f5d9533aee823f6",
+    "chsh(3,4)": "d804b2b608a1290d0829037d4a28e6d6c2baf6393fa35a3ed2a99a777335d579",
+    "zero_weights": "cb414661a85c441a482cbc3af2645703d80da9c2e2684fe4b3eebf378b88161d",
+    "den_2^80_z3": "5160dbdabd19bbdbefe97fc223c6b922e14355b3c425839b7cb33753f1be0c24",
+    "den_2^80_z2xz2": "a29211c02a5e6552f9bc38b17dce7830281ecd6bb04df751b59828a6c5439149",
+}
+GAMES = {
+    **{f"chsh({n},{d})": chsh_game(n, d) for n, d in CHSH_GRID},
+    "mermin_ghz3": mermin_ghz3_game(),
+    "chsh22.game": load_game(FIXTURES / "chsh22.game"),
+    "ghz3.game": load_game(FIXTURES / "ghz3.game"),
+    "zero_weights": _zero_weight_game(),
+    "den_2^80_z3": _den_2_80_game(AbelianGroup((3,)),
+                                  (1, 0, 0, 0, 0, 0, 0, 0)),
+    "den_2^80_z2xz2": _den_2_80_game(AbelianGroup((2, 2)),
+                                     (1, 0, 3, 0, 3, 3, 0, 3)),
+}
 
 
-@pytest.mark.parametrize("game", [
-    *(chsh_game(n, d) for n, d in CHSH_GRID),
-    mermin_ghz3_game(), load_game(FIXTURES / "chsh22.game"),
-    load_game(FIXTURES / "ghz3.game")],
-    ids=[*(f"chsh({n},{d})" for n, d in CHSH_GRID), "mermin_ghz3",
-         "chsh22.game", "ghz3.game"])
+@pytest.mark.parametrize("game", GAMES.values(), ids=GAMES.keys())
 def test_game_files_are_the_indented_dump(game):
-    # serialize_game pins every game_hash
+    # serialize_game pins every game_hash; its tables are written from
+    # columns, the oracle's one dict per question
     assert serialize_game(game) == json.dumps(
-        games._game_document(game), indent=2) + "\n"
+        oracle_game_document(game), indent=2) + "\n"
+    document = games._game_document(game)
+    assert isinstance(document["predicate"]["table"], Records)
+
+
+@pytest.mark.parametrize("name", PINNED_HASHES)
+def test_game_hashes_are_pinned(name):
+    game = GAMES[name]
+    assert game_hash(game) == PINNED_HASHES[name]
+    assert game_hash(game) == hashlib.sha256(
+        (json.dumps(oracle_game_document(game), indent=2) + "\n").encode()
+    ).hexdigest()
 
 
 def test_function_files_are_the_indented_dump():

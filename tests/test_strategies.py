@@ -106,6 +106,17 @@ def test_measurement_count_must_match_players():
                         [[[np.array([1, 0]), np.array([0, 1])]]])
 
 
+@pytest.mark.parametrize("measurements, where", [
+    ([[5]], r"\(player, question\) \(0, 0\): expected a list of outcomes, "
+            r"got 5"),
+    ([5], r"player 0: expected a list of questions, got 5"),
+    (5, r"measurements: expected one family per player, got 5"),
+], ids=["outcomes", "questions", "families"])
+def test_non_sequence_measurements_rejected(measurements, where):
+    with pytest.raises(ValidationError, match=where):
+        QuantumStrategy((2,), [1, 0], measurements)
+
+
 V0, V1 = np.array([1, 0]), np.array([0, 1])
 
 

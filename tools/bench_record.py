@@ -20,8 +20,10 @@ the near-cap games chsh(3,5), chsh(4,4) and chsh(6,3), of
 ``biseparable_bound_partition`` on chsh(3,7) with lone player 0, of
 building chsh(6,7) with ``chsh_game``, of ``strategy_behavior`` on
 chsh(4,4) and chsh(5,3) (a pure state and rank-one bases drawn from
-``default_rng(0)``) and of ``game_hash`` on chsh(6,3); the last three
-time the mean of 20 calls.  A sample is the best of three such timings
+``default_rng(0)``), of ``game_hash`` on chsh(6,3) and of the in-process
+``lingame boxes run fixtures/xyz.function --shots 200 --seed 1 --json``
+call (``cli.main`` with stdout captured); the last four time the mean of
+20 calls.  A sample is the best of three such timings
 in a fresh single-threaded interpreter.  Each row takes five samples per
 label, the labels alternating sample by sample, and keeps every sample
 and, per label, their median: fresh interpreters spread by about 20%,
@@ -50,22 +52,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1, 11))
-# (call, players, outcomes) of each scale row; the game is chsh(players,
-# outcomes), the biseparable search takes lone player 0, and the
-# chsh_game row times building the game itself.
-SCALE_ROWS = (("classical_value", 3, 5), ("classical_value", 4, 4),
-              ("classical_value", 6, 3), ("biseparable_bound_partition", 3, 7),
-              ("chsh_game", 6, 7), ("strategy_behavior", 4, 4),
-              ("strategy_behavior", 5, 3), ("game_hash", 6, 3))
+# (name, call, players, outcomes) of each scale row; the game is
+# chsh(players, outcomes), the biseparable search takes lone player 0, and
+# the chsh_game row times building the game itself.  The boxes_run row
+# takes no game: it times the CLI call on fixtures/xyz.function.
+SCALE_ROWS = (
+    ("classical_value chsh(3,5)", "classical_value", 3, 5),
+    ("classical_value chsh(4,4)", "classical_value", 4, 4),
+    ("classical_value chsh(6,3)", "classical_value", 6, 3),
+    ("biseparable_bound_partition chsh(3,7) lone 0",
+     "biseparable_bound_partition", 3, 7),
+    ("chsh_game chsh(6,7)", "chsh_game", 6, 7),
+    ("strategy_behavior chsh(4,4)", "strategy_behavior", 4, 4),
+    ("strategy_behavior chsh(5,3)", "strategy_behavior", 5, 3),
+    ("game_hash chsh(6,3)", "game_hash", 6, 3),
+    ("boxes_run xyz.function --shots 200", "boxes_run"))
 SCALE_SAMPLES = 5  # fresh interpreters per label and scale row
 _SCALE_SCRIPT = """
-import sys, time
+import contextlib, io, sys, time
 import numpy as np
-from lingame import diew, strategies, values
+from lingame import cli, diew, strategies, values
 from lingame.games import chsh_game, game_hash
-shape = int(sys.argv[2]), int(sys.argv[3])
+shape = tuple(map(int, sys.argv[2:]))
 repeats = 1
-if sys.argv[1] == "chsh_game":
+if sys.argv[1] == "boxes_run":
+    argv = ["boxes", "run", "fixtures/xyz.function", "--shots", "200",
+            "--seed", "1", "--json"]
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    repeats = 20  # a call takes milliseconds: time the mean of 20
+elif sys.argv[1] == "chsh_game":
     call = lambda: chsh_game(*shape)
 elif sys.argv[1] == "game_hash":
     game = chsh_game(*shape)
@@ -133,17 +150,17 @@ def _run_once(checkout, workload, seed, seconds, cache_root):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _scale_once(checkout, call, players, d, cache_root):
+def _scale_once(checkout, name, call, shape, cache_root):
     env = _env(cache_root, PYTHONPATH=str(checkout / "src"),
                **{k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")})
     proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, call,
-                           str(players), str(d)], cwd=checkout, env=env,
+                           *map(str, shape)], cwd=checkout, env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"timing {call} chsh({players},{d}) in {checkout} "
-                         f"exited with {proc.returncode}")
+        raise SystemExit(f"timing {name} in {checkout} exited with "
+                         f"{proc.returncode}")
     return float(proc.stdout)
 
 
@@ -209,14 +226,11 @@ def main(argv=None):
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache_root:
-        for call, players, d in SCALE_ROWS:
-            name = f"{call} chsh({players},{d})"
-            if call == "biseparable_bound_partition":
-                name += " lone 0"
+        for name, call, *shape in SCALE_ROWS:
             for i in range(SCALE_SAMPLES):
                 for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
                     scale_runs[label].setdefault(name, []).append(
-                        _scale_once(checkout, call, players, d, cache_root))
+                        _scale_once(checkout, name, call, shape, cache_root))
             for label, _ in runs:
                 scale[label][name] = statistics.median(scale_runs[label][name])
                 print(f"{label:>8} {name}: {scale[label][name]:.4g} s",
