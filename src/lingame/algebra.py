@@ -23,10 +23,21 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+class CharacterPairs(NamedTuple):
+    """The nontrivial characters of a group by conjugate pairs; see
+    ``AbelianGroup.character_pairs``."""
+
+    reps: np.ndarray
+    real: int
+    slot: np.ndarray
+    table: np.ndarray
 
 
 class AbelianGroup:
@@ -109,6 +120,31 @@ class AbelianGroup:
             table.setflags(write=False)
             self._char_table = table
         return self._char_table
+
+    @cached_property
+    def character_pairs(self):
+        """The nontrivial characters, one per conjugate pair {k, -k}.
+
+        ``reps`` are the element indices of the representatives: first
+        every real character (k = -k), then the first member of each
+        complex pair, in enumeration order; ``real`` counts the real ones.
+        ``slot[i]`` is the position in ``reps`` of the representative of
+        the nontrivial character i + 1, and ``table`` holds the
+        representatives' rows of ``character_table``, the real ones with
+        their imaginary parts set to 0.  Since p(x) is real, the game
+        matrix of -k is the conjugate of that of k, with the same norm."""
+        residues = -np.array(self._elements) % self.orders
+        neg = np.ravel_multi_index(residues.T, self.orders)  # index of -k
+        ks = np.arange(1, self.size)
+        real = ks[neg[ks] == ks]
+        reps = np.concatenate([real, ks[neg[ks] > ks]])
+        slot = np.empty(self.size, dtype=np.intp)
+        slot[reps] = slot[neg[reps]] = np.arange(len(reps))
+        table = self.character_table()[reps]
+        table[:len(real)] = table[:len(real)].real
+        for a in (reps, slot, table):
+            a.setflags(write=False)
+        return CharacterPairs(reps, len(real), slot[1:], table)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders

@@ -16,7 +16,9 @@ genuine tripartite entanglement from statistics alone.
 The tables c are enumerated by the histogram fold of the exact values
 (``values.fold_tables``), with its order, cap and blocks: a block holds,
 for each of its tables, F_c[s] = the weight of f(x) - c(x_X) = s over the
-pair's questions, and Phi_k^B(c) = sum_s chi_k(s) F_c[s] / den.
+pair's questions, and Phi_k^B(c) = sum_s chi_k(s) F_c[s] / den.  As in
+``qbounds``, the sum is taken for one representative k of each conjugate
+pair {k, -k} only: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 from . import games, strategies
 from .errors import NoThresholdError, ValidationError
 from .games import answer_sums
-from .linalg import max_singular_value
-from .qbounds import first_optimum
+from .qbounds import character_norms, character_slice, first_optimum
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
 from .values import fold_tables, table_digits
 
@@ -52,10 +53,11 @@ def _check_lone(lone):
 
 def _pair_matrices(game, lone, block):
     """Phi_k^B(c_t)[x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den
-    at [k, t, x_i, x_j], for every nontrivial k and every table t of a
-    block F of ``values.fold_tables``; i < j is the pair."""
+    at [k, t, x_i, x_j], for every representative k of
+    ``character_pairs`` and every table t of a block F of
+    ``values.fold_tables``; i < j is the pair."""
     g, tables, _ = block.shape
-    chi = game.group.character_table()[1:]
+    chi = game.group.character_pairs.table
     # complex @ complex runs in BLAS; complex @ float does not.
     b = chi @ np.asarray(block.reshape(g, -1) / game.den, dtype=complex)
     return b.reshape((len(chi), tables) + tuple(
@@ -80,8 +82,8 @@ def biseparable_matrix(game, lone, k, assignment):
     shift = answer_sums(game.group, 2).reshape(g, g)  # index of s + c at [c, s]
     hist = np.moveaxis(game.histogram, [3, lone], [0, 1])
     f = hist[shift[assignment], np.arange(len(assignment))[:, None]].sum(axis=0)
-    b = _pair_matrices(game, lone, f.reshape(g, 1, -1))
-    return b[game.group.index(k) - 1, 0]
+    return character_slice(_pair_matrices(game, lone, f.reshape(g, 1, -1))[:, 0],
+                           game.group, k)
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,13 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     first table within TIE_TOL of the maximum is reported, with the
     maximum as its raw bound.
 
-    Each block of the fold gives every Phi_k^B(c) of its tables by one
-    character sum and their norms by one batched SVD.  Adding t to every
-    lone answer multiplies each Phi_k^B(c) by the phase conj chi_k(t) and
-    leaves its norm unchanged, so only the tables answering the identity
-    on question 0 are searched: the first of every shift class, and so
-    the first optimum.  ``cap`` bounds the unreduced count |G|^Q_lone."""
+    Each block of the fold gives the Phi_k^B(c) of its tables by one
+    character sum, and their norms by ``qbounds.character_norms``.  Adding
+    t to every lone answer multiplies each Phi_k^B(c) by the phase
+    conj chi_k(t) and leaves its norm unchanged, so only the tables
+    answering the identity on question 0 are searched: the first of every
+    shift class, and so the first optimum.  ``cap`` bounds the unreduced
+    count |G|^Q_lone."""
     _check_tripartite(game)
     _check_lone(lone)
     g = game.group.size
@@ -131,7 +134,7 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     tables = g ** (game.question_counts[lone] - 1)
     records, top, start = [], -math.inf, 0
     for block in fold_tables(game, (lone,), cap):
-        sigma = max_singular_value(_pair_matrices(game, lone, block))
+        sigma = character_norms(_pair_matrices(game, lone, block), game.group)
         # Summed as numpy sums the norms of all tables at once: row by row,
         # or pairwise for the one column of a lone table.
         total = reduce(np.add, sigma) if tables > 1 else sigma.sum(axis=0)

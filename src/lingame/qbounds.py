@@ -13,6 +13,12 @@ side.  Quantum strategies obey
 with ||.|| the largest singular value, so the right-hand side minimized
 over the 2^(n-1) - 1 inequivalent bipartitions is a certified upper
 bound on every quantum (hence every classical) strategy.
+
+Since p(x) is real and conj chi_k = chi_{-k}, Phi_{-k}^S = conj Phi_k^S
+has the norm of Phi_k^S, and Phi_k^S is real when k = -k.  So one matrix
+is built per conjugate pair {k, -k} (``AbelianGroup.character_pairs``),
+the real ones go through a real SVD, and ``character_norms`` expands the
+norms back to every nontrivial k.
 """
 
 from __future__ import annotations
@@ -48,13 +54,40 @@ def game_tensor(game):
 
         A[k, x_1, ..., x_n] = p(x) * chi_k(f(x)),
 
-    one slice per nontrivial character k in group enumeration order (the
-    identity, which comes first, is left out).  Every game matrix, for a
-    bipartition or for a lone player's fixed answers, is a reshape or a
-    contraction of A."""
-    chi = game.group.character_table()[1:]
+    one slice per representative k of a conjugate pair of nontrivial
+    characters, in the order of ``character_pairs.reps``: the real
+    characters first, whose slices have imaginary part 0.  Every game
+    matrix, for a bipartition or for a lone player's fixed answers, is a
+    reshape or a contraction of A, or the conjugate of one."""
+    chi = game.group.character_pairs.table
     a = game.probabilities_float() * chi[:, game.predicate_indices()]
     return a.reshape((len(chi),) + game.question_counts)
+
+
+def character_norms(stack, group):
+    """The norms of a stack of game matrices, one per representative along
+    axis 0 as in ``game_tensor``, expanded to all |G| - 1 nontrivial
+    characters in enumeration order (k and -k get the same norm): one
+    real SVD call for the real representatives and one complex call for
+    the others."""
+    _, real, slot, _ = group.character_pairs
+    if real == len(stack):
+        sigma = max_singular_value(stack.real)
+    elif not real:
+        sigma = max_singular_value(stack)
+    else:
+        sigma = np.concatenate([max_singular_value(stack[:real].real),
+                                max_singular_value(stack[real:])])
+    return sigma[slot]
+
+
+def character_slice(stack, group, k):
+    """The matrix of the nontrivial character k from a stack with one per
+    representative along axis 0: its representative's, conjugated when k
+    is the other member of the pair."""
+    pairs, i = group.character_pairs, group.index(k)
+    m = stack[pairs.slot[i - 1]]
+    return m if pairs.reps[pairs.slot[i - 1]] == i else m.conj()
 
 
 def first_optimum(raws, largest):
@@ -66,7 +99,8 @@ def first_optimum(raws, largest):
 
 
 def _bipartition_stack(tensor, game, s):
-    """The matrices Phi_k^S for every nontrivial k, stacked along axis 0."""
+    """The matrices Phi_k^S for every representative k, stacked along
+    axis 0."""
     comp = tuple(i for i in range(game.players) if i not in s)
     rows = math.prod(game.question_counts[i] for i in s)
     axes = (0,) + tuple(1 + i for i in s + comp)
@@ -81,12 +115,13 @@ def game_matrix(game, s_players, k):
     if k == game.group.identity:
         raise ValidationError(
             "the trivial character carries no game information; use k != e")
-    return _bipartition_stack(game_tensor(game), game, s)[game.group.index(k) - 1]
+    return character_slice(_bipartition_stack(game_tensor(game), game, s),
+                           game.group, k)
 
 
 def _partition_bound(tensor, game, s):
-    norms = dict(zip(game.group.elements()[1:],
-                     max_singular_value(_bipartition_stack(tensor, game, s)).tolist()))
+    norms = dict(zip(game.group.elements()[1:], character_norms(
+        _bipartition_stack(tensor, game, s), game.group).tolist()))
     scale = math.sqrt(math.prod(game.question_counts))
     raw = (1.0 + scale * sum(norms.values())) / game.group.size
     return PartitionBound(players=s, norms=norms, raw=raw, value=min(raw, 1.0))

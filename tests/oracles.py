@@ -9,10 +9,16 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   entry by entry, one Jacobi norm per matrix, and a Python loop over every
   partition and every lone-player assignment (checks the game tensor and
   the batched contraction in qbounds and diew).
+* oracle_game_tensor / oracle_kernel_norms / oracle_bipartition_norms /
+  oracle_pair_norms: the spectral kernel before conjugate pairs, one
+  tensor slice and one complex SVD per nontrivial character (checks
+  qbounds.character_norms, its one norm per pair {k, -k} and its real SVD
+  for k = -k, on bipartitions and on the lone-player pair matrices).
 * oracle_biseparable_search: the fold search for one split that kept the
   norms of every table and read the winner's column at the end (checks
   that the search keeping only the tables near the running maximum
-  reports the same partition, bit for bit).
+  reports the same partition, bit for bit; both read their norms from
+  diew.character_norms).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -75,7 +81,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lingame import diew
+from lingame import diew, qbounds
 from lingame.algebra import AbelianGroup
 from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
                               box_sample, interpolate_polynomial,
@@ -176,6 +182,38 @@ def oracle_game_matrix(game, s_players, k):
     return out
 
 
+def oracle_game_tensor(game):
+    """The character-weighted tensor as the spectral kernel built it before
+    conjugate pairs: A[k, x] = p(x) chi_k(f(x)) for every nontrivial k in
+    group order, from the exp-built character table."""
+    chi = game.group.character_table()[1:]
+    a = game.probabilities_float() * chi[:, game.predicate_indices()]
+    return a.reshape((len(chi),) + game.question_counts)
+
+
+def oracle_kernel_norms(stack):
+    """One complex SVD per character: the largest singular value of each
+    matrix of a stack (k, ..., r, c), whatever pairs the characters form."""
+    return np.array([np.linalg.svd(np.asarray(m, dtype=complex),
+                                   compute_uv=False)[..., 0] for m in stack])
+
+
+def oracle_bipartition_norms(game, s):
+    """||Phi_k^S|| for every nontrivial k, one complex SVD each."""
+    return oracle_kernel_norms(
+        qbounds._bipartition_stack(oracle_game_tensor(game), game, s))
+
+
+def oracle_pair_norms(game, lone, block):
+    """||Phi_k^B(c)|| at [k, t] for every nontrivial k and every table t of
+    a block of ``values.fold_tables``, one complex SVD per character."""
+    g, tables, _ = block.shape
+    chi = game.group.character_table()[1:]
+    b = chi @ np.asarray(block.reshape(g, -1) / game.den, dtype=complex)
+    return oracle_kernel_norms(b.reshape((g - 1, tables) + tuple(
+        q for i, q in enumerate(game.question_counts) if i != lone)))
+
+
 def oracle_quantum_bound(game):
     """(raw bound, best partition) over every bipartition containing
     player 0, in the order of their player bitmasks."""
@@ -238,15 +276,15 @@ def oracle_biseparable_bound(game):
 def oracle_biseparable_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """The histogram-fold search for one split as it was when it kept the
     norms of every table in one (|G|-1, tables) array and read the
-    winner's column at the end; norms go through diew.max_singular_value,
+    winner's column at the end; norms go through diew.character_norms,
     so a test may script them for both searches."""
     g = game.group.size
     sigma = np.empty((g - 1, g ** (game.question_counts[lone] - 1)))
     start = 0
     for block in fold_tables(game, (lone,), cap):
         tables = block.shape[1]
-        sigma[:, start:start + tables] = diew.max_singular_value(
-            diew._pair_matrices(game, lone, block))
+        sigma[:, start:start + tables] = diew.character_norms(
+            diew._pair_matrices(game, lone, block), game.group)
         start += tables
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     raws = (1.0 + factor * sigma.sum(axis=0)) / g

@@ -127,6 +127,29 @@ def test_character_table_matches_pointwise():
                 assert table[i, j] == g.character(k, a), (g, k, a)
 
 
+def test_character_pairs():
+    """One representative per pair {k, -k}, the real characters first, and
+    every nontrivial character mapped to its representative's slot."""
+    z4 = AbelianGroup([4]).character_pairs
+    assert (z4.reps.tolist(), z4.real, z4.slot.tolist()) == ([2, 1], 1, [1, 0, 1])
+    for g in GROUPS + [AbelianGroup([4, 6]), AbelianGroup([2, 2, 2])]:
+        pairs, table = g.character_pairs, g.character_table()
+        ks = g.elements()
+        neg = [g.index(g.neg(k)) for k in ks]
+        real = [i for i in range(1, g.size) if neg[i] == i]
+        assert pairs.reps.tolist() == real + [i for i in range(1, g.size)
+                                              if neg[i] > i]
+        assert pairs.real == len(real)
+        for i in range(1, g.size):
+            assert pairs.reps[pairs.slot[i - 1]] in (i, neg[i])
+        assert np.array_equal(pairs.table[pairs.real:],
+                              table[pairs.reps[pairs.real:]])
+        assert np.array_equal(pairs.table[:pairs.real],
+                              table[real].real.astype(complex))
+        assert set(pairs.table[:pairs.real].real.ravel()) <= {-1.0, 1.0}
+        assert not pairs.table.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Fields
 

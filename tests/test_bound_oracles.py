@@ -1,8 +1,10 @@
 """The game tensor and the histogram fold of the biseparable search
 against the slow path they replaced: entry-by-entry game matrices, Jacobi
-norms, and a Python loop over every partition and lone-player assignment
-(tests/oracles.py)."""
+norms, and a Python loop over every partition and lone-player assignment;
+and the norms of one matrix per conjugate pair of characters against the
+kernel that took one complex SVD per character (tests/oracles.py)."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -11,17 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lingame import diew, values
+from lingame import diew, qbounds, values
 from lingame.algebra import AbelianGroup
 from lingame.diew import (biseparable_bound, biseparable_bound_partition,
                           biseparable_matrix)
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
-from lingame.qbounds import quantum_bound
+from lingame.linalg import max_singular_value
+from lingame.qbounds import (character_norms, game_matrix, game_tensor,
+                             quantum_bound)
 from lingame.tolerances import TIE_TOL
 
 from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
-                     oracle_biseparable_search, oracle_max_singular_value,
-                     oracle_quantum_bound)
+                     oracle_biseparable_search, oracle_bipartition_norms,
+                     oracle_game_matrix, oracle_max_singular_value,
+                     oracle_pair_norms, oracle_quantum_bound)
 
 Z3 = AbelianGroup((3,))
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -173,10 +178,9 @@ def test_tables_near_a_rising_maximum_are_kept_and_dropped(entries):
         norms = iter([(0.1 + 0.01 * t, base + s * TIE_TOL / 10 - 0.1 - 0.01 * t)
                       for t, s in enumerate(steps)])
 
-        def max_singular_value(stack):
+        def character_norms(stack, group):
             return np.array([next(norms) for _ in range(stack.shape[1])]).T
-        return mock.patch.object(diew, "max_singular_value",
-                                 max_singular_value)
+        return mock.patch.object(diew, "character_norms", character_norms)
 
     with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
         with scripted():
@@ -218,3 +222,80 @@ def test_search_keeps_no_norms_per_table():
             tracemalloc.stop()
     assert part.raw == 1.0
     assert peak < 256 * 2**10
+
+
+KERNEL_GROUPS = ((2,), (3,), (4,), (2, 2), (3, 3), (6,))
+
+
+@st.composite
+def kernel_games(draw):
+    """Two- and three-player games over groups whose nontrivial characters
+    are all real (Z2, Z2xZ2), all complex (Z3, Z3xZ3) or both (Z4, Z6),
+    with one to three questions a player and zero-probability inputs."""
+    group = AbelianGroup(draw(st.sampled_from(KERNEL_GROUPS)))
+    players = draw(st.integers(2, 3))
+    questions = tuple(draw(st.lists(st.integers(1, 3), min_size=players,
+                                    max_size=players)))
+    size = math.prod(questions)
+    element = st.integers(0, group.size - 1).map(group.element)
+    predicate = draw(st.lists(element, min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                   .filter(lambda w: sum(w) > 0))
+    dist = [Fraction(w, sum(weights)) for w in weights]
+    return make_game(group, questions, predicate, distribution=dist)
+
+
+def assert_pairs_match_kernel(stack, group, want, neg):
+    """One real SVD call for the real representatives and one complex call
+    for the others; norms within 1e-12 of the kernel's, relative to the
+    largest norm of the stack, and those of k and -k equal exactly."""
+    calls = []
+
+    def recording(m):
+        calls.append((len(m), m.dtype))
+        return max_singular_value(m)
+
+    with mock.patch.object(qbounds, "max_singular_value", recording):
+        got = character_norms(stack, group)
+    pairs = group.character_pairs
+    assert calls == [(n, dtype) for n, dtype in (
+        (pairs.real, np.float64), (len(pairs.reps) - pairs.real, np.complex128))
+        if n]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert np.array_equal(got, got[neg])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_games(), st.data())
+def test_character_norms_match_the_kernel_oracle(game, data):
+    """Every bipartition, and for three players every lone player's tables
+    and one drawn table: norms as the kernel's, and the matrices of -k the
+    exact conjugates of those of k, each as the entry-by-entry oracle's."""
+    group = game.group
+    ks = group.elements()[1:]
+    neg = [ks.index(group.neg(k)) for k in ks]
+    tensor = game_tensor(game)
+    for s in qbounds._partitions_containing_first_player(game.players):
+        assert_pairs_match_kernel(qbounds._bipartition_stack(tensor, game, s),
+                                  group, oracle_bipartition_norms(game, s), neg)
+        for k in ks:
+            m = game_matrix(game, s, k)
+            assert np.array_equal(game_matrix(game, s, group.neg(k)), m.conj())
+            assert np.abs(m - oracle_game_matrix(game, s, k)).max() <= 1e-12
+    if game.players != 3:
+        return
+    for lone in range(3):
+        for block in values.fold_tables(game, (lone,), 10**4):
+            assert_pairs_match_kernel(diew._pair_matrices(game, lone, block),
+                                      group, oracle_pair_norms(game, lone, block),
+                                      neg)
+        table = data.draw(st.lists(st.sampled_from(group.elements()),
+                                   min_size=game.question_counts[lone],
+                                   max_size=game.question_counts[lone]))
+        for k in ks:
+            m = biseparable_matrix(game, lone, k, table)
+            assert np.array_equal(biseparable_matrix(game, lone, group.neg(k),
+                                                     table), m.conj())
+            assert np.abs(m - oracle_biseparable_matrix(game, lone, k, table)
+                          ).max() <= 1e-12

@@ -6,7 +6,7 @@ import pytest
 from lingame.algebra import AbelianGroup
 from lingame.errors import ShapeError
 from lingame.games import make_game
-from lingame.linalg import max_singular_value
+from lingame.linalg import as_matrix, max_singular_value
 from lingame.qbounds import quantum_bound
 
 from oracles import jacobi_eigenvalues, oracle_max_singular_value
@@ -96,6 +96,17 @@ def test_dominates_every_entry():
         shape = tuple(rng.integers(1, 9, size=2))
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         assert max_singular_value(m) >= np.abs(m).max() - 1e-12
+
+
+def test_real_stacks_stay_real():
+    """float64 runs through the real SVD; anything else becomes complex."""
+    assert as_matrix(np.eye(2)).dtype == np.float64
+    assert as_matrix([[1, 2]]).dtype == np.complex128
+    assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.complex128
+    rng = np.random.default_rng(29)
+    m = rng.normal(size=(3, 4, 5))
+    assert np.allclose(max_singular_value(m),
+                       [oracle_max_singular_value(a) for a in m], rtol=1e-12)
 
 
 def test_matches_jacobi_oracle():

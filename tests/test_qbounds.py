@@ -4,12 +4,16 @@ import cmath
 import itertools
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from lingame import qbounds
 from lingame.algebra import AbelianGroup
 from lingame.errors import ValidationError
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
+from lingame.linalg import max_singular_value
 from lingame.qbounds import (chsh_bound_analytic, game_matrix, quantum_bound,
                              quantum_bound_partition)
 from lingame.tolerances import TIE_TOL
@@ -151,3 +155,23 @@ def test_bound_dominates_classical_on_random_games():
         values = [int(v) for v in rng.integers(0, 3, size=8)]
         game = make_game(AbelianGroup((3,)), (2, 2, 2), values)
         assert float(classical_value(game).value) <= quantum_bound(game).bound + 1e-9
+
+
+@pytest.mark.parametrize("game, dtype", [
+    (chsh_game(2, 2), np.float64),
+    (make_game(Z3, (3, 4), [(v % 3,) for v in range(12)]), np.complex128)],
+    ids=["chsh22-real", "z3-pair"])
+def test_two_player_games_take_one_svd_of_one_matrix(game, dtype):
+    """Z2 has one real character and Z3 one conjugate pair: one SVD call,
+    on a stack of one matrix, real for Z2."""
+    calls = []
+
+    def recording(stack):
+        calls.append((stack.shape[0], stack.dtype))
+        return max_singular_value(stack)
+
+    with mock.patch.object(qbounds, "max_singular_value", recording):
+        report = quantum_bound(game)
+    assert calls == [(1, dtype)]
+    norms = list(report.partitions[0].norms.values())
+    assert len(norms) == game.group.size - 1 and len(set(norms)) == 1

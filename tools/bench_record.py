@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_13.json \\
+    python3 tools/bench_record.py --out BENCH_16.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -18,13 +18,14 @@ core count and the numpy and Python versions; an existing file is
 overwritten.  Under ``scale`` it keeps timings of ``classical_value`` on
 the near-cap games chsh(3,5), chsh(4,4) and chsh(6,3), of
 ``biseparable_bound_partition`` on chsh(3,7) with lone player 0, of
-building chsh(6,7) with ``chsh_game``, of ``strategy_behavior`` on
-chsh(4,4) and chsh(5,3) (a pure state and rank-one bases drawn from
-``default_rng(0)``), of ``game_hash`` on chsh(6,3) and of the in-process
-``lingame boxes run fixtures/xyz.function --shots 200 --seed 1 --json``
-call (``cli.main`` with stdout captured); the last four time the mean of
-20 calls.  A sample is the best of three such timings
-in a fresh single-threaded interpreter.  Each row takes five samples per
+``quantum_bound`` on chsh(3,31), of building chsh(6,7) with
+``chsh_game``, of ``strategy_behavior`` on chsh(4,4) and chsh(5,3) (a
+pure state and rank-one bases drawn from ``default_rng(0)``), of
+``game_hash`` on chsh(6,3) and of the in-process ``lingame boxes run
+fixtures/xyz.function --shots 200 --seed 1 --json`` call (``cli.main``
+with stdout captured); the last four time the mean of 20 calls.  A
+sample is the best of three such timings in a fresh single-threaded
+interpreter.  Each row takes five samples per
 label, the labels alternating sample by sample, and keeps every sample
 and, per label, their median: fresh interpreters spread by about 20%,
 more than one sample can resolve.  Every run and every scale sample gets
@@ -62,6 +63,7 @@ SCALE_ROWS = (
     ("classical_value chsh(6,3)", "classical_value", 6, 3),
     ("biseparable_bound_partition chsh(3,7) lone 0",
      "biseparable_bound_partition", 3, 7),
+    ("quantum_bound chsh(3,31)", "quantum_bound", 3, 31),
     ("chsh_game chsh(6,7)", "chsh_game", 6, 7),
     ("strategy_behavior chsh(4,4)", "strategy_behavior", 4, 4),
     ("strategy_behavior chsh(5,3)", "strategy_behavior", 5, 3),
@@ -71,7 +73,7 @@ SCALE_SAMPLES = 5  # fresh interpreters per label and scale row
 _SCALE_SCRIPT = """
 import contextlib, io, sys, time
 import numpy as np
-from lingame import cli, diew, strategies, values
+from lingame import cli, diew, qbounds, strategies, values
 from lingame.games import chsh_game, game_hash
 shape = tuple(map(int, sys.argv[2:]))
 repeats = 1
@@ -104,7 +106,8 @@ else:
     game = chsh_game(*shape)
     call = {"classical_value": lambda: values.classical_value(game),
             "biseparable_bound_partition":
-                lambda: diew.biseparable_bound_partition(game, 0)}[sys.argv[1]]
+                lambda: diew.biseparable_bound_partition(game, 0),
+            "quantum_bound": lambda: qbounds.quantum_bound(game)}[sys.argv[1]]
 times = []
 for _ in range(3):
     start = time.perf_counter()
