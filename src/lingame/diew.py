@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -213,19 +214,23 @@ def visibility_threshold(game, strategy, bound=None):
     for any projector ranks.  A strategy whose threshold would exceed 1
     never beats the bound, and NoThresholdError is raised.
 
-    ``strategy`` may also be the noiseless success probability itself,
-    for thresholds against an externally evaluated value.  Its baseline
-    is then 1/|G|, the noise success of rank-one measurements; pass the
-    strategy itself when its projectors may have higher rank.
+    ``strategy`` may also be the noiseless success probability itself, any
+    real number but a bool, for thresholds against an externally evaluated
+    value.  Its baseline is then 1/|G|, the noise success of rank-one
+    measurements; pass the strategy itself when its projectors may have
+    higher rank.  Anything else raises ValidationError.
     """
-    if isinstance(strategy, (int, float)):
+    if isinstance(strategy, numbers.Real) and not isinstance(strategy, bool):
         ideal = float(strategy)
         base = 1.0 / game.group.size
-    else:
+    elif isinstance(strategy, strategies.QuantumStrategy):
         ideal = games.success_probability(
             game, strategies.strategy_behavior(strategy, game))
         base = games.success_probability(
             game, strategies.noise_behavior(strategy, game))
+    else:
+        raise ValidationError(f"expected a QuantumStrategy or a real success "
+                              f"probability, got {strategy!r}")
     if bound is None:
         bound = biseparable_bound(game).bound
     bound = float(bound)

@@ -27,10 +27,15 @@ from .games import (Behavior, _is_int, _load, _nonempty_list, _read_document,
 from .tolerances import PROJECTOR_TOL, STATE_TOL
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_projector(raw, dim, where):
     """Normalize a projector given as a vector, a list of orthonormal
     vectors, or an explicit matrix.  Returns (matrix, vector-or-None)."""
-    arr = np.asarray(raw, dtype=complex)
+    arr = _frozen(np.array(raw, dtype=complex))  # a copy: callers keep theirs
     if arr.ndim == 1:
         if arr.shape != (dim,):
             raise ValidationError(
@@ -88,7 +93,7 @@ class QuantumStrategy:
             raise ValidationError(f"bad local dimensions {dims!r}")
         total = math.prod(self.dims)
 
-        state = np.asarray(state, dtype=complex)
+        state = _frozen(np.array(state, dtype=complex))
         if state.ndim == 1:
             if state.shape != (total,):
                 raise ValidationError(
@@ -146,6 +151,16 @@ class QuantumStrategy:
             raise ValidationError(
                 f"measurements at (player, question) {bad} are not complete "
                 f"orthogonal projector families")
+        # The Born rule's operands, C-ordered (d_i d_i, questions outcomes)
+        # with rows (column, row) of Pi, and the white-noise marginals
+        # tr(Pi)/d_i, (questions, outcomes) each.
+        self._operators = [_frozen(s.transpose(3, 2, 0, 1).reshape(d * d, -1))
+                           for s, d in zip(self._projectors, self.dims)]
+        if self.is_pure:  # step 0 takes conj(psi) against the rows of Pi
+            self._operators[0] = _frozen(self._projectors[0].transpose(
+                2, 0, 1, 3).reshape(self.dims[0], -1))
+        self._marginals = [_frozen(np.trace(s, axis1=2, axis2=3).real / d)
+                           for s, d in zip(self._projectors, self.dims)]
 
     @property
     def players(self):
@@ -191,25 +206,24 @@ def strategy_behavior(strategy, game):
     """Born-rule behavior P(a | x) = tr(rho Pi^1_{x_1,a_1} x ... x
     Pi^n_{x_n,a_n}) of a strategy on a game's question grid.
 
-    One tensordot per player contracts the state, viewed as (ket_i, later
-    kets, bra_i, later bras and the (question, answer) axes of earlier
-    players), with player i's projectors of any rank, stacked as
-    (questions, outcomes, d_i, d_i).  A pure state enters only in player
+    One matrix product per player contracts the state, viewed as (ket_i,
+    later kets, bra_i, later bras and earlier players' (question, answer)
+    axes), with player i's projectors of any rank, laid out at construction
+    as (d_i d_i, questions outcomes).  A pure state enters only in player
     0's step, as conj(psi) and psi, so no density matrix is formed.
     """
     _check_compatible(strategy, game)
-    n, dims = game.players, strategy.dims
-    stacks = strategy.measurements()
+    n, dims, ops = game.players, strategy.dims, strategy._operators
     if strategy.is_pure:
         psi = strategy.state.reshape(dims[0], -1)
-        t = np.tensordot(psi.conj(), stacks[0], ([0], [2]))
-        t, first = np.tensordot(psi, t, ([0], [3])), 1
+        t = np.dot(psi.conj().T, ops[0]).reshape(-1, dims[0]).T
+        t, first = np.dot(psi.T, t), 1
     else:
         t, first = strategy.density(), 0
     for i in range(first, n):
         t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
-        t = np.tensordot(t, stacks[i], ([0, 2], [3, 2]))
-    p = t.real.reshape([s for stack in stacks for s in stack.shape[:2]])
+        t = np.dot(t.transpose(1, 3, 0, 2).reshape(-1, dims[i]**2), ops[i])
+    p = t.real.reshape([s for m in strategy._marginals for s in m.shape])
     np.maximum(p, 0.0, out=p)  # in place: t is ours, and a call allocates less
     # (x_1, a_1, ..., x_n, a_n) -> (x_1, ..., x_n, a_1, ..., a_n)
     p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
@@ -220,13 +234,13 @@ def strategy_behavior(strategy, game):
 def noise_behavior(strategy, game):
     """Behavior of white noise, the maximally mixed state I / D, under a
     strategy's measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) /
-    d_i."""
+    d_i, the outer product of the marginals stored at construction."""
     _check_compatible(strategy, game)
-    n = game.players
-    operands = []
-    for i, (stack, d) in enumerate(zip(strategy.measurements(), strategy.dims)):
-        operands += [np.trace(stack, axis1=2, axis2=3).real / d, [i, n + i]]
-    p = np.einsum(*operands, list(range(2 * n)))
+    n, p = game.players, 1.0
+    for i, marginal in enumerate(strategy._marginals):
+        shape = [1] * (2 * n)
+        shape[i], shape[n + i] = marginal.shape
+        p = p * marginal.reshape(shape)
     return Behavior(game.group, game.question_counts,
                     p.reshape(game.n_inputs, -1))
 
@@ -253,11 +267,12 @@ def correlators(behavior, group):
     g = group.size
     n = behavior.players
     conj_chi = group.character_table().conj()
-    # Contract each answer axis of P with conj(chi); axes order is kept so
-    # k-tuples come out lexicographic like answer tuples.
-    tensor = behavior.table.reshape((-1,) + (g,) * n)
-    for axis in range(n):
-        tensor = np.tensordot(tensor, conj_chi.T, axes=([1], [0]))
+    # One product with conj(chi).T per answer axis, each moved last in
+    # turn, so k-tuples come out lexicographic like answer tuples.
+    tensor, rows = behavior.table, len(behavior.table)
+    for _ in range(n):
+        tensor = tensor.reshape(rows, g, -1).transpose(0, 2, 1)
+        tensor = np.dot(tensor.reshape(-1, g), conj_chi.T)
     full = tensor.reshape(-1, g**n).T.copy()
     stride = (g**n - 1) // (g - 1)  # flat index of (k, k, ..., k) is k * stride
     diagonal = full[np.arange(g) * stride]

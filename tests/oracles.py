@@ -42,6 +42,13 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   white noise mixed into a rebuilt density matrix (checks the per-player
   tensordot loop of strategy_behavior and the closed-form noise of
   noisy_success).
+* oracle_tensordot_behavior / oracle_einsum_noise /
+  oracle_tensordot_correlators: the Born-rule kernels that preceded the
+  stored operator layouts, one np.tensordot per player over the stacked
+  projectors, white noise by a trace and an einsum per call, and one
+  np.tensordot per answer axis (checks, bit for bit, the one np.dot per
+  player of strategy_behavior, the stored marginals of noise_behavior and
+  the one np.dot per answer axis of correlators).
 * oracle_projector_check: the question-by-question projector check that
   preceded the stacked one, one Python product per pair of outcomes
   (checks the (questions, outcomes, d, d) check of QuantumStrategy).
@@ -592,6 +599,50 @@ def oracle_noisy_success(game, strategy, visibility):
            + (1.0 - visibility) * np.eye(total) / total)
     noisy = QuantumStrategy(strategy.dims, rho, strategy.measurements())
     return oracle_success(game, oracle_behavior_table(noisy, game))
+
+
+def oracle_tensordot_behavior(strategy, game):
+    """The per-player tensordot loop that strategy_behavior ran before
+    its operators were laid out at construction: the state, viewed as
+    (ket_i, later kets, bra_i, later bras, earlier (question, answer)
+    axes), contracted with player i's (questions, outcomes, d_i, d_i)
+    stack; a pure state enters as conj(psi) and psi in player 0's step."""
+    n, dims = game.players, strategy.dims
+    stacks = strategy.measurements()
+    if strategy.is_pure:
+        psi = strategy.state.reshape(dims[0], -1)
+        t = np.tensordot(psi.conj(), stacks[0], ([0], [2]))
+        t, first = np.tensordot(psi, t, ([0], [3])), 1
+    else:
+        t, first = strategy.density(), 0
+    for i in range(first, n):
+        t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
+        t = np.tensordot(t, stacks[i], ([0, 2], [3, 2]))
+    p = np.maximum(t.real.reshape([s for stack in stacks
+                                   for s in stack.shape[:2]]), 0.0)
+    p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return p.reshape(game.n_inputs, -1)
+
+
+def oracle_einsum_noise(strategy, game):
+    """White noise as noise_behavior computed it before the marginals were
+    stored: tr(Pi)/d_i per call, combined by one einsum."""
+    n = game.players
+    operands = []
+    for i, (stack, d) in enumerate(zip(strategy.measurements(), strategy.dims)):
+        operands += [np.trace(stack, axis1=2, axis2=3).real / d, [i, n + i]]
+    return np.einsum(*operands, list(range(2 * n))).reshape(game.n_inputs, -1)
+
+
+def oracle_tensordot_correlators(behavior, group):
+    """The full correlator tensor as correlators computed it before: one
+    tensordot of each answer axis with conj(chi).T."""
+    g, n = group.size, behavior.players
+    conj_chi = group.character_table().conj()
+    tensor = behavior.table.reshape((-1,) + (g,) * n)
+    for _ in range(n):
+        tensor = np.tensordot(tensor, conj_chi.T, axes=([1], [0]))
+    return tensor.reshape(-1, g**n).T.copy()
 
 
 def oracle_projector_check(dims, measurements):

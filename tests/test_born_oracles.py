@@ -1,8 +1,10 @@
-"""The per-player Born rule, closed-form white noise and the stacked
-projector check against the slow paths they replaced: the cell-by-cell
-vector contraction, the Kronecker product and trace, the density matrix
-rebuilt around V * rho + (1 - V) * I / D, and the question-by-question
-projector check (tests/oracles.py)."""
+"""The per-player Born rule, closed-form white noise, the correlator
+transform and the stacked projector check against the paths they
+replaced: the cell-by-cell vector contraction, the Kronecker product and
+trace, the density matrix rebuilt around V * rho + (1 - V) * I / D, the
+question-by-question projector check, and, bit for bit, the tensordot and
+einsum kernels that preceded the stored operator layouts
+(tests/oracles.py)."""
 
 import itertools
 import json
@@ -15,14 +17,16 @@ from hypothesis import given, settings, strategies as st
 from lingame.algebra import AbelianGroup
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
 from lingame.errors import ValidationError
-from lingame.strategies import (QuantumStrategy, _as_projector,
-                                ghz3_reference_strategy, noisy_success,
-                                parse_strategy_file, strategy_behavior)
+from lingame.strategies import (QuantumStrategy, _as_projector, correlators,
+                                ghz3_reference_strategy, noise_behavior,
+                                noisy_success, parse_strategy_file,
+                                strategy_behavior)
 from lingame.tolerances import PROJECTOR_TOL
 
 import ghz3_c4
-from oracles import (oracle_behavior_table, oracle_noisy_success,
-                     oracle_projector_check)
+from oracles import (oracle_behavior_table, oracle_einsum_noise,
+                     oracle_noisy_success, oracle_projector_check,
+                     oracle_tensordot_behavior, oracle_tensordot_correlators)
 
 # (group order, local dimensions, question counts): 2 and 3 players,
 # equal and unequal dimensions; d_i == |G| admits rank-one measurements.
@@ -123,6 +127,67 @@ def test_born_rule_matches_oracle_property(dims, data):
     strategy = _strategy(rng, dims, questions, g, mixed, rank_one)
     table = strategy_behavior(strategy, game).table
     assert np.abs(table - oracle_behavior_table(strategy, game)).max() <= 1e-12
+
+
+def _assert_kernels_bitwise(strategy, game):
+    behavior = strategy_behavior(strategy, game)
+    assert np.array_equal(behavior.table,
+                          oracle_tensordot_behavior(strategy, game))
+    assert np.array_equal(noise_behavior(strategy, game).table,
+                          oracle_einsum_noise(strategy, game))
+    assert np.array_equal(correlators(behavior, game.group).full,
+                          oracle_tensordot_correlators(behavior, game.group))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+def test_kernels_match_replaced_kernels_bitwise_property(dims, data):
+    # 2 to 4 players of local dimension 1 to 4 over Z2, Z3, Z4 or Z2 x Z2,
+    # pure or mixed; rank-one vectors wherever d_i == |G| and rank_one is
+    # drawn, projectors of rank 0, 1 or more elsewhere: the behavior, the
+    # noise behavior and the correlators equal the tensordot and einsum
+    # kernels they replaced, bit for bit
+    group = AbelianGroup(data.draw(st.sampled_from(((2,), (3,), (4,), (2, 2))),
+                                   label="group"))
+    questions = data.draw(st.lists(st.integers(1, 3), min_size=len(dims),
+                                   max_size=len(dims)), label="questions")
+    mixed = data.draw(st.booleans(), label="mixed")
+    rank_one = data.draw(st.booleans(), label="rank_one")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    game = make_game(group, questions,
+                     [group.element(int(v)) for v in
+                      rng.integers(0, group.size, math.prod(questions))])
+    _assert_kernels_bitwise(
+        _strategy(rng, dims, questions, group.size, mixed, rank_one), game)
+
+
+def test_golden_strategies_match_replaced_kernels_bitwise():
+    game = mermin_ghz3_game()
+    reference = ghz3_reference_strategy()
+    embedded = parse_strategy_file(json.dumps(ghz3_c4.document()))
+    for strategy in (reference, _as_density(reference),
+                     embedded, _as_density(embedded)):
+        _assert_kernels_bitwise(strategy, game)
+
+
+def test_noise_behavior_is_the_born_rule_on_the_maximally_mixed_state():
+    # the stored marginals against tr((I/D) Pi^1 x ... x Pi^n) cell by cell
+    rng = np.random.default_rng(193)
+    embedded = parse_strategy_file(json.dumps(ghz3_c4.document()))
+    pairs = [(embedded, mermin_ghz3_game())]
+    for (g, dims, questions), rank_one in itertools.product(CASES,
+                                                            (False, True)):
+        game = make_game(AbelianGroup((g,)), questions,
+                         [(int(v),) for v in
+                          rng.integers(0, g, math.prod(questions))])
+        pairs.append((_strategy(rng, dims, questions, g, False, rank_one),
+                      game))
+    for strategy, game in pairs:
+        total = math.prod(strategy.dims)
+        white = QuantumStrategy(strategy.dims, np.eye(total) / total,
+                                strategy.measurements())
+        assert np.abs(noise_behavior(strategy, game).table
+                      - oracle_behavior_table(white, game)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("strategy, game", [

@@ -228,6 +228,22 @@ def test_visibility_threshold_clamps():
     assert visibility_threshold(game, 1.0, bound=1 / 3) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("success", [np.float32(0.95), np.int64(1),
+                                     np.float64(0.95), 0.95, 1],
+                         ids=["float32", "int64", "float64", "float", "int"])
+def test_visibility_threshold_takes_any_real_success(success):
+    game = mermin_ghz3_game()
+    assert visibility_threshold(game, success, bound=0.9) == \
+        pytest.approx((0.9 - 1 / 3) / (float(success) - 1 / 3))
+
+
+@pytest.mark.parametrize("success", [True, np.True_, "0.95", None, 0.95j],
+                         ids=["bool", "numpy_bool", "str", "none", "complex"])
+def test_visibility_threshold_refuses_non_real_success(success):
+    with pytest.raises(ValidationError, match="QuantumStrategy or a real"):
+        visibility_threshold(mermin_ghz3_game(), success, bound=0.9)
+
+
 def test_visibility_threshold_no_gain_errors():
     game = mermin_ghz3_game()
     with pytest.raises(NoThresholdError):

@@ -139,6 +139,27 @@ def test_measurements_are_read_only_stacks():
                           strategy.measurements()[1][2, 0])
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "density"])
+def test_strategy_keeps_copies_of_callers_arrays(mixed):
+    # the state, the density matrix and the rank-one vectors are copied at
+    # construction: later writes to the caller's arrays change nothing
+    reference = ghz3_reference_strategy()
+    game = mermin_ghz3_game()
+    state = (reference.density() if mixed else reference.state).copy()
+    vectors = [[[reference.vector(i, x, o).copy() for o in range(3)]
+                for x in range(3)] for i in range(3)]
+    strategy = QuantumStrategy((3, 3, 3), state, vectors)
+    before = strategy_behavior(strategy, game).table.copy()
+    state[...] = np.roll(state, 1)  # still normalized, so no check fires
+    for per_player in vectors:
+        for family in per_player:
+            family[0][...], family[1][...] = family[1].copy(), family[0].copy()
+    assert np.array_equal(strategy_behavior(strategy, game).table, before)
+    assert not strategy.vector(0, 0, 0).flags.writeable
+    held = strategy.density() if mixed else strategy.state
+    assert not held.flags.writeable
+
+
 def test_rank_two_projector_matrix_accepted():
     meas = [[[np.eye(2), np.zeros((2, 2))]]]
     QuantumStrategy((2,), np.array([0, 1], dtype=complex), meas)

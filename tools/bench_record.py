@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_16.json \\
+    python3 tools/bench_record.py --out BENCH_17.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -21,9 +21,10 @@ the near-cap games chsh(3,5), chsh(4,4) and chsh(6,3), of
 ``quantum_bound`` on chsh(3,31), of building chsh(6,7) with
 ``chsh_game``, of ``strategy_behavior`` on chsh(4,4) and chsh(5,3) (a
 pure state and rank-one bases drawn from ``default_rng(0)``), of
-``game_hash`` on chsh(6,3) and of the in-process ``lingame boxes run
+``noisy_success`` at visibility 0.5 on chsh(4,4) with the same strategy,
+of ``game_hash`` on chsh(6,3) and of the in-process ``lingame boxes run
 fixtures/xyz.function --shots 200 --seed 1 --json`` call (``cli.main``
-with stdout captured); the last four time the mean of 20 calls.  A
+with stdout captured); the last five time the mean of 20 calls.  A
 sample is the best of three such timings in a fresh single-threaded
 interpreter.  Each row takes five samples per
 label, the labels alternating sample by sample, and keeps every sample
@@ -67,6 +68,7 @@ SCALE_ROWS = (
     ("chsh_game chsh(6,7)", "chsh_game", 6, 7),
     ("strategy_behavior chsh(4,4)", "strategy_behavior", 4, 4),
     ("strategy_behavior chsh(5,3)", "strategy_behavior", 5, 3),
+    ("noisy_success chsh(4,4)", "noisy_success", 4, 4),
     ("game_hash chsh(6,3)", "game_hash", 6, 3),
     ("boxes_run xyz.function --shots 200", "boxes_run"))
 SCALE_SAMPLES = 5  # fresh interpreters per label and scale row
@@ -90,7 +92,7 @@ elif sys.argv[1] == "game_hash":
     game = chsh_game(*shape)
     call = lambda: game_hash(game)
     repeats = 20  # a call takes milliseconds: time the mean of 20
-elif sys.argv[1] == "strategy_behavior":
+elif sys.argv[1] in ("strategy_behavior", "noisy_success"):
     # a pure state and rank-one bases, d = |G| per player
     game, (n, d), rng = chsh_game(*shape), shape, np.random.default_rng(0)
     def unitary():
@@ -100,7 +102,11 @@ elif sys.argv[1] == "strategy_behavior":
     psi = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
     strategy = strategies.QuantumStrategy(
         (d,) * n, psi / np.linalg.norm(psi), bases)
-    call = lambda: strategies.strategy_behavior(strategy, game)
+    call = {"strategy_behavior":
+                lambda: strategies.strategy_behavior(strategy, game),
+            "noisy_success":
+                lambda: strategies.noisy_success(game, strategy, 0.5)}[
+        sys.argv[1]]
     repeats = 20  # a call takes milliseconds: time the mean of 20
 else:
     game = chsh_game(*shape)
