@@ -32,7 +32,7 @@ import numpy as np
 from . import boxworld, diew, games, qbounds, values
 from .errors import (GameFormatError, NoThresholdError, ResourceLimitError,
                      ValidationError)
-from .strategies import load_strategy, strategy_behavior
+from .strategies import _success_pair, load_strategy
 from .tolerances import SANDWICH_TOL, WITNESS_MARGIN
 
 SCHEMA = "lingame/1"
@@ -131,15 +131,14 @@ def _strategy_section(game, strategy, report, margin):
     verdict and the visibility threshold compare the observed success,
     clamped to 1, with the biseparable ``report``; without one (the game
     is not tripartite) only the success is given."""
-    observed = games.success_probability(game, strategy_behavior(strategy, game))
+    observed, base = _success_pair(game, strategy)
     section = {"success": observed}
     human = [f"strategy        success {observed:.6g}"]
     if report is not None:
         result = diew.witness_verdict(game, min(observed, 1.0), margin=margin,
                                       report=report)
         try:
-            threshold = diew.visibility_threshold(game, strategy,
-                                                  bound=report.bound)
+            threshold = diew._threshold(observed, base, report.bound)
         except NoThresholdError:
             threshold = None
         section.update(verdict=result.verdict.name, gap=result.gap,

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 # Called through their modules, where per-layer tracing wraps them.
-from . import games, strategies
+from . import strategies
 from .errors import NoThresholdError, ValidationError
 from .games import answer_sums
 from .qbounds import character_norms, character_slice, first_optimum
@@ -201,39 +201,8 @@ def witness_verdict(game, observed, margin=WITNESS_MARGIN,
                          bound=report.bound, gap=gap, report=report)
 
 
-def visibility_threshold(game, strategy, bound=None):
-    """Least visibility V at which mixing a strategy's state with white
-    noise still beats the biseparable bound.
-
-    The noisy success V * omega + (1 - V) * omega_noise is affine in V
-    (see ``strategies.noisy_success``), where omega_noise is the success
-    of white noise under the strategy's measurements: 1/|G| for rank-one
-    projectors, and set by the projector ranks in general.  The threshold
-    solving V * omega + (1 - V) * omega_noise = omega_B is
-    (omega_B - omega_noise) / (omega - omega_noise), clamped below at 0,
-    for any projector ranks.  A strategy whose threshold would exceed 1
-    never beats the bound, and NoThresholdError is raised.
-
-    ``strategy`` may also be the noiseless success probability itself, any
-    real number but a bool, for thresholds against an externally evaluated
-    value.  Its baseline is then 1/|G|, the noise success of rank-one
-    measurements; pass the strategy itself when its projectors may have
-    higher rank.  Anything else raises ValidationError.
-    """
-    if isinstance(strategy, numbers.Real) and not isinstance(strategy, bool):
-        ideal = float(strategy)
-        base = 1.0 / game.group.size
-    elif isinstance(strategy, strategies.QuantumStrategy):
-        ideal = games.success_probability(
-            game, strategies.strategy_behavior(strategy, game))
-        base = games.success_probability(
-            game, strategies.noise_behavior(strategy, game))
-    else:
-        raise ValidationError(f"expected a QuantumStrategy or a real success "
-                              f"probability, got {strategy!r}")
-    if bound is None:
-        bound = biseparable_bound(game).bound
-    bound = float(bound)
+def _threshold(ideal, base, bound):
+    """``visibility_threshold`` from the successes and the bound."""
     if ideal <= base + 1e-12:
         raise NoThresholdError(
             f"ideal success {ideal} does not exceed the noise baseline {base}")
@@ -242,3 +211,35 @@ def visibility_threshold(game, strategy, bound=None):
         raise NoThresholdError(
             f"success {ideal} stays below the bound {bound} at every visibility")
     return max(v, 0.0)
+
+
+def visibility_threshold(game, strategy, bound=None):
+    """Least visibility V at which mixing a strategy's state with white
+    noise still beats the biseparable bound.
+
+    The noisy success V * omega + (1 - V) * omega_noise is affine in V
+    (see ``strategies.noisy_success``), where omega_noise is the success
+    of white noise under the strategy's measurements: 1/|G| for rank-one
+    projectors, and set by the projector ranks in general; both come from
+    one Born-rule behavior.  The threshold solving V * omega + (1 - V) *
+    omega_noise = omega_B is (omega_B - omega_noise) / (omega -
+    omega_noise), clamped below at 0, for any projector ranks.  A strategy
+    whose threshold would exceed 1 never beats the bound, and
+    NoThresholdError is raised.
+
+    ``strategy`` may also be the noiseless success probability itself, any
+    real number but a bool, for thresholds against an externally evaluated
+    value.  Its baseline is then 1/|G|, the noise success of rank-one
+    measurements; pass the strategy itself when its projectors may have
+    higher rank.  Anything else raises ValidationError.
+    """
+    if isinstance(strategy, numbers.Real) and not isinstance(strategy, bool):
+        ideal, base = float(strategy), 1.0 / game.group.size
+    elif isinstance(strategy, strategies.QuantumStrategy):
+        ideal, base = strategies._success_pair(game, strategy)
+    else:
+        raise ValidationError(f"expected a QuantumStrategy or a real success "
+                              f"probability, got {strategy!r}")
+    if bound is None:
+        bound = biseparable_bound(game).bound
+    return _threshold(ideal, base, float(bound))

@@ -54,8 +54,8 @@ class LinearGame:
     Read-only arrays, one row per question tuple: ``grid`` (the tuples),
     ``residues`` (f(x) as residue tuples) and ``weights`` (int64 below
     2^53, where every sum is exact, else Python ints).  The exact tuples
-    ``distribution`` and ``predicate``, and ``histogram[x_1, ..., x_n, r]``
-    (the weight of x where f(x) has element index r), are built on first use.
+    ``distribution`` and ``predicate``, ``histogram[x_1, ..., x_n, r]`` (the
+    weight of x where f(x) has index r) and ``win_weights`` are built on first use.
     """
 
     def __init__(self, group, question_counts, f_index, weights, den,
@@ -117,6 +117,15 @@ class LinearGame:
         hist = hist.reshape(self.question_counts + (self.group.size,))
         hist.setflags(write=False)
         return hist
+
+    @cached_property
+    def win_weights(self):
+        """W[x, a] = p(x) where sum_i a_i = f(x), else 0, laid out as a
+        behavior table, so a success is one dot product.  Read-only."""
+        wins = answer_sums(self.group, self.players) == self._f_index[:, None]
+        weights = np.where(wins, self._probabilities[:, None], 0.0)
+        weights.setflags(write=False)
+        return weights
 
     @property
     def players(self):
@@ -335,12 +344,13 @@ class Behavior:
             raise ValidationError(
                 f"behavior table has shape {table.shape}, expected "
                 f"{(n_inputs, n_outputs)}")
-        if table.min() < -BEHAVIOR_ROW_TOL:
+        low, sums = table.min(), table.sum(axis=1)
+        if low < -BEHAVIOR_ROW_TOL:
             raise ValidationError(
-                f"behavior has a negative probability {table.min()!r}")
-        sums = table.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1) > BEHAVIOR_ROW_TOL)[0]
-        if bad.size:
+                f"behavior has a negative probability {low!r}")
+        if max(np.fmax.reduce(sums) - 1,  # fmax/fmin skip NaN rows, as below
+               1 - np.fmin.reduce(sums)) > BEHAVIOR_ROW_TOL:
+            bad = np.flatnonzero(np.abs(sums - 1) > BEHAVIOR_ROW_TOL)
             raise ValidationError(
                 f"behavior rows {bad.tolist()} are not normalized "
                 f"(sums {sums[bad].tolist()})")
@@ -387,15 +397,13 @@ class DeterministicStrategy:
 
 
 def success_probability(game, behavior):
-    """Winning probability sum_x p(x) * P(sum_i a_i = f(x) | x)."""
+    """Winning probability sum_x p(x) * P(sum_i a_i = f(x) | x), one dot
+    product of the game's ``win_weights`` with the behavior table."""
     if behavior.group != game.group:
         raise ValidationError("behavior and game use different groups")
     if behavior.question_counts != game.question_counts:
         raise ValidationError("behavior and game have different question grids")
-    wins = (answer_sums(game.group, game.players)
-            == game.predicate_indices()[:, None])
-    return float(game.probabilities_float()
-                 @ np.where(wins, behavior.table, 0.0).sum(axis=1))
+    return float(np.dot(game.win_weights.ravel(), behavior.table.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GameFormatError, ValidationError
 from .games import (Behavior, _is_int, _load, _nonempty_list, _read_document,
                     success_probability)
-from .tolerances import PROJECTOR_TOL, STATE_TOL
+from .tolerances import BEHAVIOR_ROW_TOL, PROJECTOR_TOL, STATE_TOL
 
 
 def _frozen(arr):
@@ -75,6 +75,23 @@ def _family_errors(stack):
         products[:, a] -= stack[:, a]
         errors.append(np.abs(products).max(axis=(1, 2, 3)))
     return np.max(errors, axis=0)
+
+
+def _check_behaviors(stacks, marginals):
+    """Refuse measurements whose behaviors ``Behavior`` could refuse: a
+    Born-rule row (before clamping) is tr(rho (S_1 x ... x S_n)), S_i =
+    sum_a Pi^i_a, within prod_i (1 + ||S_i - I||) - 1 of 1, white noise
+    included; the least white-noise entry is a product of marginal extremes."""
+    spread, ends = 1.0, [1.0]
+    for stack, m in zip(stacks, marginals):
+        errors = stack.sum(axis=1) - np.eye(stack.shape[-1])
+        spread *= 1.0 + float(np.linalg.norm(errors, 2, axis=(1, 2)).max())
+        ends = [e * float(b) for e in (min(ends), max(ends)) for b in (m.min(), m.max())]
+    if spread - 1.0 > BEHAVIOR_ROW_TOL:
+        raise ValidationError(f"measurement completeness errors compound to "
+                              f"{spread - 1.0!r} across players")
+    if min(ends) < -BEHAVIOR_ROW_TOL:
+        raise ValidationError(f"white noise has a negative probability {min(ends)!r}")
 
 
 class QuantumStrategy:
@@ -161,6 +178,7 @@ class QuantumStrategy:
                 2, 0, 1, 3).reshape(self.dims[0], -1))
         self._marginals = [_frozen(np.trace(s, axis1=2, axis2=3).real / d)
                            for s, d in zip(self._projectors, self.dims)]
+        _check_behaviors(self._projectors, self._marginals)
 
     @property
     def players(self):
@@ -231,18 +249,31 @@ def strategy_behavior(strategy, game):
                     p.reshape(game.n_inputs, -1))
 
 
-def noise_behavior(strategy, game):
-    """Behavior of white noise, the maximally mixed state I / D, under a
-    strategy's measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) /
-    d_i, the outer product of the marginals stored at construction."""
-    _check_compatible(strategy, game)
+def _noise_table(strategy, game):
+    """The table of ``noise_behavior``, unchecked."""
     n, p = game.players, 1.0
     for i, marginal in enumerate(strategy._marginals):
         shape = [1] * (2 * n)
         shape[i], shape[n + i] = marginal.shape
         p = p * marginal.reshape(shape)
+    return p.reshape(game.n_inputs, -1)
+
+
+def noise_behavior(strategy, game):
+    """Behavior of white noise, the maximally mixed state I / D, under a
+    strategy's measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) /
+    d_i, the outer product of the marginals stored and checked at construction."""
+    _check_compatible(strategy, game)
     return Behavior(game.group, game.question_counts,
-                    p.reshape(game.n_inputs, -1))
+                    _noise_table(strategy, game))
+
+
+def _success_pair(game, strategy):
+    """(omega, omega_noise) of ``noisy_success``: one Born-rule behavior,
+    which checks the game, and ``win_weights`` dotted with ``_noise_table``."""
+    ideal = success_probability(game, strategy_behavior(strategy, game))
+    noise = np.dot(game.win_weights.ravel(), _noise_table(strategy, game).ravel())
+    return ideal, float(noise)
 
 
 @dataclass(frozen=True)
@@ -299,15 +330,14 @@ def noisy_success(game, strategy, visibility):
     V * rho + (1 - V) * I / D.
 
     The Born rule is linear in the state, so this is the closed form
-    V * omega(P) + (1 - V) * omega(P_noise), with P_noise from
-    ``noise_behavior``.  omega(P_noise) is 1/|G| when every projector has
-    rank one; in general it is set by the projector ranks.
+    V * omega(P) + (1 - V) * omega(P_noise), omega(P_noise) read from the
+    stored marginals with no behavior built: 1/|G| when every projector has
+    rank one, and in general set by the projector ranks.
     """
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValidationError(f"visibility must be in [0, 1], got {v}")
-    ideal = success_probability(game, strategy_behavior(strategy, game))
-    noise = success_probability(game, noise_behavior(strategy, game))
+    ideal, noise = _success_pair(game, strategy)
     return v * ideal + (1.0 - v) * noise
 
 

@@ -42,6 +42,12 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   white noise mixed into a rebuilt density matrix (checks the per-player
   tensordot loop of strategy_behavior and the closed-form noise of
   noisy_success).
+* oracle_masked_success / oracle_noise_path_success: success_probability
+  as a masked copy of the table summed row by row against p(x), and
+  noisy success through a validated noise_behavior, the paths that
+  preceded the games' win weights (checks the one dot product of
+  success_probability and the marginal noise of noisy_success and
+  visibility_threshold).
 * oracle_tensordot_behavior / oracle_einsum_noise /
   oracle_tensordot_correlators: the Born-rule kernels that preceded the
   stored operator layouts, one np.tensordot per player over the stacked
@@ -95,7 +101,8 @@ from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
                               partial_derivative, _flatten_inputs)
 from lingame.errors import ResourceLimitError, ValidationError
 from lingame.games import DeterministicStrategy, answer_sums
-from lingame.strategies import QuantumStrategy, _as_projector
+from lingame.strategies import (QuantumStrategy, _as_projector,
+                                noise_behavior, strategy_behavior)
 from lingame.qbounds import first_optimum
 from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
                                 TIE_TOL)
@@ -599,6 +606,25 @@ def oracle_noisy_success(game, strategy, visibility):
            + (1.0 - visibility) * np.eye(total) / total)
     noisy = QuantumStrategy(strategy.dims, rho, strategy.measurements())
     return oracle_success(game, oracle_behavior_table(noisy, game))
+
+
+def oracle_masked_success(game, table):
+    """Winning probability as success_probability computed it before the
+    win weights: the answer tuples that sum to f(x) masked in a copy of
+    the table, each row summed and weighted by p(x)."""
+    wins = (answer_sums(game.group, game.players)
+            == game.predicate_indices()[:, None])
+    return float(game.probabilities_float()
+                 @ np.where(wins, table, 0.0).sum(axis=1))
+
+
+def oracle_noise_path_success(game, strategy, visibility):
+    """Noisy success as noisy_success computed it before the marginal
+    noise: V * omega(P) + (1 - V) * omega(P_noise), the noise success
+    read from a validated noise_behavior, both by oracle_masked_success."""
+    ideal = oracle_masked_success(game, strategy_behavior(strategy, game).table)
+    noise = oracle_masked_success(game, noise_behavior(strategy, game).table)
+    return visibility * ideal + (1.0 - visibility) * noise
 
 
 def oracle_tensordot_behavior(strategy, game):

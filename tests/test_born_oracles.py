@@ -1,22 +1,26 @@
 """The per-player Born rule, closed-form white noise, the correlator
-transform and the stacked projector check against the paths they
-replaced: the cell-by-cell vector contraction, the Kronecker product and
-trace, the density matrix rebuilt around V * rho + (1 - V) * I / D, the
-question-by-question projector check, and, bit for bit, the tensordot and
-einsum kernels that preceded the stored operator layouts
-(tests/oracles.py)."""
+transform, the success as one dot product with the game's win weights and
+the stacked projector check against the paths they replaced: the
+cell-by-cell vector contraction, the Kronecker product and trace, the
+density matrix rebuilt around V * rho + (1 - V) * I / D, the masked row
+sums and the validated noise behavior, the question-by-question projector
+check, and, bit for bit, the tensordot and einsum kernels that preceded
+the stored operator layouts (tests/oracles.py)."""
 
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingame.algebra import AbelianGroup
-from lingame.games import chsh_game, make_game, mermin_ghz3_game
-from lingame.errors import ValidationError
+from lingame.diew import visibility_threshold
+from lingame.games import (chsh_game, make_game, mermin_ghz3_game,
+                           success_probability)
+from lingame.errors import NoThresholdError, ValidationError
 from lingame.strategies import (QuantumStrategy, _as_projector, correlators,
                                 ghz3_reference_strategy, noise_behavior,
                                 noisy_success, parse_strategy_file,
@@ -25,6 +29,7 @@ from lingame.tolerances import PROJECTOR_TOL
 
 import ghz3_c4
 from oracles import (oracle_behavior_table, oracle_einsum_noise,
+                     oracle_masked_success, oracle_noise_path_success,
                      oracle_noisy_success, oracle_projector_check,
                      oracle_tensordot_behavior, oracle_tensordot_correlators)
 
@@ -127,6 +132,53 @@ def test_born_rule_matches_oracle_property(dims, data):
     strategy = _strategy(rng, dims, questions, g, mixed, rank_one)
     table = strategy_behavior(strategy, game).table
     assert np.abs(table - oracle_behavior_table(strategy, game)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.data())
+def test_win_weights_match_replaced_success_paths_property(dims, data):
+    # 2 to 4 players over Z2, Z3 or Z2 x Z2, pure or mixed, rank-one or
+    # higher-rank projectors: the one dot product of success_probability
+    # against the masked row sums; noisy_success against the path through
+    # noise_behavior and the rebuilt density matrix; visibility_threshold
+    # against the crossing of the rebuilt density matrix's success line
+    group = AbelianGroup(data.draw(st.sampled_from(((2,), (3,), (2, 2))),
+                                   label="group"))
+    questions = data.draw(st.lists(st.integers(1, 2), min_size=len(dims),
+                                   max_size=len(dims)), label="questions")
+    mixed = data.draw(st.booleans(), label="mixed")
+    rank_one = data.draw(st.booleans(), label="rank_one")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(0, 10, math.prod(questions)) + np.eye(
+        math.prod(questions), dtype=int)[0]
+    game = make_game(group, questions,
+                     [group.element(int(v)) for v in
+                      rng.integers(0, group.size, math.prod(questions))],
+                     distribution=[Fraction(int(w), int(weights.sum()))
+                                   for w in weights])
+    strategy = _strategy(rng, dims, questions, group.size, mixed, rank_one)
+    for behavior in (strategy_behavior(strategy, game),
+                     noise_behavior(strategy, game)):
+        assert abs(success_probability(game, behavior)
+                   - oracle_masked_success(game, behavior.table)) <= 1e-14
+    v = data.draw(st.floats(0.0, 1.0), label="visibility")
+    assert abs(noisy_success(game, strategy, v)
+               - oracle_noise_path_success(game, strategy, v)) <= 1e-14
+    assert abs(noisy_success(game, strategy, v)
+               - oracle_noisy_success(game, strategy, v)) <= 1e-12
+    ideal = oracle_noisy_success(game, strategy, 1.0)
+    base = oracle_noisy_success(game, strategy, 0.0)
+    if ideal - base < 1e-3:  # a flat line has an ill-conditioned crossing
+        if ideal < base - 1e-9:
+            with pytest.raises(NoThresholdError):
+                visibility_threshold(game, strategy, bound=base)
+        return
+    bound = base + data.draw(st.floats(-0.5, 0.99), label="crossing") * (
+        ideal - base)
+    assert abs(visibility_threshold(game, strategy, bound=bound)
+               - max((bound - base) / (ideal - base), 0.0)) <= 1e-12
+    with pytest.raises(NoThresholdError):
+        visibility_threshold(game, strategy, bound=ideal + 0.01)
 
 
 def _assert_kernels_bitwise(strategy, game):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lingame import cli
+from lingame import cli, strategies
 from lingame.algebra import AbelianGroup
 from lingame.errors import GameFormatError
 from lingame.games import make_game, serialize_game
@@ -143,6 +143,26 @@ def test_threshold_uses_noise_baseline_of_rank_two_strategy(capsys, tmp_path):
                              "--strategy", str(path))
         assert report["strategy"]["success"] == pytest.approx(1.0, abs=1e-9)
         assert report["strategy"]["visibility_threshold"] == ghz3_c4.THRESHOLD
+
+
+@pytest.mark.parametrize("command", ["diew", "analyze"])
+def test_strategy_section_runs_the_born_rule_once(capsys, monkeypatch,
+                                                  command):
+    # one Born-rule behavior per call gives the success, the verdict and
+    # the threshold; white noise builds no behavior of its own
+    counts = {"strategy_behavior": 0, "Behavior": 0}
+    for name in counts:
+        original = getattr(strategies, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(strategies, name, counted)
+    doc, _ = run_json(capsys, command, GHZ3, "--json",
+                      "--strategy", GHZ3_STRATEGY)
+    assert counts == {"strategy_behavior": 1, "Behavior": 1}
+    assert doc["strategy"]["visibility_threshold"] == pytest.approx(
+        0.8440296287, abs=1e-9)
 
 
 def test_diew_human_verdict_line(capsys):

@@ -19,6 +19,7 @@ from lingame.values import classical_value
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_make_game_uniform_chsh():
@@ -190,6 +191,44 @@ def test_behavior_validates_shape_and_rows():
     neg[0] = [0.5, 0.75, -0.25, 0.0]
     with pytest.raises(ValidationError):
         Behavior(Z2, (2, 2), neg)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[-0.5, 1.5]],
+     f"behavior has a negative probability {np.float64(-0.5)!r}"),
+    ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.2]],
+     "behavior rows [1, 2] are not normalized (sums [1.4, 0.4])"),
+    ([[0.5, 0.5 + 1e-9]],
+     "behavior rows [0] are not normalized (sums [1.000000001])"),
+    ([[np.nan, 0.5], [0.7, 0.7], [0.5, 0.5 + 2e-9]],
+     "behavior rows [1, 2] are not normalized "
+     "(sums [1.4, 1.0000000020000002])"),
+], ids=["negative", "rows", "just_over", "beside_nan"])
+def test_behavior_messages_name_rows_and_sums(table, message):
+    with pytest.raises(ValidationError) as err:
+        Behavior(Z2, (len(table),), table)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chsh_game(3, 3), mermin_ghz3_game,
+    lambda: make_game(Z3, (2, 3), lambda x: (x[0] * x[1]) % 3),
+    lambda: load_game(str(FIXTURES / "ghz3.game")),
+], ids=["chsh33", "ghz3", "make_game", "load_game"])
+def test_win_weights_are_built_on_first_use_and_read_only(build):
+    game = build()
+    assert "win_weights" not in vars(game)
+    weights = game.win_weights
+    assert weights is game.win_weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    g, n = game.group.size, game.players
+    assert weights.shape == (game.n_inputs, g**n)
+    # p(x) on the g^(n-1) answer tuples summing to f(x), 0 elsewhere
+    for row, p in zip(weights, game.probabilities_float()):
+        assert set(row.tolist()) <= {0.0, p}
+        assert np.count_nonzero(row == p) == (g**(n - 1) if p else g**n)
 
 
 def test_deterministic_strategy_behavior_and_success():

@@ -7,15 +7,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lingame.algebra import AbelianGroup
+from lingame.diew import visibility_threshold
 from lingame.errors import GameFormatError, ValidationError
 from lingame.games import (Behavior, chsh_game, make_game, mermin_ghz3_game,
                            success_probability)
-from lingame.strategies import (QuantumStrategy, correlators,
-                                ghz3_reference_strategy, load_strategy,
-                                noisy_success, parse_strategy_file,
-                                strategy_behavior, success_from_correlators)
+from lingame.strategies import (QuantumStrategy, _check_behaviors,
+                                correlators, ghz3_reference_strategy,
+                                load_strategy, noise_behavior, noisy_success,
+                                parse_strategy_file, strategy_behavior,
+                                success_from_correlators)
+from lingame.tolerances import BEHAVIOR_ROW_TOL
 
 from oracles import behavior_from_full_correlators
 
@@ -98,6 +102,64 @@ def test_nan_projector_rejected():
     meas = [[[v0, np.array([0, np.nan])]]]
     with pytest.raises(ValidationError, match=r"\(0, 0\)"):
         QuantumStrategy((2,), np.array([1, 0], dtype=complex), meas)
+
+
+def _scaled_ghz3(scales, outcome=None):
+    """The GHZ3 reference strategy with player i's vectors (only those of
+    ``outcome``, when given) multiplied by sqrt(1 + scales[i])."""
+    reference = ghz3_reference_strategy()
+    return [[[math.sqrt(1 + t) * reference.vector(i, x, o)
+              if outcome in (None, o) else reference.vector(i, x, o)
+              for o in range(3)] for x in range(3)]
+            for i, t in enumerate(scales)]
+
+
+def test_compounding_completeness_errors_are_refused():
+    # each family is complete to 9e-10, inside PROJECTOR_TOL, but every
+    # behavior row sums to (1 + 9e-10)^3 = 1 + 2.7e-9: refused at
+    # construction, not by the first behavior
+    state = ghz3_reference_strategy().state
+    with pytest.raises(ValidationError,
+                       match=r"completeness errors compound to 2\.7"):
+        QuantumStrategy((3, 3, 3), state, _scaled_ghz3([9e-10] * 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
+       st.sampled_from([None, 0, 2]), st.booleans())
+def test_accepted_strategies_evaluate_cleanly(scales, outcome, mixed):
+    # completeness off by scales[i] in every direction (outcome None) or
+    # in one: construction refuses exactly when the errors compound past
+    # BEHAVIOR_ROW_TOL, and whatever it accepts evaluates
+    game = mermin_ghz3_game()
+    state = ghz3_reference_strategy().state
+    if mixed:
+        state = 0.9 * np.outer(state, state.conj()) + 0.1 * np.eye(27) / 27
+    spread = math.prod(1 + abs(t) for t in scales) - 1
+    assume(abs(spread - BEHAVIOR_ROW_TOL) > 1e-12)
+    try:
+        strategy = QuantumStrategy((3, 3, 3), state,
+                                   _scaled_ghz3(scales, outcome))
+    except ValidationError as err:
+        assert "compound" in str(err) and spread > BEHAVIOR_ROW_TOL
+        return
+    assert spread < BEHAVIOR_ROW_TOL
+    strategy_behavior(strategy, game)
+    noise_behavior(strategy, game)
+    noisy_success(game, strategy, 0.5)
+    visibility_threshold(game, strategy, bound=0.9)
+
+
+def test_negative_white_noise_is_refused():
+    # tr(P)/d is at least about -PROJECTOR_TOL for a family that passes,
+    # so the product check is driven with marginals directly: -9e-10 and
+    # 1.2 each pass alone, their product -1.08e-9 does not
+    stacks = [np.array([0.0, 1.0]).reshape(1, 2, 1, 1)] * 2
+    _check_behaviors(stacks, [np.array([[0.5, 0.5]])] * 2)
+    with pytest.raises(ValidationError,
+                       match=r"white noise has a negative probability -1\.08"):
+        _check_behaviors(stacks, [np.array([[-9e-10, 1.0]]),
+                                  np.array([[1.2, 0.0]])])
 
 
 def test_measurement_count_must_match_players():

@@ -1,6 +1,6 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_17.json \\
+    python3 tools/bench_record.py --out BENCH_19.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
 Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
@@ -24,13 +24,17 @@ pure state and rank-one bases drawn from ``default_rng(0)``), of
 ``noisy_success`` at visibility 0.5 on chsh(4,4) with the same strategy,
 of ``game_hash`` on chsh(6,3) and of the in-process ``lingame boxes run
 fixtures/xyz.function --shots 200 --seed 1 --json`` call (``cli.main``
-with stdout captured); the last five time the mean of 20 calls.  A
-sample is the best of three such timings in a fresh single-threaded
-interpreter.  Each row takes five samples per
+with stdout captured).  A timing repeats the call until at least 0.2 s
+have passed and takes the mean, so a call of milliseconds is timed over
+a hundred calls or more; a sample is the best of three such timings in
+a fresh single-threaded interpreter.  Each row takes five samples per
 label, the labels alternating sample by sample, and keeps every sample
-and, per label, their median: fresh interpreters spread by about 20%,
-more than one sample can resolve.  Every run and every scale sample gets
-a new empty ``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label
+and, per label, their median: on a 2-core host shared with other work,
+the slowest of a row's five samples in fresh interpreters reads 1.1 to
+1.6 times the fastest (``BENCH_19.json``; with means of 20 calls the
+``boxes_run`` row read 1.6 to 1.8 times in ``BENCH_17.json``), more than
+one sample can resolve.  Every run and every scale sample gets a new
+empty ``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label
 imports bytecode that an earlier run left in its checkout.  When
 ``parent`` and ``change`` are both run, the change/parent ratios of the
 medians and of the scale timings are stored and printed.  The ratios of
@@ -78,20 +82,17 @@ import numpy as np
 from lingame import cli, diew, qbounds, strategies, values
 from lingame.games import chsh_game, game_hash
 shape = tuple(map(int, sys.argv[2:]))
-repeats = 1
 if sys.argv[1] == "boxes_run":
     argv = ["boxes", "run", "fixtures/xyz.function", "--shots", "200",
             "--seed", "1", "--json"]
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
-    repeats = 20  # a call takes milliseconds: time the mean of 20
 elif sys.argv[1] == "chsh_game":
     call = lambda: chsh_game(*shape)
 elif sys.argv[1] == "game_hash":
     game = chsh_game(*shape)
     call = lambda: game_hash(game)
-    repeats = 20  # a call takes milliseconds: time the mean of 20
 elif sys.argv[1] in ("strategy_behavior", "noisy_success"):
     # a pure state and rank-one bases, d = |G| per player
     game, (n, d), rng = chsh_game(*shape), shape, np.random.default_rng(0)
@@ -107,7 +108,6 @@ elif sys.argv[1] in ("strategy_behavior", "noisy_success"):
             "noisy_success":
                 lambda: strategies.noisy_success(game, strategy, 0.5)}[
         sys.argv[1]]
-    repeats = 20  # a call takes milliseconds: time the mean of 20
 else:
     game = chsh_game(*shape)
     call = {"classical_value": lambda: values.classical_value(game),
@@ -115,11 +115,15 @@ else:
                 lambda: diew.biseparable_bound_partition(game, 0),
             "quantum_bound": lambda: qbounds.quantum_bound(game)}[sys.argv[1]]
 times = []
-for _ in range(3):
-    start = time.perf_counter()
-    for _ in range(repeats):
+for _ in range(3):  # a timing repeats the call for at least 0.2 s
+    calls, start = 0, time.perf_counter()
+    while True:
         call()
-    times.append((time.perf_counter() - start) / repeats)
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= 0.2:
+            break
+    times.append(elapsed / calls)
 print(min(times))
 """
 
