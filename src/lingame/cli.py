@@ -158,17 +158,20 @@ def _read(load, path):
         raise ValidationError(f"cannot read {path}: {e.strerror}") from None
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the wall-clock seconds it took."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def cmd_analyze(args):
     game = _read(games.load_game, args.game)
-    timings = {}
+    timings, cap = {}, _cap_kw(args)
 
-    t0 = time.perf_counter()
-    classical = values.classical_value(game, **_cap_kw(args))
-    timings["classical"] = time.perf_counter() - t0
+    classical, timings["classical"] = _timed(values.classical_value, game, **cap)
     ns_value, _ = values.no_signaling_value(game)
-    t0 = time.perf_counter()
-    bound = qbounds.quantum_bound(game)
-    timings["quantum_bound"] = time.perf_counter() - t0
+    bound, timings["quantum_bound"] = _timed(qbounds.quantum_bound, game)
 
     doc = {
         "command": "analyze",
@@ -199,12 +202,8 @@ def cmd_analyze(args):
     sandwich_ok = float(classical.value) <= bound.bound + SANDWICH_TOL
     bisep = None
     if game.players == 3:
-        t0 = time.perf_counter()
-        svet = values.svetlichny_value(game, **_cap_kw(args))
-        timings["svetlichny"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bisep = diew.biseparable_bound(game, **_cap_kw(args))
-        timings["biseparable"] = time.perf_counter() - t0
+        svet, timings["svetlichny"] = _timed(values.svetlichny_value, game, **cap)
+        bisep, timings["biseparable"] = _timed(diew.biseparable_bound, game, **cap)
         doc["svetlichny"] = _fraction_fields(svet)
         doc["biseparable"] = _biseparable_json(bisep)
         sandwich_ok = (sandwich_ok
@@ -228,9 +227,7 @@ def cmd_analyze(args):
 def cmd_chsh(args):
     analytic = qbounds.chsh_bound_analytic(args.players, args.outcomes)
     game = games.chsh_game(args.players, args.outcomes)
-    t0 = time.perf_counter()
-    bound = qbounds.quantum_bound(game)
-    elapsed = time.perf_counter() - t0
+    bound, elapsed = _timed(qbounds.quantum_bound, game)
     agreement = abs(bound.bound - analytic) <= args.tolerance
     doc = {
         "command": "chsh",
@@ -254,9 +251,7 @@ def cmd_chsh(args):
 
 def cmd_diew(args):
     game = _read(games.load_game, args.game)
-    t0 = time.perf_counter()
-    report = diew.biseparable_bound(game, **_cap_kw(args))
-    elapsed = time.perf_counter() - t0
+    report, elapsed = _timed(diew.biseparable_bound, game, **_cap_kw(args))
     doc = {
         "command": "diew",
         "game": _game_json(game),
@@ -276,9 +271,7 @@ def cmd_diew(args):
 
 def cmd_separable(args):
     game = _read(games.load_game, args.game)
-    t0 = time.perf_counter()
-    report = values.separability_check(game)
-    elapsed = time.perf_counter() - t0
+    report, elapsed = _timed(values.separability_check, game)
     doc = {"command": "separable",
            "game": _game_json(game),
            "separable": report.separable}
@@ -298,8 +291,7 @@ def cmd_separable(args):
 def cmd_boxes_run(args):
     table = _read(boxworld.load_function, args.function)
     rng = np.random.default_rng(args.seed)
-    t0 = time.perf_counter()
-    inputs, totals = boxworld.protocol_runs(table, args.shots, rng)
+    (inputs, totals), elapsed = _timed(boxworld.protocol_runs, table, args.shots, rng)
     expected = table.as_array()[tuple(inputs.T)]
     results = totals.sum(axis=1) % table.d
     correct = bool((results == expected).all())
@@ -309,7 +301,6 @@ def cmd_boxes_run(args):
                           "local_outputs": totals, "dits": totals[:, 1:],
                           "dits_communicated": np.full(args.shots, dits),
                           "result": results})
-    elapsed = time.perf_counter() - t0
     doc = {"command": "boxes run",
            "d": table.d,
            "arities": list(table.arities),
@@ -332,9 +323,7 @@ def cmd_boxes_run(args):
 
 def cmd_boxes_reduce(args):
     table = _read(boxworld.load_function, args.function)
-    t0 = time.perf_counter()
-    reduction = boxworld.reduce_to_pr(table)
-    elapsed = time.perf_counter() - t0
+    reduction, elapsed = _timed(boxworld.reduce_to_pr, table)
     doc = {"command": "boxes reduce",
            "d": table.d,
            "arities": list(table.arities),

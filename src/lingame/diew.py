@@ -13,12 +13,11 @@ where c assigns one fixed answer to each of X's questions and
 Observed success above omega_B = max over the three splits certifies
 genuine tripartite entanglement from statistics alone.
 
-The tables c are enumerated by the histogram fold of the exact values
-(``values.fold_tables``), with its order, cap and blocks: a block holds,
-for each of its tables, F_c[s] = the weight of f(x) - c(x_X) = s over the
-pair's questions, and Phi_k^B(c) = sum_s chi_k(s) F_c[s] / den.  As in
-``qbounds``, the sum is taken for one representative k of each conjugate
-pair {k, -k} only: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
+Fixing c multiplies the slice M[k, l] of ``qbounds.game_tensor`` at lone
+question l by a phase, Phi_k^B(c) = sum_l conj chi_k(c_l) M[k, l], so the
+matrices of a block of tables are one batched product of their phases with
+M.  As in ``qbounds``, only one representative k of each conjugate pair
+{k, -k} is built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-# Called through their modules, where per-layer tracing wraps them.
-from . import strategies
+# Called through their modules: per-layer tracing wraps them, tests patch them.
+from . import strategies, values
 from .errors import NoThresholdError, ValidationError
-from .games import answer_sums
-from .qbounds import character_norms, character_slice, first_optimum
+from .qbounds import character_norms, character_slice, first_optimum, game_tensor
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
-from .values import fold_tables, table_digits
 
 
 def _check_tripartite(game):
@@ -52,17 +49,27 @@ def _check_lone(lone):
         raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
 
 
-def _pair_matrices(game, lone, block):
-    """Phi_k^B(c_t)[x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den
-    at [k, t, x_i, x_j], for every representative k of
-    ``character_pairs`` and every table t of a block F of
-    ``values.fold_tables``; i < j is the pair."""
-    g, tables, _ = block.shape
-    chi = game.group.character_pairs.table
-    # complex @ complex runs in BLAS; complex @ float does not.
-    b = chi @ np.asarray(block.reshape(g, -1) / game.den, dtype=complex)
-    return b.reshape((len(chi), tables) + tuple(
-        q for i, q in enumerate(game.question_counts) if i != lone))
+def _pair_matrices(game, lone, tables):
+    """Phi_k^B(c)[x_i, x_j] at [k, t, x_i, x_j], for every representative
+    k of ``character_pairs`` and every table c = ``tables[t]``, one
+    element index per lone question; i < j is the pair."""
+    m = np.moveaxis(game_tensor(game), 1 + lone, 1)
+    phases = game.group.character_pairs.table.conj()[:, tables]
+    b = phases @ m.reshape(m.shape[:2] + (-1,))
+    return b.reshape(b.shape[:2] + m.shape[2:])
+
+
+def _table_blocks(game, lone):
+    """The lone player's tables answering the identity on question 0, as
+    element indices, in lexicographic order, in blocks of at most
+    ``values._CHUNK_ENTRIES`` complex entries in ``_pair_matrices``."""
+    g, q = game.group.size, game.question_counts[lone]
+    tables = g ** (q - 1)
+    step = max(1, values._CHUNK_ENTRIES // (
+        len(game.group.character_pairs.reps) * (q + game.n_inputs // q)))
+    for start in range(0, tables, step):
+        index = np.arange(start, min(start + step, tables))
+        yield index[:, None] // g ** np.arange(q - 1, -1, -1) % g
 
 
 def biseparable_matrix(game, lone, k, assignment):
@@ -78,12 +85,7 @@ def biseparable_matrix(game, lone, k, assignment):
         raise ValidationError(
             f"assignment has {len(assignment)} entries, lone player has "
             f"{game.question_counts[lone]} questions")
-    # F[s] = sum_l H[s + c_l, l, ...]: the fold of the one table c.
-    g = game.group.size
-    shift = answer_sums(game.group, 2).reshape(g, g)  # index of s + c at [c, s]
-    hist = np.moveaxis(game.histogram, [3, lone], [0, 1])
-    f = hist[shift[assignment], np.arange(len(assignment))[:, None]].sum(axis=0)
-    return character_slice(_pair_matrices(game, lone, f.reshape(g, 1, -1))[:, 0],
+    return character_slice(_pair_matrices(game, lone, [assignment])[:, 0],
                            game.group, k)
 
 
@@ -114,19 +116,18 @@ class BiseparableReport:
 
 def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Maximize the split bound over all answer tables c of the lone
-    player, enumerated lexicographically by ``values.fold_tables``; the
-    first table within TIE_TOL of the maximum is reported, with the
-    maximum as its raw bound.
+    player, enumerated lexicographically; the first table within TIE_TOL
+    of the maximum is reported, with the maximum as its raw bound.
 
-    Each block of the fold gives the Phi_k^B(c) of its tables by one
-    character sum, and their norms by ``qbounds.character_norms``.  Adding
-    t to every lone answer multiplies each Phi_k^B(c) by the phase
+    Adding t to every lone answer multiplies each Phi_k^B(c) by the phase
     conj chi_k(t) and leaves its norm unchanged, so only the tables
     answering the identity on question 0 are searched: the first of every
-    shift class, and so the first optimum.  ``cap`` bounds the unreduced
-    count |G|^Q_lone."""
+    shift class, and so the first optimum.  They run in the blocks of
+    ``_table_blocks``, each block's norms from ``qbounds.character_norms``.
+    ``cap`` bounds the unreduced count |G|^Q_lone."""
     _check_tripartite(game)
     _check_lone(lone)
+    values.check_cap(game, (lone,), cap)
     g = game.group.size
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     # The first table within TIE_TOL of the maximum beats every table
@@ -134,7 +135,7 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     # of those, (raw, table, norms) are kept while within TIE_TOL of it.
     tables = g ** (game.question_counts[lone] - 1)
     records, top, start = [], -math.inf, 0
-    for block in fold_tables(game, (lone,), cap):
+    for block in _table_blocks(game, lone):
         sigma = character_norms(_pair_matrices(game, lone, block), game.group)
         # Summed as numpy sums the norms of all tables at once: row by row,
         # or pairwise for the one column of a lone table.
@@ -144,9 +145,9 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
                 top = raw
                 records = [r for r in records if top - r[0] <= TIE_TOL]
                 records.append((raw, start + t, sigma[:, t].tolist()))
-        start += sigma.shape[1]
+        start += len(block)
     _, best, norms = records[0]
-    assignment = table_digits(game, (lone,), best)[0]
+    assignment = values.table_digits(game, (lone,), best)[0]
     return BiseparablePartition(
         lone=lone, assignment=tuple(map(game.group.element, assignment)),
         norms=dict(zip(game.group.elements()[1:], norms)),

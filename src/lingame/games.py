@@ -348,12 +348,15 @@ class Behavior:
         if low < -BEHAVIOR_ROW_TOL:
             raise ValidationError(
                 f"behavior has a negative probability {low!r}")
-        if max(np.fmax.reduce(sums) - 1,  # fmax/fmin skip NaN rows, as below
+        if max(np.fmax.reduce(sums) - 1,  # fmax/fmin skip NaN rows, refused below
                1 - np.fmin.reduce(sums)) > BEHAVIOR_ROW_TOL:
             bad = np.flatnonzero(np.abs(sums - 1) > BEHAVIOR_ROW_TOL)
             raise ValidationError(
                 f"behavior rows {bad.tolist()} are not normalized "
                 f"(sums {sums[bad].tolist()})")
+        if np.isnan(low):
+            rows = np.flatnonzero(np.isnan(sums)).tolist()
+            raise ValidationError(f"behavior rows {rows} have NaN entries")
         self.table = table
 
     @property

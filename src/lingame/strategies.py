@@ -116,7 +116,7 @@ class QuantumStrategy:
                 raise ValidationError(
                     f"state vector has length {state.shape[0]}, expected {total}")
             norm = np.linalg.norm(state)
-            if abs(norm - 1.0) > STATE_TOL:
+            if not abs(norm - 1.0) <= STATE_TOL:  # NaN fails every <= test
                 raise ValidationError(f"state vector has norm {norm!r}, not 1")
             self.state = state
             self._density = None
@@ -125,12 +125,12 @@ class QuantumStrategy:
                 raise ValidationError(
                     f"density matrix has shape {state.shape}, expected "
                     f"{(total, total)}")
-            if np.abs(state - state.conj().T).max() > STATE_TOL:
+            if not np.abs(state - state.conj().T).max() <= STATE_TOL:
                 raise ValidationError("density matrix is not Hermitian")
-            if abs(np.trace(state).real - 1.0) > STATE_TOL:
+            if not abs(np.trace(state).real - 1.0) <= STATE_TOL:
                 raise ValidationError(
                     f"density matrix has trace {np.trace(state)!r}, not 1")
-            if np.linalg.eigvalsh(state).min() < -STATE_TOL:
+            if not np.linalg.eigvalsh(state).min() >= -STATE_TOL:
                 raise ValidationError("density matrix has a negative eigenvalue")
             self.state = None
             self._density = state

@@ -25,8 +25,19 @@ from .games import (
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
-# Entries of one score block, (|G|, tables, free rows): 2 MiB of int64.
+# Entries of one block: 2 MiB of int64 scores here, 4 MiB complex in diew.
 _CHUNK_ENTRIES = 1 << 18
+
+
+def check_cap(game, fixed, cap):
+    """ResourceLimitError when the unreduced count of the answer tables of
+    the players in ``fixed``, |G|^(their questions), exceeds ``cap``."""
+    required = game.group.size ** sum(game.question_counts[i] for i in fixed)
+    if required > cap:
+        raise ResourceLimitError(
+            f"enumerating the tables of players {list(fixed)} needs "
+            f"{required} assignments, cap is {cap}",
+            required=required, cap=cap)
 
 
 def fold_tables(game, fixed, cap):
@@ -35,26 +46,20 @@ def fold_tables(game, fixed, cap):
     table in lexicographic order: entry [r, t, y] is the weight of the
     questions in free row y where f(x) minus the answers of table t is
     element r.  Each fixed player answers the identity on question 0
-    (see ``table_digits``).  ``cap`` bounds the unreduced count
-    |G|^(questions of the fixed players); above it ResourceLimitError
-    is raised at the call, before any block is built.
+    (see ``table_digits``).  ``check_cap`` runs at the call, before any
+    block is built.
 
     The histogram H[r, fixed players' axes, free rows] folds out one
     player at a time: table c gives H'[r, ...] = sum_x H[r + c(x), x, ...],
     an outer sum of the player's question slices shifted by every answer
     (one gather).  Folds run depth-first in table order, each question
     split answer by answer while the tables below it exceed
-    ``_CHUNK_ENTRIES``.
+    ``_CHUNK_ENTRIES``.  Only the exact values fold; the biseparable
+    bound reads its tables' matrices off ``qbounds.game_tensor``.
     """
+    check_cap(game, fixed, cap)
     g = game.group.size
     questions = [game.question_counts[i] for i in fixed]
-    required = g ** sum(questions)
-    if required > cap:
-        raise ResourceLimitError(
-            f"enumerating the tables of players {list(fixed)} needs "
-            f"{required} assignments, cap is {cap}",
-            required=required, cap=cap)
-
     free = [i for i in range(game.players) if i not in fixed]
     n_rows = math.prod(game.question_counts[i] for i in free)
     shift = answer_sums(game.group, 2).reshape(g, g)  # index of a + c at [c, a]

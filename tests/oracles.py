@@ -14,11 +14,17 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   tensor slice and one complex SVD per nontrivial character (checks
   qbounds.character_norms, its one norm per pair {k, -k} and its real SVD
   for k = -k, on bipartitions and on the lone-player pair matrices).
-* oracle_biseparable_search: the fold search for one split that kept the
+* oracle_fold_pair_matrices / oracle_lone_tables: the lone player's pair
+  matrices as a character sum over a block of the answer histogram's
+  fold, the way the biseparable search built them before it read them
+  off the game tensor, and the tables in itertools order (checks
+  diew._pair_matrices).
+* oracle_biseparable_search: the search for one split that kept the
   norms of every table and read the winner's column at the end (checks
   that the search keeping only the tables near the running maximum
-  reports the same partition, bit for bit; both read their norms from
-  diew.character_norms).
+  reports the same partition, bit for bit; both read their matrices from
+  diew._pair_matrices on the blocks of diew._table_blocks and their norms
+  from diew.character_norms).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -104,9 +110,8 @@ from lingame.games import DeterministicStrategy, answer_sums
 from lingame.strategies import (QuantumStrategy, _as_projector,
                                 noise_behavior, strategy_behavior)
 from lingame.qbounds import first_optimum
-from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
-                                TIE_TOL)
-from lingame.values import SeparabilityReport, fold_tables, table_digits
+from lingame.tolerances import PROJECTOR_TOL, TIE_TOL
+from lingame.values import SeparabilityReport, table_digits
 
 
 def _jacobi_rotation(a, p, q):
@@ -218,6 +223,27 @@ def oracle_bipartition_norms(game, s):
         qbounds._bipartition_stack(oracle_game_tensor(game), game, s))
 
 
+def oracle_fold_pair_matrices(game, lone, block):
+    """Phi_k^B(c_t)[x_i, x_j] = sum_s chi_k(s) F[s, t, (x_i, x_j)] / den at
+    [k, t, x_i, x_j], for every representative k of ``character_pairs``
+    and every table t of a block F of ``values.fold_tables``: the pair
+    matrices of the biseparable search when it folded the answer
+    histogram (checks diew._pair_matrices, which reads them off the game
+    tensor)."""
+    g, tables, _ = block.shape
+    chi = game.group.character_pairs.table
+    b = chi @ np.asarray(block.reshape(g, -1) / game.den, dtype=complex)
+    return b.reshape((len(chi), tables) + tuple(
+        q for i, q in enumerate(game.question_counts) if i != lone))
+
+
+def oracle_lone_tables(game, lone):
+    """Every table of the lone player answering the identity on question
+    0, as element indices, in lexicographic order."""
+    return np.array([(0,) + c for c in itertools.product(
+        range(game.group.size), repeat=game.question_counts[lone] - 1)])
+
+
 def oracle_pair_norms(game, lone, block):
     """||Phi_k^B(c)|| at [k, t] for every nontrivial k and every table t of
     a block of ``values.fold_tables``, one complex SVD per character."""
@@ -287,19 +313,16 @@ def oracle_biseparable_bound(game):
     return raw, best, parts[best][1]
 
 
-def oracle_biseparable_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
-    """The histogram-fold search for one split as it was when it kept the
-    norms of every table in one (|G|-1, tables) array and read the
-    winner's column at the end; norms go through diew.character_norms,
-    so a test may script them for both searches."""
+def oracle_biseparable_search(game, lone):
+    """The search for one split as it was when it kept the norms of every
+    table in one (|G|-1, tables) array and read the winner's column at the
+    end; matrices go through diew._pair_matrices on the blocks of
+    diew._table_blocks and norms through diew.character_norms, so a test
+    may script them for both searches."""
     g = game.group.size
-    sigma = np.empty((g - 1, g ** (game.question_counts[lone] - 1)))
-    start = 0
-    for block in fold_tables(game, (lone,), cap):
-        tables = block.shape[1]
-        sigma[:, start:start + tables] = diew.character_norms(
-            diew._pair_matrices(game, lone, block), game.group)
-        start += tables
+    sigma = np.concatenate([diew.character_norms(
+        diew._pair_matrices(game, lone, block), game.group)
+        for block in diew._table_blocks(game, lone)], axis=1)
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     raws = (1.0 + factor * sigma.sum(axis=0)) / g
     best, raw = first_optimum(raws, largest=True)

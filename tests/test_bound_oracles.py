@@ -1,8 +1,10 @@
-"""The game tensor and the histogram fold of the biseparable search
-against the slow path they replaced: entry-by-entry game matrices, Jacobi
-norms, and a Python loop over every partition and lone-player assignment;
-and the norms of one matrix per conjugate pair of characters against the
-kernel that took one complex SVD per character (tests/oracles.py)."""
+"""The game tensor and the biseparable search against the slow path they
+replaced: entry-by-entry game matrices, Jacobi norms, and a Python loop
+over every partition and lone-player assignment; the search's pair
+matrices, read off the game tensor, against the histogram fold that
+built them before; and the norms of one matrix per conjugate pair of
+characters against the kernel that took one complex SVD per character
+(tests/oracles.py)."""
 
 import math
 import tracemalloc
@@ -11,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lingame import diew, qbounds, values
 from lingame.algebra import AbelianGroup
@@ -25,7 +27,8 @@ from lingame.tolerances import TIE_TOL
 
 from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
                      oracle_biseparable_search, oracle_bipartition_norms,
-                     oracle_game_matrix, oracle_max_singular_value,
+                     oracle_fold_pair_matrices, oracle_game_matrix,
+                     oracle_lone_tables, oracle_max_singular_value,
                      oracle_pair_norms, oracle_quantum_bound)
 
 Z3 = AbelianGroup((3,))
@@ -120,18 +123,20 @@ def test_biseparable_search_matches_oracle_on_other_groups(game, entries):
         assert_biseparable_matches(game)
 
 
+Z2Z2 = AbelianGroup((2, 2))
+BEYOND_2_TO_THE_53 = make_game(
+    Z2Z2, (2, 3, 2),
+    [Z2Z2.element(i) for i in (1, 0, 3, 0, 3, 3, 0, 3, 2, 1, 1, 0)],
+    distribution=[Fraction(w, 2**80) for w in
+                  (5, 2**80 - 17, 0, 3, 1, 0, 2, 6, 0, 0, 0, 0)])
+
+
 @pytest.mark.parametrize("entries", [1, 50, values._CHUNK_ENTRIES])
 def test_biseparable_search_beyond_2_to_the_53_matches_oracle(entries):
     """A denominator of 2^80 gives an object-dtype histogram."""
-    z2z2 = AbelianGroup((2, 2))
-    den = 2**80
-    weights = [5, den - 17, 0, 3, 1, 0, 2, 6, 0, 0, 0, 0]
-    game = make_game(z2z2, (2, 3, 2),
-                     [z2z2.element(i) for i in (1, 0, 3, 0, 3, 3, 0, 3, 2, 1, 1, 0)],
-                     distribution=[Fraction(w, den) for w in weights])
-    assert game.histogram.dtype == object
+    assert BEYOND_2_TO_THE_53.histogram.dtype == object
     with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
-        assert_biseparable_matches(game)
+        assert_biseparable_matches(BEYOND_2_TO_THE_53)
 
 
 TIED_Z3_GAME = make_game(Z3, (3, 3, 3), [(v,) for v in (
@@ -206,6 +211,26 @@ def test_blocks_bound_the_memory_of_the_biseparable_search():
     assert peak < 3 * values._CHUNK_ENTRIES * 8
 
 
+@pytest.mark.parametrize("entries", [1, 600, values._CHUNK_ENTRIES])
+def test_blocks_hold_at_most_the_chunk_entries(entries):
+    """chsh(3,5), lone player 0: a block of t tables holds 2 t (5 + 25)
+    complex phases and matrix entries, at most ``values._CHUNK_ENTRIES``
+    unless t is 1, and the blocks cover the 625 tables in turn."""
+    blocks = []
+
+    def recording(stack, group):
+        blocks.append(stack.shape[:2])
+        return character_norms(stack, group)
+
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries), \
+            mock.patch.object(diew, "character_norms", recording):
+        biseparable_bound_partition(chsh_game(3, 5), 0)
+    assert all(reps == 2 and (t == 1 or reps * t * 30 <= entries)
+               for reps, t in blocks)
+    assert sum(t for _, t in blocks) == 625
+    assert len(blocks) == -(-625 // max(1, entries // 60))
+
+
 def test_search_keeps_no_norms_per_table():
     """2^16 lone-player tables in blocks of 2^10 entries: only a block and
     the norms of the tables near the running maximum are alive, not the
@@ -228,12 +253,13 @@ KERNEL_GROUPS = ((2,), (3,), (4,), (2, 2), (3, 3), (6,))
 
 
 @st.composite
-def kernel_games(draw):
-    """Two- and three-player games over groups whose nontrivial characters
-    are all real (Z2, Z2xZ2), all complex (Z3, Z3xZ3) or both (Z4, Z6),
-    with one to three questions a player and zero-probability inputs."""
+def kernel_games(draw, players=st.integers(2, 3)):
+    """Games of two or three players (drawn by ``players``) over groups
+    whose nontrivial characters are all real (Z2, Z2xZ2), all complex (Z3,
+    Z3xZ3) or both (Z4, Z6), with one to three questions a player and
+    zero-probability inputs."""
     group = AbelianGroup(draw(st.sampled_from(KERNEL_GROUPS)))
-    players = draw(st.integers(2, 3))
+    players = draw(players)
     questions = tuple(draw(st.lists(st.integers(1, 3), min_size=players,
                                     max_size=players)))
     size = math.prod(questions)
@@ -286,10 +312,10 @@ def test_character_norms_match_the_kernel_oracle(game, data):
     if game.players != 3:
         return
     for lone in range(3):
-        for block in values.fold_tables(game, (lone,), 10**4):
-            assert_pairs_match_kernel(diew._pair_matrices(game, lone, block),
-                                      group, oracle_pair_norms(game, lone, block),
-                                      neg)
+        block, = values.fold_tables(game, (lone,), 10**4)
+        assert_pairs_match_kernel(
+            diew._pair_matrices(game, lone, oracle_lone_tables(game, lone)),
+            group, oracle_pair_norms(game, lone, block), neg)
         table = data.draw(st.lists(st.sampled_from(group.elements()),
                                    min_size=game.question_counts[lone],
                                    max_size=game.question_counts[lone]))
@@ -299,3 +325,23 @@ def test_character_norms_match_the_kernel_oracle(game, data):
                                                      table), m.conj())
             assert np.abs(m - oracle_biseparable_matrix(game, lone, k, table)
                           ).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_games(players=st.just(3)))
+@example(make_game(AbelianGroup((6,)), (1, 2, 3), [(v,) for v in range(6)]))
+@example(BEYOND_2_TO_THE_53)
+def test_pair_matrices_match_the_histogram_fold(game):
+    """For every split, the matrices of every table read off the game
+    tensor are those of the histogram fold, within 1e-12 of the largest
+    entry; a lone player with one question has the one table 0."""
+    for lone in range(3):
+        tables = oracle_lone_tables(game, lone)
+        want = np.concatenate([oracle_fold_pair_matrices(game, lone, block)
+                               for block in values.fold_tables(
+                                   game, (lone,), 10**4)], axis=1)
+        got = diew._pair_matrices(game, lone, tables)
+        assert got.shape == want.shape == (
+            (len(game.group.character_pairs.reps), len(tables))
+            + tuple(q for i, q in enumerate(game.question_counts) if i != lone))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

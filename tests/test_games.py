@@ -203,7 +203,9 @@ def test_behavior_validates_shape_and_rows():
     ([[np.nan, 0.5], [0.7, 0.7], [0.5, 0.5 + 2e-9]],
      "behavior rows [1, 2] are not normalized "
      "(sums [1.4, 1.0000000020000002])"),
-], ids=["negative", "rows", "just_over", "beside_nan"])
+    ([[0.5, 0.5], [np.nan, np.nan], [0.5, np.nan]],
+     "behavior rows [1, 2] have NaN entries"),
+], ids=["negative", "rows", "just_over", "beside_nan", "nan"])
 def test_behavior_messages_name_rows_and_sums(table, message):
     with pytest.raises(ValidationError) as err:
         Behavior(Z2, (len(table),), table)

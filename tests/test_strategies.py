@@ -104,6 +104,17 @@ def test_nan_projector_rejected():
         QuantumStrategy((2,), np.array([1, 0], dtype=complex), meas)
 
 
+@pytest.mark.parametrize("state", [
+    [np.nan, 0, 0, 0], np.diag([np.nan, 1.0, 0.0, 0.0])],
+    ids=["vector", "density"])
+def test_nan_state_rejected(state):
+    # as with projectors, every comparison with NaN is false, so the norm,
+    # trace, Hermiticity and eigenvalue checks used to pass it
+    meas = [[[np.array([1, 0]), np.array([0, 1])]]] * 2
+    with pytest.raises(ValidationError):
+        QuantumStrategy((2, 2), state, meas)
+
+
 def _scaled_ghz3(scales, outcome=None):
     """The GHZ3 reference strategy with player i's vectors (only those of
     ``outcome``, when given) multiplied by sqrt(1 + scales[i])."""
