@@ -44,7 +44,6 @@ from .qbounds import (
     chsh_bound_analytic,
     game_matrix,
     quantum_bound,
-    quantum_bound_partition,
 )
 from .strategies import (
     CorrelatorTensor,
@@ -78,12 +77,10 @@ from .boxworld import (
     box_behavior,
     box_sample,
     cc_protocol,
-    evaluate_polynomial,
     interpolate_polynomial,
     load_function,
     parse_function_file,
     partial_derivative,
-    polynomial_table,
     protocol_runs,
     reduce_to_pr,
     serialize_function,

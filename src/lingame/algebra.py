@@ -38,6 +38,7 @@ class CharacterPairs(NamedTuple):
     real: int
     slot: np.ndarray
     table: np.ndarray
+    phase: np.ndarray
 
 
 class AbelianGroup:
@@ -57,6 +58,7 @@ class AbelianGroup:
                 raise ValueError(f"cyclic factor orders must be >= 2, got {d}")
         self.orders = orders
         self.size = math.prod(orders)
+        self.exponent = math.lcm(*orders)  # chi_k(a) ** exponent == 1
         self._elements = list(itertools.product(*(range(d) for d in orders)))
         self._index = {a: i for i, a in enumerate(self._elements)}
         self._char_table = None
@@ -110,13 +112,12 @@ class AbelianGroup:
     def character_table(self):
         """Complex array T[k_index, a_index] = chi_k(a), built once."""
         if self._char_table is None:
-            # Integer phase sum_j k_j a_j (L / d_j) mod L over L = lcm(d_j):
+            # Integer phase sum_j k_j a_j (L / d_j) mod L over L = exponent:
             # exact like character(), and p / L rounds as float(Fraction).
-            lcm = math.lcm(*self.orders)
             res = np.array(self._elements, dtype=np.int64)
-            scale = np.array([lcm // d for d in self.orders], dtype=np.int64)
-            phase = (res[:, None] * res[None] * scale).sum(axis=2) % lcm
-            table = np.exp(2j * np.pi * (phase / lcm))
+            scale = np.array([self.exponent // d for d in self.orders], dtype=np.int64)
+            self._phase = (res[:, None] * res[None] * scale).sum(axis=2) % self.exponent
+            table = np.exp(2j * np.pi * (self._phase / self.exponent))
             table.setflags(write=False)
             self._char_table = table
         return self._char_table
@@ -129,9 +130,10 @@ class AbelianGroup:
         every real character (k = -k), then the first member of each
         complex pair, in enumeration order; ``real`` counts the real ones.
         ``slot[i]`` is the position in ``reps`` of the representative of
-        the nontrivial character i + 1, and ``table`` holds the
+        the nontrivial character i + 1, ``table`` holds the
         representatives' rows of ``character_table``, the real ones with
-        their imaginary parts set to 0.  Since p(x) is real, the game
+        their imaginary parts set to 0, and ``phase`` their integer phases
+        j, table = exp(2 pi i j / exponent).  Since p(x) is real, the game
         matrix of -k is the conjugate of that of k, with the same norm."""
         residues = -np.array(self._elements) % self.orders
         neg = np.ravel_multi_index(residues.T, self.orders)  # index of -k
@@ -142,9 +144,10 @@ class AbelianGroup:
         slot[reps] = slot[neg[reps]] = np.arange(len(reps))
         table = self.character_table()[reps]
         table[:len(real)] = table[:len(real)].real
-        for a in (reps, slot, table):
+        phase = self._phase[reps]
+        for a in (reps, slot, table, phase):
             a.setflags(write=False)
-        return CharacterPairs(reps, len(real), slot[1:], table)
+        return CharacterPairs(reps, len(real), slot[1:], table, phase)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders

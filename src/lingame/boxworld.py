@@ -298,30 +298,6 @@ def interpolate_polynomial(table):
     return PolyCoefficients(d=d, arities=table.arities, coeffs=arr)
 
 
-def evaluate_polynomial(coeffs, variables):
-    """Value of an interpolated polynomial at one point."""
-    variables = as_int_tuple(variables, "input symbols")
-    if len(variables) != sum(coeffs.arities):
-        raise ValidationError(
-            f"expected {sum(coeffs.arities)} variables, got {len(variables)}")
-    v = _vandermonde(coeffs.d)
-    acc = coeffs.coeffs
-    for x in variables:
-        if not 0 <= x < coeffs.d:
-            raise ValidationError(f"input symbol {x} outside Z_{coeffs.d}")
-        acc = np.tensordot(acc, v[x], axes=([0], [0])) % coeffs.d
-    return int(acc)
-
-
-def polynomial_table(coeffs):
-    """Evaluate a polynomial on the whole grid, back into a table."""
-    v = _vandermonde(coeffs.d)
-    arr = coeffs.coeffs
-    for _ in range(sum(coeffs.arities)):
-        arr = np.tensordot(arr, v, axes=([0], [1])) % coeffs.d
-    return FunctionTable(coeffs.d, coeffs.arities, arr.reshape(-1))
-
-
 def partial_derivative(table, variable):
     """Difference table f(..., x_v + 1, ...) - f(..., x_v, ...) mod d; the
     polynomial degree in that variable drops by at least one."""

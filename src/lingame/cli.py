@@ -70,14 +70,6 @@ def _emit(args, doc, human_lines):
     return 0
 
 
-def parse_report(text):
-    """Parse a --json report back into a dict (integration-test hook)."""
-    doc = games._decode(text)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise GameFormatError(f"not a {SCHEMA} report")
-    return doc
-
-
 def _fraction_fields(frac):
     return {"rational": str(frac), "value": float(frac)}
 

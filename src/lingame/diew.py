@@ -14,19 +14,26 @@ Observed success above omega_B = max over the three splits certifies
 genuine tripartite entanglement from statistics alone.
 
 Fixing c multiplies the slice M[k, l] of ``qbounds.game_tensor`` at lone
-question l by a phase, Phi_k^B(c) = sum_l conj chi_k(c_l) M[k, l], so the
-matrices of a block of tables are one batched product of their phases with
-M.  As in ``qbounds``, only one representative k of each conjugate pair
-{k, -k} is built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
+question l by a phase, Phi_k^B(c) = sum_l conj chi_k(c_l) M[k, l].  In a
+group of exponent e (the lcm of its cyclic orders) chi_k(c_l) is an e-th
+root of unity, so Phi_k^B(c) depends on c only through its phase indices
+j_k(c_l) in Z_e.  A block of tables, a fixed prefix with all |G|^s
+suffixes, takes one SVD per suffix phase vector, e^s of them, and each
+table reads its norms through its suffix's vector: e^(Q-1) SVDs a
+character instead of |G|^(Q-1) when the search fits one block (e = p for
+GF(p^m); e = |G| for a cyclic group, one SVD per table).  As in
+``qbounds``, only one representative k of each conjugate pair {k, -k} is
+built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -49,27 +56,56 @@ def _check_lone(lone):
         raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
 
 
-def _pair_matrices(game, lone, tables):
-    """Phi_k^B(c)[x_i, x_j] at [k, t, x_i, x_j], for every representative
-    k of ``character_pairs`` and every table c = ``tables[t]``, one
-    element index per lone question; i < j is the pair."""
-    m = np.moveaxis(game_tensor(game), 1 + lone, 1)
-    phases = game.group.character_pairs.table.conj()[:, tables]
-    b = phases @ m.reshape(m.shape[:2] + (-1,))
-    return b.reshape(b.shape[:2] + m.shape[2:])
+def _lone_slices(game, lone):
+    """M[k, l, x_i, x_j]: ``game_tensor`` at lone question l, pair i < j."""
+    pair = (1 + i for i in range(3) if i != lone)
+    return game_tensor(game).transpose(0, 1 + lone, *pair)
 
 
-def _table_blocks(game, lone):
-    """The lone player's tables answering the identity on question 0, as
-    element indices, in lexicographic order, in blocks of at most
-    ``values._CHUNK_ENTRIES`` complex entries in ``_pair_matrices``."""
-    g, q = game.group.size, game.question_counts[lone]
-    tables = g ** (q - 1)
-    step = max(1, values._CHUNK_ENTRIES // (
-        len(game.group.character_pairs.reps) * (q + game.n_inputs // q)))
-    for start in range(0, tables, step):
-        index = np.arange(start, min(start + step, tables))
-        yield index[:, None] // g ** np.arange(q - 1, -1, -1) % g
+@lru_cache(maxsize=32)  # bounded: an index has (|G| - 1) |G|^s entries
+def _phase_layout(group, s):
+    """phases[r, j] = conj chi_r(a) for the elements a of phase index j
+    under representative r, as ``character_pairs.table`` holds it; and for
+    the suffixes of s answers, index[k - 1, u] = (k - 1) e^s + (position
+    of suffix u's phase vector under k's representative among the e^s in
+    lexicographic order), which takes table norms from phase-vector ones."""
+    pairs, e = group.character_pairs, group.exponent
+    phases = np.zeros((len(pairs.reps), e), dtype=complex)
+    np.put_along_axis(phases, pairs.phase, pairs.table.conj(), axis=1)
+    v = np.zeros((len(pairs.reps), 1), dtype=np.intp)
+    for _ in range(s):
+        v = (v[:, :, None] * e + pairs.phase[:, None]).reshape(len(v), -1)
+    index = v[pairs.slot] + np.arange(group.size - 1)[:, None] * e ** s
+    for a in (phases, index):
+        a.setflags(write=False)
+    return phases, index
+
+
+def _phase_blocks(game, lone):
+    """(stack, index) per block of the lone player's tables answering the
+    identity on question 0, in lexicographic order: stack[r, v] is the
+    matrix of the block's prefix and suffix phase vector v, and ``index``
+    is ``_phase_layout``'s.  s is the largest (or 0) with
+    reps e^s Q_i Q_j + |G|^(s+1) <= ``values._CHUNK_ENTRIES``."""
+    group = game.group
+    g, e, q = group.size, group.exponent, game.question_counts[lone]
+    m = _lone_slices(game, lone)
+    reps, shape = len(m), m.shape[2:]
+    s = q - 1
+    while s and reps * e ** s * m[0, 0].size + g ** (s + 1) > values._CHUNK_ENTRIES:
+        s -= 1
+    phases, index = _phase_layout(group, s)
+    suffix = None  # the suffix sums, one question at a time
+    for l in range(q - s, q):
+        step = phases[:, :, None, None] * m[:, l, None]
+        suffix = step if suffix is None else (
+            suffix[:, :, None] + step[:, None]).reshape((reps, -1) + shape)
+    for prefix in itertools.product(range(g), repeat=q - 1 - s):
+        b = m[:, :1]
+        for l, a in enumerate(prefix, 1):
+            phase = group.character_pairs.table[:, a, None, None, None].conj()
+            b = b + phase * m[:, l:l + 1]
+        yield b if suffix is None else b + suffix, index
 
 
 def biseparable_matrix(game, lone, k, assignment):
@@ -85,7 +121,8 @@ def biseparable_matrix(game, lone, k, assignment):
         raise ValidationError(
             f"assignment has {len(assignment)} entries, lone player has "
             f"{game.question_counts[lone]} questions")
-    return character_slice(_pair_matrices(game, lone, [assignment])[:, 0],
+    phases = game.group.character_pairs.table.conj()[:, assignment, None, None]
+    return character_slice((phases * _lone_slices(game, lone)).sum(axis=1),
                            game.group, k)
 
 
@@ -123,7 +160,8 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     conj chi_k(t) and leaves its norm unchanged, so only the tables
     answering the identity on question 0 are searched: the first of every
     shift class, and so the first optimum.  They run in the blocks of
-    ``_table_blocks``, each block's norms from ``qbounds.character_norms``.
+    ``_phase_blocks``, each block's norms from one
+    ``qbounds.character_norms`` call on its phase vectors' matrices.
     ``cap`` bounds the unreduced count |G|^Q_lone."""
     _check_tripartite(game)
     _check_lone(lone)
@@ -135,8 +173,8 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     # of those, (raw, table, norms) are kept while within TIE_TOL of it.
     tables = g ** (game.question_counts[lone] - 1)
     records, top, start = [], -math.inf, 0
-    for block in _table_blocks(game, lone):
-        sigma = character_norms(_pair_matrices(game, lone, block), game.group)
+    for stack, index in _phase_blocks(game, lone):
+        sigma = character_norms(stack, game.group).take(index)
         # Summed as numpy sums the norms of all tables at once: row by row,
         # or pairwise for the one column of a lone table.
         total = reduce(np.add, sigma) if tables > 1 else sigma.sum(axis=0)
@@ -145,7 +183,7 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
                 top = raw
                 records = [r for r in records if top - r[0] <= TIE_TOL]
                 records.append((raw, start + t, sigma[:, t].tolist()))
-        start += len(block)
+        start += sigma.shape[1]
     _, best, norms = records[0]
     assignment = values.table_digits(game, (lone,), best)[0]
     return BiseparablePartition(

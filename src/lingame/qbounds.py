@@ -70,7 +70,7 @@ def character_norms(stack, group):
     characters in enumeration order (k and -k get the same norm): one
     real SVD call for the real representatives and one complex call for
     the others."""
-    _, real, slot, _ = group.character_pairs
+    _, real, slot, *_ = group.character_pairs
     if real == len(stack):
         sigma = max_singular_value(stack.real)
     elif not real:
@@ -125,12 +125,6 @@ def _partition_bound(tensor, game, s):
     scale = math.sqrt(math.prod(game.question_counts))
     raw = (1.0 + scale * sum(norms.values())) / game.group.size
     return PartitionBound(players=s, norms=norms, raw=raw, value=min(raw, 1.0))
-
-
-def quantum_bound_partition(game, s_players):
-    """The norm bound for one bipartition (raw, not clamped)."""
-    s = _validate_partition(game, s_players)
-    return _partition_bound(game_tensor(game), game, s).raw
 
 
 @dataclass(frozen=True)

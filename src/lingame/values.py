@@ -25,7 +25,7 @@ from .games import (
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
-# Entries of one block: 2 MiB of int64 scores here, 4 MiB complex in diew.
+# Entries of one block: int64 scores here; complex matrices and index in diew.
 _CHUNK_ENTRIES = 1 << 18
 
 

@@ -17,14 +17,18 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_fold_pair_matrices / oracle_lone_tables: the lone player's pair
   matrices as a character sum over a block of the answer histogram's
   fold, the way the biseparable search built them before it read them
-  off the game tensor, and the tables in itertools order (checks
-  diew._pair_matrices).
+  off the game tensor, and the tables in itertools order (checks the
+  matrices of diew._phase_blocks, table by table).
+* oracle_table_blocks / oracle_table_matrices / oracle_table_search: the
+  biseparable search that took one SVD per character per table, its
+  blocks of tables and its one batched product of the gathered phases
+  with the lone player's tensor slices (checks that the search scoring
+  each phase vector once reports the same table, raw bound and norms).
 * oracle_biseparable_search: the search for one split that kept the
   norms of every table and read the winner's column at the end (checks
   that the search keeping only the tables near the running maximum
   reports the same partition, bit for bit; both read their matrices from
-  diew._pair_matrices on the blocks of diew._table_blocks and their norms
-  from diew.character_norms).
+  diew._phase_blocks and their norms from diew.character_norms).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -84,6 +88,12 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
+* parse_report / quantum_bound_partition / evaluate_polynomial /
+  polynomial_table: former public helpers that nothing but the tests
+  used, a --json report parsed back into a dict, the norm bound of one
+  bipartition, and an interpolated polynomial evaluated at one point or
+  on the whole grid (check the CLI's reports, quantum_bound's partitions
+  and interpolate_polynomial).
 * oracle_make_game / oracle_chsh_predicate / oracle_deterministic_table:
   the per-question game builder that preceded the array constructor, one
   Fraction per question tuple, their lcm and one coerce per predicate
@@ -96,21 +106,24 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 
-from lingame import diew, qbounds
-from lingame.algebra import AbelianGroup
-from lingame.boxworld import (PRBox, ProtocolTranscript, Reduction,
-                              box_sample, interpolate_polynomial,
-                              partial_derivative, _flatten_inputs)
-from lingame.errors import ResourceLimitError, ValidationError
+from lingame import cli, diew, games, qbounds, values
+from lingame.algebra import AbelianGroup, as_int_tuple
+from lingame.boxworld import (FunctionTable, PRBox, ProtocolTranscript,
+                              Reduction, box_sample, interpolate_polynomial,
+                              partial_derivative, _flatten_inputs,
+                              _vandermonde)
+from lingame.errors import GameFormatError, ResourceLimitError, ValidationError
 from lingame.games import DeterministicStrategy, answer_sums
 from lingame.strategies import (QuantumStrategy, _as_projector,
                                 noise_behavior, strategy_behavior)
 from lingame.qbounds import first_optimum
-from lingame.tolerances import PROJECTOR_TOL, TIE_TOL
+from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
+                                TIE_TOL)
 from lingame.values import SeparabilityReport, table_digits
 
 
@@ -313,16 +326,66 @@ def oracle_biseparable_bound(game):
     return raw, best, parts[best][1]
 
 
+def oracle_table_blocks(game, lone):
+    """The lone player's tables answering the identity on question 0, as
+    element indices, in lexicographic order, in blocks of at most
+    ``values._CHUNK_ENTRIES`` complex entries in ``oracle_table_matrices``."""
+    g, q = game.group.size, game.question_counts[lone]
+    tables = g ** (q - 1)
+    step = max(1, values._CHUNK_ENTRIES // (
+        len(game.group.character_pairs.reps) * (q + game.n_inputs // q)))
+    for start in range(0, tables, step):
+        index = np.arange(start, min(start + step, tables))
+        yield index[:, None] // g ** np.arange(q - 1, -1, -1) % g
+
+
+def oracle_table_matrices(game, lone, tables):
+    """Phi_k^B(c)[x_i, x_j] at [k, t, x_i, x_j], for every representative
+    k of ``character_pairs`` and every table c = ``tables[t]``, one
+    element index per lone question; i < j is the pair."""
+    m = np.moveaxis(qbounds.game_tensor(game), 1 + lone, 1)
+    phases = game.group.character_pairs.table.conj()[:, tables]
+    b = phases @ m.reshape(m.shape[:2] + (-1,))
+    return b.reshape(b.shape[:2] + m.shape[2:])
+
+
+def oracle_table_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
+    """biseparable_bound_partition as it was when it scored every table:
+    one SVD per representative per table, in the blocks of
+    ``oracle_table_blocks``, and the records of the tables within TIE_TOL
+    of the running maximum."""
+    values.check_cap(game, (lone,), cap)
+    g = game.group.size
+    factor = math.sqrt(game.n_inputs // game.question_counts[lone])
+    tables = g ** (game.question_counts[lone] - 1)
+    records, top, start = [], -math.inf, 0
+    for block in oracle_table_blocks(game, lone):
+        sigma = qbounds.character_norms(
+            oracle_table_matrices(game, lone, block), game.group)
+        total = reduce(np.add, sigma) if tables > 1 else sigma.sum(axis=0)
+        for t, raw in enumerate(((1.0 + factor * total) / g).tolist()):
+            if raw > top:
+                top = raw
+                records = [r for r in records if top - r[0] <= TIE_TOL]
+                records.append((raw, start + t, sigma[:, t].tolist()))
+        start += len(block)
+    _, best, norms = records[0]
+    assignment = table_digits(game, (lone,), best)[0]
+    return diew.BiseparablePartition(
+        lone=lone, assignment=tuple(map(game.group.element, assignment)),
+        norms=dict(zip(game.group.elements()[1:], norms)),
+        raw=top, value=min(top, 1.0))
+
+
 def oracle_biseparable_search(game, lone):
     """The search for one split as it was when it kept the norms of every
     table in one (|G|-1, tables) array and read the winner's column at the
-    end; matrices go through diew._pair_matrices on the blocks of
-    diew._table_blocks and norms through diew.character_norms, so a test
-    may script them for both searches."""
+    end; matrices come from diew._phase_blocks and norms through
+    diew.character_norms, so a test may script them for both searches."""
     g = game.group.size
-    sigma = np.concatenate([diew.character_norms(
-        diew._pair_matrices(game, lone, block), game.group)
-        for block in diew._table_blocks(game, lone)], axis=1)
+    sigma = np.concatenate([diew.character_norms(stack, game.group).take(index)
+                            for stack, index in diew._phase_blocks(game, lone)],
+                           axis=1)
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     raws = (1.0 + factor * sigma.sum(axis=0)) / g
     best, raw = first_optimum(raws, largest=True)
@@ -963,3 +1026,41 @@ def oracle_deterministic_table(strategy, group, question_counts):
             column = column * group.size + group.index(strategy.outputs[i][x[i]])
         table[row, column] = 1.0
     return table
+
+
+def parse_report(text):
+    """Parse a --json report back into a dict."""
+    doc = games._decode(text)
+    if not isinstance(doc, dict) or doc.get("schema") != cli.SCHEMA:
+        raise GameFormatError(f"not a {cli.SCHEMA} report")
+    return doc
+
+
+def quantum_bound_partition(game, s_players):
+    """The norm bound for one bipartition (raw, not clamped)."""
+    s = qbounds._validate_partition(game, s_players)
+    return qbounds._partition_bound(qbounds.game_tensor(game), game, s).raw
+
+
+def evaluate_polynomial(coeffs, variables):
+    """Value of an interpolated polynomial at one point."""
+    variables = as_int_tuple(variables, "input symbols")
+    if len(variables) != sum(coeffs.arities):
+        raise ValidationError(
+            f"expected {sum(coeffs.arities)} variables, got {len(variables)}")
+    v = _vandermonde(coeffs.d)
+    acc = coeffs.coeffs
+    for x in variables:
+        if not 0 <= x < coeffs.d:
+            raise ValidationError(f"input symbol {x} outside Z_{coeffs.d}")
+        acc = np.tensordot(acc, v[x], axes=([0], [0])) % coeffs.d
+    return int(acc)
+
+
+def polynomial_table(coeffs):
+    """Evaluate a polynomial on the whole grid, back into a table."""
+    v = _vandermonde(coeffs.d)
+    arr = coeffs.coeffs
+    for _ in range(sum(coeffs.arities)):
+        arr = np.tensordot(arr, v, axes=([0], [1])) % coeffs.d
+    return FunctionTable(coeffs.d, coeffs.arities, arr.reshape(-1))

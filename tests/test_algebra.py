@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ def test_character_pairs():
                               table[real].real.astype(complex))
         assert set(pairs.table[:pairs.real].real.ravel()) <= {-1.0, 1.0}
         assert not pairs.table.flags.writeable
+        # Integer phases in Z_exponent give the table's values bit for bit.
+        assert g.exponent == math.lcm(*g.orders)
+        assert pairs.phase.min() >= 0 and pairs.phase.max() < g.exponent
+        assert np.array_equal(np.exp(2j * np.pi * (pairs.phase / g.exponent)),
+                              table[pairs.reps])
+        assert not pairs.phase.flags.writeable
 
 
 # ---------------------------------------------------------------------------

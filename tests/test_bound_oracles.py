@@ -2,9 +2,10 @@
 replaced: entry-by-entry game matrices, Jacobi norms, and a Python loop
 over every partition and lone-player assignment; the search's pair
 matrices, read off the game tensor, against the histogram fold that
-built them before; and the norms of one matrix per conjugate pair of
-characters against the kernel that took one complex SVD per character
-(tests/oracles.py)."""
+built them before; the search that scores each phase vector once
+against the one that took an SVD per table; and the norms of one matrix
+per conjugate pair of characters against the kernel that took one
+complex SVD per character (tests/oracles.py)."""
 
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from lingame.algebra import AbelianGroup
 from lingame.diew import (biseparable_bound, biseparable_bound_partition,
                           biseparable_matrix)
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
+from lingame.errors import ResourceLimitError
 from lingame.linalg import max_singular_value
 from lingame.qbounds import (character_norms, game_matrix, game_tensor,
                              quantum_bound)
@@ -29,7 +31,8 @@ from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
                      oracle_biseparable_search, oracle_bipartition_norms,
                      oracle_fold_pair_matrices, oracle_game_matrix,
                      oracle_lone_tables, oracle_max_singular_value,
-                     oracle_pair_norms, oracle_quantum_bound)
+                     oracle_pair_norms, oracle_quantum_bound,
+                     oracle_table_matrices, oracle_table_search)
 
 Z3 = AbelianGroup((3,))
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -211,24 +214,41 @@ def test_blocks_bound_the_memory_of_the_biseparable_search():
     assert peak < 3 * values._CHUNK_ENTRIES * 8
 
 
-@pytest.mark.parametrize("entries", [1, 600, values._CHUNK_ENTRIES])
+def phase_block_matrices(game, lone):
+    """The matrices of every table, at [r, t, x_i, x_j], read from the
+    blocks of ``diew._phase_blocks``: for each representative r, the
+    matrix of the table's phase vector through the index of the character
+    r stands for."""
+    reps = game.group.character_pairs.reps
+    out = []
+    for stack, index in diew._phase_blocks(game, lone):
+        vectors = index[reps - 1] - (reps - 1)[:, None] * stack.shape[1]
+        out.append(stack[np.arange(len(reps))[:, None], vectors])
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("entries", [1, 260, 600, values._CHUNK_ENTRIES])
 def test_blocks_hold_at_most_the_chunk_entries(entries):
-    """chsh(3,5), lone player 0: a block of t tables holds 2 t (5 + 25)
-    complex phases and matrix entries, at most ``values._CHUNK_ENTRIES``
-    unless t is 1, and the blocks cover the 625 tables in turn."""
-    blocks = []
+    """chsh(3,5), lone player 0: a block varies the last s of the four
+    free answers, s the largest with 2 * 5^s * 25 matrix entries plus
+    5^(s+1) index entries at most ``values._CHUNK_ENTRIES``, or 0 (at
+    260 entries the matrices of s = 1 fit, but not with their index); its
+    stack holds the 2 * 5^s matrices of the suffix phase vectors, and the
+    blocks cover the 625 tables in lexicographic order."""
+    game = chsh_game(3, 5)
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        blocks = [(stack.shape, index.shape)
+                  for stack, index in diew._phase_blocks(game, 0)]
+        got = phase_block_matrices(game, 0)
 
-    def recording(stack, group):
-        blocks.append(stack.shape[:2])
-        return character_norms(stack, group)
+    def fits(s):
+        return 2 * 5**s * 25 + 5**(s + 1) <= entries
 
-    with mock.patch.object(values, "_CHUNK_ENTRIES", entries), \
-            mock.patch.object(diew, "character_norms", recording):
-        biseparable_bound_partition(chsh_game(3, 5), 0)
-    assert all(reps == 2 and (t == 1 or reps * t * 30 <= entries)
-               for reps, t in blocks)
-    assert sum(t for _, t in blocks) == 625
-    assert len(blocks) == -(-625 // max(1, entries // 60))
+    s = round(math.log(blocks[0][1][1], 5))
+    assert (s == 0 or fits(s)) and (s == 4 or not fits(s + 1))
+    assert blocks == [((2, 5**s, 5, 5), (4, 5**s))] * 5**(4 - s)
+    want = oracle_table_matrices(game, 0, oracle_lone_tables(game, 0))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_search_keeps_no_norms_per_table():
@@ -314,7 +334,7 @@ def test_character_norms_match_the_kernel_oracle(game, data):
     for lone in range(3):
         block, = values.fold_tables(game, (lone,), 10**4)
         assert_pairs_match_kernel(
-            diew._pair_matrices(game, lone, oracle_lone_tables(game, lone)),
+            oracle_table_matrices(game, lone, oracle_lone_tables(game, lone)),
             group, oracle_pair_norms(game, lone, block), neg)
         table = data.draw(st.lists(st.sampled_from(group.elements()),
                                    min_size=game.question_counts[lone],
@@ -332,16 +352,108 @@ def test_character_norms_match_the_kernel_oracle(game, data):
 @example(make_game(AbelianGroup((6,)), (1, 2, 3), [(v,) for v in range(6)]))
 @example(BEYOND_2_TO_THE_53)
 def test_pair_matrices_match_the_histogram_fold(game):
-    """For every split, the matrices of every table read off the game
-    tensor are those of the histogram fold, within 1e-12 of the largest
-    entry; a lone player with one question has the one table 0."""
+    """For every split and block size, the matrices of every table read
+    off the game tensor, one per phase vector, are those of the histogram
+    fold, within 1e-12 of the largest entry; a lone player with one
+    question has the one table 0."""
     for lone in range(3):
-        tables = oracle_lone_tables(game, lone)
         want = np.concatenate([oracle_fold_pair_matrices(game, lone, block)
                                for block in values.fold_tables(
                                    game, (lone,), 10**4)], axis=1)
-        got = diew._pair_matrices(game, lone, tables)
-        assert got.shape == want.shape == (
-            (len(game.group.character_pairs.reps), len(tables))
-            + tuple(q for i, q in enumerate(game.question_counts) if i != lone))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for entries in (1, 50, values._CHUNK_ENTRIES):
+            with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+                got = phase_block_matrices(game, lone)
+            assert got.shape == want.shape == (
+                (len(game.group.character_pairs.reps),
+                 len(oracle_lone_tables(game, lone)))
+                + tuple(q for i, q in enumerate(game.question_counts)
+                        if i != lone))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+PHASE_GROUPS = ((2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3))
+
+
+@st.composite
+def lone_games(draw):
+    """(game, lone): three-player games over cyclic groups and groups of
+    smaller exponent, a drawn lone player with one to four questions and
+    one to three for the others, and zero-probability inputs."""
+    group = AbelianGroup(draw(st.sampled_from(PHASE_GROUPS)))
+    lone = draw(st.integers(0, 2))
+    questions = [draw(st.integers(1, 3)) for _ in range(3)]
+    questions[lone] = draw(st.integers(1, 4))
+    size = math.prod(questions)
+    element = st.integers(0, group.size - 1).map(group.element)
+    predicate = draw(st.lists(element, min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                   .filter(lambda w: sum(w) > 0))
+    dist = [Fraction(w, sum(weights)) for w in weights]
+    return make_game(group, tuple(questions), predicate, distribution=dist), lone
+
+
+Z2Z4 = AbelianGroup((2, 4))
+ONE_LONE_QUESTION = make_game(Z2Z4, (1, 2, 3),
+                              [Z2Z4.element(i) for i in (3, 0, 5, 7, 6, 1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lone_games(), st.sampled_from([1, 50, values._CHUNK_ENTRIES]))
+@example((ONE_LONE_QUESTION, 0), 1)
+@example((ONE_LONE_QUESTION, 0), values._CHUNK_ENTRIES)
+def test_phase_search_matches_the_table_search(case, entries):
+    """Scoring each phase vector once reports the table that scoring each
+    table reported, with raw and every norm within 1e-12, at block sizes
+    from one table up to the default."""
+    game, lone = case
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        got = biseparable_bound_partition(game, lone)
+        want = oracle_table_search(game, lone)
+    assert got.assignment == want.assignment
+    assert abs(got.raw - want.raw) <= 1e-12
+    assert list(got.norms) == list(want.norms)
+    assert all(abs(got.norms[k] - want.norms[k]) <= 1e-12 for k in got.norms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lone_games())
+def test_biseparable_bound_is_below_the_split_quantum_bound(case):
+    """Phi_k^B(c) = u^dagger Phi_k^{X|rest} with ||u|| = sqrt(Q_X), so each
+    split's biseparable raw bound is at most the norm bound of X | rest,
+    stored as the side that holds player 0."""
+    game, _ = case
+    report = quantum_bound(game)
+    for lone, split in enumerate([(0,), (0, 2), (0, 1)]):
+        assert (biseparable_bound_partition(game, lone).raw
+                <= report.partition(split).raw + 1e-12)
+
+
+def test_chsh38_lone_search_past_the_default_cap():
+    """GF(8) has exponent 2: 2^7 phase vectors a character instead of 8^7
+    tables.  The default cap still refuses the 8^8 unreduced tables."""
+    game = chsh_game(3, 8)
+    with pytest.raises(ResourceLimitError):
+        biseparable_bound_partition(game, 0)
+    part = biseparable_bound_partition(game, 0, cap=10**8)
+    assert part.assignment == ((0, 0, 0),) * 5 + ((0, 1, 0), (0, 1, 1),
+                                                  (1, 1, 1))
+    assert abs(part.raw - 0.30841826379234155) <= 1e-12
+    for k, norm in part.norms.items():
+        matrix = biseparable_matrix(game, 0, k, part.assignment)
+        assert abs(norm - max_singular_value(matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, matrices", [(4, 24), (5, 1250)])
+def test_one_svd_per_phase_vector(d, matrices):
+    """chsh(3,4), lone player 0: 3 real characters of GF(4), exponent 2,
+    and 2^3 phase vectors each, against 4^3 tables; Z5 is cyclic, so
+    chsh(3,5) scores its 5^4 tables for each of its 2 pairs."""
+    counted = []
+
+    def recording(stack, group):
+        counted.append(stack.shape[0] * stack.shape[1])
+        return character_norms(stack, group)
+
+    with mock.patch.object(diew, "character_norms", recording):
+        biseparable_bound_partition(chsh_game(3, d), 0)
+    assert sum(counted) == matrices

@@ -28,7 +28,7 @@ from oracles import (modular_inverse_matrix, oracle_additive_table,
                      oracle_box_behavior_table,
                      oracle_boxes_runs, oracle_cc_protocol,
                      oracle_check_reduction, oracle_reduce_to_pr,
-                     oracle_simulate_pr)
+                     oracle_simulate_pr, parse_report)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 PRIMES = (2, 3, 5)
@@ -117,7 +117,7 @@ def test_protocol_runs_match_the_shot_loop(table, shots, seed):
         with contextlib.redirect_stdout(out):
             assert cli.main(["boxes", "run", str(path), "--json", "--shots",
                              str(shots), "--seed", str(seed)]) == 0
-    doc = cli.parse_report(out.getvalue())
+    doc = parse_report(out.getvalue())
     assert doc["runs"] == runs
     assert doc["all_correct"] is correct
     assert (doc["boxes_per_run"], doc["dits_per_run"]) == (

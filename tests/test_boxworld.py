@@ -13,13 +13,14 @@ from scipy import stats
 from lingame.algebra import AbelianGroup
 from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
                               box_behavior, box_sample, cc_protocol,
-                              evaluate_polynomial, interpolate_polynomial,
-                              parse_function_file, partial_derivative,
-                              polynomial_table, reduce_to_pr,
+                              interpolate_polynomial, parse_function_file,
+                              partial_derivative, reduce_to_pr,
                               serialize_function, simulate_pr_from_functional)
 from lingame.errors import GameFormatError, ValidationError
 from lingame.games import make_game, success_probability
 from lingame.values import no_signaling_value
+
+from oracles import evaluate_polynomial, polynomial_table
 
 Z3 = AbelianGroup((3,))
 

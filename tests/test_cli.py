@@ -14,6 +14,7 @@ from lingame.errors import GameFormatError
 from lingame.games import make_game, serialize_game
 
 import ghz3_c4
+from oracles import parse_report
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CHSH22 = str(FIXTURES / "chsh22.game")
@@ -31,7 +32,7 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return cli.parse_report(out), out
+    return parse_report(out), out
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_boxes_run_shot_counts(capsys, shots, runs):
         assert "shots must be non-negative, got -1" in err
         return
     assert code == 0, err
-    doc = cli.parse_report(out)
+    doc = parse_report(out)
     assert (doc["shots"], len(doc["runs"])) == (shots, runs)
     assert (doc["boxes_per_run"], doc["dits_per_run"]) == (27, 2)
     assert doc["all_correct"] is True
@@ -345,12 +346,12 @@ def test_one_parser_serves_every_call(capsys):
 
 def test_parse_report_rejects_foreign_json():
     with pytest.raises(GameFormatError):
-        cli.parse_report(json.dumps({"schema": "other/9"}))
+        parse_report(json.dumps({"schema": "other/9"}))
     with pytest.raises(GameFormatError):
-        cli.parse_report("[1, 2, 3]")
+        parse_report("[1, 2, 3]")
     for text in ("", "{", "not json"):
         with pytest.raises(GameFormatError, match="invalid JSON"):
-            cli.parse_report(text)
+            parse_report(text)
 
 
 def test_module_entry_point():
@@ -358,7 +359,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "lingame.cli", "analyze", CHSH22, "--json"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    doc = cli.parse_report(proc.stdout)
+    doc = parse_report(proc.stdout)
     assert doc["classical"]["rational"] == "3/4"
 
 

@@ -14,9 +14,10 @@ from lingame.algebra import AbelianGroup
 from lingame.errors import ValidationError
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
 from lingame.linalg import max_singular_value
-from lingame.qbounds import (chsh_bound_analytic, game_matrix, quantum_bound,
-                             quantum_bound_partition)
+from lingame.qbounds import chsh_bound_analytic, game_matrix, quantum_bound
 from lingame.tolerances import TIE_TOL
+
+from oracles import quantum_bound_partition
 
 Z3 = AbelianGroup((3,))
 
