@@ -23,7 +23,9 @@ table reads its norms through its suffix's vector: e^(Q-1) SVDs a
 character instead of |G|^(Q-1) when the search fits one block (e = p for
 GF(p^m); e = |G| for a cyclic group, one SVD per table).  As in
 ``qbounds``, only one representative k of each conjugate pair {k, -k} is
-built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.
+built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.  The search
+and ``biseparable_matrix`` sum every Phi_k^B(c) one lone question at a
+time from question 0, so a report does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -81,12 +83,24 @@ def _phase_layout(group, s):
     return phases, index
 
 
+def _answer_sum(m, group, answers):
+    """sum_l conj chi(c_l) M[:, l] over the answers (element indices) of
+    the first lone questions, added left to right from question 0."""
+    conj = group.character_pairs.table.conj()
+    b = conj[:, answers[0], None, None] * m[:, 0]
+    for l, a in enumerate(answers[1:], 1):
+        b = b + conj[:, a, None, None] * m[:, l]
+    return b
+
+
 def _phase_blocks(game, lone):
     """(stack, index) per block of the lone player's tables answering the
     identity on question 0, in lexicographic order: stack[r, v] is the
     matrix of the block's prefix and suffix phase vector v, and ``index``
     is ``_phase_layout``'s.  s is the largest (or 0) with
-    reps e^s Q_i Q_j + |G|^(s+1) <= ``values._CHUNK_ENTRIES``."""
+    reps e^s Q_i Q_j + |G|^(s+1) <= ``values._CHUNK_ENTRIES``.  The
+    prefix's ``_answer_sum`` gains the s suffix terms one level at a time:
+    ``_answer_sum``'s order, whatever s is."""
     group = game.group
     g, e, q = group.size, group.exponent, game.question_counts[lone]
     m = _lone_slices(game, lone)
@@ -95,17 +109,12 @@ def _phase_blocks(game, lone):
     while s and reps * e ** s * m[0, 0].size + g ** (s + 1) > values._CHUNK_ENTRIES:
         s -= 1
     phases, index = _phase_layout(group, s)
-    suffix = None  # the suffix sums, one question at a time
-    for l in range(q - s, q):
-        step = phases[:, :, None, None] * m[:, l, None]
-        suffix = step if suffix is None else (
-            suffix[:, :, None] + step[:, None]).reshape((reps, -1) + shape)
+    steps = [phases[:, :, None, None] * m[:, l, None] for l in range(q - s, q)]
     for prefix in itertools.product(range(g), repeat=q - 1 - s):
-        b = m[:, :1]
-        for l, a in enumerate(prefix, 1):
-            phase = group.character_pairs.table[:, a, None, None, None].conj()
-            b = b + phase * m[:, l:l + 1]
-        yield b if suffix is None else b + suffix, index
+        b = _answer_sum(m, group, (0,) + prefix)[:, None]
+        for step in steps:
+            b = (b[:, :, None] + step[:, None]).reshape((reps, -1) + shape)
+        yield b, index
 
 
 def biseparable_matrix(game, lone, k, assignment):
@@ -121,9 +130,8 @@ def biseparable_matrix(game, lone, k, assignment):
         raise ValidationError(
             f"assignment has {len(assignment)} entries, lone player has "
             f"{game.question_counts[lone]} questions")
-    phases = game.group.character_pairs.table.conj()[:, assignment, None, None]
-    return character_slice((phases * _lone_slices(game, lone)).sum(axis=1),
-                           game.group, k)
+    return character_slice(_answer_sum(_lone_slices(game, lone), game.group,
+                                       assignment), game.group, k)
 
 
 @dataclass(frozen=True)
@@ -171,13 +179,10 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     # The first table within TIE_TOL of the maximum beats every table
     # before it, so it is among the tables that raise the running maximum;
     # of those, (raw, table, norms) are kept while within TIE_TOL of it.
-    tables = g ** (game.question_counts[lone] - 1)
     records, top, start = [], -math.inf, 0
     for stack, index in _phase_blocks(game, lone):
         sigma = character_norms(stack, game.group).take(index)
-        # Summed as numpy sums the norms of all tables at once: row by row,
-        # or pairwise for the one column of a lone table.
-        total = reduce(np.add, sigma) if tables > 1 else sigma.sum(axis=0)
+        total = reduce(np.add, sigma)  # row by row, as qbounds sums them
         for t, raw in enumerate(((1.0 + factor * total) / g).tolist()):
             if raw > top:
                 top = raw

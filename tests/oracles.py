@@ -24,11 +24,14 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   blocks of tables and its one batched product of the gathered phases
   with the lone player's tensor slices (checks that the search scoring
   each phase vector once reports the same table, raw bound and norms).
-* oracle_biseparable_search: the search for one split that kept the
-  norms of every table and read the winner's column at the end (checks
-  that the search keeping only the tables near the running maximum
-  reports the same partition, bit for bit; both read their matrices from
-  diew._phase_blocks and their norms from diew.character_norms).
+* oracle_left_to_right_matrices / oracle_biseparable_search: the search
+  for one split that builds each table's matrices alone, summed one lone
+  question at a time from question 0, keeps the norms of every table and
+  reads the winner's column at the end (checks, bit for bit, that the
+  search scoring phase vectors in blocks and keeping only the tables near
+  the running maximum reports the same partition at every block size,
+  and that biseparable_matrix builds the matrices it scored; both
+  searches take their norms from diew.character_norms).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -377,17 +380,31 @@ def oracle_table_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
         raw=top, value=min(top, 1.0))
 
 
+def oracle_left_to_right_matrices(game, lone, table):
+    """Phi_k^B(c)[x_i, x_j] at [k, x_i, x_j], for every representative k
+    of ``character_pairs`` and one table c (one element index per lone
+    question): the term conj chi_k(c_l) M[k, l] of each lone question l,
+    from 0 up, added to the sum of the terms before it."""
+    m = np.moveaxis(qbounds.game_tensor(game), 1 + lone, 1)
+    conj = game.group.character_pairs.table.conj()
+    total = conj[:, table[0], None, None] * m[:, 0]
+    for l in range(1, len(table)):
+        total = total + conj[:, table[l], None, None] * m[:, l]
+    return total
+
+
 def oracle_biseparable_search(game, lone):
-    """The search for one split as it was when it kept the norms of every
-    table in one (|G|-1, tables) array and read the winner's column at the
-    end; matrices come from diew._phase_blocks and norms through
-    diew.character_norms, so a test may script them for both searches."""
+    """The search for one split, one table at a time: every table's
+    matrices summed left to right by ``oracle_left_to_right_matrices``,
+    its norms from diew.character_norms (so a test may script them for
+    both searches) summed character by character, all tables' norms kept,
+    and the winner read through ``first_optimum`` at the end."""
     g = game.group.size
-    sigma = np.concatenate([diew.character_norms(stack, game.group).take(index)
-                            for stack, index in diew._phase_blocks(game, lone)],
-                           axis=1)
+    sigma = np.stack([diew.character_norms(
+        oracle_left_to_right_matrices(game, lone, c)[:, None], game.group)[:, 0]
+        for c in oracle_lone_tables(game, lone)], axis=1)
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
-    raws = (1.0 + factor * sigma.sum(axis=0)) / g
+    raws = (1.0 + factor * reduce(np.add, sigma)) / g
     best, raw = first_optimum(raws, largest=True)
     assignment = table_digits(game, (lone,), best)[0]
     return diew.BiseparablePartition(

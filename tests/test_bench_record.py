@@ -1,4 +1,5 @@
-"""The scale timings of tools/bench_record.py run and print one time."""
+"""tools/bench_record.py: its scale timings run and print one time, and
+each label records its checkout's commit and whether it is dirty."""
 
 import importlib.util
 import os
@@ -26,3 +27,29 @@ def test_scale_script_prints_one_positive_time(argv):
     lines = proc.stdout.split()
     assert len(lines) == 1
     assert float(lines[0]) > 0.0
+
+
+def test_commit_tells_a_changed_tracked_file(tmp_path):
+    """A checkout's HEAD and whether a tracked file differs from it; an
+    untracked file does not count, and outside git both are None."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com",
+        "commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bench_record._commit(repo) == {"commit": head, "dirty": False}
+    (repo / "b.txt").write_text("untracked\n")
+    assert bench_record._commit(repo) == {"commit": head, "dirty": False}
+    (repo / "a.txt").write_text("two\n")
+    assert bench_record._commit(repo) == {"commit": head, "dirty": True}
+    (tmp_path / "none").mkdir()
+    assert bench_record._commit(tmp_path / "none") == {"commit": None,
+                                                       "dirty": None}

@@ -3,10 +3,13 @@ replaced: entry-by-entry game matrices, Jacobi norms, and a Python loop
 over every partition and lone-player assignment; the search's pair
 matrices, read off the game tensor, against the histogram fold that
 built them before; the search that scores each phase vector once
-against the one that took an SVD per table; and the norms of one matrix
-per conjugate pair of characters against the kernel that took one
-complex SVD per character (tests/oracles.py)."""
+against the one that took an SVD per table, and against a search that
+sums each table's matrices alone, left to right, bit for bit at every
+block size; and the norms of one matrix per conjugate pair of characters
+against the kernel that took one complex SVD per character
+(tests/oracles.py)."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -30,9 +33,10 @@ from lingame.tolerances import TIE_TOL
 from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
                      oracle_biseparable_search, oracle_bipartition_norms,
                      oracle_fold_pair_matrices, oracle_game_matrix,
-                     oracle_lone_tables, oracle_max_singular_value,
-                     oracle_pair_norms, oracle_quantum_bound,
-                     oracle_table_matrices, oracle_table_search)
+                     oracle_left_to_right_matrices, oracle_lone_tables,
+                     oracle_max_singular_value, oracle_pair_norms,
+                     oracle_quantum_bound, oracle_table_matrices,
+                     oracle_table_search)
 
 Z3 = AbelianGroup((3,))
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -148,18 +152,19 @@ TIED_Z3_GAME = make_game(Z3, (3, 3, 3), [(v,) for v in (
 
 
 def assert_search_keeps_the_report(game, entries):
-    """Every split reports, bit for bit, what the search that kept the
-    norms of every table reports."""
+    """Every split reports, bit for bit, what the search that scored each
+    table alone and kept the norms of every table reports."""
     with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
         for lone in range(3):
             assert (biseparable_bound_partition(game, lone)
                     == oracle_biseparable_search(game, lone))
 
 
-@pytest.mark.parametrize("entries", [1, 50, values._CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 50, 260, values._CHUNK_ENTRIES])
 @pytest.mark.parametrize("game", [TIED_Z3_GAME, mermin_ghz3_game(),
-                                  chsh_game(3, 3), chsh_game(3, 4)],
-                         ids=["tied-z3", "ghz3", "chsh33", "chsh34"])
+                                  chsh_game(3, 3), chsh_game(3, 4),
+                                  chsh_game(3, 5)],
+                         ids=["tied-z3", "ghz3", "chsh33", "chsh34", "chsh35"])
 def test_search_near_the_maximum_keeps_the_builtin_reports(game, entries):
     assert_search_keeps_the_report(game, entries)
 
@@ -457,3 +462,49 @@ def test_one_svd_per_phase_vector(d, matrices):
     with mock.patch.object(diew, "character_norms", recording):
         biseparable_bound_partition(chsh_game(3, d), 0)
     assert sum(counted) == matrices
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lone_games())
+@example((ONE_LONE_QUESTION, 0))
+def test_reports_do_not_depend_on_the_block_size(case):
+    """The same report, bit for bit, from blocks of one table up to the
+    default: every matrix is summed in one order, whatever the block."""
+    game, lone = case
+    reports = []
+    for entries in (1, 50, 260, values._CHUNK_ENTRIES):
+        with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+            reports.append(biseparable_bound_partition(game, lone))
+    assert reports == [reports[0]] * 4
+
+
+Z2 = AbelianGroup((2,))
+FOUR_Z2_QUESTIONS = make_game(
+    Z2, (4, 3, 4), [Z2.element(i * 7 % 5 % 2) for i in range(48)],
+    distribution=[Fraction(i % 5 + 1, 141) for i in range(48)])
+
+
+@pytest.mark.parametrize("entries", [1, 50, 260, values._CHUNK_ENTRIES])
+@pytest.mark.parametrize("game, lone", [
+    (ONE_LONE_QUESTION, 0), (chsh_game(3, 4), 1), (FOUR_Z2_QUESTIONS, 0),
+    (FOUR_Z2_QUESTIONS, 2)], ids=["one-question", "gf4", "z2-0", "z2-2"])
+def test_biseparable_matrix_is_the_matrix_the_search_scores(game, lone,
+                                                            entries):
+    """Bit for bit, for every table and representative: biseparable_matrix
+    and diew._answer_sum give the oracle's left-to-right sum, and for the
+    tables answering the identity on question 0 the matrix the search
+    scored at this block size."""
+    group = game.group
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        scored = phase_block_matrices(game, lone)
+    slices = diew._lone_slices(game, lone)
+    for t, table in enumerate(itertools.product(
+            range(group.size), repeat=game.question_counts[lone])):
+        want = oracle_left_to_right_matrices(game, lone, table)
+        assert np.array_equal(diew._answer_sum(slices, group, table), want)
+        for r, k in enumerate(group.character_pairs.reps):
+            m = biseparable_matrix(game, lone, group.element(k),
+                                   [group.element(a) for a in table])
+            assert np.array_equal(m, want[r])
+            if table[0] == 0:
+                assert np.array_equal(m, scored[r, t])

@@ -14,10 +14,12 @@ worktree add`` or ``git archive``.
 
 The output file keeps, per label and workload, the median of every
 end-to-end metric over the seeds, and every run's own figures, with the
-core count and the numpy and Python versions; an existing file is
-overwritten.  Under ``scale`` it keeps timings of ``classical_value`` on
-the near-cap games chsh(3,5), chsh(4,4) and chsh(6,3), of
-``biseparable_bound_partition`` on chsh(3,7) with lone player 0, of
+core count and the numpy and Python versions; per label, the checkout's
+git ``commit`` and ``dirty``, true when a tracked file differs from that
+commit.  An existing file is overwritten.  Under ``scale`` it keeps
+timings of ``classical_value`` on the near-cap games chsh(3,5),
+chsh(4,4) and chsh(6,3), of ``biseparable_bound_partition`` on chsh(3,7)
+with lone player 0, of
 ``quantum_bound`` on chsh(3,31), of building chsh(6,7) with
 ``chsh_game``, of ``strategy_behavior`` on chsh(4,4) and chsh(5,3) (a
 pure state and rank-one bases drawn from ``default_rng(0)``), of
@@ -128,12 +130,19 @@ print(min(times))
 """
 
 
-def _commit(checkout):
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+def _git(checkout, *args):
+    proc = subprocess.run(["git", "-C", str(checkout), *args],
                           capture_output=True, text=True)
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip()
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _commit(checkout):
+    """The checkout's HEAD, and whether a tracked file differs from it: a
+    change measured from an uncommitted tree shares its parent's HEAD and
+    tells by ``dirty``.  Both are None outside a git repository."""
+    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return {"commit": _git(checkout, "rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
 
 
 def _env(cache_root, **extra):
@@ -261,7 +270,7 @@ def main(argv=None):
     doc["scale"] = {"unit": "s", "best_of": 3, "samples": SCALE_SAMPLES,
                     "labels": scale, "runs": scale_runs}
     for label, checkout in runs:
-        doc["labels"][label] = {"commit": _commit(checkout), "workloads": {
+        doc["labels"][label] = {**_commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
                            for m in rs[0]["metrics"]},
                 "runs": rs}
