@@ -47,17 +47,6 @@ from .qbounds import character_norms, character_slice, first_optimum, game_tenso
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
 
 
-def _check_tripartite(game):
-    if game.players != 3:
-        raise ValidationError(
-            f"biseparable analysis needs exactly 3 players, got {game.players}")
-
-
-def _check_lone(lone):
-    if lone not in (0, 1, 2):
-        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
-
-
 def _lone_slices(game, lone):
     """M[k, l, x_i, x_j]: ``game_tensor`` at lone question l, pair i < j."""
     pair = (1 + i for i in range(3) if i != lone)
@@ -120,8 +109,8 @@ def _phase_blocks(game, lone):
 def biseparable_matrix(game, lone, k, assignment):
     """Game matrix of the two joint players once the lone player's answers
     are fixed by ``assignment`` (one group element per lone question)."""
-    _check_tripartite(game)
-    _check_lone(lone)
+    values.check_tripartite(game)
+    values.check_lone(lone)
     k = game.group.coerce(k)
     if k == game.group.identity:
         raise ValidationError("the trivial character gives no constraint")
@@ -171,8 +160,8 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     ``_phase_blocks``, each block's norms from one
     ``qbounds.character_norms`` call on its phase vectors' matrices.
     ``cap`` bounds the unreduced count |G|^Q_lone."""
-    _check_tripartite(game)
-    _check_lone(lone)
+    values.check_tripartite(game)
+    values.check_lone(lone)
     values.check_cap(game, (lone,), cap)
     g = game.group.size
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
@@ -201,7 +190,7 @@ def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Largest winning probability of biseparable (hybrid) strategies,
     maximized over the three lone-player splits; the first split within
     TIE_TOL of the maximum is reported as the best."""
-    _check_tripartite(game)
+    values.check_tripartite(game)
     partitions = tuple(biseparable_bound_partition(game, lone, cap=cap)
                        for lone in range(3))
     best, raw = first_optimum([part.raw for part in partitions], largest=True)

@@ -40,6 +40,18 @@ def check_cap(game, fixed, cap):
             required=required, cap=cap)
 
 
+def check_tripartite(game):
+    if game.players != 3:
+        raise ValidationError(
+            f"a lone player and a pair need exactly 3 players, got {game.players}")
+
+
+def check_lone(lone):
+    if lone not in (0, 1, 2):
+        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+    return lone
+
+
 def fold_tables(game, fixed, cap):
     """Iterator over the blocks H'[r, tables, free rows] of the answer
     histogram once the players in ``fixed`` play answer tables, for every
@@ -169,12 +181,11 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     The solo player answers the identity on question 0; ``cap`` bounds
     the unreduced count |G|^Q_solo.
     """
-    if game.players != 3:
-        raise ValidationError("hybrid bipartition values are implemented for 3 players")
-    if lone not in (None, 0, 1, 2):
-        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
-    lones = (0, 1, 2) if lone is None else (lone,)
+    check_tripartite(game)
+    lones = (0, 1, 2) if lone is None else (check_lone(lone),)
     return max(_best_tables(game, (solo,), cap)[0] for solo in lones)
+
+
 @dataclass(frozen=True)
 class SeparabilityReport:
     """Outcome of the additive-separability test for uniform games."""

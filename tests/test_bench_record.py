@@ -1,8 +1,10 @@
-"""tools/bench_record.py: its scale timings run and print one time, and
-each label records its checkout's commit and whether it is dirty."""
+"""tools/bench_record.py: its scale rows print one positive time and time
+two packages side by side in one process, and each label records its
+checkout's commit and whether it is dirty."""
 
+import functools
 import importlib.util
-import os
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -16,17 +18,48 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-@pytest.mark.parametrize("argv", [["noisy_success", "2", "2"], ["boxes_run"]],
-                         ids=["noisy_success", "boxes_run"])
-def test_scale_script_prints_one_positive_time(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", bench_record._SCALE_SCRIPT,
-                           *argv], cwd=ROOT, env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.split()
-    assert len(lines) == 1
-    assert float(lines[0]) > 0.0
+_ROWS = {"noisy_success chsh(2,2)": lambda lg: functools.partial(
+             lg.strategies.noisy_success, lg.games.chsh_game(2, 2),
+             bench_record._strategy(lg, 2, 2), 0.5),
+         "boxes_run": bench_record.SCALE_ROWS[
+             "boxes_run xyz.function --shots 200"]}
+
+
+@pytest.mark.parametrize("name", list(_ROWS), ids=["noisy_success", "boxes_run"])
+def test_scale_script_prints_one_positive_time(name, capsys):
+    """One label, one round: the row prints one line, its positive time."""
+    medians, times = bench_record._scale([("a", ROOT)], {name: _ROWS[name]},
+                                         rounds=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{'a':>8} {name}: {medians['a'][name]:.4g} s"]
+    assert times["a"][name] == [medians["a"][name]]
+    assert medians["a"][name] > 0.0
+
+
+def test_scale_times_two_packages_of_one_checkout_in_process():
+    """A/A in this process: two labels load this checkout as two packages,
+    each with its own modules, and every row gets a positive time per
+    round and finite paired ratios."""
+    rows = _ROWS
+    medians, times = bench_record._scale([("a", ROOT), ("b", ROOT)], rows,
+                                         rounds=2)
+    packages = [sys.modules[f"lingame_run{i}"] for i in range(2)]
+    for package in packages:
+        assert package.diew.values is package.values
+        assert package.cli.values is package.values
+    assert packages[0].values is not packages[1].values
+    for label in ("a", "b"):
+        assert set(times[label]) == set(medians[label]) == set(rows)
+        for name in rows:
+            assert len(times[label][name]) == 2
+            assert all(t > 0.0 for t in times[label][name])
+    paired = bench_record._paired(times["a"], times["b"])
+    for stats in paired.values():
+        assert math.isfinite(stats["median"])
+        assert all(map(math.isfinite, [*stats["iqr"], *stats["range"]]))
+        assert stats["range"][0] <= stats["iqr"][0] <= stats["median"]
+        assert stats["median"] <= stats["iqr"][1] <= stats["range"][1]
+        assert 0 <= stats["won"] <= 2
 
 
 def test_commit_tells_a_changed_tracked_file(tmp_path):

@@ -1,54 +1,33 @@
 """Run every benchmark workload over seeds 1 to 10 and record the medians.
 
-    python3 tools/bench_record.py --out BENCH_19.json \\
+    python3 tools/bench_record.py --out BENCH_25.json \\
         --run parent=PARENT_CHECKOUT --run change=.
 
-Each ``--run LABEL=DIR`` names a checkout of lingame; ``perfbench/run.py``
-is run from it (so it measures that checkout's ``src/`` with that
-checkout's benchmark) for every workload listed in this repository's
-``BENCHMARK.json`` and every seed, at its ``run_seconds``.  The labels
-alternate run by run, and the label that goes first swaps from one seed to
-the next, so two labels give ten alternating pairs per workload.  A
-checkout of the parent commit can be made with ``git clone``, ``git
-worktree add`` or ``git archive``.
-
-The output file keeps, per label and workload, the median of every
-end-to-end metric over the seeds, and every run's own figures, with the
-core count and the numpy and Python versions; per label, the checkout's
-git ``commit`` and ``dirty``, true when a tracked file differs from that
-commit.  An existing file is overwritten.  Under ``scale`` it keeps
-timings of ``classical_value`` on the near-cap games chsh(3,5),
-chsh(4,4) and chsh(6,3), of ``biseparable_bound_partition`` on chsh(3,7)
-with lone player 0, of
-``quantum_bound`` on chsh(3,31), of building chsh(6,7) with
-``chsh_game``, of ``strategy_behavior`` on chsh(4,4) and chsh(5,3) (a
-pure state and rank-one bases drawn from ``default_rng(0)``), of
-``noisy_success`` at visibility 0.5 on chsh(4,4) with the same strategy,
-of ``game_hash`` on chsh(6,3) and of the in-process ``lingame boxes run
-fixtures/xyz.function --shots 200 --seed 1 --json`` call (``cli.main``
-with stdout captured).  A timing repeats the call until at least 0.2 s
-have passed and takes the mean, so a call of milliseconds is timed over
-a hundred calls or more; a sample is the best of three such timings in
-a fresh single-threaded interpreter.  Each row takes five samples per
-label, the labels alternating sample by sample, and keeps every sample
-and, per label, their median: on a 2-core host shared with other work,
-the slowest of a row's five samples in fresh interpreters reads 1.1 to
-1.6 times the fastest (``BENCH_19.json``; with means of 20 calls the
-``boxes_run`` row read 1.6 to 1.8 times in ``BENCH_17.json``), more than
-one sample can resolve.  Every run and every scale sample gets a new
-empty ``PYTHONPYCACHEPREFIX`` with bytecode writing on, so no label
-imports bytecode that an earlier run left in its checkout.  When
-``parent`` and ``change`` are both run, the change/parent ratios of the
-medians and of the scale timings are stored and printed.  The ratios of
-every label's medians and scale timings to the ``change`` label of the
-newest committed ``BENCH_*.json`` are stored and printed as well, under
-``previous``.  Standard library only.
+Each ``--run LABEL=DIR`` names a checkout of lingame.  ``perfbench/run.py``
+runs from each, on its own ``src/``, for every workload of this
+repository's ``BENCHMARK.json`` and every seed, the labels alternating.
+``scale`` times the calls of ``SCALE_ROWS`` in this process instead, every
+checkout's ``src/lingame`` loaded under its own package name, BLAS on one
+thread: each of ``SCALE_ROUNDS`` rounds times every label once, in
+alternating order, and a timing is the mean over at least 0.2 s of calls,
+after one warm-up call.  So the scale rows cannot see import time, peak
+RSS or changes to process-wide state such as numpy settings or threads;
+those stay with ``perfbench/run.py``.  The output keeps every run and
+timing, their medians, each checkout's git ``commit`` and ``dirty``, and
+for ``parent`` and ``change`` the ratios of the medians and, per scale
+row, the median, quartiles, range and wins of the per-round ratios.  Under
+``previous`` every label's medians are divided by the ``change`` label of
+the newest committed ``BENCH_*.json``, but not by scale rows timed best of
+three in fresh interpreters (``best_of``), which read slower.  See README,
+"Benchmark".  Standard library only.
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
+import gc
 import importlib.metadata
+import importlib.util
+import io
 import json
 import os
 import platform
@@ -56,78 +35,68 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1, 11))
-# (name, call, players, outcomes) of each scale row; the game is
-# chsh(players, outcomes), the biseparable search takes lone player 0, and
-# the chsh_game row times building the game itself.  The boxes_run row
-# takes no game: it times the CLI call on fixtures/xyz.function.
-SCALE_ROWS = (
-    ("classical_value chsh(3,5)", "classical_value", 3, 5),
-    ("classical_value chsh(4,4)", "classical_value", 4, 4),
-    ("classical_value chsh(6,3)", "classical_value", 6, 3),
-    ("biseparable_bound_partition chsh(3,7) lone 0",
-     "biseparable_bound_partition", 3, 7),
-    ("quantum_bound chsh(3,31)", "quantum_bound", 3, 31),
-    ("chsh_game chsh(6,7)", "chsh_game", 6, 7),
-    ("strategy_behavior chsh(4,4)", "strategy_behavior", 4, 4),
-    ("strategy_behavior chsh(5,3)", "strategy_behavior", 5, 3),
-    ("noisy_success chsh(4,4)", "noisy_success", 4, 4),
-    ("game_hash chsh(6,3)", "game_hash", 6, 3),
-    ("boxes_run xyz.function --shots 200", "boxes_run"))
-SCALE_SAMPLES = 5  # fresh interpreters per label and scale row
-_SCALE_SCRIPT = """
-import contextlib, io, sys, time
-import numpy as np
-from lingame import cli, diew, qbounds, strategies, values
-from lingame.games import chsh_game, game_hash
-shape = tuple(map(int, sys.argv[2:]))
-if sys.argv[1] == "boxes_run":
-    argv = ["boxes", "run", "fixtures/xyz.function", "--shots", "200",
-            "--seed", "1", "--json"]
-    def call():
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
-elif sys.argv[1] == "chsh_game":
-    call = lambda: chsh_game(*shape)
-elif sys.argv[1] == "game_hash":
-    game = chsh_game(*shape)
-    call = lambda: game_hash(game)
-elif sys.argv[1] in ("strategy_behavior", "noisy_success"):
-    # a pure state and rank-one bases, d = |G| per player
-    game, (n, d), rng = chsh_game(*shape), shape, np.random.default_rng(0)
+SCALE_ROUNDS = 15  # paired rounds per scale row
+
+
+def _strategy(lg, n, d):
+    """A pure state and rank-one bases from ``default_rng(0)`` for chsh(n, d)."""
+    import numpy as np
+    game, rng = lg.games.chsh_game(n, d), np.random.default_rng(0)
+
     def unitary():
         gauss = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         return np.linalg.qr(gauss)[0]
+
     bases = [[list(unitary().T) for _ in range(q)] for q in game.question_counts]
     psi = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
-    strategy = strategies.QuantumStrategy(
-        (d,) * n, psi / np.linalg.norm(psi), bases)
-    call = {"strategy_behavior":
-                lambda: strategies.strategy_behavior(strategy, game),
-            "noisy_success":
-                lambda: strategies.noisy_success(game, strategy, 0.5)}[
-        sys.argv[1]]
-else:
-    game = chsh_game(*shape)
-    call = {"classical_value": lambda: values.classical_value(game),
-            "biseparable_bound_partition":
-                lambda: diew.biseparable_bound_partition(game, 0),
-            "quantum_bound": lambda: qbounds.quantum_bound(game)}[sys.argv[1]]
-times = []
-for _ in range(3):  # a timing repeats the call for at least 0.2 s
-    calls, start = 0, time.perf_counter()
-    while True:
-        call()
-        calls += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= 0.2:
-            break
-    times.append(elapsed / calls)
-print(min(times))
-"""
+    return lg.strategies.QuantumStrategy((d,) * n, psi / np.linalg.norm(psi),
+                                         bases)
+
+
+def _boxes_run(lg):
+    fixture = Path(lg.__file__).parents[2] / "fixtures" / "xyz.function"
+    argv = ["boxes", "run", str(fixture), "--shots", "200", "--seed", "1", "--json"]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            lg.cli.main(argv)
+    return call
+
+
+# A row is a function of one loaded package ``lg``: it builds the row's
+# inputs and returns the call to time.
+SCALE_ROWS = {
+    "classical_value chsh(3,5)":
+        lambda lg: partial(lg.values.classical_value, lg.games.chsh_game(3, 5)),
+    "classical_value chsh(4,4)":
+        lambda lg: partial(lg.values.classical_value, lg.games.chsh_game(4, 4)),
+    "classical_value chsh(6,3)":
+        lambda lg: partial(lg.values.classical_value, lg.games.chsh_game(6, 3)),
+    "biseparable_bound_partition chsh(3,7) lone 0":
+        lambda lg: partial(lg.diew.biseparable_bound_partition,
+                           lg.games.chsh_game(3, 7), 0),
+    "quantum_bound chsh(3,31)":
+        lambda lg: partial(lg.qbounds.quantum_bound, lg.games.chsh_game(3, 31)),
+    "chsh_game chsh(6,7)": lambda lg: partial(lg.games.chsh_game, 6, 7),
+    "strategy_behavior chsh(4,4)":
+        lambda lg: partial(lg.strategies.strategy_behavior,
+                           _strategy(lg, 4, 4), lg.games.chsh_game(4, 4)),
+    "strategy_behavior chsh(5,3)":
+        lambda lg: partial(lg.strategies.strategy_behavior,
+                           _strategy(lg, 5, 3), lg.games.chsh_game(5, 3)),
+    "noisy_success chsh(4,4)":
+        lambda lg: partial(lg.strategies.noisy_success,
+                           lg.games.chsh_game(4, 4), _strategy(lg, 4, 4), 0.5),
+    "game_hash chsh(6,3)":
+        lambda lg: partial(lg.games.game_hash, lg.games.chsh_game(6, 3)),
+    "boxes_run xyz.function --shots 200": _boxes_run,
+}
 
 
 def _git(checkout, *args):
@@ -145,13 +114,10 @@ def _commit(checkout):
             "dirty": None if status is None else bool(status)}
 
 
-def _env(cache_root, **extra):
-    """The caller's environment for one run, with a new empty
-    PYTHONPYCACHEPREFIX under ``cache_root`` and bytecode writing on: every
-    run starts with no compiled module at all, whatever ``__pycache__`` its
-    checkout or the installed packages hold, and its later interpreters
-    import what its first one compiled."""
-    env = dict(os.environ, **extra)
+def _env(cache_root):
+    """The caller's environment with a new empty PYTHONPYCACHEPREFIX, so a
+    run imports no bytecode that an earlier run left in its checkout."""
+    env = dict(os.environ)
     env["PYTHONPYCACHEPREFIX"] = tempfile.mkdtemp(dir=cache_root)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
@@ -172,18 +138,61 @@ def _run_once(checkout, workload, seed, seconds, cache_root):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _scale_once(checkout, name, call, shape, cache_root):
-    env = _env(cache_root, PYTHONPATH=str(checkout / "src"),
-               **{k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                   "MKL_NUM_THREADS")})
-    proc = subprocess.run([sys.executable, "-c", _SCALE_SCRIPT, call,
-                           *map(str, shape)], cwd=checkout, env=env,
-                          capture_output=True, text=True, timeout=600)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"timing {name} in {checkout} exited with "
-                         f"{proc.returncode}")
-    return float(proc.stdout)
+def _load(checkout, name):
+    """The checkout's ``src/lingame`` and ``cli``, loaded afresh as package
+    ``name``; ``src/`` imports only relatively, so it keeps its own modules."""
+    for module in [m for m in sys.modules if m.partition(".")[0] == name]:
+        del sys.modules[module]
+    src = checkout / "src" / "lingame"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
+
+
+def _timing(call):
+    """Mean seconds per call over at least 0.2 s."""
+    gc.collect()
+    calls, start = 0, time.perf_counter()
+    while (elapsed := time.perf_counter() - start) < 0.2:
+        call()
+        calls += 1
+    return elapsed / calls
+
+
+def _scale(runs, rows=SCALE_ROWS, rounds=SCALE_ROUNDS):
+    """Per label and row, the median and every round's seconds per call."""
+    packages = {label: _load(checkout, f"lingame_run{i}")
+                for i, (label, checkout) in enumerate(runs)}
+    medians = {label: {} for label in packages}
+    times = {label: {name: [] for name in rows} for label in packages}
+    for name, row in rows.items():
+        calls = {label: row(package) for label, package in packages.items()}
+        for call in calls.values():
+            call()
+        for r in range(rounds):
+            for label in (packages if r % 2 == 0 else reversed(packages)):
+                times[label][name].append(_timing(calls[label]))
+        for label in packages:
+            medians[label][name] = statistics.median(times[label][name])
+            print(f"{label:>8} {name}: {medians[label][name]:.4g} s", flush=True)
+    return medians, times
+
+
+def _paired(base, new):
+    """Per row, the new/base ratios of the rounds: their median, quartiles
+    and range, and the rounds where new was faster."""
+    paired = {}
+    for name, old in base.items():
+        ratios = [n / o for o, n in zip(old, new[name])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        paired[name] = {"median": median, "iqr": [q1, q3],
+                        "range": [min(ratios), max(ratios)],
+                        "won": sum(r < 1 for r in ratios)}
+    return paired
 
 
 def _ratios(base, new):
@@ -196,10 +205,6 @@ def _ratios(base, new):
                                 for m, v in old["median"].items()
                                 if m in new[workload]["median"] and v}
     return ratios
-
-
-def _scale_ratios(base, new):
-    return {name: new[name] / t for name, t in base.items() if name in new and t}
 
 
 def _print_ratios(title, ratios, scale_ratios):
@@ -225,6 +230,8 @@ def _newest_committed(out):
 
 
 def main(argv=None):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before a loaded package imports numpy
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=Path)
@@ -243,20 +250,12 @@ def main(argv=None):
            "seeds": list(SEEDS), "cpu_count": os.cpu_count(),
            "numpy": importlib.metadata.version("numpy"),
            "python": platform.python_version(), "labels": {}}
-    scale = {label: {} for label, _ in runs}
-    scale_runs = {label: {} for label, _ in runs}
+    scale, times = _scale(runs)
+    doc["scale"] = {"unit": "s", "rounds": SCALE_ROUNDS, "labels": scale,
+                    "runs": times}
     workloads = [w["name"] for w in bench["workloads"]]
     results = {label: {w: [] for w in workloads} for label, _ in runs}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache_root:
-        for name, call, *shape in SCALE_ROWS:
-            for i in range(SCALE_SAMPLES):
-                for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
-                    scale_runs[label].setdefault(name, []).append(
-                        _scale_once(checkout, name, call, shape, cache_root))
-            for label, _ in runs:
-                scale[label][name] = statistics.median(scale_runs[label][name])
-                print(f"{label:>8} {name}: {scale[label][name]:.4g} s",
-                      flush=True)
         for i, seed in enumerate(SEEDS):
             for workload in workloads:
                 for label, checkout in (runs if i % 2 == 0 else runs[::-1]):
@@ -267,8 +266,6 @@ def main(argv=None):
                           + " ".join(f"{k}={v:.4g}"
                                      for k, v in run["metrics"].items()),
                           flush=True)
-    doc["scale"] = {"unit": "s", "best_of": 3, "samples": SCALE_SAMPLES,
-                    "labels": scale, "runs": scale_runs}
     for label, checkout in runs:
         doc["labels"][label] = {**_commit(checkout), "workloads": {
             w: {"median": {m: statistics.median(r["metrics"][m] for r in rs)
@@ -278,19 +275,21 @@ def main(argv=None):
     if {"parent", "change"} <= doc["labels"].keys():
         doc["ratios"] = _ratios(doc["labels"]["parent"]["workloads"],
                                 doc["labels"]["change"]["workloads"])
-        doc["scale"]["ratios"] = _scale_ratios(scale["parent"], scale["change"])
-        _print_ratios("change/parent ratios of the medians:", doc["ratios"],
-                      doc["scale"]["ratios"])
+        doc["scale"]["ratios"] = paired = _paired(times["parent"], times["change"])
+        _print_ratios("change/parent ratios (scale: per-round medians):",
+                      doc["ratios"], {n: r["median"] for n, r in paired.items()})
     previous = _newest_committed(args.out)
     if previous and "change" in previous[1]["labels"]:
         name, prev = previous
         doc["previous"] = {"file": name, "label": "change", "labels": {}}
+        # best-of-3 fresh-interpreter timings do not compare with these
+        old_scale = ({} if "best_of" in prev["scale"] else
+                     prev["scale"]["labels"]["change"])
         for label in doc["labels"]:
             ratios = _ratios(prev["labels"]["change"]["workloads"],
                              doc["labels"][label]["workloads"])
-            scale_ratios = _scale_ratios(
-                prev.get("scale", {}).get("labels", {}).get("change", {}),
-                scale[label])
+            scale_ratios = {row: scale[label][row] / t
+                            for row, t in old_scale.items() if row in scale[label]}
             doc["previous"]["labels"][label] = {"ratios": ratios,
                                                 "scale_ratios": scale_ratios}
             _print_ratios(f"{label}/{name} change ratios of the medians:",
