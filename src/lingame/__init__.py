@@ -83,7 +83,6 @@ from .boxworld import (
     partial_derivative,
     protocol_runs,
     reduce_to_pr,
-    serialize_function,
     simulate_pr_from_functional,
 )
 

@@ -14,13 +14,17 @@ protocol spends one box per exponent tuple, d^{m_1+...+m_n} in total, and
 samples them all in one batched draw of shape (boxes, n-1): the generator
 hands out the same values as one draw per box in lexicographic order.
 Many runs on random inputs take one draw for all their shots, each row a
-shot's inputs and then its boxes, in the order of run-by-run draws.
+shot's inputs and then its boxes, in the order of run-by-run draws.  The
+boxes' PR targets are the outer product of each variable's row of powers,
+and the last party's total closes by linearity: the mu-weighted sum of the
+targets, F(inputs), minus the other parties' totals.
 
 Functional boxes whose predicate has a partial derivative of the shape
 lambda*x*y*z + g(x) + h(y) + s(z) can simulate a PR box: iterated
 differences of box outputs form shares of the derivative, affine
 corrections strip lambda and the additive parts, and a shared random dit
-re-randomizes the outputs.
+re-randomizes the outputs.  A table checks a hashable reduction once and
+keeps the result for the next equal one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .algebra import AbelianGroup, _is_prime, as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import (_is_int, _load, _nonempty_list, _read_document, json_text,
+from .games import (_is_int, _load, _nonempty_list, _read_document,
                     target_behavior)
 
 
@@ -56,6 +60,8 @@ class FunctionTable(object):
                 f"{self.d**self.variables}")
         if any(not 0 <= v < self.d for v in self.values):
             raise ValidationError(f"table entries must lie in Z_{self.d}")
+        # The last reduction that passed _check_reduction, and its result.
+        self._checked = None
 
     @property
     def players(self):
@@ -121,12 +127,6 @@ def parse_function_file(text):
 
 def load_function(path):
     return _load(path, parse_function_file)
-
-
-def serialize_function(table):
-    doc = {"d": table.d, "arities": list(table.arities),
-           "table": list(table.values)}
-    return json_text(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,11 @@ def _sample_boxes(box, targets, rng):
     n-1 outputs are uniform, the last closes the sum to that use's target.
     The one (uses, n-1) draw takes the same values from the generator as
     one draw per use, in order."""
-    head = rng.integers(0, box.d, size=(len(targets), box.players - 1))
-    return np.column_stack([head, (targets - head.sum(axis=1)) % box.d])
+    uses, n = len(targets), box.players
+    outputs = np.empty((uses, n), dtype=np.int64)
+    outputs[:, :-1] = rng.integers(0, box.d, size=(uses, n - 1))
+    outputs[:, -1] = (targets - outputs[:, :-1].sum(axis=1)) % box.d
+    return outputs
 
 
 def box_sample(box, inputs, rng):
@@ -346,27 +349,26 @@ def _protocol_size(table):
     return table.d, table.players, table.d ** table.variables
 
 
-@lru_cache(maxsize=32)  # bounded: a grid is m times its table's size
-def _exponent_grid(d, m):
-    """Read-only exponent tuples of the d^m boxes at [variable, box],
-    lexicographic over the boxes."""
-    exponents = np.indices((d,) * m).reshape(m, -1)
-    exponents.setflags(write=False)
-    return exponents
-
-
 def _protocol_totals(table, inputs, draws):
     """Local totals at [shot, party] of protocol runs on the flat inputs at
     [shot, variable], given the first n-1 outputs of each box at [shot,
     box, party].  Box e (lexicographic over exponent tuples) has the full
     monomial x^e as its PR target, the product of the parties' local
-    monomials, and its last output closes its sum to that target."""
-    d = table.d
-    exponents = _exponent_grid(d, table.variables)
-    # A product of m powers below d stays below d^m, the box count.
-    targets = _vandermonde(d)[inputs[:, :, None], exponents].prod(axis=1) % d
-    last = (targets - draws.sum(axis=2)) % d
-    return table._mu @ np.concatenate([draws, last[:, :, None]], axis=2) % d
+    monomials, and its last output closes its sum to that target; so the
+    last party's total is the mu-weighted sum of the targets minus the
+    other parties' totals."""
+    d, mu, shots = table.d, table._mu, len(inputs)
+    powers = _vandermonde(d)[inputs]
+    # Outer product of the variables' rows of powers, the first variable
+    # slowest; a product of m powers below d stays below d^m, the box count.
+    targets = powers[:, 0]
+    for column in range(1, table.variables):
+        targets = (targets[:, :, None] * powers[:, column, None, :]).reshape(
+            shots, targets.shape[1] * d)
+    totals = np.empty((shots, table.players), dtype=np.int64)
+    totals[:, :-1] = mu @ draws
+    totals[:, -1] = targets % d @ mu - totals[:, :-1].sum(axis=1)
+    return totals % d
 
 
 def cc_protocol(table, inputs, rng):
@@ -489,23 +491,45 @@ def _additive_table(rows, d):
     return np.array(folded) @ _vandermonde(d).T % d
 
 
-def _check_reduction(box, reduction):
-    """Raise unless the reduction matches the box's derivative table; else
-    return lambda and the rows g, h, s evaluated on Z_d."""
-    if box.d != reduction.d:
+def _check_reduction(table, reduction):
+    """Raise unless the reduction matches the table's derivative table and
+    its lambda is invertible mod d; else return lambda mod d as an int,
+    which any equal reduction gives, and the rows g, h, s evaluated on Z_d,
+    read-only."""
+    if table.d != reduction.d:
         raise ValidationError("reduction was computed for a different d")
-    d = box.d
-    derived = box.table.as_array()
+    d = table.d
+    lam = reduction.lam % d
+    if lam == 0:
+        raise ValidationError(
+            f"reduction has lambda = {reduction.lam}, not invertible mod {d}")
+    derived = table.as_array()
     for variable in reduction.sequence:
         derived = (np.roll(derived, -1, axis=variable) - derived) % d
-    lam = reduction.lam % d
     additive = _additive_table((reduction.g, reduction.h, reduction.s), d)
     expected = (lam * reduce(np.multiply.outer, [np.arange(d)] * 3)
                 + reduce(np.add.outer, additive)) % d
     if not np.array_equal(derived, expected):
         raise ValidationError(
             "reduction does not match the box's derivative table")
-    return lam, additive
+    additive.setflags(write=False)
+    return int(lam), additive
+
+
+def _checked_reduction(table, reduction):
+    """``_check_reduction``'s result, kept on the table for the next equal
+    reduction: one slot, filled only by a check that passed.  A reduction
+    that cannot be hashed (one with list fields) is checked on every call,
+    so a later change to its lists is seen."""
+    try:
+        hash(reduction)
+    except TypeError:
+        return _check_reduction(table, reduction)
+    checked = table._checked  # one read, so a concurrent write cannot mix slots
+    if checked is None or checked[0] != reduction:
+        checked = table._checked = (reduction,
+                                    _check_reduction(table, reduction))
+    return checked[1]
 
 
 @lru_cache(maxsize=32)  # bounded: a stencil has 2^(total order) rows
@@ -540,7 +564,7 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
         raise ValidationError(
             f"PR simulation needs three single-dit parties, got arities "
             f"{box.arities}")
-    lam, additive = _check_reduction(box, reduction)
+    lam, additive = _checked_reduction(box.table, reduction)
     d = box.d
     point = np.array(_flatten_inputs(box.arities, inputs, d))
     shifts, sign = _difference_stencil(reduction.sequence, d)

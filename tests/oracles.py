@@ -91,12 +91,18 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
+* oracle_protocol_totals: the protocol kernel that gathered every box's
+  PR target at its exponent tuple and summed all n outputs of every box,
+  the last one closing the box's sum (checks, with ==, the outer-product
+  targets and the last party's total closed by linearity in
+  boxworld._protocol_totals).
 * parse_report / quantum_bound_partition / evaluate_polynomial /
-  polynomial_table: former public helpers that nothing but the tests
-  used, a --json report parsed back into a dict, the norm bound of one
-  bipartition, and an interpolated polynomial evaluated at one point or
-  on the whole grid (check the CLI's reports, quantum_bound's partitions
-  and interpolate_polynomial).
+  polynomial_table / serialize_function: former public helpers that
+  nothing but the tests used, a --json report parsed back into a dict,
+  the norm bound of one bipartition, an interpolated polynomial evaluated
+  at one point or on the whole grid, and a function table written in the
+  function-file format (check the CLI's reports, quantum_bound's
+  partitions, interpolate_polynomial and parse_function_file).
 * oracle_make_game / oracle_chsh_predicate / oracle_deterministic_table:
   the per-question game builder that preceded the array constructor, one
   Fraction per question tuple, their lcm and one coerce per predicate
@@ -885,6 +891,26 @@ def oracle_boxes_runs(table, shots, rng):
         runs.append({"inputs": list(flat), "expected": expected,
                      **transcript.as_dict()})
     return runs, correct
+
+
+def oracle_protocol_totals(table, inputs, draws):
+    """Local totals at [shot, party]: each box's PR target gathered from
+    the powers at its exponent tuple, its last output closing its sum, and
+    the mu-weighted sum of all n outputs of every box."""
+    d, m = table.d, table.variables
+    exponents = np.indices((d,) * m).reshape(m, -1)
+    targets = _vandermonde(d)[inputs[:, :, None], exponents].prod(axis=1) % d
+    last = (targets - draws.sum(axis=2)) % d
+    mu = interpolate_polynomial(table).coeffs.reshape(-1)
+    return mu @ np.concatenate([draws, last[:, :, None]], axis=2) % d
+
+
+def serialize_function(table):
+    """A function table in the function-file format, the inverse of
+    parse_function_file."""
+    doc = {"d": table.d, "arities": list(table.arities),
+           "table": list(table.values)}
+    return games.json_text(doc) + "\n"
 
 
 def _derive(table, order):

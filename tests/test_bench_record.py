@@ -25,10 +25,18 @@ _ROWS = {"noisy_success chsh(2,2)": lambda lg: functools.partial(
              "boxes_run xyz.function --shots 200"]}
 
 
-@pytest.mark.parametrize("name", list(_ROWS), ids=["noisy_success", "boxes_run"])
+_BOX_ROWS = {name: bench_record.SCALE_ROWS[name] for name in (
+    "protocol_runs d=3 (2,2,2) --shots 2000",
+    "simulate_pr_from_functional d=5 lifted")}
+
+
+@pytest.mark.parametrize("name", list(_ROWS | _BOX_ROWS),
+                         ids=["noisy_success", "boxes_run", "protocol_runs",
+                              "simulate_pr"])
 def test_scale_script_prints_one_positive_time(name, capsys):
     """One label, one round: the row prints one line, its positive time."""
-    medians, times = bench_record._scale([("a", ROOT)], {name: _ROWS[name]},
+    rows = _ROWS | _BOX_ROWS
+    medians, times = bench_record._scale([("a", ROOT)], {name: rows[name]},
                                          rounds=1)
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{'a':>8} {name}: {medians['a'][name]:.4g} s"]

@@ -1,9 +1,11 @@
 """The batched box kernel of boxworld against the per-box loops it
 replaced (tests/oracles.py): from one seed, protocol transcripts, batched
 protocol runs and the `boxes run` report, simulated PR outputs and the
-generator state left behind are equal, reductions are the same order and
-coefficients, additive rows folded by Fermat are the values the pow loop
-reads, and box behaviors are the same tables."""
+generator state left behind are equal, protocol totals closed by
+linearity are those of the gathered kernel, reductions are the same order
+and coefficients, a table checks each reduction once and refuses a wrong
+one on every call, additive rows folded by Fermat are the values the pow
+loop reads, and box behaviors are the same tables."""
 
 import contextlib
 import dataclasses
@@ -16,19 +18,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lingame import cli
+from lingame import boxworld, cli
 from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
                               Reduction, box_behavior, cc_protocol,
-                              protocol_runs, reduce_to_pr, serialize_function,
+                              protocol_runs, reduce_to_pr,
                               simulate_pr_from_functional, _additive_table,
-                              _vandermonde, _vandermonde_inverse)
+                              _protocol_totals, _vandermonde,
+                              _vandermonde_inverse)
 from lingame.errors import ValidationError
 
 from oracles import (modular_inverse_matrix, oracle_additive_table,
                      oracle_box_behavior_table,
                      oracle_boxes_runs, oracle_cc_protocol,
-                     oracle_check_reduction, oracle_reduce_to_pr,
-                     oracle_simulate_pr, parse_report)
+                     oracle_check_reduction, oracle_protocol_totals,
+                     oracle_reduce_to_pr, oracle_simulate_pr, parse_report,
+                     serialize_function)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 PRIMES = (2, 3, 5)
@@ -125,6 +129,24 @@ def test_protocol_runs_match_the_shot_loop(table, shots, seed):
 
 
 @SETTINGS
+@given(protocol_tables(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_protocol_totals_match_the_gathered_kernel(table, shots, seed):
+    """Outer-product targets and the last total closed by linearity give,
+    with ==, the totals of the gather over the exponent grid that sums
+    every box's n outputs; also for 0 shots."""
+    rng = np.random.default_rng(seed)
+    d, n, boxes = table.d, table.players, table.d**table.variables
+    for k in (0, shots):
+        inputs = rng.integers(0, d, size=(k, table.variables))
+        draws = rng.integers(0, d, size=(k, boxes, n - 1))
+        totals = _protocol_totals(table, inputs, draws)
+        expected = oracle_protocol_totals(table, inputs, draws)
+        assert totals.shape == expected.shape == (k, n)
+        assert totals.dtype == expected.dtype
+        assert (totals == expected).all()
+
+
+@SETTINGS
 @given(three_party_tables(), st.integers(0, 2**32 - 1))
 def test_reductions_and_simulations_match_the_loops(table, seed):
     reduction = reduce_to_pr(table)
@@ -198,17 +220,22 @@ def test_hand_built_reductions_are_read_as_written():
             np.random.default_rng(7))
 
 
-@pytest.mark.parametrize("d, lifts", [(11, 1), (31, 0)])
-def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
-    """A low order is found without scoring every order, and the scored
-    blocks stay small: at d = 31 all d^3 orders at once would need
-    gigabytes."""
+def _xyz_table(d, lifts=0):
+    """x*y*z over Z_d, lifted ``lifts`` times to an antiderivative in x."""
     x = np.arange(d)
     table = x[:, None, None] * x[None, :, None] * x[None, None, :] % d
     for _ in range(lifts):
         table = np.concatenate([table[:1], table[:1]
                                 + np.cumsum(table, axis=0)[:-1]]) % d
-    table = FunctionTable(d, (1, 1, 1), table.reshape(-1).tolist())
+    return FunctionTable(d, (1, 1, 1), table.reshape(-1).tolist())
+
+
+@pytest.mark.parametrize("d, lifts", [(11, 1), (31, 0)])
+def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
+    """A low order is found without scoring every order, and the scored
+    blocks stay small: at d = 31 all d^3 orders at once would need
+    gigabytes."""
+    table = _xyz_table(d, lifts)
     tracemalloc.start()
     try:
         reduction = reduce_to_pr(table)
@@ -218,3 +245,104 @@ def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
     assert reduction == oracle_reduce_to_pr(table)
     assert reduction.order == (lifts, 0, 0)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("lam", [0, 5, -10, 5 * 2**70])
+def test_a_lambda_divisible_by_d_is_refused_before_any_draw(lam):
+    """An additive table matches the form of a reduction whose lambda is
+    0 mod d, but that lambda has no inverse: the check refuses it with
+    ValidationError, and the generator has not moved."""
+    d = 5
+    x = np.arange(d)
+    form = (3 + x[:, None, None] + 2 * x[None, :, None]
+            + 4 * x[None, None, :]**2) % d
+    table = FunctionTable(d, (1, 1, 1), form.reshape(-1).tolist())
+    reduction = Reduction(d, (0, 0, 0), lam, (3, 1), (0, 2), (0, 0, 4))
+    oracle_check_reduction(FunctionalBox(table), reduction)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not invertible mod 5"):
+            simulate_pr_from_functional(table, reduction, (1, 2, 3), rng)
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_an_equal_reduction_of_numpy_integers_simulates_alike():
+    """A lambda given as a numpy integer makes a reduction equal to the
+    one with its int: checked afresh or found in the table's slot, it
+    simulates as the int one does."""
+    valid = reduce_to_pr(_xyz_table(5, lifts=1))
+    numpy_lam = dataclasses.replace(valid, lam=np.int64(valid.lam))
+    for first, second in ((numpy_lam, valid), (valid, numpy_lam)):
+        box = FunctionalBox(_xyz_table(5, lifts=1))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for reduction in (first, second):
+            assert (simulate_pr_from_functional(box, reduction, (1, 2, 3), rng)
+                    == oracle_simulate_pr(box, valid, (1, 2, 3), ref))
+
+
+def test_a_wrong_reduction_is_refused_on_every_call():
+    """A failed check is never kept: a wrong reduction is refused before
+    and right after a valid one was checked for the same table, and the
+    refused calls leave the stream to the valid ones."""
+    table = _xyz_table(5, lifts=1)
+    valid = reduce_to_pr(table)
+    wrong = dataclasses.replace(valid, g=(1,) + valid.g[1:])
+    box = FunctionalBox(table)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            simulate_pr_from_functional(box, wrong, (1, 2, 3), rng)
+        for inputs in ((1, 2, 3), (4, 0, 2)):
+            assert (simulate_pr_from_functional(box, valid, inputs, rng)
+                    == oracle_simulate_pr(box, valid, inputs, ref))
+        with pytest.raises(ValidationError):
+            simulate_pr_from_functional(box, wrong, (1, 2, 3), rng)
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_list_field_reductions_are_checked_on_every_call():
+    """A reduction with list fields cannot be hashed, so it is checked on
+    every call: it simulates as the loop does, and a change to its lists
+    is seen on the next call."""
+    d = 5
+    x = np.arange(d)
+    form = (2 * x[:, None, None] * x[None, :, None] * x[None, None, :]
+            + 3 + x[:, None, None] + 4 * x[None, None, :]**2) % d
+    box = FunctionalBox(FunctionTable(d, (1, 1, 1), form.reshape(-1).tolist()))
+    reduction = Reduction(d, [0, 0, 0], 2, [3, 1], [], [0, 0, 4])
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for inputs in ((1, 2, 3), (4, 0, 2)):
+        assert (simulate_pr_from_functional(box, reduction, inputs, rng)
+                == oracle_simulate_pr(box, reduction, inputs, ref))
+        reduction.g[0] = 4
+        with pytest.raises(ValidationError):
+            simulate_pr_from_functional(box, reduction, inputs, rng)
+        reduction.g[0] = 3
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_each_reduction_is_checked_once_per_table(monkeypatch):
+    """Over many interleaved calls on two tables, with equal but distinct
+    copies of each reduction, every (table, reduction) pair is checked
+    once, and the outputs and stream are the loop's."""
+    checked = []
+    check = boxworld._check_reduction
+
+    def counted(table, reduction):
+        checked.append((id(table), reduction))
+        return check(table, reduction)
+
+    monkeypatch.setattr(boxworld, "_check_reduction", counted)
+    tables = (_xyz_table(3), _xyz_table(5, lifts=1))
+    reductions = [reduce_to_pr(t) for t in tables]
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(20):
+        for table, reduction in zip(tables, reductions):
+            inputs = tuple(int(v) for v in rng.integers(0, table.d, 3))
+            ref.integers(0, table.d, 3)
+            copy = dataclasses.replace(reduction)
+            assert (simulate_pr_from_functional(table, copy, inputs, rng)
+                    == oracle_simulate_pr(FunctionalBox(table), reduction,
+                                          inputs, ref))
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+    assert checked == [(id(t), r) for t, r in zip(tables, reductions)]

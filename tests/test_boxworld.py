@@ -15,12 +15,12 @@ from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
                               box_behavior, box_sample, cc_protocol,
                               interpolate_polynomial, parse_function_file,
                               partial_derivative, reduce_to_pr,
-                              serialize_function, simulate_pr_from_functional)
+                              simulate_pr_from_functional)
 from lingame.errors import GameFormatError, ValidationError
 from lingame.games import make_game, success_probability
 from lingame.values import no_signaling_value
 
-from oracles import evaluate_polynomial, polynomial_table
+from oracles import evaluate_polynomial, polynomial_table, serialize_function
 
 Z3 = AbelianGroup((3,))
 

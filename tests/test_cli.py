@@ -14,7 +14,7 @@ from lingame.errors import GameFormatError
 from lingame.games import make_game, serialize_game
 
 import ghz3_c4
-from oracles import parse_report
+from oracles import parse_report, serialize_function
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CHSH22 = str(FIXTURES / "chsh22.game")
@@ -252,7 +252,7 @@ def test_boxes_reduce_xyz(capsys):
 
 
 def test_boxes_reduce_additive(capsys, tmp_path):
-    from lingame.boxworld import FunctionTable, serialize_function
+    from lingame.boxworld import FunctionTable
     import itertools
     values = [(x + y + z) % 3
               for x, y, z in itertools.product(range(3), repeat=3)]

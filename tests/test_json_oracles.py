@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from lingame import games
 from lingame.algebra import AbelianGroup
-from lingame.boxworld import load_function, serialize_function
+from lingame.boxworld import load_function
 from lingame.games import (Records, chsh_game, game_hash, json_text, load_game,
                            make_game, mermin_ghz3_game, serialize_game)
 
-from oracles import oracle_game_document, oracle_round_floats
+from oracles import (oracle_game_document, oracle_round_floats,
+                     serialize_function)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)

@@ -69,6 +69,30 @@ def _boxes_run(lg):
     return call
 
 
+def _protocol_runs(lg):
+    """2,000 shots of ``protocol_runs`` on a d=3 table of arities (2,2,2)
+    drawn from ``default_rng(0)``, which then feeds the shots."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    table = lg.boxworld.FunctionTable(3, (2, 2, 2),
+                                      rng.integers(0, 3, 3**6).tolist())
+    return partial(lg.boxworld.protocol_runs, table, 2000, rng)
+
+
+def _simulate_pr(lg):
+    """One PR box from x*y*z over Z_5 lifted to an antiderivative in x, on
+    a base drawn from ``default_rng(0)``: its reduction takes one
+    derivative, so two functional-box uses."""
+    import numpy as np
+    rng, x = np.random.default_rng(0), np.arange(5)
+    xyz = x[:, None, None] * x[None, :, None] * x[None, None, :]
+    base = rng.integers(0, 5, (1, 5, 5))
+    lifted = np.concatenate([base, base + np.cumsum(xyz, axis=0)[:-1]]) % 5
+    table = lg.boxworld.FunctionTable(5, (1, 1, 1), lifted.ravel().tolist())
+    return partial(lg.boxworld.simulate_pr_from_functional, table,
+                   lg.boxworld.reduce_to_pr(table), (1, 2, 3), rng)
+
+
 # A row is a function of one loaded package ``lg``: it builds the row's
 # inputs and returns the call to time.
 SCALE_ROWS = {
@@ -96,6 +120,8 @@ SCALE_ROWS = {
     "game_hash chsh(6,3)":
         lambda lg: partial(lg.games.game_hash, lg.games.chsh_game(6, 3)),
     "boxes_run xyz.function --shots 200": _boxes_run,
+    "protocol_runs d=3 (2,2,2) --shots 2000": _protocol_runs,
+    "simulate_pr_from_functional d=5 lifted": _simulate_pr,
 }
 
 
