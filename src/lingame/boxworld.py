@@ -24,7 +24,7 @@ lambda*x*y*z + g(x) + h(y) + s(z) can simulate a PR box: iterated
 differences of box outputs form shares of the derivative, affine
 corrections strip lambda and the additive parts, and a shared random dit
 re-randomizes the outputs.  A table checks a hashable reduction once and
-keeps the result for the next equal one.
+keeps the result for the next equal one of the same coefficient types.
 """
 
 from __future__ import annotations
@@ -518,17 +518,18 @@ def _check_reduction(table, reduction):
 
 def _checked_reduction(table, reduction):
     """``_check_reduction``'s result, kept on the table for the next equal
-    reduction: one slot, filled only by a check that passed.  A reduction
-    that cannot be hashed (one with list fields) is checked on every call,
-    so a later change to its lists is seen."""
+    reduction whose g, h, s hold the same types, as the rows do (3 == 3.0):
+    one slot, filled only by a check that passed.  A reduction that cannot
+    be hashed (one with list fields) is checked on every call, so a later
+    change to its lists is seen."""
     try:
         hash(reduction)
     except TypeError:
         return _check_reduction(table, reduction)
+    key = (reduction, tuple(map(type, (*reduction.g, *reduction.h, *reduction.s))))
     checked = table._checked  # one read, so a concurrent write cannot mix slots
-    if checked is None or checked[0] != reduction:
-        checked = table._checked = (reduction,
-                                    _check_reduction(table, reduction))
+    if checked is None or checked[0] != key:
+        checked = table._checked = (key, _check_reduction(table, reduction))
     return checked[1]
 
 

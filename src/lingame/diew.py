@@ -111,9 +111,6 @@ def biseparable_matrix(game, lone, k, assignment):
     are fixed by ``assignment`` (one group element per lone question)."""
     values.check_tripartite(game)
     values.check_lone(lone)
-    k = game.group.coerce(k)
-    if k == game.group.identity:
-        raise ValidationError("the trivial character gives no constraint")
     assignment = [game.group.index(game.group.coerce(a)) for a in assignment]
     if len(assignment) != game.question_counts[lone]:
         raise ValidationError(
@@ -168,15 +165,18 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     # The first table within TIE_TOL of the maximum beats every table
     # before it, so it is among the tables that raise the running maximum;
     # of those, (raw, table, norms) are kept while within TIE_TOL of it.
+    # A block whose largest raw is not above top holds none (the first is
+    # not asked: it always holds one).  Norms add row by row, as in qbounds.
     records, top, start = [], -math.inf, 0
     for stack, index in _phase_blocks(game, lone):
         sigma = character_norms(stack, game.group).take(index)
-        total = reduce(np.add, sigma)  # row by row, as qbounds sums them
-        for t, raw in enumerate(((1.0 + factor * total) / g).tolist()):
-            if raw > top:
-                top = raw
-                records = [r for r in records if top - r[0] <= TIE_TOL]
-                records.append((raw, start + t, sigma[:, t].tolist()))
+        raws = (1.0 + factor * reduce(np.add, sigma)) / g
+        if top == -math.inf or raws.max() > top:
+            for t, raw in enumerate(raws.tolist()):
+                if raw > top:
+                    top = raw
+                    records = [r for r in records if top - r[0] <= TIE_TOL]
+                    records.append((raw, start + t, sigma[:, t].tolist()))
         start += sigma.shape[1]
     _, best, norms = records[0]
     assignment = values.table_digits(game, (lone,), best)[0]

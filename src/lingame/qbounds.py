@@ -18,13 +18,15 @@ Since p(x) is real and conj chi_k = chi_{-k}, Phi_{-k}^S = conj Phi_k^S
 has the norm of Phi_k^S, and Phi_k^S is real when k = -k.  So one matrix
 is built per conjugate pair {k, -k} (``AbelianGroup.character_pairs``),
 the real ones go through a real SVD, and ``character_norms`` expands the
-norms back to every nontrivial k.
+norms back to every nontrivial k: one call per split, in one loop that
+reads each split's axes from a layout cached per player count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,19 +36,18 @@ from .linalg import max_singular_value
 from .tolerances import TIE_TOL
 
 
-def _validate_partition(game, s_players):
+def _side_layout(game, s_players):
+    """The ``_split_layouts`` entry (S in order, its axes) of a side S of a
+    bipartition: a nonempty proper subset of the players."""
     try:
-        s = tuple(sorted(set(int(i) for i in s_players)))
+        s = set(int(i) for i in s_players)
     except TypeError:
         raise ValidationError(f"bad partition {s_players!r}")
-    if not s or len(s) >= game.players:
+    if not s or not s < set(range(game.players)):
         raise ValidationError(
-            f"partition must be a nonempty proper subset of the players, "
-            f"got {s_players!r}")
-    if any(not 0 <= i < game.players for i in s):
-        raise ValidationError(
-            f"partition {s_players!r} names players outside 0..{game.players - 1}")
-    return s
+            f"partition must be a nonempty proper subset of the players "
+            f"0..{game.players - 1}, got {s_players!r}")
+    return _split_layouts(game.players)[sum(1 << i for i in s) - 1]
 
 
 def game_tensor(game):
@@ -85,46 +86,48 @@ def character_slice(stack, group, k):
     """The matrix of the nontrivial character k from a stack with one per
     representative along axis 0: its representative's, conjugated when k
     is the other member of the pair."""
-    pairs, i = group.character_pairs, group.index(k)
+    pairs, i = group.character_pairs, group.index(group.coerce(k))
+    if not i:
+        raise ValidationError(
+            "the trivial character carries no game information; use k != e")
     m = stack[pairs.slot[i - 1]]
     return m if pairs.reps[pairs.slot[i - 1]] == i else m.conj()
 
 
 def first_optimum(raws, largest):
-    """Index of the first raw value within TIE_TOL of the optimum (the
-    largest if ``largest``, else the smallest), and the optimum itself."""
-    raws = np.asarray(raws, dtype=float)
-    best = raws.max() if largest else raws.min()
-    return int(np.argmax(np.abs(raws - best) <= TIE_TOL)), float(best)
+    """Index of the first raw within TIE_TOL of the optimum (the largest if
+    ``largest``, else the smallest) by a scan in floats, and the optimum."""
+    raws = [float(raw) for raw in raws]
+    best = max(raws) if largest else min(raws)
+    return [abs(raw - best) <= TIE_TOL for raw in raws].index(True), best
 
 
-def _bipartition_stack(tensor, game, s):
+@lru_cache(maxsize=16)  # bounded: n players give 2^n - 2 sides
+def _split_layouts(n):
+    """(S, axes putting S's questions of a ``game_tensor`` first) for each
+    side S of a bipartition, at index (S's player bitmask) - 1: the even
+    indices hold the sides with player 0, one per unordered bipartition."""
+    out = []
+    for mask in range(1, 2**n - 1):
+        s = tuple(i for i in range(n) if mask >> i & 1)
+        comp = tuple(i for i in range(n) if not mask >> i & 1)
+        out.append((s, (0,) + tuple(1 + i for i in s + comp)))
+    return tuple(out)
+
+
+def _bipartition_stack(tensor, s, axes):
     """The matrices Phi_k^S for every representative k, stacked along
-    axis 0."""
-    comp = tuple(i for i in range(game.players) if i not in s)
-    rows = math.prod(game.question_counts[i] for i in s)
-    axes = (0,) + tuple(1 + i for i in s + comp)
+    axis 0, from S's ``_split_layouts`` entry."""
+    rows = math.prod(tensor.shape[1 + i] for i in s)
     return tensor.transpose(axes).reshape(len(tensor), rows, -1)
 
 
 def game_matrix(game, s_players, k):
     """The matrix Phi_k^S of a game, for a side S of a bipartition and a
     nontrivial character index k."""
-    s = _validate_partition(game, s_players)
-    k = game.group.coerce(k)
-    if k == game.group.identity:
-        raise ValidationError(
-            "the trivial character carries no game information; use k != e")
-    return character_slice(_bipartition_stack(game_tensor(game), game, s),
+    s, axes = _side_layout(game, s_players)
+    return character_slice(_bipartition_stack(game_tensor(game), s, axes),
                            game.group, k)
-
-
-def _partition_bound(tensor, game, s):
-    norms = dict(zip(game.group.elements()[1:], character_norms(
-        _bipartition_stack(tensor, game, s), game.group).tolist()))
-    scale = math.sqrt(math.prod(game.question_counts))
-    raw = (1.0 + scale * sum(norms.values())) / game.group.size
-    return PartitionBound(players=s, norms=norms, raw=raw, value=min(raw, 1.0))
 
 
 @dataclass(frozen=True)
@@ -155,26 +158,22 @@ class BoundReport:
         raise KeyError(f"no partition {s_players!r} in this report")
 
 
-def _partitions_containing_first_player(n):
-    """One representative per unordered bipartition: every proper subset
-    containing player 0."""
-    out = []
-    for mask in range(1, 2**n - 1):
-        if mask & 1:
-            out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
 def quantum_bound(game):
     """Norm bound minimized over all inequivalent bipartitions; the best
     partition is the first whose bound is within TIE_TOL of the minimum."""
-    tensor = game_tensor(game)
-    partitions = tuple(_partition_bound(tensor, game, s) for s in
-                       _partitions_containing_first_player(game.players))
+    tensor, group = game_tensor(game), game.group
+    ks = group.elements()[1:]
+    scale = math.sqrt(math.prod(game.question_counts))
+    partitions = []
+    for s, axes in _split_layouts(game.players)[::2]:
+        norms = character_norms(_bipartition_stack(tensor, s, axes),
+                                group).tolist()
+        raw = (1.0 + scale * sum(norms)) / group.size
+        partitions.append(PartitionBound(s, dict(zip(ks, norms)), raw,
+                                         min(raw, 1.0)))
     best, raw = first_optimum([p.raw for p in partitions], largest=False)
-    return BoundReport(partitions=partitions, raw_bound=raw,
-                       bound=min(raw, 1.0),
-                       best_partition=partitions[best].players)
+    return BoundReport(tuple(partitions), raw, min(raw, 1.0),
+                       partitions[best].players)
 
 
 def chsh_bound_analytic(players, outcomes):

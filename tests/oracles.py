@@ -32,6 +32,12 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   the running maximum reports the same partition at every block size,
   and that biseparable_matrix builds the matrices it scored; both
   searches take their norms from diew.character_norms).
+* oracle_first_optimum / oracle_bipartition_stack / oracle_partition_bound
+  / oracle_bound_report: quantum_bound as it was built one split at a
+  time, the split layout rebuilt for every split, one PartitionBound per
+  split from its own norms dict, and the tie rule run in numpy on the
+  array of raws (checks, with ==, the cached split layouts, the one
+  report loop and the plain-Python tie rule of qbounds).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -239,10 +245,52 @@ def oracle_kernel_norms(stack):
                                    compute_uv=False)[..., 0] for m in stack])
 
 
+def oracle_first_optimum(raws, largest):
+    """qbounds.first_optimum in numpy: the first index where |raw - best|
+    <= TIE_TOL by argmax over the array of raws, and the optimum."""
+    raws = np.asarray(raws, dtype=float)
+    best = raws.max() if largest else raws.min()
+    return int(np.argmax(np.abs(raws - best) <= TIE_TOL)), float(best)
+
+
+def oracle_bipartition_stack(tensor, game, s):
+    """The matrices Phi_k^S for every slice k of a tensor, stacked along
+    axis 0, the layout of S built afresh."""
+    comp = tuple(i for i in range(game.players) if i not in s)
+    rows = math.prod(game.question_counts[i] for i in s)
+    axes = (0,) + tuple(1 + i for i in s + comp)
+    return tensor.transpose(axes).reshape(len(tensor), rows, -1)
+
+
+def oracle_partition_bound(tensor, game, s):
+    """One split's PartitionBound from its own stack and norms dict."""
+    norms = dict(zip(game.group.elements()[1:], qbounds.character_norms(
+        oracle_bipartition_stack(tensor, game, s), game.group).tolist()))
+    scale = math.sqrt(math.prod(game.question_counts))
+    raw = (1.0 + scale * sum(norms.values())) / game.group.size
+    return qbounds.PartitionBound(players=s, norms=norms, raw=raw,
+                                  value=min(raw, 1.0))
+
+
+def oracle_bound_report(game):
+    """quantum_bound one split at a time, over the subsets containing
+    player 0 in bitmask order, the best read by oracle_first_optimum."""
+    tensor = qbounds.game_tensor(game)
+    partitions = tuple(
+        oracle_partition_bound(tensor, game, tuple(
+            i for i in range(game.players) if mask >> i & 1))
+        for mask in range(1, 2**game.players - 1) if mask & 1)
+    best, raw = oracle_first_optimum([p.raw for p in partitions],
+                                     largest=False)
+    return qbounds.BoundReport(partitions=partitions, raw_bound=raw,
+                               bound=min(raw, 1.0),
+                               best_partition=partitions[best].players)
+
+
 def oracle_bipartition_norms(game, s):
     """||Phi_k^S|| for every nontrivial k, one complex SVD each."""
     return oracle_kernel_norms(
-        qbounds._bipartition_stack(oracle_game_tensor(game), game, s))
+        oracle_bipartition_stack(oracle_game_tensor(game), game, s))
 
 
 def oracle_fold_pair_matrices(game, lone, block):
@@ -1081,8 +1129,8 @@ def parse_report(text):
 
 def quantum_bound_partition(game, s_players):
     """The norm bound for one bipartition (raw, not clamped)."""
-    s = qbounds._validate_partition(game, s_players)
-    return qbounds._partition_bound(qbounds.game_tensor(game), game, s).raw
+    s, _ = qbounds._side_layout(game, s_players)
+    return oracle_partition_bound(qbounds.game_tensor(game), game, s).raw
 
 
 def evaluate_polynomial(coeffs, variables):

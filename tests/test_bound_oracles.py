@@ -26,14 +26,16 @@ from lingame.diew import (biseparable_bound, biseparable_bound_partition,
 from lingame.games import chsh_game, make_game, mermin_ghz3_game
 from lingame.errors import ResourceLimitError
 from lingame.linalg import max_singular_value
-from lingame.qbounds import (character_norms, game_matrix, game_tensor,
-                             quantum_bound)
+from lingame.qbounds import (character_norms, first_optimum, game_matrix,
+                             game_tensor, quantum_bound)
 from lingame.tolerances import TIE_TOL
 
 from oracles import (oracle_biseparable_bound, oracle_biseparable_matrix,
                      oracle_biseparable_search, oracle_bipartition_norms,
-                     oracle_fold_pair_matrices, oracle_game_matrix,
-                     oracle_left_to_right_matrices, oracle_lone_tables,
+                     oracle_bipartition_stack, oracle_bound_report,
+                     oracle_first_optimum, oracle_fold_pair_matrices,
+                     oracle_game_matrix, oracle_left_to_right_matrices,
+                     oracle_lone_tables,
                      oracle_max_singular_value, oracle_pair_norms,
                      oracle_quantum_bound, oracle_table_matrices,
                      oracle_table_search)
@@ -205,6 +207,31 @@ def test_tables_near_a_rising_maximum_are_kept_and_dropped(entries):
                                          / 10 - 0.1 - 0.01 * 4]
 
 
+@pytest.mark.parametrize("entries", [1, 50, values._CHUNK_ENTRIES])
+def test_blocks_above_the_maximum_by_a_hair_are_scored(entries):
+    """Scripted raws that climb by hundredths of TIE_TOL, in blocks of 1,
+    3 and 9 tables: every block with a raw above the running maximum is
+    scored, so the raw reported is the final maximum, and the table is
+    the first, which is within TIE_TOL of it."""
+    steps = [0, 2, 1, 3, 3, 5, 4, 9, 6]  # hundredths of TIE_TOL
+
+    def scripted():
+        norms = iter([(0.1, 0.4 + s * TIE_TOL / 100) for s in steps])
+
+        def character_norms(stack, group):
+            return np.array([next(norms) for _ in range(stack.shape[1])]).T
+        return mock.patch.object(diew, "character_norms", character_norms)
+
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        with scripted():
+            part = biseparable_bound_partition(TIED_Z3_GAME, 0)
+        with scripted():
+            assert part == oracle_biseparable_search(TIED_Z3_GAME, 0)
+    assert part.assignment == ((0,), (0,), (0,))
+    assert list(part.norms.values()) == [0.1, 0.4]
+    assert part.raw == (1.0 + 3.0 * (0.1 + (0.4 + 9 * TIE_TOL / 100))) / 3
+
+
 def test_blocks_bound_the_memory_of_the_biseparable_search():
     """Each block's character sums and singular values are dropped before
     the next block; about one block's worth of complex entries is alive."""
@@ -320,20 +347,29 @@ def assert_pairs_match_kernel(stack, group, want, neg):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kernel_games(), st.data())
 def test_character_norms_match_the_kernel_oracle(game, data):
-    """Every bipartition, and for three players every lone player's tables
-    and one drawn table: norms as the kernel's, and the matrices of -k the
-    exact conjugates of those of k, each as the entry-by-entry oracle's."""
+    """Every bipartition from its cached layout, and for three players
+    every lone player's tables and one drawn table: norms as the kernel's,
+    and the matrices of -k the exact conjugates of those of k, each as the
+    entry-by-entry oracle's, on both sides of the bipartition."""
     group = game.group
     ks = group.elements()[1:]
     neg = [ks.index(group.neg(k)) for k in ks]
     tensor = game_tensor(game)
-    for s in qbounds._partitions_containing_first_player(game.players):
-        assert_pairs_match_kernel(qbounds._bipartition_stack(tensor, game, s),
-                                  group, oracle_bipartition_norms(game, s), neg)
-        for k in ks:
-            m = game_matrix(game, s, k)
-            assert np.array_equal(game_matrix(game, s, group.neg(k)), m.conj())
-            assert np.abs(m - oracle_game_matrix(game, s, k)).max() <= 1e-12
+    layouts = qbounds._split_layouts(game.players)
+    assert [s for s, _ in layouts] == [
+        tuple(i for i in range(game.players) if mask >> i & 1)
+        for mask in range(1, 2**game.players - 1)]
+    for s, axes in layouts[::2]:
+        stack = qbounds._bipartition_stack(tensor, s, axes)
+        assert np.array_equal(stack, oracle_bipartition_stack(tensor, game, s))
+        assert_pairs_match_kernel(stack, group,
+                                  oracle_bipartition_norms(game, s), neg)
+        comp = tuple(i for i in range(game.players) if i not in s)
+        for side, k in itertools.product((s, comp), ks):
+            m = game_matrix(game, side, k)
+            assert np.array_equal(game_matrix(game, side, group.neg(k)),
+                                  m.conj())
+            assert np.abs(m - oracle_game_matrix(game, side, k)).max() <= 1e-12
     if game.players != 3:
         return
     for lone in range(3):
@@ -350,6 +386,53 @@ def test_character_norms_match_the_kernel_oracle(game, data):
                                                      table), m.conj())
             assert np.abs(m - oracle_biseparable_matrix(game, lone, k, table)
                           ).max() <= 1e-12
+
+
+SPECTRAL_CHSH = ([(2, d) for d in (2, 3, 4, 5, 7, 8, 9, 11)]
+                 + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_games(players=st.integers(2, 5)))
+def test_quantum_bound_matches_the_split_by_split_report(game):
+    """The one report loop over the cached layouts reports what the loop
+    building each split alone reported, partitions and norms included."""
+    assert quantum_bound(game) == oracle_bound_report(game)
+
+
+@pytest.mark.parametrize("game", [chsh_game(n, d) for n, d in SPECTRAL_CHSH]
+                         + [mermin_ghz3_game()],
+                         ids=[f"chsh{n}{d}" for n, d in SPECTRAL_CHSH] + ["ghz3"])
+def test_builtin_quantum_bounds_match_the_split_by_split_report(game):
+    assert quantum_bound(game) == oracle_bound_report(game)
+
+
+@st.composite
+def tied_raws(draw):
+    """1 to 20 finite raws and ``largest``, with values planted at 0,
+    within, at and just past TIE_TOL on either side of the optimum."""
+    raws = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=16))
+    largest = draw(st.booleans())
+    best = max(raws) if largest else min(raws)
+    if draw(st.booleans()):  # an optimum of 0, from which offsets are exact
+        raws, best = [raw - best for raw in raws], 0.0
+    offsets = (0.0, TIE_TOL / 2, math.nextafter(TIE_TOL, 0), TIE_TOL,
+               math.nextafter(TIE_TOL, 1), 2 * TIE_TOL)
+    for _ in range(draw(st.integers(0, 4))):
+        offset = draw(st.sampled_from(offsets)) * draw(st.sampled_from((-1, 1)))
+        raws.insert(draw(st.integers(0, len(raws))), best + offset)
+    return raws, largest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_raws(), st.booleans())
+def test_first_optimum_matches_the_numpy_rule(case, as_array):
+    """The scan picks the index and optimum that numpy's argmax over the
+    tie mask picked, from a list or an array, as an int and a float."""
+    raws, largest = case
+    got = first_optimum(np.array(raws) if as_array else raws, largest)
+    assert got == oracle_first_optimum(raws, largest)
+    assert (type(got[0]), type(got[1])) == (int, float)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -321,6 +321,28 @@ def test_list_field_reductions_are_checked_on_every_call():
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("first, then", [(int, float), (float, int)])
+def test_an_equal_reduction_of_other_types_is_checked_afresh(first, then):
+    """The table's slot keeps a reduction with int coefficients apart from
+    an equal one with float coefficients (3.0 == 3), in either order: each
+    call returns what a fresh table returns, output types included."""
+    d = 5
+    x = np.arange(d)
+    form = ((2 * x[:, None, None] * x[None, :, None] * x[None, None, :]
+             + 3 + x[:, None, None] + 4 * x[None, None, :]**2) % d
+            ).reshape(-1).tolist()
+    box = FunctionalBox(FunctionTable(d, (1, 1, 1), form))
+    for kind in (first, then):
+        reduction = Reduction(d, (0, 0, 0), 2, (kind(3), kind(1)), (),
+                              (kind(0), kind(0), kind(4)))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = simulate_pr_from_functional(box, reduction, (1, 2, 3), rng)
+        fresh = simulate_pr_from_functional(
+            FunctionTable(d, (1, 1, 1), form), reduction, (1, 2, 3), ref)
+        assert got == fresh
+        assert [type(v) for v in got] == [type(v) for v in fresh]
+
+
 def test_each_reduction_is_checked_once_per_table(monkeypatch):
     """Over many interleaved calls on two tables, with equal but distinct
     copies of each reduction, every (table, reduction) pair is checked

@@ -109,9 +109,13 @@ def test_quantum_bound_clamped_to_one():
 
 
 def test_partition_bound_matches_report():
+    """Each split's raw, built alone with its layout built afresh, is the
+    report's; a side without player 0 names the same split."""
     game = chsh_game(3, 3)
     report = quantum_bound(game)
-    solo = quantum_bound_partition(game, (0,))
+    for part in report.partitions:
+        assert quantum_bound_partition(game, part.players) == part.raw
+    solo = quantum_bound_partition(game, (1, 2))
     assert solo == pytest.approx(report.partition((0,)).raw)
 
 
