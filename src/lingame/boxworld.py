@@ -246,14 +246,16 @@ def box_behavior(box):
 # Polynomial interpolation over Z_d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: a key holds d^2 entries
 def _vandermonde(d):
-    # v[x, alpha] = x^alpha mod d, with 0^0 = 1
-    return np.array([[pow(x, alpha, d) for alpha in range(d)]
-                     for x in range(d)], dtype=np.int64)
+    # v[x, alpha] = x^alpha mod d, with 0^0 = 1; shared, so read-only
+    v = np.array([[pow(x, alpha, d) for alpha in range(d)]
+                  for x in range(d)], dtype=np.int64)
+    v.setflags(write=False)
+    return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: a key holds d^2 entries
 def _vandermonde_inverse(d):
     # Over Z_d, sum_x x^k is -1 for k > 0 a multiple of d-1 and 0 otherwise,
     # so mu_b = -sum_x f(x) x^(d-1-b) for b > 0, and mu_0 = f(0).
@@ -427,7 +429,7 @@ class Reduction:
         return sum(((v,) * o for v, o in enumerate(self.order)), ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # bounded: a key holds d^3 int64, 8.2 MB at d = 101
 def _derived_interpolators(d):
     """M[o] = W . Delta^o mod d for o < d: the coefficients of the o-th
     forward difference along one axis, W the inverse Vandermonde."""
@@ -519,15 +521,17 @@ def _check_reduction(table, reduction):
 def _checked_reduction(table, reduction):
     """``_check_reduction``'s result, kept on the table for the next equal
     reduction whose g, h, s hold the same types, as the rows do (3 == 3.0):
-    one slot, filled only by a check that passed.  A reduction that cannot
-    be hashed (one with list fields) is checked on every call, so a later
-    change to its lists is seen."""
+    one slot, filled only by a check that passed; the very object in the
+    slot skips the key.  A reduction that cannot be hashed (one with list
+    fields) is checked on every call, so a later change to its lists is seen."""
     try:
         hash(reduction)
     except TypeError:
         return _check_reduction(table, reduction)
-    key = (reduction, tuple(map(type, (*reduction.g, *reduction.h, *reduction.s))))
     checked = table._checked  # one read, so a concurrent write cannot mix slots
+    if checked is not None and checked[0][0] is reduction:
+        return checked[1]
+    key = (reduction, tuple(map(type, (*reduction.g, *reduction.h, *reduction.s))))
     if checked is None or checked[0] != key:
         checked = table._checked = (key, _check_reduction(table, reduction))
     return checked[1]

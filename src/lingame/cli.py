@@ -341,7 +341,7 @@ def cmd_boxes_reduce(args):
     return _emit(args, doc, human)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",

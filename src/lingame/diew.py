@@ -41,16 +41,15 @@ from typing import Optional
 import numpy as np
 
 # Called through their modules: per-layer tracing wraps them, tests patch them.
-from . import strategies, values
+from . import qbounds, strategies, values
 from .errors import NoThresholdError, ValidationError
 from .qbounds import character_norms, character_slice, first_optimum, game_tensor
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
 
 
 def _lone_slices(game, lone):
-    """M[k, l, x_i, x_j]: ``game_tensor`` at lone question l, pair i < j."""
-    pair = (1 + i for i in range(3) if i != lone)
-    return game_tensor(game).transpose(0, 1 + lone, *pair)
+    """M[k, l, x_i, x_j], pair i < j: ``game_tensor`` by the lone ``_layout``."""
+    return game_tensor(game).transpose(qbounds._layout(3, (lone,))[1])
 
 
 @lru_cache(maxsize=32)  # bounded: an index has (|G| - 1) |G|^s entries

@@ -313,7 +313,7 @@ def mermin_ghz3_game():
                       support.ravel(), 9)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: a key holds |G|^players entries
 def answer_sums(group, players):
     """Group-element index of a_1 + ... + a_n for every answer tuple, in
     the lexicographic column order of behaviors.  The array is shared

@@ -18,8 +18,8 @@ Since p(x) is real and conj chi_k = chi_{-k}, Phi_{-k}^S = conj Phi_k^S
 has the norm of Phi_k^S, and Phi_k^S is real when k = -k.  So one matrix
 is built per conjugate pair {k, -k} (``AbelianGroup.character_pairs``),
 the real ones go through a real SVD, and ``character_norms`` expands the
-norms back to every nontrivial k: one call per split, in one loop that
-reads each split's axes from a layout cached per player count.
+norms back to every nontrivial k, one call per split.  Each game matrix
+is a transpose of ``game_tensor`` by one axis rule, ``_layout``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,16 @@ from .linalg import max_singular_value
 from .tolerances import TIE_TOL
 
 
+def _layout(n, s):
+    """(S sorted, the axes of an n-player ``game_tensor`` in the order 0, S's
+    questions, the others' in increasing order): every game matrix's layout."""
+    s = tuple(sorted(s))
+    return s, (0, *(1 + i for i in sorted(range(n), key=lambda i: i not in s)))
+
+
 def _side_layout(game, s_players):
-    """The ``_split_layouts`` entry (S in order, its axes) of a side S of a
-    bipartition: a nonempty proper subset of the players."""
+    """The ``_layout`` of a side S of a bipartition: a nonempty proper
+    subset of the players."""
     try:
         s = set(int(i) for i in s_players)
     except TypeError:
@@ -47,7 +54,7 @@ def _side_layout(game, s_players):
         raise ValidationError(
             f"partition must be a nonempty proper subset of the players "
             f"0..{game.players - 1}, got {s_players!r}")
-    return _split_layouts(game.players)[sum(1 << i for i in s) - 1]
+    return _layout(game.players, s)
 
 
 def game_tensor(game):
@@ -102,22 +109,16 @@ def first_optimum(raws, largest):
     return [abs(raw - best) <= TIE_TOL for raw in raws].index(True), best
 
 
-@lru_cache(maxsize=16)  # bounded: n players give 2^n - 2 sides
+@lru_cache(maxsize=16)  # bounded: n players give 2^(n-1) - 1 splits
 def _split_layouts(n):
-    """(S, axes putting S's questions of a ``game_tensor`` first) for each
-    side S of a bipartition, at index (S's player bitmask) - 1: the even
-    indices hold the sides with player 0, one per unordered bipartition."""
-    out = []
-    for mask in range(1, 2**n - 1):
-        s = tuple(i for i in range(n) if mask >> i & 1)
-        comp = tuple(i for i in range(n) if not mask >> i & 1)
-        out.append((s, (0,) + tuple(1 + i for i in s + comp)))
-    return tuple(out)
+    """The ``_layout`` of each side holding player 0, one per unordered
+    bipartition, in order of S's player bitmask."""
+    return tuple(_layout(n, [i for i in range(n) if mask >> i & 1])
+                 for mask in range(1, 2**n - 1, 2))
 
 
 def _bipartition_stack(tensor, s, axes):
-    """The matrices Phi_k^S for every representative k, stacked along
-    axis 0, from S's ``_split_layouts`` entry."""
+    """Phi_k^S for every representative k along axis 0, by S's ``_layout``."""
     rows = math.prod(tensor.shape[1 + i] for i in s)
     return tensor.transpose(axes).reshape(len(tensor), rows, -1)
 
@@ -165,7 +166,7 @@ def quantum_bound(game):
     ks = group.elements()[1:]
     scale = math.sqrt(math.prod(game.question_counts))
     partitions = []
-    for s, axes in _split_layouts(game.players)[::2]:
+    for s, axes in _split_layouts(game.players):
         norms = character_norms(_bipartition_stack(tensor, s, axes),
                                 group).tolist()
         raw = (1.0 + scale * sum(norms)) / group.size

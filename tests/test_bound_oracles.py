@@ -358,8 +358,8 @@ def test_character_norms_match_the_kernel_oracle(game, data):
     layouts = qbounds._split_layouts(game.players)
     assert [s for s, _ in layouts] == [
         tuple(i for i in range(game.players) if mask >> i & 1)
-        for mask in range(1, 2**game.players - 1)]
-    for s, axes in layouts[::2]:
+        for mask in range(1, 2**game.players - 1) if mask & 1]
+    for s, axes in layouts:
         stack = qbounds._bipartition_stack(tensor, s, axes)
         assert np.array_equal(stack, oracle_bipartition_stack(tensor, game, s))
         assert_pairs_match_kernel(stack, group,
@@ -386,6 +386,18 @@ def test_character_norms_match_the_kernel_oracle(game, data):
                                                      table), m.conj())
             assert np.abs(m - oracle_biseparable_matrix(game, lone, k, table)
                           ).max() <= 1e-12
+
+
+def test_game_matrix_lays_out_its_own_side_and_caches_nothing():
+    """On 18 players of one question each, game_matrix builds no table of
+    splits: after a cache_clear the first call leaves _split_layouts empty
+    and gives the entry-by-entry oracle's matrix on either side."""
+    game = make_game(AbelianGroup((2,)), (1,) * 18, [(1,)])
+    qbounds._split_layouts.cache_clear()
+    for side in ((0, 5, 17), (16, 3)):
+        m = game_matrix(game, side, (1,))
+        assert qbounds._split_layouts.cache_info().currsize == 0
+        assert np.abs(m - oracle_game_matrix(game, side, (1,))).max() <= 1e-12
 
 
 SPECTRAL_CHSH = ([(2, d) for d in (2, 3, 4, 5, 7, 8, 9, 11)]

@@ -15,11 +15,10 @@ RSS or changes to process-wide state such as numpy settings or threads;
 those stay with ``perfbench/run.py``.  The output keeps every run and
 timing, their medians, each checkout's git ``commit`` and ``dirty``, and
 for ``parent`` and ``change`` the ratios of the medians and, per scale
-row, the median, quartiles, range and wins of the per-round ratios.  Under
-``previous`` every label's medians are divided by the ``change`` label of
-the newest committed ``BENCH_*.json``, but not by scale rows timed best of
-three in fresh interpreters (``best_of``), which read slower.  See README,
-"Benchmark".  Standard library only.
+row, the median, quartiles, range and wins of the per-round ratios: only
+labels of one recording are compared, since a ratio across recordings
+reads the host's drift as well as the code.  See README, "Benchmark".
+Standard library only.
 """
 
 import argparse
@@ -223,7 +222,7 @@ def _paired(base, new):
 
 def _ratios(base, new):
     """new/base ratios of the medians of every workload and metric both
-    runs have."""
+    labels have."""
     ratios = {}
     for workload, old in base.items():
         if workload in new:
@@ -231,28 +230,6 @@ def _ratios(base, new):
                                 for m, v in old["median"].items()
                                 if m in new[workload]["median"] and v}
     return ratios
-
-
-def _print_ratios(title, ratios, scale_ratios):
-    print(title)
-    for workload, row in ratios.items():
-        print(f"  {workload:>8} " + " ".join(f"{m}={r:.3f}"
-                                             for m, r in row.items()))
-    for name, ratio in scale_ratios.items():
-        print(f"  {name}: {ratio:.3f}")
-
-
-def _newest_committed(out):
-    """(name, document) of the committed BENCH_<N>.json with the largest
-    N, other than ``out``; None when there is none."""
-    proc = subprocess.run(["git", "-C", str(ROOT), "ls-files", "BENCH_*.json"],
-                          capture_output=True, text=True)
-    names = [n for n in proc.stdout.split()
-             if n[6:-5].isdigit() and (ROOT / n).resolve() != out.resolve()]
-    if proc.returncode != 0 or not names:
-        return None
-    name = max(names, key=lambda n: int(n[6:-5]))
-    return name, json.loads((ROOT / name).read_text())
 
 
 def main(argv=None):
@@ -302,24 +279,12 @@ def main(argv=None):
         doc["ratios"] = _ratios(doc["labels"]["parent"]["workloads"],
                                 doc["labels"]["change"]["workloads"])
         doc["scale"]["ratios"] = paired = _paired(times["parent"], times["change"])
-        _print_ratios("change/parent ratios (scale: per-round medians):",
-                      doc["ratios"], {n: r["median"] for n, r in paired.items()})
-    previous = _newest_committed(args.out)
-    if previous and "change" in previous[1]["labels"]:
-        name, prev = previous
-        doc["previous"] = {"file": name, "label": "change", "labels": {}}
-        # best-of-3 fresh-interpreter timings do not compare with these
-        old_scale = ({} if "best_of" in prev["scale"] else
-                     prev["scale"]["labels"]["change"])
-        for label in doc["labels"]:
-            ratios = _ratios(prev["labels"]["change"]["workloads"],
-                             doc["labels"][label]["workloads"])
-            scale_ratios = {row: scale[label][row] / t
-                            for row, t in old_scale.items() if row in scale[label]}
-            doc["previous"]["labels"][label] = {"ratios": ratios,
-                                                "scale_ratios": scale_ratios}
-            _print_ratios(f"{label}/{name} change ratios of the medians:",
-                          ratios, scale_ratios)
+        print("change/parent ratios (scale: per-round medians):")
+        for workload, row in doc["ratios"].items():
+            print(f"  {workload:>8} " + " ".join(f"{m}={r:.3f}"
+                                                 for m, r in row.items()))
+        for name, stats in paired.items():
+            print(f"  {name}: {stats['median']:.3f}")
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
