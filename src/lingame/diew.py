@@ -109,7 +109,7 @@ def biseparable_matrix(game, lone, k, assignment):
     """Game matrix of the two joint players once the lone player's answers
     are fixed by ``assignment`` (one group element per lone question)."""
     values.check_tripartite(game)
-    values.check_lone(lone)
+    lone = values.check_lone(lone)
     assignment = [game.group.index(game.group.coerce(a)) for a in assignment]
     if len(assignment) != game.question_counts[lone]:
         raise ValidationError(
@@ -157,7 +157,7 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     ``qbounds.character_norms`` call on its phase vectors' matrices.
     ``cap`` bounds the unreduced count |G|^Q_lone."""
     values.check_tripartite(game)
-    values.check_lone(lone)
+    lone = values.check_lone(lone)
     values.check_cap(game, (lone,), cap)
     g = game.group.size
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])

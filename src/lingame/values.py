@@ -47,9 +47,11 @@ def check_tripartite(game):
 
 
 def check_lone(lone):
-    if lone not in (0, 1, 2):
-        raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
-    return lone
+    """``lone`` as a Python int: a Python or numpy integer 0 to 2, no bool."""
+    if (isinstance(lone, (int, np.integer)) and not isinstance(lone, bool)
+            and 0 <= lone <= 2):
+        return int(lone)
+    raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
 
 
 def fold_tables(game, fixed, cap):
@@ -104,9 +106,12 @@ def table_digits(game, fixed, index):
     the identity on question 0 are enumerated: the first of every shift
     class."""
     questions = [game.question_counts[i] for i in fixed]
-    digits = iter(np.unravel_index(
-        index, (game.group.size,) * (sum(questions) - len(questions))))
-    return [[0] + [int(next(digits)) for _ in range(q - 1)] for q in questions]
+    index, digits = int(index), []
+    for _ in range(sum(questions) - len(questions)):
+        index, digit = divmod(index, game.group.size)
+        digits.append(digit)
+    # digits runs from the last answer back; pop() reads it from the first.
+    return [[0] + [digits.pop() for _ in range(q - 1)] for q in questions]
 
 
 def _best_tables(game, fixed, cap):
@@ -124,7 +129,8 @@ def _best_tables(game, fixed, cap):
     ``cap`` bounds the unreduced count |G|^(questions of the fixed players).
 
     The tables' blocks come from ``fold_tables``; r outermost makes the
-    maximum over r elementwise.
+    maximum over r elementwise.  ``classical_value`` calls it; the oracle
+    tests compare its tables and answers with the chunked engine's.
     """
     start, best_total, best = 0, -1, None
     for scores in fold_tables(game, fixed, cap):
@@ -157,7 +163,8 @@ def classical_value(game, cap=CLASSICAL_ENUMERATION_CAP):
     ResourceLimitError.
     """
     value, tables, player1 = _best_tables(game, range(1, game.players), cap)
-    outputs = tuple(tuple(map(game.group.element, t)) for t in [player1] + tables)
+    outputs = tuple(tuple(map(game.group.element, t))
+                    for t in [player1.tolist()] + tables)
     return ClassicalResult(value, DeterministicStrategy(outputs))
 
 
@@ -171,19 +178,23 @@ def no_signaling_value(game):
 
 def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     """Exact hybrid value where two players answer jointly and the third
-    is classical, correlated only by shared randomness.
+    is classical, correlated only by shared randomness: the value only,
+    with no witness strategy.
 
     ``lone`` picks the solo player; by default the value is the maximum
     over the three bipartitions.  Each solo player's tables fold out of
     the game's one answer histogram, as in ``classical_value``, and the
-    pair's best joint answer sum is chosen greedily per joint question
-    (exact for linear games, where only the pair's answer sum matters).
-    The solo player answers the identity on question 0; ``cap`` bounds
-    the unreduced count |G|^Q_solo.
+    pair's best joint answer sum scores per joint question (exact for
+    linear games, where only the pair's answer sum matters).  Only each
+    block's best integer score is kept: no table is decoded.
+    The solo player answers the identity on question 0; ``cap`` still
+    bounds the unreduced count |G|^Q_solo.
     """
     check_tripartite(game)
     lones = (0, 1, 2) if lone is None else (check_lone(lone),)
-    return max(_best_tables(game, (solo,), cap)[0] for solo in lones)
+    best = max(int(scores.max(axis=0).sum(axis=1).max())
+               for solo in lones for scores in fold_tables(game, (solo,), cap))
+    return Fraction(best, game.den)
 
 
 @dataclass(frozen=True)

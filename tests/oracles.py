@@ -47,6 +47,8 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   fold, which decodes every reduced assignment and scatters the weights
   of every question with np.add.at (checks the value, the fixed tables
   and the free answers of values._best_tables on every split).
+* oracle_table_digits: a table index decoded by np.unravel_index
+  (checks the integer divmod decoding of values.table_digits).
 * brute_svetlichny_value: enumeration over the joint pair's sum tables
   (checks the per-question greedy in svetlichny_value).
 * behavior_from_full_correlators: inverse Fourier transform from character
@@ -139,7 +141,7 @@ from lingame.strategies import (QuantumStrategy, _as_projector,
 from lingame.qbounds import first_optimum
 from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
                                 TIE_TOL)
-from lingame.values import SeparabilityReport, table_digits
+from lingame.values import SeparabilityReport
 
 
 def _jacobi_rotation(a, p, q):
@@ -427,7 +429,7 @@ def oracle_table_search(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
                 records.append((raw, start + t, sigma[:, t].tolist()))
         start += len(block)
     _, best, norms = records[0]
-    assignment = table_digits(game, (lone,), best)[0]
+    assignment = oracle_table_digits(game, (lone,), best)[0]
     return diew.BiseparablePartition(
         lone=lone, assignment=tuple(map(game.group.element, assignment)),
         norms=dict(zip(game.group.elements()[1:], norms)),
@@ -460,7 +462,7 @@ def oracle_biseparable_search(game, lone):
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     raws = (1.0 + factor * reduce(np.add, sigma)) / g
     best, raw = first_optimum(raws, largest=True)
-    assignment = table_digits(game, (lone,), best)[0]
+    assignment = oracle_table_digits(game, (lone,), best)[0]
     return diew.BiseparablePartition(
         lone=lone, assignment=tuple(map(game.group.element, assignment)),
         norms=dict(zip(game.group.elements()[1:], sigma[:, best].tolist())),
@@ -581,6 +583,16 @@ def oracle_best_tables(game, fixed, cap):
             best_total = int(totals[i])
             best = digits[i], scores[i].argmax(axis=1)
     return Fraction(best_total, game.den), best[0], best[1]
+
+
+def oracle_table_digits(game, fixed, index):
+    """values.table_digits as np.unravel_index decoded it: the fixed
+    players' tables at position ``index`` of the enumeration, each
+    answering the identity on question 0."""
+    questions = [game.question_counts[i] for i in fixed]
+    digits = iter(np.unravel_index(
+        index, (game.group.size,) * (sum(questions) - len(questions))))
+    return [[0] + [int(next(digits)) for _ in range(q - 1)] for q in questions]
 
 
 def brute_svetlichny_value(game, lone):

@@ -27,7 +27,7 @@ from lingame.qbounds import quantum_bound
 from lingame.strategies import (ghz3_reference_strategy, noisy_success,
                                 parse_strategy_file)
 from lingame.tolerances import TIE_TOL
-from lingame.values import classical_value
+from lingame.values import classical_value, svetlichny_value
 
 import ghz3_c4
 
@@ -64,6 +64,27 @@ def test_matrix_rejects_trivial_character_and_bad_assignment():
         biseparable_matrix(game, 2, (1,), ((0,), (0,)))
     with pytest.raises(ValidationError):
         biseparable_matrix(game, 3, (1,), ((0,), (0,), (0,)))
+
+
+@pytest.mark.parametrize("lone", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_lone_player_must_be_an_integer(lone):
+    game = mermin_ghz3_game()
+    calls = [lambda: svetlichny_value(game, lone=lone),
+             lambda: biseparable_bound_partition(game, lone),
+             lambda: biseparable_matrix(game, lone, (1,), ((0,), (0,), (0,)))]
+    for call in calls:
+        with pytest.raises(ValidationError, match="lone player"):
+            call()
+
+
+def test_numpy_integer_lone_player_reads_as_an_int():
+    game, lone = mermin_ghz3_game(), np.int64(1)
+    assert svetlichny_value(game, lone=lone) == svetlichny_value(game, lone=1)
+    part = biseparable_bound_partition(game, lone)
+    assert type(part.lone) is int and part == biseparable_bound_partition(game, 1)
+    np.testing.assert_array_equal(
+        biseparable_matrix(game, lone, (1,), ((0,), (1,), (2,))),
+        biseparable_matrix(game, 1, (1,), ((0,), (1,), (2,))))
 
 
 def test_ghz3_matrix_zero_assignment():

@@ -11,8 +11,9 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lingame import values
 from lingame.algebra import AbelianGroup
@@ -23,11 +24,12 @@ from lingame.values import classical_value, separability_check, svetlichny_value
 
 from oracles import (brute_svetlichny_value, naive_classical_value,
                      oracle_best_tables, oracle_classical_result,
-                     oracle_separability_check)
+                     oracle_separability_check, oracle_table_digits)
 
 GROUPS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((4,)),
           AbelianGroup((2, 2))]
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+CHUNKS = [1, 50, values._CHUNK_ENTRIES]  # one table per block up to the default
 # The loop oracle is slow on GHZ3; the chunk test asks it three times.
 loop_result = functools.cache(oracle_classical_result)
 
@@ -69,14 +71,55 @@ def test_classical_value_and_witness_match_the_loop(game):
     assert_classical_matches_loop(game)
 
 
+def z2z2_game_over_2_to_the_80():
+    z2z2 = AbelianGroup((2, 2))
+    den = 2**80
+    weights = [5, den - 17, 0, 3, 1, 0, 2, 6]
+    return make_game(z2z2, (2, 2, 2),
+                     [z2z2.element(i) for i in (1, 0, 3, 0, 3, 3, 0, 3)],
+                     distribution=[Fraction(w, den) for w in weights])
+
+
 @SETTINGS
-@given(games(players=(3,)))
-def test_svetlichny_matches_joint_tables_and_dominates_classical(game):
-    per_lone = [svetlichny_value(game, lone=lone) for lone in range(3)]
-    for lone, value in enumerate(per_lone):
-        assert value == brute_svetlichny_value(game, lone)
-    assert svetlichny_value(game) == max(per_lone)
-    assert classical_value(game).value <= max(per_lone) <= 1
+@given(games(players=(3,)), st.sampled_from(CHUNKS))
+@example(z2z2_game_over_2_to_the_80(), 1)
+@example(z2z2_game_over_2_to_the_80(), 50)
+@example(z2z2_game_over_2_to_the_80(), values._CHUNK_ENTRIES)
+def test_svetlichny_matches_joint_tables_and_dominates_classical(game, entries):
+    """Per lone player and the maximum, with blocks from one table up to
+    the default."""
+    with mock.patch.object(values, "_CHUNK_ENTRIES", entries):
+        per_lone = [svetlichny_value(game, lone=lone) for lone in range(3)]
+        for lone, value in enumerate(per_lone):
+            assert value == brute_svetlichny_value(game, lone)
+        assert svetlichny_value(game) == max(per_lone)
+        assert classical_value(game).value <= max(per_lone) <= 1
+
+
+def test_svetlichny_value_decodes_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("svetlichny_value decoded a table")
+    monkeypatch.setattr(values, "table_digits", refuse)
+    game = chsh_game(3, 3)
+    assert svetlichny_value(game) == Fraction(2, 3)
+    for lone in range(3):
+        assert svetlichny_value(game, lone=lone) == brute_svetlichny_value(game, lone)
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (5,), (2, 2)],
+                         ids=["Z2", "Z3", "Z4", "Z5", "Z2xZ2"])
+def test_table_digits_match_the_unravel_index_decoder(orders):
+    """Every index of one to three fixed players, player 2 with one
+    question, given as an int and as an np.int64."""
+    group = AbelianGroup(orders)
+    game = make_game(group, (2, 3, 1), lambda x: group.element(0))
+    for fixed in [(0,), (1,), (2,), (0, 1), (2, 1), (0, 1, 2)]:
+        count = group.size ** sum(game.question_counts[i] - 1 for i in fixed)
+        for index in range(count):
+            for i in (index, np.int64(index)):
+                digits = values.table_digits(game, fixed, i)
+                assert digits == oracle_table_digits(game, fixed, i)
+                assert {type(d) for table in digits for d in table} == {int}
 
 
 def test_denominators_beyond_int64_stay_exact():
@@ -108,7 +151,7 @@ def assert_engine_matches_oracle(game, fixed):
 
 @SETTINGS
 @given(games(players=(2, 3), groups=GROUPS + [AbelianGroup((2, 3))], top=3),
-       st.sampled_from([1, 50, values._CHUNK_ENTRIES]))
+       st.sampled_from(CHUNKS))
 def test_histogram_engine_matches_the_chunked_engine(game, entries):
     """Value, fixed tables and free answers on the classical split and on
     every lone player, with blocks from one table up to the default."""
@@ -120,14 +163,9 @@ def test_histogram_engine_matches_the_chunked_engine(game, entries):
 
 
 def test_svetlichny_beyond_2_to_the_53_matches_the_oracle():
-    z2z2 = AbelianGroup((2, 2))
-    den = 2**80
-    weights = [5, den - 17, 0, 3, 1, 0, 2, 6]
-    game = make_game(z2z2, (2, 2, 2),
-                     [z2z2.element(i) for i in (1, 0, 3, 0, 3, 3, 0, 3)],
-                     distribution=[Fraction(w, den) for w in weights])
+    game = z2z2_game_over_2_to_the_80()
     assert game.histogram.dtype == object
-    assert game.histogram.sum() == den
+    assert game.histogram.sum() == 2**80
     for lone in range(3):
         assert_engine_matches_oracle(game, (lone,))
         value = svetlichny_value(game, lone=lone)

@@ -8,14 +8,15 @@ ternary pairwise-product game.
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lingame.algebra import AbelianGroup
 from lingame.errors import ResourceLimitError, ValidationError
-from lingame.games import (chsh_game, make_game, mermin_ghz3_game,
-                           success_probability)
+from lingame.games import (chsh_game, load_game, make_game,
+                           mermin_ghz3_game, success_probability)
 from lingame.values import (classical_value, no_signaling_value,
                             separability_check, svetlichny_value)
 
@@ -127,6 +128,19 @@ def test_svetlichny_matches_brute_force_per_partition():
         for lone in range(3):
             assert (svetlichny_value(game, lone=lone)
                     == brute_svetlichny_value(game, lone))
+
+
+def test_random3_fixture_orders_its_lone_players():
+    """The analyze_random3.json golden pins which lone player gives the
+    maximum: the three values differ and lie strictly between the
+    classical value and 1."""
+    game = load_game(Path(__file__).resolve().parent.parent
+                     / "fixtures" / "random3.game")
+    assert classical_value(game).value == naive_classical_value(game) == Fraction(67, 101)
+    per_lone = [svetlichny_value(game, lone=lone) for lone in range(3)]
+    assert per_lone == [brute_svetlichny_value(game, lone) for lone in range(3)]
+    assert per_lone == [Fraction(76, 101), Fraction(79, 101), Fraction(83, 101)]
+    assert svetlichny_value(game) == Fraction(83, 101)
 
 
 def test_svetlichny_needs_three_players():
