@@ -23,8 +23,9 @@ Functional boxes whose predicate has a partial derivative of the shape
 lambda*x*y*z + g(x) + h(y) + s(z) can simulate a PR box: iterated
 differences of box outputs form shares of the derivative, affine
 corrections strip lambda and the additive parts, and a shared random dit
-re-randomizes the outputs.  A table checks a hashable reduction once and
-keeps the result for the next equal one of the same coefficient types.
+re-randomizes the outputs.  A reduction reads its fields as Python ints
+when it is built, so a table checks it once and keeps the result for the
+next equal one.
 """
 
 from __future__ import annotations
@@ -414,7 +415,8 @@ def protocol_runs(table, shots, rng):
 class Reduction:
     """Derivative multi-order turning a three-variable predicate into
     lambda*x*y*z + g(x) + h(y) + s(z); g absorbs the constant term.
-    Coefficient tuples are in ascending degree."""
+    Coefficient tuples are in ascending degree.  Each field is read once,
+    as Python ints by ``as_int_tuple``; the order is three of them, >= 0."""
 
     d: int
     order: tuple
@@ -422,6 +424,16 @@ class Reduction:
     g: tuple
     h: tuple
     s: tuple
+
+    def __post_init__(self):
+        for name in ("d", "order", "lam", "g", "h", "s"):
+            scalar = name in ("d", "lam")
+            value = as_int_tuple((getattr(self, name),) if scalar
+                                 else getattr(self, name), f"reduction {name}")
+            object.__setattr__(self, name, value[0] if scalar else value)
+        if len(self.order) != 3 or min(self.order) < 0:
+            raise ValidationError(f"reduction order must be three non-negative "
+                                  f"integers, got {self.order!r}")
 
     @property
     def sequence(self):
@@ -469,11 +481,10 @@ def reduce_to_pr(table):
         mu = mu @ m[r].transpose(0, 2, 1)[:, None] % d
         ok = (mu[:, 1, 1, 1] != 0) & ~((mu != 0) & mixed).any(axis=(1, 2, 3))
         if ok.any():
-            c, order = mu[ok.argmax()], orders[:, j + ok.argmax()].tolist()
-            return Reduction(d=d, order=tuple(order), lam=int(c[1, 1, 1]),
-                             g=tuple(c[:, 0, 0].tolist()),
-                             h=(0, *c[0, 1:, 0].tolist()),
-                             s=(0, *c[0, 0, 1:].tolist()))
+            c, k = mu[ok.argmax()], j + ok.argmax()
+            return Reduction(d, orders[:, k].tolist(), c[1, 1, 1],
+                             c[:, 0, 0].tolist(), (0, *c[0, 1:, 0].tolist()),
+                             (0, *c[0, 0, 1:].tolist()))
         j, block = j + block, min(2 * block, max(1, 2**16 // d**3))
     return None
 
@@ -495,9 +506,8 @@ def _additive_table(rows, d):
 
 def _check_reduction(table, reduction):
     """Raise unless the reduction matches the table's derivative table and
-    its lambda is invertible mod d; else return lambda mod d as an int,
-    which any equal reduction gives, and the rows g, h, s evaluated on Z_d,
-    read-only."""
+    its lambda is invertible mod d; else return lambda mod d and the rows
+    g, h, s evaluated on Z_d, read-only."""
     if table.d != reduction.d:
         raise ValidationError("reduction was computed for a different d")
     d = table.d
@@ -515,25 +525,17 @@ def _check_reduction(table, reduction):
         raise ValidationError(
             "reduction does not match the box's derivative table")
     additive.setflags(write=False)
-    return int(lam), additive
+    return lam, additive
 
 
 def _checked_reduction(table, reduction):
     """``_check_reduction``'s result, kept on the table for the next equal
-    reduction whose g, h, s hold the same types, as the rows do (3 == 3.0):
-    one slot, filled only by a check that passed; the very object in the
-    slot skips the key.  A reduction that cannot be hashed (one with list
-    fields) is checked on every call, so a later change to its lists is seen."""
-    try:
-        hash(reduction)
-    except TypeError:
-        return _check_reduction(table, reduction)
+    reduction: one slot, filled only by a check that passed; the very
+    object in the slot skips the comparison."""
     checked = table._checked  # one read, so a concurrent write cannot mix slots
-    if checked is not None and checked[0][0] is reduction:
-        return checked[1]
-    key = (reduction, tuple(map(type, (*reduction.g, *reduction.h, *reduction.s))))
-    if checked is None or checked[0] != key:
-        checked = table._checked = (key, _check_reduction(table, reduction))
+    if checked is None or (checked[0] is not reduction
+                           and checked[0] != reduction):
+        checked = table._checked = (reduction, _check_reduction(table, reduction))
     return checked[1]
 
 
@@ -563,8 +565,8 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
     """
     if isinstance(box, FunctionTable):
         box = FunctionalBox(box)
-    if not isinstance(box, FunctionalBox):
-        raise ValidationError("expected a FunctionalBox")
+    if not (isinstance(box, FunctionalBox) and isinstance(reduction, Reduction)):
+        raise ValidationError("expected a FunctionalBox and a Reduction")
     if box.arities != (1, 1, 1):
         raise ValidationError(
             f"PR simulation needs three single-dit parties, got arities "

@@ -162,7 +162,7 @@ def cmd_analyze(args):
     timings, cap = {}, _cap_kw(args)
 
     classical, timings["classical"] = _timed(values.classical_value, game, **cap)
-    ns_value, _ = values.no_signaling_value(game)
+    ns_value = values.NO_SIGNALING_VALUE
     bound, timings["quantum_bound"] = _timed(qbounds.quantum_bound, game)
 
     doc = {
@@ -320,24 +320,17 @@ def cmd_boxes_reduce(args):
            "d": table.d,
            "arities": list(table.arities),
            "reducible": reduction is not None}
-    if reduction is None:
-        human = [f"function        {args.function}",
-                 f"reducible       no   [{elapsed:.3f} s]"]
-    else:
+    human = [f"function        {args.function}",
+             f"reducible       {'yes' if reduction else 'no'}   "
+             f"[{elapsed:.3f} s]"]
+    if reduction is not None:
         doc["reduction"] = {"order": list(reduction.order),
                             "lambda": reduction.lam,
-                            "g": list(reduction.g),
-                            "h": list(reduction.h),
-                            "s": list(reduction.s)}
-        human = [
-            f"function        {args.function}",
-            f"reducible       yes   [{elapsed:.3f} s]",
-            f"derivative      order {','.join(map(str, reduction.order))}",
-            f"lambda          {reduction.lam}",
-            f"g coefficients  {','.join(map(str, reduction.g))}",
-            f"h coefficients  {','.join(map(str, reduction.h))}",
-            f"s coefficients  {','.join(map(str, reduction.s))}",
-        ]
+                            **{k: list(getattr(reduction, k)) for k in "ghs"}}
+        human += [f"derivative      order {','.join(map(str, reduction.order))}",
+                  f"lambda          {reduction.lam}"]
+        human += [f"{k} coefficients  {','.join(map(str, doc['reduction'][k]))}"
+                  for k in "ghs"]
     return _emit(args, doc, human)
 
 

@@ -187,9 +187,11 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
 
 def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Largest winning probability of biseparable (hybrid) strategies,
-    maximized over the three lone-player splits; the first split within
-    TIE_TOL of the maximum is reported as the best."""
+    maximized over the three lone-player splits, whose caps all hold before
+    any search; the first split within TIE_TOL of the maximum is the best."""
     values.check_tripartite(game)
+    for lone in range(3):
+        values.check_cap(game, (lone,), cap)
     partitions = tuple(biseparable_bound_partition(game, lone, cap=cap)
                        for lone in range(3))
     best, raw = first_optimum([part.raw for part in partitions], largest=True)

@@ -27,6 +27,7 @@ from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 # Entries of one block: int64 scores here; complex matrices and index in diew.
 _CHUNK_ENTRIES = 1 << 18
+NO_SIGNALING_VALUE = Fraction(1)  # of every linear game: see no_signaling_value
 
 
 def check_cap(game, fixed, cap):
@@ -172,8 +173,8 @@ def no_signaling_value(game):
     """No-signaling teams win every linear game: the behavior that answers
     uniformly over tuples summing to f(x) is no-signaling and wins with
     probability one."""
-    return Fraction(1), target_behavior(game.group, game.question_counts,
-                                        game.predicate_indices())
+    return NO_SIGNALING_VALUE, target_behavior(
+        game.group, game.question_counts, game.predicate_indices())
 
 
 def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
@@ -188,10 +189,12 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     linear games, where only the pair's answer sum matters).  Only each
     block's best integer score is kept: no table is decoded.
     The solo player answers the identity on question 0; ``cap`` still
-    bounds the unreduced count |G|^Q_solo.
+    bounds the unreduced count |G|^Q_solo of each, before any fold.
     """
     check_tripartite(game)
     lones = (0, 1, 2) if lone is None else (check_lone(lone),)
+    for solo in lones:
+        check_cap(game, (solo,), cap)
     best = max(int(scores.max(axis=0).sum(axis=1).max())
                for solo in lones for scores in fold_tables(game, (solo,), cap))
     return Fraction(best, game.den)

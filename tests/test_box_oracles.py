@@ -4,8 +4,9 @@ protocol runs and the `boxes run` report, simulated PR outputs and the
 generator state left behind are equal, protocol totals closed by
 linearity are those of the gathered kernel, reductions are the same order
 and coefficients, a table checks each reduction once and refuses a wrong
-one on every call, additive rows folded by Fermat are the values the pow
-loop reads, and box behaviors are the same tables."""
+one on every call, a reduction reads its fields as Python ints, additive
+rows folded by Fermat are the values the pow loop reads, and box
+behaviors are the same tables."""
 
 import contextlib
 import dataclasses
@@ -160,6 +161,7 @@ def test_reductions_and_simulations_match_the_loops(table, seed):
         ref.integers(0, table.d, 3)
         outputs = simulate_pr_from_functional(box, reduction, inputs, rng)
         assert outputs == oracle_simulate_pr(box, reduction, inputs, ref)
+        assert all(type(v) is int and 0 <= v < table.d for v in outputs)
         assert sum(outputs) % table.d == np.prod(inputs) % table.d
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
     # A reduction that does not describe the table is refused by both.
@@ -300,47 +302,103 @@ def test_a_wrong_reduction_is_refused_on_every_call():
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
-def test_list_field_reductions_are_checked_on_every_call():
-    """A reduction with list fields cannot be hashed, so it is checked on
-    every call: it simulates as the loop does, and a change to its lists
-    is seen on the next call."""
-    d = 5
+def _lifted_form_table(d=5):
+    """2xyz + 3 + x + 4z^2 over Z_5, the form of the hand-built reductions."""
     x = np.arange(d)
     form = (2 * x[:, None, None] * x[None, :, None] * x[None, None, :]
             + 3 + x[:, None, None] + 4 * x[None, None, :]**2) % d
-    box = FunctionalBox(FunctionTable(d, (1, 1, 1), form.reshape(-1).tolist()))
-    reduction = Reduction(d, [0, 0, 0], 2, [3, 1], [], [0, 0, 4])
+    return FunctionTable(d, (1, 1, 1), form.reshape(-1).tolist())
+
+
+def _counted_checks(monkeypatch):
+    """The (table, reduction) pairs ``_check_reduction`` is asked to
+    check, in order."""
+    checked = []
+    check = boxworld._check_reduction
+
+    def counted(table, reduction):
+        checked.append((table, reduction))
+        return check(table, reduction)
+
+    monkeypatch.setattr(boxworld, "_check_reduction", counted)
+    return checked
+
+
+def test_a_reduction_built_from_lists_is_the_tuple_one(monkeypatch):
+    """List fields are read into tuples when the reduction is built: it
+    equals the tuple-built reduction and hits its slot, and a later
+    change to the caller's lists changes nothing."""
+    checked = _counted_checks(monkeypatch)
+    box = FunctionalBox(_lifted_form_table())
+    d, order, g, h, s = 5, [0, 0, 0], [3, 1], [], [0, 0, 4]
+    tupled = Reduction(d, (0, 0, 0), 2, (3, 1), (), (0, 0, 4))
+    listed = Reduction(d, order, 2, g, h, s)
+    assert listed == tupled and hash(listed) == hash(tupled)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    for inputs in ((1, 2, 3), (4, 0, 2)):
-        assert (simulate_pr_from_functional(box, reduction, inputs, rng)
-                == oracle_simulate_pr(box, reduction, inputs, ref))
-        reduction.g[0] = 4
-        with pytest.raises(ValidationError):
-            simulate_pr_from_functional(box, reduction, inputs, rng)
-        reduction.g[0] = 3
+    for reduction in (tupled, listed):
+        for inputs in ((1, 2, 3), (4, 0, 2)):
+            assert (simulate_pr_from_functional(box, reduction, inputs, rng)
+                    == oracle_simulate_pr(box, tupled, inputs, ref))
+            order[0], g[0] = 1, 4
+    assert listed == tupled and listed.g == (3, 1)
+    assert checked == [(box.table, tupled)]
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
-@pytest.mark.parametrize("first, then", [(int, float), (float, int)])
-def test_an_equal_reduction_of_other_types_is_checked_afresh(first, then):
-    """The table's slot keeps a reduction with int coefficients apart from
-    an equal one with float coefficients (3.0 == 3), in either order: each
-    call returns what a fresh table returns, output types included."""
-    d = 5
-    x = np.arange(d)
-    form = ((2 * x[:, None, None] * x[None, :, None] * x[None, None, :]
-             + 3 + x[:, None, None] + 4 * x[None, None, :]**2) % d
-            ).reshape(-1).tolist()
-    box = FunctionalBox(FunctionTable(d, (1, 1, 1), form))
+@pytest.mark.parametrize("first, then", [(int, np.int64), (np.int32, int)],
+                         ids=["int-int64", "int32-int"])
+def test_an_equal_reduction_of_other_integer_types_shares_the_slot(
+        monkeypatch, first, then):
+    """Reductions whose coefficients are Python or numpy integers of equal
+    value are one reduction: the table checks the first only, and each
+    call returns what a fresh table returns, Python ints in Z_d."""
+    checked = _counted_checks(monkeypatch)
+    box = FunctionalBox(_lifted_form_table())
     for kind in (first, then):
-        reduction = Reduction(d, (0, 0, 0), 2, (kind(3), kind(1)), (),
+        reduction = Reduction(5, (0, 0, 0), kind(2), (kind(3), kind(1)), (),
                               (kind(0), kind(0), kind(4)))
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         got = simulate_pr_from_functional(box, reduction, (1, 2, 3), rng)
         fresh = simulate_pr_from_functional(
-            FunctionTable(d, (1, 1, 1), form), reduction, (1, 2, 3), ref)
+            _lifted_form_table(), reduction, (1, 2, 3), ref)
         assert got == fresh
-        assert [type(v) for v in got] == [type(v) for v in fresh]
+        assert all(type(v) is int and 0 <= v < 5 for v in got)
+    assert [r for t, r in checked if t is box.table] == [checked[0][1]]
+
+
+def test_reduction_fields_are_read_as_python_ints():
+    """Numpy integers, arrays and ints beyond int64 are read as written,
+    each field a Python int or a tuple of them."""
+    big = 5 * 2**70
+    reduction = Reduction(np.int64(5), np.array([1, 0, 0]), 2 + big,
+                          np.arange(3), [], (np.uint8(4), np.int32(-3)))
+    assert reduction == Reduction(5, (1, 0, 0), 2 + big, (0, 1, 2), (),
+                                  (4, -3))
+    for value in (reduction.d, reduction.lam,
+                  *reduction.order, *reduction.g, *reduction.s):
+        assert type(value) is int
+    assert all(type(v) is tuple for v in (reduction.order, reduction.g,
+                                          reduction.h, reduction.s))
+
+
+BAD_FIELDS = [
+    ("d", 5.0), ("d", True), ("lam", 2.0), ("lam", True),
+    ("order", (1.0, 0, 0)), ("order", (True, 0, 0)), ("order", (-1, 0, 0)),
+    ("order", (0, 0)), ("order", (0, 0, 0, 0)), ("order", 0),
+    ("g", (3.0, 1.0)), ("g", (3.5, 1)), ("h", (-0.5,)), ("h", 3),
+    ("s", (0, False, 4)), ("s", ("0",))]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS,
+                         ids=[f"{f}={v!r}".replace(" ", "") for f, v in BAD_FIELDS])
+def test_non_integer_reduction_fields_are_refused(field, value):
+    """Floats (integral ones too), bools, strings, negative orders and
+    orders of the wrong length raise ValidationError naming the field.
+    g = (3.5, 1) and h = (-0.5,) sum to the g of 2xyz + 3 + x + 4z^2 on
+    Z_5, but they are not integers."""
+    fields = dict(d=5, order=(0, 0, 0), lam=2, g=(3, 1), h=(), s=(0, 0, 4))
+    with pytest.raises(ValidationError, match=f"reduction {field}"):
+        Reduction(**{**fields, field: value})
 
 
 def test_each_reduction_is_checked_once_per_table(monkeypatch):

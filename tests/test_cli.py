@@ -378,3 +378,21 @@ def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_analyze_reports_no_signaling_without_building_its_behavior(
+        capsys, monkeypatch):
+    """The no-signaling value of every linear game is 1: the analyze
+    reports give it without the behavior ``no_signaling_value`` builds,
+    byte for byte as the goldens hold it."""
+    def no_behavior(*args):
+        raise AssertionError("the no-signaling behavior was built")
+
+    monkeypatch.setattr("lingame.values.target_behavior", no_behavior)
+    monkeypatch.chdir(FIXTURES.parent)
+    analyze = [c for c in GOLDEN_COMMANDS if c[1] == "analyze"]
+    assert len(analyze) == 3
+    for name, *argv in analyze:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.encode() == (GOLDEN / name).read_bytes()

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from lingame import diew
 from lingame.algebra import AbelianGroup
 from lingame.diew import (Verdict, biseparable_bound,
                           biseparable_bound_partition, biseparable_matrix,
@@ -160,6 +161,20 @@ def test_assignment_cap():
                        r"players \[0\] needs 27 assignments, cap is 10$") as err:
         biseparable_bound_partition(game, 0, cap=10)
     assert (err.value.required, err.value.cap) == (27, 10)
+
+
+def test_biseparable_bound_checks_every_cap_before_the_first_search(
+        monkeypatch):
+    """Only the last lone player exceeds the cap: the refusal comes before
+    any lone player's phase block is built."""
+    def no_blocks(game, lone):
+        raise AssertionError(f"lone player {lone} searched before the cap")
+
+    monkeypatch.setattr(diew, "_phase_blocks", no_blocks)
+    game = _random_game(np.random.default_rng(5), Z3, (2, 1, 3))
+    with pytest.raises(ResourceLimitError, match=r"players \[2\] needs 27 "
+                       r"assignments, cap is 9$"):
+        biseparable_bound(game, cap=9)
 
 
 def test_tie_break_keeps_first_assignment():

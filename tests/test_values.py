@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lingame import values
 from lingame.algebra import AbelianGroup
 from lingame.errors import ResourceLimitError, ValidationError
 from lingame.games import (chsh_game, load_game, make_game,
@@ -141,6 +142,27 @@ def test_random3_fixture_orders_its_lone_players():
     assert per_lone == [brute_svetlichny_value(game, lone) for lone in range(3)]
     assert per_lone == [Fraction(76, 101), Fraction(79, 101), Fraction(83, 101)]
     assert svetlichny_value(game) == Fraction(83, 101)
+
+
+def test_svetlichny_checks_every_cap_before_the_first_fold(monkeypatch):
+    """Only the last lone player exceeds the cap: the refusal comes before
+    any lone player's block is folded."""
+    folded = []
+    fold = values.fold_tables
+
+    def watched(game, fixed, cap):
+        for block in fold(game, fixed, cap):
+            folded.append(fixed)
+            yield block
+
+    monkeypatch.setattr(values, "fold_tables", watched)
+    game = _random_game(np.random.default_rng(3), Z3, (2, 1, 3))
+    with pytest.raises(ResourceLimitError, match=r"players \[2\] needs 27 "
+                       r"assignments, cap is 9$"):
+        svetlichny_value(game, cap=9)
+    assert folded == []
+    svetlichny_value(game, cap=27)
+    assert folded  # the watch sees the blocks of a search that runs
 
 
 def test_svetlichny_needs_three_players():
