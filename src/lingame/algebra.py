@@ -50,7 +50,7 @@ class AbelianGroup:
     """
 
     def __init__(self, orders):
-        orders = tuple(int(d) for d in orders)
+        orders = as_int_tuple(orders, "cyclic factor orders")
         if not orders:
             raise ValueError("group needs at least one cyclic factor")
         for d in orders:
@@ -160,18 +160,26 @@ class AbelianGroup:
 
 
 def as_int_tuple(values, what):
-    """``values`` as a tuple of Python ints; booleans and non-integral or
-    non-numeric entries raise ValidationError instead of being truncated."""
+    """``values`` as a tuple of Python ints, each read by ``as_int``."""
     try:
         values = tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be integers, got {values!r}") from None
     if all(type(v) is int for v in values):
         return values
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValidationError(f"{what} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    return tuple(as_int(v, what, "integers") for v in values)
+
+
+def as_int(value, what, kind="an integer"):
+    """``value`` as a Python int: a Python or numpy integer of any size.  A
+    bool, a float (3.0 included) or a non-numeric value raises
+    ValidationError instead of being truncated.  Every integer a caller
+    passes is read by this rule, alone or in ``as_int_tuple``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _is_prime(n):
@@ -214,7 +222,7 @@ def _strip(a):
 def is_irreducible(poly, p):
     """Trial division of a monic polynomial by every monic polynomial of
     degree at most deg/2."""
-    poly = tuple(int(c) % p for c in poly)
+    poly = tuple(c % p for c in as_int_tuple(poly, "polynomial coefficients"))
     if poly[0] != 1:
         raise ValueError("irreducibility test expects a monic polynomial")
     deg = len(poly) - 1
@@ -247,8 +255,8 @@ class FiniteField:
     """
 
     def __init__(self, p, r=1, modulus=None):
-        p = int(p)
-        r = int(r)
+        p = as_int(p, "field characteristic")
+        r = as_int(r, "field extension degree")
         if not _is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
         if r < 1:
@@ -256,7 +264,7 @@ class FiniteField:
         if modulus is None:
             modulus = smallest_irreducible(p, r)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(c % p for c in as_int_tuple(modulus, "modulus"))
             if len(modulus) != r + 1 or modulus[0] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {r}, got {modulus!r}")
@@ -280,6 +288,7 @@ class FiniteField:
 
     def element(self, i):
         """Element whose coefficients are the base-p digits of i."""
+        i = as_int(i, "field element index")
         if not 0 <= i < self.size:
             raise ValueError(f"index {i} out of range for {self!r}")
         digits = []
@@ -297,9 +306,7 @@ class FiniteField:
 
     def coerce(self, a):
         if isinstance(a, (int, np.integer)) and not isinstance(a, bool):
-            if not 0 <= a < self.size:
-                raise ValueError(f"index {a} out of range for {self!r}")
-            return self.element(int(a))
+            return self.element(a)
         a = as_int_tuple(a, "field element coefficients")
         if len(a) != self.r or any(not 0 <= c < self.p for c in a):
             raise ValueError(f"{a!r} is not an element of {self!r}")
@@ -337,10 +344,7 @@ class FiniteField:
         return table
 
     def pow(self, a, e):
-        a = self.coerce(a)
-        out = self.one
-        base = a
-        e = int(e)
+        out, base, e = self.one, self.coerce(a), as_int(e, "exponent")
         while e > 0:
             if e & 1:
                 out = self.mul(out, base)

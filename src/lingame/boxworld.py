@@ -25,7 +25,8 @@ differences of box outputs form shares of the derivative, affine
 corrections strip lambda and the additive parts, and a shared random dit
 re-randomizes the outputs.  A reduction reads its fields as Python ints
 when it is built, so a table checks it once and keeps the result for the
-next equal one.
+next equal one.  Each of its three derivative orders is below d: every
+d-th difference over Z_d is 0, and so is every lambda it could give.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .algebra import AbelianGroup, _is_prime, as_int_tuple
+from .algebra import AbelianGroup, _is_prime, as_int, as_int_tuple
 from .errors import GameFormatError, ValidationError
 from .games import (_is_int, _load, _nonempty_list, _read_document,
                     target_behavior)
@@ -47,10 +48,10 @@ class FunctionTable(object):
     table in lexicographic order of the concatenated input variables."""
 
     def __init__(self, d, arities, values):
-        self.d = int(d)
-        if self.d < 2 or not _is_prime(self.d):
+        self.d = as_int(d, "d")
+        if not _is_prime(self.d):
             raise ValidationError(f"d must be prime, got {d!r}")
-        self.arities = tuple(int(m) for m in arities)
+        self.arities = as_int_tuple(arities, "arities")
         if not self.arities or any(m < 1 for m in self.arities):
             raise ValidationError(f"arities must be positive, got {arities!r}")
         self.variables = sum(self.arities)
@@ -142,6 +143,9 @@ class PRBox:
     d: int
 
     def __post_init__(self):
+        for name in ("players", "d"):
+            object.__setattr__(self, name,
+                               as_int(getattr(self, name), f"box {name}"))
         if self.players < 2:
             raise ValidationError(f"a box needs at least 2 parties")
         if not _is_prime(self.d):
@@ -416,7 +420,8 @@ class Reduction:
     """Derivative multi-order turning a three-variable predicate into
     lambda*x*y*z + g(x) + h(y) + s(z); g absorbs the constant term.
     Coefficient tuples are in ascending degree.  Each field is read once,
-    as Python ints by ``as_int_tuple``; the order is three of them, >= 0."""
+    as Python ints by ``as_int`` and ``as_int_tuple``; the order is three
+    of them, each in range(d) (see the module docstring)."""
 
     d: int
     order: tuple
@@ -427,13 +432,12 @@ class Reduction:
 
     def __post_init__(self):
         for name in ("d", "order", "lam", "g", "h", "s"):
-            scalar = name in ("d", "lam")
-            value = as_int_tuple((getattr(self, name),) if scalar
-                                 else getattr(self, name), f"reduction {name}")
-            object.__setattr__(self, name, value[0] if scalar else value)
-        if len(self.order) != 3 or min(self.order) < 0:
-            raise ValidationError(f"reduction order must be three non-negative "
-                                  f"integers, got {self.order!r}")
+            read = as_int if name in ("d", "lam") else as_int_tuple
+            object.__setattr__(self, name, read(getattr(self, name),
+                                                f"reduction {name}"))
+        if len(self.order) != 3 or not all(0 <= o < self.d for o in self.order):
+            raise ValidationError(f"reduction order must be three integers in "
+                                  f"range({self.d}), got {self.order!r}")
 
     @property
     def sequence(self):

@@ -9,9 +9,11 @@ Subcommands:
     lingame boxes run <function> [--shots K] [--seed S]
     lingame boxes reduce <function>
 
-Common flags: --json (machine-readable report), --cap N (enumeration
-cap), --tolerance EPS (agreement/witness margin).  Exit codes: 0
-success, 1 validation or usage error, 2 enumeration cap exceeded.
+Flags: every subcommand takes --json (machine-readable report);
+analyze and diew take --cap N (enumeration cap); analyze, chsh and diew
+take --tolerance EPS (agreement/witness margin).  A flag that a
+subcommand does not read is a usage error.  Exit codes: 0 success, 1
+validation or usage error, 2 enumeration cap exceeded.
 
 JSON reports carry a versioned ``schema`` field, sorted keys, and floats
 rounded to 10 significant digits; they contain no timings, so identical
@@ -336,16 +338,16 @@ def cmd_boxes_reduce(args):
 
 @functools.lru_cache(maxsize=1)
 def _build_parser():
-    common = _Parser(add_help=False)
+    common, cap, tolerance = (_Parser(add_help=False) for _ in range(3))
     common.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
-    common.add_argument("--cap", default=None,
-                        type=_non_negative(int, "a non-negative integer"),
-                        help="enumeration cap override")
-    common.add_argument("--tolerance", default=WITNESS_MARGIN,
-                        type=_non_negative(float,
-                                           "a finite non-negative number"),
-                        help="agreement/witness margin (default %(default)g)")
+    cap.add_argument("--cap", default=None,
+                     type=_non_negative(int, "a non-negative integer"),
+                     help="enumeration cap override")
+    tolerance.add_argument("--tolerance", default=WITNESS_MARGIN,
+                           type=_non_negative(float,
+                                              "a finite non-negative number"),
+                           help="agreement/witness margin (default %(default)g)")
 
     parser = _Parser(prog="lingame",
                      description="Linear nonlocal games over finite "
@@ -354,21 +356,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, cap, tolerance],
                        help="full value and bound report for a game file")
     p.add_argument("game")
     p.add_argument("--strategy", default=None,
                    help="strategy file to evaluate against the game")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("chsh", parents=[common],
+    p = sub.add_parser("chsh", parents=[common, tolerance],
                        help="analytic vs numeric bound for the additive "
                             "pairwise-product game")
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--outcomes", type=int, required=True)
     p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("diew", parents=[common],
+    p = sub.add_parser("diew", parents=[common, cap, tolerance],
                        help="biseparable bound and witness verdict")
     p.add_argument("game")
     p.add_argument("--strategy", default=None)

@@ -108,8 +108,7 @@ def _phase_blocks(game, lone):
 def biseparable_matrix(game, lone, k, assignment):
     """Game matrix of the two joint players once the lone player's answers
     are fixed by ``assignment`` (one group element per lone question)."""
-    values.check_tripartite(game)
-    lone = values.check_lone(lone)
+    (lone,) = values.lone_players(game, (lone,))
     assignment = [game.group.index(game.group.coerce(a)) for a in assignment]
     if len(assignment) != game.question_counts[lone]:
         raise ValidationError(
@@ -156,9 +155,7 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
     ``_phase_blocks``, each block's norms from one
     ``qbounds.character_norms`` call on its phase vectors' matrices.
     ``cap`` bounds the unreduced count |G|^Q_lone."""
-    values.check_tripartite(game)
-    lone = values.check_lone(lone)
-    values.check_cap(game, (lone,), cap)
+    (lone,) = values.lone_players(game, (lone,), cap)
     g = game.group.size
     factor = math.sqrt(game.n_inputs // game.question_counts[lone])
     # The first table within TIE_TOL of the maximum beats every table
@@ -189,11 +186,8 @@ def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Largest winning probability of biseparable (hybrid) strategies,
     maximized over the three lone-player splits, whose caps all hold before
     any search; the first split within TIE_TOL of the maximum is the best."""
-    values.check_tripartite(game)
-    for lone in range(3):
-        values.check_cap(game, (lone,), cap)
     partitions = tuple(biseparable_bound_partition(game, lone, cap=cap)
-                       for lone in range(3))
+                       for lone in values.lone_players(game, None, cap))
     best, raw = first_optimum([part.raw for part in partitions], largest=True)
     return BiseparableReport(partitions=partitions, raw_bound=raw,
                              bound=min(raw, 1.0), best_lone=best)

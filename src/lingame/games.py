@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .algebra import AbelianGroup, FiniteField, as_int_tuple
+from .algebra import AbelianGroup, FiniteField, as_int, as_int_tuple
 from .errors import GameFormatError, ValidationError
 from .tolerances import BEHAVIOR_ROW_TOL
 
@@ -69,7 +69,8 @@ class LinearGame:
         self.grid = np.indices(question_counts).reshape(len(question_counts), -1).T
         n_inputs = len(self.grid)
 
-        weights, f_index, den = np.asarray(weights), np.asarray(f_index), int(den)
+        weights, den = _int_array(weights, "weights"), as_int(den, "denominator")
+        f_index = _int_array(f_index, "predicate indices")
         if weights.shape != (n_inputs,):
             raise ValidationError(
                 f"distribution covers {weights.size} inputs, grid has {n_inputs}")
@@ -185,7 +186,7 @@ class LinearGame:
 
 def _question_counts(questions):
     """The question counts as a tuple of ints, at least two, each >= 1."""
-    counts = tuple(int(q) for q in questions)
+    counts = as_int_tuple(questions, "question counts")
     if len(counts) < 2:
         raise ValidationError("a game needs at least two players")
     if any(q < 1 for q in counts):
@@ -199,6 +200,23 @@ def _position(x, questions, what):
         return int(np.ravel_multi_index(as_int_tuple(x, what), questions))
     except ValueError:
         raise ValidationError(f"{what} {x!r} is off the grid") from None
+
+
+def _side(players, s, what):
+    """The side ``s`` of a split of ``players`` players as a sorted tuple
+    of Python ints: a nonempty proper subset of range(players)."""
+    side = tuple(sorted(set(as_int_tuple(s, what))))
+    if not side or side[0] < 0 or side[-1] >= players or len(side) == players:
+        raise ValidationError(f"{what} {s!r} is not a nonempty proper subset "
+                              f"of the players 0..{players - 1}")
+    return side
+
+
+def _int_array(values, what):
+    """``values`` as an integer array, read by ``as_int_tuple`` unless numpy's."""
+    a = np.asarray(values)
+    return a if a.dtype.kind in "iu" else np.array(
+        as_int_tuple(a.ravel().tolist(), what), dtype=object).reshape(a.shape)
 
 
 def _weights(distribution, questions):
@@ -292,10 +310,10 @@ def chsh_game(players, outcomes):
     Every player gets d questions identified with the field elements in
     enumeration order.
     """
-    players = int(players)
+    players = as_int(players, "players")
     if players < 2:
         raise ValidationError("the quadratic game needs at least 2 players")
-    p, r = _prime_power(int(outcomes))
+    p, r = _prime_power(as_int(outcomes, "outcomes"))
     field = FiniteField(p, r)
     questions = (field.size,) * players
     return LinearGame(field.additive_group(), questions,
@@ -336,7 +354,7 @@ class Behavior:
 
     def __init__(self, group, question_counts, table):
         self.group = group
-        self.question_counts = tuple(int(q) for q in question_counts)
+        self.question_counts = as_int_tuple(question_counts, "question counts")
         n_inputs = math.prod(self.question_counts)
         n_outputs = group.size ** len(self.question_counts)
         table = np.asarray(table, dtype=float)

@@ -30,8 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import as_int
 from .errors import ValidationError
-from .games import _prime_power
+from .games import _prime_power, _side
 from .linalg import max_singular_value
 from .tolerances import TIE_TOL
 
@@ -41,20 +42,6 @@ def _layout(n, s):
     questions, the others' in increasing order): every game matrix's layout."""
     s = tuple(sorted(s))
     return s, (0, *(1 + i for i in sorted(range(n), key=lambda i: i not in s)))
-
-
-def _side_layout(game, s_players):
-    """The ``_layout`` of a side S of a bipartition: a nonempty proper
-    subset of the players."""
-    try:
-        s = set(int(i) for i in s_players)
-    except TypeError:
-        raise ValidationError(f"bad partition {s_players!r}")
-    if not s or not s < set(range(game.players)):
-        raise ValidationError(
-            f"partition must be a nonempty proper subset of the players "
-            f"0..{game.players - 1}, got {s_players!r}")
-    return _layout(game.players, s)
 
 
 def game_tensor(game):
@@ -126,7 +113,7 @@ def _bipartition_stack(tensor, s, axes):
 def game_matrix(game, s_players, k):
     """The matrix Phi_k^S of a game, for a side S of a bipartition and a
     nontrivial character index k."""
-    s, axes = _side_layout(game, s_players)
+    s, axes = _layout(game.players, _side(game.players, s_players, "partition"))
     return character_slice(_bipartition_stack(game_tensor(game), s, axes),
                            game.group, k)
 
@@ -180,9 +167,9 @@ def quantum_bound(game):
 def chsh_bound_analytic(players, outcomes):
     """Closed-form bound 1/d + (d-1)/(d*sqrt(d)) for the quadratic games;
     it does not depend on the number of players."""
-    players = int(players)
+    players = as_int(players, "players")
     if players < 2:
         raise ValidationError("the quadratic game needs at least 2 players")
-    d = int(outcomes)
+    d = as_int(outcomes, "outcomes")
     _prime_power(d)  # validates d
     return 1.0 / d + (d - 1) / (d * math.sqrt(d))

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import as_int_tuple
 from .errors import GameFormatError, ValidationError
 from .games import (Behavior, _is_int, _load, _nonempty_list, _read_document,
                     success_probability)
@@ -105,7 +106,7 @@ class QuantumStrategy:
     """
 
     def __init__(self, dims, state, measurements):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = as_int_tuple(dims, "local dimensions")
         if any(d < 1 for d in self.dims):
             raise ValidationError(f"bad local dimensions {dims!r}")
         total = math.prod(self.dims)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ResourceLimitError, ValidationError
 from .games import (
     DeterministicStrategy,
+    _side,
     answer_sums,
     success_probability,  # noqa: F401  (re-exported convenience)
     target_behavior,
@@ -41,18 +42,17 @@ def check_cap(game, fixed, cap):
             required=required, cap=cap)
 
 
-def check_tripartite(game):
+def lone_players(game, lones, cap=math.inf):
+    """The lone players of a three-player game's splits, as Python ints,
+    each one's ``check_cap`` passed before any search: ``lones`` read by
+    ``games._side``, or all three when it is None."""
     if game.players != 3:
         raise ValidationError(
             f"a lone player and a pair need exactly 3 players, got {game.players}")
-
-
-def check_lone(lone):
-    """``lone`` as a Python int: a Python or numpy integer 0 to 2, no bool."""
-    if (isinstance(lone, (int, np.integer)) and not isinstance(lone, bool)
-            and 0 <= lone <= 2):
-        return int(lone)
-    raise ValidationError(f"lone player must be 0, 1 or 2, got {lone!r}")
+    lones = (0, 1, 2) if lones is None else _side(3, lones, "lone player")
+    for solo in lones:
+        check_cap(game, (solo,), cap)
+    return lones
 
 
 def fold_tables(game, fixed, cap):
@@ -191,10 +191,7 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     The solo player answers the identity on question 0; ``cap`` still
     bounds the unreduced count |G|^Q_solo of each, before any fold.
     """
-    check_tripartite(game)
-    lones = (0, 1, 2) if lone is None else (check_lone(lone),)
-    for solo in lones:
-        check_cap(game, (solo,), cap)
+    lones = lone_players(game, None if lone is None else (lone,), cap)
     best = max(int(scores.max(axis=0).sum(axis=1).max())
                for solo in lones for scores in fold_tables(game, (solo,), cap))
     return Fraction(best, game.den)

@@ -1141,7 +1141,7 @@ def parse_report(text):
 
 def quantum_bound_partition(game, s_players):
     """The norm bound for one bipartition (raw, not clamped)."""
-    s, _ = qbounds._side_layout(game, s_players)
+    s = games._side(game.players, s_players, "partition")
     return oracle_partition_bound(qbounds.game_tensor(game), game, s).raw
 
 

@@ -11,7 +11,11 @@ from lingame.algebra import (
     is_irreducible,
     smallest_irreducible,
 )
+from lingame.boxworld import FunctionTable, PRBox
 from lingame.errors import ValidationError
+from lingame.games import Behavior, LinearGame, chsh_game, make_game
+from lingame.qbounds import chsh_bound_analytic, game_matrix
+from lingame.strategies import QuantumStrategy
 
 GROUPS = [
     AbelianGroup([2]),
@@ -67,6 +71,69 @@ def test_coerce_accepts_numpy_integers():
     assert AbelianGroup([3]).coerce(np.int64(2)) == (2,)
     assert AbelianGroup([2, 3]).coerce(np.array([1, 2])) == (1, 2)
     assert FiniteField(2, 2).coerce(np.int8(3)) == (1, 1)
+
+
+Z2 = AbelianGroup([2])
+BELL = [2**-0.5, 0, 0, 2**-0.5]
+Z_BASIS = [[[1, 0], [0, 1]]]
+TRUNCATED = {
+    "partition 0.7": lambda: game_matrix(chsh_game(3, 3), [0.7], 1),
+    "partition True": lambda: game_matrix(chsh_game(3, 3), [True], 1),
+    "partition '1'": lambda: game_matrix(chsh_game(3, 3), "1", 1),
+    "group order": lambda: AbelianGroup((2.5,)),
+    "chsh players": lambda: chsh_game(3.9, 3),
+    "chsh outcomes": lambda: chsh_game(3, 3.0),
+    "analytic bound": lambda: chsh_bound_analytic(2.5, 3.7),
+    "denominator": lambda: LinearGame(Z2, (2, 2), [0, 0, 0, 1], [1, 1, 1, 1],
+                                      den=4.9),
+    "predicate index": lambda: LinearGame(Z2, (2, 2), [0, 0.7, 0, 1],
+                                          [1, 1, 1, 1], 4),
+    "weights": lambda: LinearGame(Z2, (2, 2), [0, 0, 0, 1],
+                                  [1.0, 1, 1, 1], 4),
+    "question counts": lambda: make_game(Z2, (2.0, 2), lambda x: (0,)),
+    "behavior questions": lambda: Behavior(Z2, (1.5, 1), [[0.5] * 4]),
+    "field element index": lambda: FiniteField(3).element(1.5),
+    "field characteristic": lambda: FiniteField(3.0),
+    "field degree": lambda: FiniteField(2, 2.0),
+    "field modulus": lambda: FiniteField(2, 2, modulus=(1, 1.5, 1)),
+    "field exponent": lambda: FiniteField(3).pow((2,), 2.5),
+    "polynomial": lambda: is_irreducible((1, 0.5, 1), 2),
+    "strategy dims": lambda: QuantumStrategy((2.5, 2), BELL, [Z_BASIS] * 2),
+    "table d": lambda: FunctionTable(3.0, (1, 1), [0] * 9),
+    "table arities": lambda: FunctionTable(3, (1.5, 1), [0] * 9),
+    "PR box players": lambda: PRBox(2.5, 3),
+    "PR box d": lambda: PRBox(2, 3.0),
+}
+
+
+@pytest.mark.parametrize("call", TRUNCATED.values(), ids=TRUNCATED.keys())
+def test_a_non_integer_count_order_index_or_side_is_refused(call):
+    """Every integer a caller passes is read by ``as_int_tuple`` or
+    ``as_int``: a float, a bool or a string raises ValidationError instead
+    of being truncated to an int."""
+    with pytest.raises(ValidationError, match="must be"):
+        call()
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    i = np.int64
+    field = FiniteField(i(2), np.int8(2), modulus=np.array([1, 1, 1]))
+    box = PRBox(i(3), np.uint8(3))
+    table = FunctionTable(i(3), [i(1)] * 2, [0] * 9)
+    game = LinearGame(AbelianGroup([i(2)]), [i(2), i(2)],
+                      np.array([0, 0, 0, 1]), np.ones(4, dtype=np.int32), i(4))
+    strategy = QuantumStrategy(np.array([2, 2]), BELL, [Z_BASIS] * 2)
+    ints = [*field.modulus, field.p, field.r, box.players, box.d, table.d,
+            *table.arities, game.den, *game.group.orders,
+            *game.question_counts, *strategy.dims,
+            *Behavior(Z2, [i(1)], [[0.5, 0.5]]).question_counts]
+    assert all(type(v) is int for v in ints)
+    assert field.element(i(3)) == field.element(3) == (1, 1)
+    assert field.pow((1, 0), i(3)) == field.pow((1, 0), 3)
+    assert chsh_game(i(3), i(3)) == chsh_game(3, 3)
+    assert chsh_bound_analytic(i(3), i(3)) == chsh_bound_analytic(3, 3)
+    np.testing.assert_array_equal(game_matrix(chsh_game(3, 3), [i(0)], 1),
+                                  game_matrix(chsh_game(3, 3), [0], 1))
 
 
 def test_character_sign_convention():

@@ -1,8 +1,9 @@
 """tools/bench_record.py: its scale rows print one positive time and time
 two packages side by side in one process, and each label records its
-checkout's commit and whether it is dirty."""
+checkout's commit, whether it is dirty, and the hash of the tree it ran."""
 
 import functools
+import hashlib
 import importlib.util
 import math
 import subprocess
@@ -70,27 +71,61 @@ def test_scale_times_two_packages_of_one_checkout_in_process():
         assert 0 <= stats["won"] <= 2
 
 
+def _git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _committed(repo, *names):
+    """``repo`` as a git repository with ``names`` committed; its HEAD."""
+    _git(repo, "init", "-q")
+    _git(repo, "add", *names)
+    _git(repo, "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "commit", "-q", "-m", "one")
+    return _git(repo, "rev-parse", "HEAD")
+
+
 def test_commit_tells_a_changed_tracked_file(tmp_path):
     """A checkout's HEAD and whether a tracked file differs from it; an
-    untracked file does not count, and outside git both are None."""
+    untracked file does not count, and outside git both are None.  The
+    tree of a checkout without ``src/`` or ``perfbench/`` hashes nothing."""
     repo = tmp_path / "repo"
     repo.mkdir()
-
-    def git(*args):
-        return subprocess.run(["git", "-C", str(repo), *args], check=True,
-                              capture_output=True, text=True).stdout.strip()
-
-    git("init", "-q")
     (repo / "a.txt").write_text("one\n")
-    git("add", "a.txt")
-    git("-c", "user.name=t", "-c", "user.email=t@example.com",
-        "commit", "-q", "-m", "one")
-    head = git("rev-parse", "HEAD")
-    assert bench_record._commit(repo) == {"commit": head, "dirty": False}
+    head = _committed(repo, "a.txt")
+    empty = hashlib.sha256().hexdigest()
+    assert bench_record._commit(repo) == {"commit": head, "dirty": False,
+                                          "tree": empty}
     (repo / "b.txt").write_text("untracked\n")
-    assert bench_record._commit(repo) == {"commit": head, "dirty": False}
+    assert bench_record._commit(repo) == {"commit": head, "dirty": False,
+                                          "tree": empty}
     (repo / "a.txt").write_text("two\n")
-    assert bench_record._commit(repo) == {"commit": head, "dirty": True}
+    assert bench_record._commit(repo) == {"commit": head, "dirty": True,
+                                          "tree": empty}
     (tmp_path / "none").mkdir()
-    assert bench_record._commit(tmp_path / "none") == {"commit": None,
-                                                       "dirty": None}
+    assert bench_record._commit(tmp_path / "none") == {
+        "commit": None, "dirty": None, "tree": empty}
+
+
+def test_tree_names_the_measured_files(tmp_path):
+    """Identical ``src/`` and ``perfbench/`` files give one tree, in git or
+    not, whatever lies beside them or in ``__pycache__``; one changed byte
+    or a moved file gives another."""
+    copies = [tmp_path / "plain", tmp_path / "git"]
+    for root in copies:
+        (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "src" / "pkg" / "m.py").write_bytes(b"x = 1\n")
+        (root / "perfbench" / "run.py").write_bytes(b"print(1)\n")
+    plain, repo = copies
+    (plain / "src" / "pkg" / "__pycache__" / "m.pyc").write_bytes(b"\0")
+    (plain / "notes.txt").write_text("not measured\n")
+    head = _committed(repo, "src", "perfbench")
+    tree = bench_record._tree(plain)
+    assert bench_record._commit(repo) == {"commit": head, "dirty": False,
+                                          "tree": tree}
+    assert bench_record._commit(plain)["tree"] == tree
+    (repo / "src" / "pkg" / "m.py").write_bytes(b"x = 2\n")
+    assert bench_record._tree(repo) != tree
+    (plain / "src" / "pkg" / "m.py").rename(plain / "src" / "pkg" / "n.py")
+    assert bench_record._tree(plain) != tree

@@ -385,6 +385,7 @@ BAD_FIELDS = [
     ("d", 5.0), ("d", True), ("lam", 2.0), ("lam", True),
     ("order", (1.0, 0, 0)), ("order", (True, 0, 0)), ("order", (-1, 0, 0)),
     ("order", (0, 0)), ("order", (0, 0, 0, 0)), ("order", 0),
+    ("order", (5, 0, 0)), ("order", (10**6, 0, 0)),
     ("g", (3.0, 1.0)), ("g", (3.5, 1)), ("h", (-0.5,)), ("h", 3),
     ("s", (0, False, 4)), ("s", ("0",))]
 
@@ -392,13 +393,16 @@ BAD_FIELDS = [
 @pytest.mark.parametrize("field, value", BAD_FIELDS,
                          ids=[f"{f}={v!r}".replace(" ", "") for f, v in BAD_FIELDS])
 def test_non_integer_reduction_fields_are_refused(field, value):
-    """Floats (integral ones too), bools, strings, negative orders and
-    orders of the wrong length raise ValidationError naming the field.
+    """Floats (integral ones too), bools, strings, orders outside range(d)
+    and orders of the wrong length raise ValidationError naming the field:
+    every d-th difference on Z_d is 0, so an order of d or more could
+    never match.  (4, 0, 0) is still a reduction at d = 5.
     g = (3.5, 1) and h = (-0.5,) sum to the g of 2xyz + 3 + x + 4z^2 on
     Z_5, but they are not integers."""
     fields = dict(d=5, order=(0, 0, 0), lam=2, g=(3, 1), h=(), s=(0, 0, 4))
     with pytest.raises(ValidationError, match=f"reduction {field}"):
         Reduction(**{**fields, field: value})
+    assert Reduction(**{**fields, "order": (4, 0, 0)}).order == (4, 0, 0)
 
 
 def test_each_reduction_is_checked_once_per_table(monkeypatch):

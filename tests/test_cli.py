@@ -304,6 +304,22 @@ def test_bad_cap_or_tolerance_is_a_usage_error(capsys, flag, value):
     assert f"argument {flag}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--players", "3", "--outcomes", "3", "--cap", "1"],
+    ["separable", GHZ3, "--tolerance", "3"],
+    ["boxes", "reduce", XYZ_FUNCTION, "--cap", "5"],
+    ["boxes", "run", XYZ_FUNCTION, "--tolerance", "7"]],
+    ids=["chsh-cap", "separable-tolerance", "reduce-cap", "run-tolerance"])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    """--cap is read only by analyze and diew, --tolerance only by analyze,
+    chsh and diew; elsewhere either would be a setting that does nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
+        capsys.readouterr().err)
+
+
 def test_zero_tolerance_still_certifies(capsys):
     doc, _ = run_json(capsys, "diew", GHZ3, "--strategy", GHZ3_STRATEGY,
                       "--tolerance", "0", "--json")

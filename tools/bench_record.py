@@ -13,7 +13,8 @@ alternating order, and a timing is the mean over at least 0.2 s of calls,
 after one warm-up call.  So the scale rows cannot see import time, peak
 RSS or changes to process-wide state such as numpy settings or threads;
 those stay with ``perfbench/run.py``.  The output keeps every run and
-timing, their medians, each checkout's git ``commit`` and ``dirty``, and
+timing, their medians, each checkout's git ``commit`` and ``dirty`` and
+the ``tree`` hash of the code it ran (see ``_tree``), and
 for ``parent`` and ``change`` the ratios of the medians and, per scale
 row, the median, quartiles, range and wins of the per-round ratios: only
 labels of one recording are compared, since a ratio across recordings
@@ -24,6 +25,7 @@ Standard library only.
 import argparse
 import contextlib
 import gc
+import hashlib
 import importlib.metadata
 import importlib.util
 import io
@@ -130,13 +132,30 @@ def _git(checkout, *args):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def _tree(checkout):
+    """SHA-256 over the sorted relative paths and the bytes of every file
+    under the checkout's ``src/`` and ``perfbench/``, ``__pycache__``
+    skipped: the code a run measured, in git or not."""
+    names = sorted(path.relative_to(checkout).as_posix()
+                   for top in ("src", "perfbench")
+                   for path in (checkout / top).rglob("*") if path.is_file())
+    digest = hashlib.sha256()
+    for name in names:
+        if "__pycache__" not in name.split("/"):
+            data = (checkout / name).read_bytes()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _commit(checkout):
-    """The checkout's HEAD, and whether a tracked file differs from it: a
-    change measured from an uncommitted tree shares its parent's HEAD and
-    tells by ``dirty``.  Both are None outside a git repository."""
+    """The checkout's HEAD, whether a tracked file differs from it, and the
+    ``_tree`` of the files it runs.  A change measured from an uncommitted
+    tree shares its parent's HEAD and tells by ``dirty``, and only the tree
+    names what ran.  The git fields are None outside a git repository."""
     status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
     return {"commit": _git(checkout, "rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+            "dirty": None if status is None else bool(status),
+            "tree": _tree(checkout)}
 
 
 def _env(cache_root):
