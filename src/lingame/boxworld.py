@@ -313,6 +313,7 @@ def partial_derivative(table, variable):
     polynomial degree in that variable drops by at least one."""
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
+    variable = as_int(variable, "variable index")
     if not 0 <= variable < table.variables:
         raise ValidationError(
             f"variable index {variable} outside 0..{table.variables - 1}")
@@ -403,6 +404,7 @@ def protocol_runs(table, shots, rng):
     boxes: the values that drawing each shot's inputs and then calling
     ``cc_protocol`` on them take from the generator."""
     d, n, boxes = _protocol_size(table)
+    shots = as_int(shots, "shots")
     if shots < 0:
         raise ValidationError(f"shots must be non-negative, got {shots}")
     m = table.variables

@@ -26,6 +26,8 @@ GF(p^m); e = |G| for a cyclic group, one SVD per table).  As in
 built: Phi_{-k}^B(c) = conj Phi_k^B(c) has the same norm.  The search
 and ``biseparable_matrix`` sum every Phi_k^B(c) one lone question at a
 time from question 0, so a report does not depend on the block size.
+Lone players whose sides share a key of ``qbounds.shared_sides`` (for
+GHZ3 and ``chsh_game(3, d)``, all three) share one search.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 
 # Called through their modules: per-layer tracing wraps them, tests patch them.
 from . import qbounds, strategies, values
+from .algebra import as_int
 from .errors import NoThresholdError, ValidationError
 from .qbounds import character_norms, character_slice, first_optimum, game_tensor
 from .tolerances import BISEPARABLE_ASSIGNMENT_CAP, TIE_TOL, WITNESS_MARGIN
@@ -137,6 +140,7 @@ class BiseparableReport:
     best_lone: int
 
     def partition(self, lone):
+        lone = as_int(lone, "lone player")
         for part in self.partitions:
             if part.lone == lone:
                 return part
@@ -185,11 +189,22 @@ def biseparable_bound_partition(game, lone, cap=BISEPARABLE_ASSIGNMENT_CAP):
 def biseparable_bound(game, cap=BISEPARABLE_ASSIGNMENT_CAP):
     """Largest winning probability of biseparable (hybrid) strategies,
     maximized over the three lone-player splits, whose caps all hold before
-    any search; the first split within TIE_TOL of the maximum is the best."""
-    partitions = tuple(biseparable_bound_partition(game, lone, cap=cap)
-                       for lone in values.lone_players(game, None, cap))
+    any search; the first split within TIE_TOL of the maximum is the best.
+    Lone players whose sides share a key of ``qbounds.shared_sides`` search
+    the same slices, so one search serves them all, each copy filed under
+    its own lone player with its own norms dict."""
+    lones = values.lone_players(game, None, cap)  # 3 players, before 3 classes
+    partitions = []
+    for lone, first in zip(lones, qbounds.shared_sides(game.player_classes,
+                                                       lone=True)):
+        if first == lone:
+            partitions.append(biseparable_bound_partition(game, lone, cap=cap))
+        else:
+            p = partitions[first]
+            partitions.append(BiseparablePartition(
+                lone, p.assignment, dict(p.norms), p.raw, p.value))
     best, raw = first_optimum([part.raw for part in partitions], largest=True)
-    return BiseparableReport(partitions=partitions, raw_bound=raw,
+    return BiseparableReport(partitions=tuple(partitions), raw_bound=raw,
                              bound=min(raw, 1.0), best_lone=best)
 
 

@@ -55,7 +55,8 @@ class LinearGame:
     ``residues`` (f(x) as residue tuples) and ``weights`` (int64 below
     2^53, where every sum is exact, else Python ints).  The exact tuples
     ``distribution`` and ``predicate``, ``histogram[x_1, ..., x_n, r]`` (the
-    weight of x where f(x) has index r) and ``win_weights`` are built on first use.
+    weight of x where f(x) has index r), ``win_weights`` and
+    ``player_classes`` are built on first use.
     """
 
     def __init__(self, group, question_counts, f_index, weights, den,
@@ -128,6 +129,23 @@ class LinearGame:
         weights.setflags(write=False)
         return weights
 
+    @cached_property
+    def player_classes(self):
+        """classes[i], the first player interchangeable with player i:
+        swapping their question axes leaves ``weights`` and
+        ``predicate_indices`` unchanged.  If (a b) and (a c) are such
+        swaps, so is (b c), so each player is compared only with the first
+        member of each class, and only when their question counts agree;
+        every permutation within a class leaves the game unchanged."""
+        shape = self.question_counts
+        arrays = [self._f_index.reshape(shape), self.weights.reshape(shape)]
+        classes = []
+        for i, q in enumerate(shape):
+            classes.append(next(
+                (c for c in dict.fromkeys(classes) if shape[c] == q and all(
+                    np.array_equal(a, a.swapaxes(c, i)) for a in arrays)), i))
+        return tuple(classes)
+
     @property
     def players(self):
         return len(self.question_counts)
@@ -196,8 +214,9 @@ def _question_counts(questions):
 
 def _position(x, questions, what):
     """Grid position of the question tuple x."""
+    position = as_int_tuple(x, what)
     try:
-        return int(np.ravel_multi_index(as_int_tuple(x, what), questions))
+        return int(np.ravel_multi_index(position, questions))
     except ValueError:
         raise ValidationError(f"{what} {x!r} is off the grid") from None
 
@@ -383,7 +402,7 @@ class Behavior:
 
     def prob(self, answers, x):
         answers = [self.group.index(a) for a in answers]
-        return self.table[np.ravel_multi_index(x, self.question_counts),
+        return self.table[_position(x, self.question_counts, "question tuple"),
                           np.ravel_multi_index(answers, (self.group.size,) * self.players)]
 
 

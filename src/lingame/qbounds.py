@@ -18,8 +18,13 @@ Since p(x) is real and conj chi_k = chi_{-k}, Phi_{-k}^S = conj Phi_k^S
 has the norm of Phi_k^S, and Phi_k^S is real when k = -k.  So one matrix
 is built per conjugate pair {k, -k} (``AbelianGroup.character_pairs``),
 the real ones go through a real SVD, and ``character_norms`` expands the
-norms back to every nontrivial k, one call per split.  Each game matrix
-is a transpose of ``game_tensor`` by one axis rule, ``_layout``.
+norms back to every nontrivial k.  Each game matrix is a transpose of
+``game_tensor`` by one axis rule, ``_layout``.  Players are
+interchangeable when swapping their question axes leaves the game
+unchanged (``LinearGame.player_classes``), and sides whose layouts differ
+by such swaps give the same matrices, so ``quantum_bound`` takes one
+``character_norms`` call per key of ``shared_sides``: one per side size
+for ``chsh_game``, one per split for a game without symmetry.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import as_int
+from .algebra import as_int, as_int_tuple
 from .errors import ValidationError
 from .games import _prime_power, _side
 from .linalg import max_singular_value
@@ -104,6 +109,21 @@ def _split_layouts(n):
                  for mask in range(1, 2**n - 1, 2))
 
 
+@lru_cache(maxsize=32)  # bounded: a key holds 2^(n-1) - 1 positions
+def shared_sides(classes, lone=False):
+    """For each side S of ``_split_layouts(n)``, or each lone player's side
+    (X,) of three players if ``lone``, the position of the first side with
+    S's key: (|S|, the class in ``classes`` (``player_classes``) of each
+    axis of S's ``_layout``).  Sides with equal keys differ by a
+    permutation within classes, so they transpose ``game_tensor`` (and the
+    answer histogram) into the same array, element for element."""
+    layouts = ([_layout(3, (x,)) for x in range(3)] if lone
+               else _split_layouts(len(classes)))
+    first = {}
+    return tuple(first.setdefault((len(s), tuple(classes[a - 1] for a in axes[1:])), i)
+                 for i, (s, axes) in enumerate(layouts))
+
+
 def _bipartition_stack(tensor, s, axes):
     """Phi_k^S for every representative k along axis 0, by S's ``_layout``."""
     rows = math.prod(tensor.shape[1 + i] for i in s)
@@ -139,7 +159,7 @@ class BoundReport:
     best_partition: tuple
 
     def partition(self, s_players):
-        s = tuple(sorted(s_players))
+        s = tuple(sorted(as_int_tuple(s_players, "partition")))
         for p in self.partitions:
             if p.players == s:
                 return p
@@ -148,15 +168,20 @@ class BoundReport:
 
 def quantum_bound(game):
     """Norm bound minimized over all inequivalent bipartitions; the best
-    partition is the first whose bound is within TIE_TOL of the minimum."""
+    partition is the first whose bound is within TIE_TOL of the minimum.
+    Sides sharing a key of ``shared_sides`` share one ``character_norms``
+    call; each partition still gets its own norms dict."""
     tensor, group = game_tensor(game), game.group
     ks = group.elements()[1:]
     scale = math.sqrt(math.prod(game.question_counts))
-    partitions = []
-    for s, axes in _split_layouts(game.players):
-        norms = character_norms(_bipartition_stack(tensor, s, axes),
-                                group).tolist()
-        raw = (1.0 + scale * sum(norms)) / group.size
+    partitions, shared = [], {}
+    for (s, axes), first in zip(_split_layouts(game.players),
+                                shared_sides(game.player_classes)):
+        if first not in shared:
+            norms = character_norms(_bipartition_stack(tensor, s, axes),
+                                    group).tolist()
+            shared[first] = norms, (1.0 + scale * sum(norms)) / group.size
+        norms, raw = shared[first]
         partitions.append(PartitionBound(s, dict(zip(ks, norms)), raw,
                                          min(raw, 1.0)))
     best, raw = first_optimum([p.raw for p in partitions], largest=False)

@@ -23,6 +23,7 @@ from .games import (
     success_probability,  # noqa: F401  (re-exported convenience)
     target_behavior,
 )
+from .qbounds import shared_sides
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
@@ -189,9 +190,13 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     linear games, where only the pair's answer sum matters).  Only each
     block's best integer score is kept: no table is decoded.
     The solo player answers the identity on question 0; ``cap`` still
-    bounds the unreduced count |G|^Q_solo of each, before any fold.
+    bounds the unreduced count |G|^Q_solo of each, before any fold.  By
+    default one fold runs per key of ``qbounds.shared_sides``: solo
+    players whose sides share a key have the same value.
     """
     lones = lone_players(game, None if lone is None else (lone,), cap)
+    if lone is None:  # sides sharing a key fold the same histogram
+        lones = sorted(set(shared_sides(game.player_classes, lone=True)))
     best = max(int(scores.max(axis=0).sum(axis=1).max())
                for solo in lones for scores in fold_tables(game, (solo,), cap))
     return Fraction(best, game.den)

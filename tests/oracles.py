@@ -37,7 +37,13 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   time, the split layout rebuilt for every split, one PartitionBound per
   split from its own norms dict, and the tie rule run in numpy on the
   array of raws (checks, with ==, the cached split layouts, the one
-  report loop and the plain-Python tie rule of qbounds).
+  report loop and the plain-Python tie rule of qbounds; since every split
+  takes its own norms, also that splits sharing a key of
+  qbounds.shared_sides share one stack without changing the report).
+* oracle_three_searches / oracle_three_folds: biseparable_bound and
+  svetlichny_value(lone=None) as they were, one search or fold for each of
+  the three lone players (check, with ==, that lone players sharing a key
+  share one search or fold).
 * naive_classical_value: full enumeration over every player's strategy
   table, no greedy decomposition (checks classical_value).
 * oracle_classical_result: the pre-engine classical_value, one Python
@@ -287,6 +293,21 @@ def oracle_bound_report(game):
     return qbounds.BoundReport(partitions=partitions, raw_bound=raw,
                                bound=min(raw, 1.0),
                                best_partition=partitions[best].players)
+
+
+def oracle_three_searches(game):
+    """biseparable_bound with one search per lone player, the best read by
+    oracle_first_optimum."""
+    partitions = tuple(diew.biseparable_bound_partition(game, lone)
+                       for lone in range(3))
+    best, raw = oracle_first_optimum([p.raw for p in partitions], largest=True)
+    return diew.BiseparableReport(partitions=partitions, raw_bound=raw,
+                                  bound=min(raw, 1.0), best_lone=best)
+
+
+def oracle_three_folds(game):
+    """svetlichny_value(lone=None) with one fold per lone player."""
+    return max(values.svetlichny_value(game, lone) for lone in range(3))
 
 
 def oracle_bipartition_norms(game, s):

@@ -11,7 +11,8 @@ from lingame.algebra import (
     is_irreducible,
     smallest_irreducible,
 )
-from lingame.boxworld import FunctionTable, PRBox
+from lingame.boxworld import (FunctionTable, PRBox, partial_derivative,
+                              protocol_runs)
 from lingame.errors import ValidationError
 from lingame.games import Behavior, LinearGame, chsh_game, make_game
 from lingame.qbounds import chsh_bound_analytic, game_matrix
@@ -76,6 +77,9 @@ def test_coerce_accepts_numpy_integers():
 Z2 = AbelianGroup([2])
 BELL = [2**-0.5, 0, 0, 2**-0.5]
 Z_BASIS = [[[1, 0], [0, 1]]]
+UNIFORM = Behavior(Z2, (2, 2), [[0.25] * 4] * 4)
+TABLE = FunctionTable(3, (1, 1, 1), [(x * y * z) % 3 for x in range(3)
+                                     for y in range(3) for z in range(3)])
 TRUNCATED = {
     "partition 0.7": lambda: game_matrix(chsh_game(3, 3), [0.7], 1),
     "partition True": lambda: game_matrix(chsh_game(3, 3), [True], 1),
@@ -103,6 +107,12 @@ TRUNCATED = {
     "table arities": lambda: FunctionTable(3, (1.5, 1), [0] * 9),
     "PR box players": lambda: PRBox(2.5, 3),
     "PR box d": lambda: PRBox(2, 3.0),
+    "behavior question True": lambda: UNIFORM.prob([(0,), (0,)], (True, 1)),
+    "behavior question 0.0": lambda: UNIFORM.prob([(0,), (0,)], (0.0, 1)),
+    "derivative variable True": lambda: partial_derivative(TABLE, True),
+    "derivative variable 0.5": lambda: partial_derivative(TABLE, 0.5),
+    "protocol shots": lambda: protocol_runs(TABLE, 2.5,
+                                            np.random.default_rng(0)),
 }
 
 

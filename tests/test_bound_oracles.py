@@ -400,8 +400,11 @@ def test_game_matrix_lays_out_its_own_side_and_caches_nothing():
         assert np.abs(m - oracle_game_matrix(game, side, (1,))).max() <= 1e-12
 
 
+# The spectral workload's chsh games, then larger ones whose splits share
+# stacks across more side sizes.
 SPECTRAL_CHSH = ([(2, d) for d in (2, 3, 4, 5, 7, 8, 9, 11)]
-                 + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+                 + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]
+                 + [(3, 5), (5, 3), (6, 2), (8, 2)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import lingame
-from lingame import boxworld, games
+from lingame import boxworld, games, qbounds
 from lingame.algebra import AbelianGroup
 
 
@@ -33,7 +33,7 @@ def test_the_walk_finds_the_known_caches():
     names = set(_lru_caches())
     assert {"lingame.qbounds._split_layouts", "lingame.games.answer_sums",
             "lingame.boxworld._vandermonde", "lingame.cli._build_parser",
-            "lingame.diew._phase_layout"} <= names
+            "lingame.diew._phase_layout", "lingame.qbounds.shared_sides"} <= names
 
 
 @pytest.mark.parametrize("name", sorted(_lru_caches()))
@@ -53,3 +53,11 @@ def test_shared_cached_arrays_are_read_only(cached):
     assert not array.flags.writeable
     with pytest.raises(ValueError):
         array[0] = 0
+
+
+def test_player_classes_key_the_shared_sides_cache():
+    """A game's classes are a tuple, so ``shared_sides`` can key on them
+    and no caller can change them in place."""
+    classes = games.chsh_game(3, 2).player_classes
+    assert type(classes) is tuple and classes == (0, 0, 0)
+    assert qbounds.shared_sides(classes) is qbounds.shared_sides((0, 0, 0))

@@ -106,8 +106,12 @@ SCALE_ROWS = {
     "biseparable_bound_partition chsh(3,7) lone 0":
         lambda lg: partial(lg.diew.biseparable_bound_partition,
                            lg.games.chsh_game(3, 7), 0),
+    "biseparable_bound chsh(3,5)":
+        lambda lg: partial(lg.diew.biseparable_bound, lg.games.chsh_game(3, 5)),
     "quantum_bound chsh(3,31)":
         lambda lg: partial(lg.qbounds.quantum_bound, lg.games.chsh_game(3, 31)),
+    "quantum_bound chsh(12,2)":
+        lambda lg: partial(lg.qbounds.quantum_bound, lg.games.chsh_game(12, 2)),
     "chsh_game chsh(6,7)": lambda lg: partial(lg.games.chsh_game, 6, 7),
     "strategy_behavior chsh(4,4)":
         lambda lg: partial(lg.strategies.strategy_behavior,
