@@ -14,6 +14,12 @@ polynomials over Z_p, highest degree first, so GF(8)'s X + 1 is (0, 1, 1).
 The modulus defaults to the lexicographically smallest monic irreducible
 polynomial of degree r, e.g. X^2 + X + 1 for GF(4) and X^3 + X + 1 for
 GF(8).
+
+Tables that depend only on a group's or a field's value (the character
+table and its conjugate pairs, the field's multiplication table) are
+built once per process, by bounded caches keyed by the value, and shared
+read-only by every instance equal to it; an instance fetches its table
+from the cache on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +67,6 @@ class AbelianGroup:
         self.exponent = math.lcm(*orders)  # chi_k(a) ** exponent == 1
         self._elements = list(itertools.product(*(range(d) for d in orders)))
         self._index = {a: i for i, a in enumerate(self._elements)}
-        self._char_table = None
 
     @property
     def identity(self):
@@ -110,21 +115,18 @@ class AbelianGroup:
         return cmath.exp(2j * cmath.pi * float(phase))
 
     def character_table(self):
-        """Complex array T[k_index, a_index] = chi_k(a), built once."""
-        if self._char_table is None:
-            # Integer phase sum_j k_j a_j (L / d_j) mod L over L = exponent:
-            # exact like character(), and p / L rounds as float(Fraction).
-            res = np.array(self._elements, dtype=np.int64)
-            scale = np.array([self.exponent // d for d in self.orders], dtype=np.int64)
-            self._phase = (res[:, None] * res[None] * scale).sum(axis=2) % self.exponent
-            table = np.exp(2j * np.pi * (self._phase / self.exponent))
-            table.setflags(write=False)
-            self._char_table = table
-        return self._char_table
+        """Complex array T[k_index, a_index] = chi_k(a): read-only and
+        shared by every group of these cyclic orders."""
+        return self._characters[1]
+
+    @cached_property
+    def _characters(self):
+        return _character_table(self.orders)
 
     @cached_property
     def character_pairs(self):
-        """The nontrivial characters, one per conjugate pair {k, -k}.
+        """The nontrivial characters, one per conjugate pair {k, -k},
+        shared read-only by every group of these cyclic orders.
 
         ``reps`` are the element indices of the representatives: first
         every real character (k = -k), then the first member of each
@@ -135,19 +137,7 @@ class AbelianGroup:
         their imaginary parts set to 0, and ``phase`` their integer phases
         j, table = exp(2 pi i j / exponent).  Since p(x) is real, the game
         matrix of -k is the conjugate of that of k, with the same norm."""
-        residues = -np.array(self._elements) % self.orders
-        neg = np.ravel_multi_index(residues.T, self.orders)  # index of -k
-        ks = np.arange(1, self.size)
-        real = ks[neg[ks] == ks]
-        reps = np.concatenate([real, ks[neg[ks] > ks]])
-        slot = np.empty(self.size, dtype=np.intp)
-        slot[reps] = slot[neg[reps]] = np.arange(len(reps))
-        table = self.character_table()[reps]
-        table[:len(real)] = table[:len(real)].real
-        phase = self._phase[reps]
-        for a in (reps, slot, table, phase):
-            a.setflags(write=False)
-        return CharacterPairs(reps, len(real), slot[1:], table, phase)
+        return _character_pairs(self.orders)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders
@@ -157,6 +147,44 @@ class AbelianGroup:
 
     def __repr__(self):
         return f"AbelianGroup({list(self.orders)})"
+
+
+@lru_cache(maxsize=32)  # bounded: a key holds |G|^2 entries
+def _character_table(orders):
+    """(phase, table) of the group with cyclic factors ``orders``:
+    phase[k, a] = sum_j k_j a_j (L / d_j) mod L over the exponent L, an
+    integer phase exact like ``character``, and table = exp(2 pi i phase /
+    L), where phase / L rounds as float(Fraction).  Both read-only."""
+    exponent = math.lcm(*orders)
+    res = np.indices(orders).reshape(len(orders), -1).T  # enumeration order
+    scale = np.array([exponent // d for d in orders], dtype=np.int64)
+    phase = (res[:, None] * res[None] * scale).sum(axis=2) % exponent
+    table = np.exp(2j * np.pi * (phase / exponent))
+    for a in (phase, table):
+        a.setflags(write=False)
+    return phase, table
+
+
+@lru_cache(maxsize=32)  # bounded: a key holds |G|^2 entries
+def _character_pairs(orders):
+    """``AbelianGroup.character_pairs`` of the group with cyclic factors
+    ``orders``, every array read-only."""
+    phase, full = _character_table(orders)
+    size = len(full)
+    residues = -np.indices(orders).reshape(len(orders), -1) % np.array(orders)[:, None]
+    neg = np.ravel_multi_index(tuple(residues), orders)  # index of -k
+    ks = np.arange(1, size)
+    real = ks[neg[ks] == ks]
+    reps = np.concatenate([real, ks[neg[ks] > ks]])
+    slot = np.empty(size, dtype=np.intp)
+    slot[reps] = slot[neg[reps]] = np.arange(len(reps))
+    table = full[reps]
+    table[:len(real)] = table[:len(real)].real
+    phase = phase[reps]
+    slot = slot[1:]
+    for a in (reps, slot, table, phase):
+        a.setflags(write=False)
+    return CharacterPairs(reps, len(real), slot, table, phase)
 
 
 def as_int_tuple(values, what):
@@ -247,6 +275,22 @@ def smallest_irreducible(p, r):
     raise RuntimeError(f"no irreducible polynomial of degree {r} over Z_{p}")
 
 
+@lru_cache(maxsize=32)  # bounded: a key holds |F|^2 entries
+def _mul_table(p, r, modulus):
+    """``FiniteField.mul_table`` of GF(p^r) modulo ``modulus``: digit
+    convolutions reduced by the monic modulus, read-only."""
+    size = p**r
+    digits = np.array(list(itertools.product(range(p), repeat=r)), dtype=np.int64)
+    prod = np.zeros((size, size, 2 * r - 1), dtype=np.int64)
+    for i, j in itertools.product(range(r), repeat=2):
+        prod[:, :, i + j] += np.outer(digits[:, i], digits[:, j])
+    for k in range(r - 1):  # cancel degree 2r-2-k with the monic modulus
+        prod[:, :, k:k + r + 1] -= (prod[:, :, k, None] % p) * modulus
+    table = (prod[:, :, r - 1:] % p) @ p ** np.arange(r - 1, -1, -1)
+    table.setflags(write=False)
+    return table
+
+
 class FiniteField:
     """GF(p^r) with coefficient-tuple elements, highest degree first.
 
@@ -331,17 +375,9 @@ class FiniteField:
 
     @cached_property
     def mul_table(self):
-        """Read-only |F| x |F| array: the element index of a * b."""
-        p, r = self.p, self.r
-        digits = np.array(self.elements())
-        prod = np.zeros((self.size, self.size, 2 * r - 1), dtype=np.int64)
-        for i, j in itertools.product(range(r), repeat=2):
-            prod[:, :, i + j] += np.outer(digits[:, i], digits[:, j])
-        for k in range(r - 1):  # cancel degree 2r-2-k with the monic modulus
-            prod[:, :, k:k + r + 1] -= (prod[:, :, k, None] % p) * self.modulus
-        table = (prod[:, :, r - 1:] % p) @ p ** np.arange(r - 1, -1, -1)
-        table.setflags(write=False)
-        return table
+        """Read-only |F| x |F| array: the element index of a * b, shared
+        by every field of this p, r and modulus."""
+        return _mul_table(self.p, self.r, self.modulus)
 
     def pow(self, a, e):
         out, base, e = self.one, self.coerce(a), as_int(e, "exponent")

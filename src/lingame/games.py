@@ -311,15 +311,19 @@ def _prime_power(d):
     return p, r
 
 
+@lru_cache(maxsize=32)  # bounded: a key holds |F|^players entries
 def _chsh_indices(field, players):
     """Element index of f(x) = sum_{i<j} x_i * x_j in the field, in grid order,
-    one gather per pair of players; field and additive group share indices."""
+    one gather per pair of players; field and additive group share indices.
+    The array is shared between callers and read-only."""
     add = answer_sums(field.additive_group(), 2).reshape(field.size, field.size)
     x = np.ix_(*[np.arange(field.size)] * players)
     total = 0
     for i, j in itertools.combinations(range(players), 2):
         total = add[total, field.mul_table[x[i], x[j]]]
-    return total.ravel()
+    total = total.ravel()
+    total.setflags(write=False)
+    return total
 
 
 def chsh_game(players, outcomes):
@@ -454,12 +458,16 @@ _GAME_KEYS = {"players", "questions", "group", "distribution", "predicate"}
 
 
 def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a decoded JSON value is an integer: json.loads gives plain
+    ints, and a bool is of its own type."""
+    return type(value) is int
 
 
 def _expect_keys(obj, required, path="document"):
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: expected an object")
+    if obj.keys() == required:
+        return
     keys = set(obj)
     missing = required - keys
     if missing:
@@ -497,14 +505,16 @@ def _load(path, parse):
 
 
 def _parse_element(raw, group, path):
+    """Element index of ``raw``, an integer (one cyclic factor) or a list
+    of integers naming an element of ``group``."""
     if isinstance(raw, bool):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     if isinstance(raw, int):
         raw = [raw]
-    if not isinstance(raw, list) or not all(_is_int(c) for c in raw):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     try:
-        return group.coerce(tuple(raw))
+        return group.index(tuple(raw))
     except ValueError as e:
         raise GameFormatError(f"{path}: {e}") from None
 
@@ -519,31 +529,48 @@ def _parse_probability(raw, path):
         raise GameFormatError(f"{path}: {e}") from None
 
 
-def _parse_input(raw, questions, path):
+def _parse_position(raw, questions, path):
+    """Grid position of the question tuple ``raw``: a Horner sum over its
+    entries, each checked to be an integer on its player's range."""
     if (not isinstance(raw, list) or len(raw) != len(questions)
-            or not all(_is_int(q) for q in raw)):
+            or not all(map(_is_int, raw))):
         raise GameFormatError(
             f"{path}: expected a question tuple of length {len(questions)}")
-    x = tuple(raw)
-    if any(not 0 <= q < n for q, n in zip(x, questions)):
-        raise GameFormatError(f"{path}: question tuple {list(x)} out of range")
-    return x
+    position = 0
+    for q, n in zip(raw, questions):
+        if not 0 <= q < n:
+            raise GameFormatError(f"{path}: question tuple {raw} out of range")
+        position = position * n + q
+    return position
 
 
 def _parse_table(entries, questions, path, key, parse_value):
-    """{x: value} from a list of {"x": ..., key: ...} entries, each
-    question tuple on the grid and listed once."""
+    """{grid position: value} from a list of {"x": ..., key: ...} entries,
+    each question tuple on the grid and listed once."""
     if not isinstance(entries, list):
         raise GameFormatError(f"{path}: expected a list")
     table = {}
     for i, entry in enumerate(entries):
         where = f"{path}[{i}]"
         _expect_keys(entry, {"x", key}, path=where)
-        x = _parse_input(entry["x"], questions, f"{where}.x")
-        if x in table:
-            raise GameFormatError(f"{where}: duplicate input {list(x)}")
-        table[x] = parse_value(entry[key], f"{where}.{key}")
+        x = entry["x"]
+        position = _parse_position(x, questions, f"{where}.x")
+        if position in table:
+            raise GameFormatError(f"{where}: duplicate input {x}")
+        table[position] = parse_value(entry[key], f"{where}.{key}")
     return table
+
+
+def _table_weights(table, n_inputs):
+    """(weights, den) of a {grid position: Fraction} table, zero off it, as
+    in ``make_game``: int64 when the weights' absolute sum fits, so every
+    sum is exact, else Python ints."""
+    den = math.lcm(*(p.denominator for p in table.values()))
+    values = [p.numerator * (den // p.denominator) for p in table.values()]
+    fits = sum(map(abs, values)) < 2**63
+    weights = np.zeros(n_inputs, dtype=np.int64 if fits else object)
+    weights[list(table)] = values
+    return weights, den
 
 
 def _parse_group(raw):
@@ -603,10 +630,12 @@ def parse_game_file(text):
     """Parse the JSON game-file format into a LinearGame.
 
     Only the file format is checked here: JSON types, field paths, ranges
-    and duplicates.  The predicate becomes element indices in grid order,
-    from its table or a builtin; the distribution ("uniform", {"support":
-    [...]} or a {x: Fraction} table) becomes weights as in ``make_game``,
-    and the game is built from both."""
+    and duplicates.  Each table entry is read once, its question tuple
+    turned into a grid position by ``_parse_position``: the predicate
+    becomes element indices in grid order, from its table or a builtin;
+    the distribution ("uniform", {"support": [...]} or a {x: Fraction}
+    table) becomes weights as in ``make_game``, and the game is built
+    from both."""
     doc = _read_document(text, _GAME_KEYS)
 
     players = doc["players"]
@@ -620,23 +649,27 @@ def parse_game_file(text):
     questions = tuple(questions)
     group, field = _parse_group(doc["group"])
 
+    n_inputs = math.prod(questions)
     raw_dist = doc["distribution"]
     if raw_dist == "uniform":
-        dist = raw_dist
+        weights, den = _weights(raw_dist, questions)
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"support"}:
         support = _nonempty_list(raw_dist["support"], "distribution.support",
                                  "a non-empty list")
-        seen = {}
+        seen = set()
         for i, raw_x in enumerate(support):
-            x = _parse_input(raw_x, questions, f"distribution.support[{i}]")
-            if x in seen:
+            position = _parse_position(raw_x, questions,
+                                       f"distribution.support[{i}]")
+            if position in seen:
                 raise GameFormatError(
-                    f"distribution.support[{i}]: duplicate input {list(x)}")
-            seen[x] = None
-        dist = {"support": list(seen)}
+                    f"distribution.support[{i}]: duplicate input {raw_x}")
+            seen.add(position)
+        weights, den = np.zeros(n_inputs, dtype=np.int64), len(seen)
+        weights[list(seen)] = 1
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"table"}:
-        dist = _parse_table(raw_dist["table"], questions, "distribution.table",
-                            "p", _parse_probability)
+        weights, den = _table_weights(_parse_table(
+            raw_dist["table"], questions, "distribution.table", "p",
+            _parse_probability), n_inputs)
     else:
         raise GameFormatError(
             'distribution: expected "uniform", {"support": ...} or {"table": ...}')
@@ -646,13 +679,16 @@ def parse_game_file(text):
         predicate = _parse_table(
             raw_pred["table"], questions, "predicate.table", "f",
             lambda raw, path: _parse_element(raw, group, path))
-        if len(predicate) < math.prod(questions):
-            missing = [x for x in itertools.product(*map(range, questions))
-                       if x not in predicate]
+        if len(predicate) < n_inputs:
+            first = itertools.islice(
+                (i for i in range(n_inputs) if i not in predicate), 5)
+            xs = np.transpose(np.unravel_index(list(first), questions))
             raise GameFormatError(
-                f"predicate.table: missing input(s) {[list(x) for x in missing[:5]]}"
-                f"{' ...' if len(missing) > 5 else ''} (the predicate must be total)")
-        f_index = [group.index(predicate[x]) for x in sorted(predicate)]  # grid order
+                f"predicate.table: missing input(s) {xs.tolist()}"
+                f"{' ...' if n_inputs - len(predicate) > 5 else ''} "
+                f"(the predicate must be total)")
+        f_index = np.empty(n_inputs, dtype=np.intp)
+        f_index[list(predicate)] = list(predicate.values())
     elif isinstance(raw_pred, dict) and set(raw_pred) == {"builtin"}:
         f_index, field = _parse_builtin(raw_pred["builtin"], group, field,
                                         questions)
@@ -661,8 +697,7 @@ def parse_game_file(text):
             'predicate: expected {"table": ...} or {"builtin": ...}')
 
     try:
-        return LinearGame(group, questions, f_index,
-                          *_weights(dist, questions), field=field)
+        return LinearGame(group, questions, f_index, weights, den, field=field)
     except ValidationError as e:
         raise GameFormatError(str(e)) from None
 

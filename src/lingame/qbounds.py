@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import as_int, as_int_tuple
+from .algebra import as_int
 from .errors import ValidationError
 from .games import _prime_power, _side
 from .linalg import max_singular_value
@@ -159,7 +159,13 @@ class BoundReport:
     best_partition: tuple
 
     def partition(self, s_players):
-        s = tuple(sorted(as_int_tuple(s_players, "partition")))
+        """The partition of the split with side ``s_players``, read by
+        ``games._side``: the report holds each split by its side with
+        player 0, so the other side names it by its complement."""
+        players = (len(self.partitions) + 1).bit_length()  # 2^(n-1) - 1 splits
+        s = _side(players, s_players, "partition")
+        if s[0]:
+            s = tuple(i for i in range(players) if i not in s)
         for p in self.partitions:
             if p.players == s:
                 return p

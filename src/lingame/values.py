@@ -23,7 +23,6 @@ from .games import (
     success_probability,  # noqa: F401  (re-exported convenience)
     target_behavior,
 )
-from .qbounds import shared_sides
 from .tolerances import CLASSICAL_ENUMERATION_CAP
 
 
@@ -191,12 +190,14 @@ def svetlichny_value(game, lone=None, cap=CLASSICAL_ENUMERATION_CAP):
     block's best integer score is kept: no table is decoded.
     The solo player answers the identity on question 0; ``cap`` still
     bounds the unreduced count |G|^Q_solo of each, before any fold.  By
-    default one fold runs per key of ``qbounds.shared_sides``: solo
-    players whose sides share a key have the same value.
+    default one fold runs per class of ``LinearGame.player_classes``: a
+    symmetry of the game that maps one solo player to another maps their
+    splits' strategies onto each other, so their values are equal, mirror
+    images included.
     """
     lones = lone_players(game, None if lone is None else (lone,), cap)
-    if lone is None:  # sides sharing a key fold the same histogram
-        lones = sorted(set(shared_sides(game.player_classes, lone=True)))
+    if lone is None:  # the first solo player of each class
+        lones = sorted(set(game.player_classes))
     best = max(int(scores.max(axis=0).sum(axis=1).max())
                for solo in lones for scores in fold_tables(game, (solo,), cap))
     return Fraction(best, game.den)

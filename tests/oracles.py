@@ -124,6 +124,11 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   deterministic behavior filled row by row (checks make_game, the builtin
   gathers, LinearGame equality and hashing, and
   DeterministicStrategy.behavior).
+* oracle_parse_game_file: the game-file reader that kept question
+  tuples as dict keys, sent its distribution through make_game's weights
+  (one np.ravel_multi_index and one Fraction per entry) and sorted its
+  predicate back into grid order (checks, with == and game_hash, the
+  reader that turns each entry into a grid position in one walk).
 """
 
 import itertools
@@ -1188,3 +1193,105 @@ def polynomial_table(coeffs):
     for _ in range(sum(coeffs.arities)):
         arr = np.tensordot(arr, v, axes=([0], [1])) % coeffs.d
     return FunctionTable(coeffs.d, coeffs.arities, arr.reshape(-1))
+
+
+def _oracle_parse_input(raw, questions, path):
+    if (not isinstance(raw, list) or len(raw) != len(questions)
+            or not all(games._is_int(q) for q in raw)):
+        raise GameFormatError(
+            f"{path}: expected a question tuple of length {len(questions)}")
+    x = tuple(raw)
+    if any(not 0 <= q < n for q, n in zip(x, questions)):
+        raise GameFormatError(f"{path}: question tuple {list(x)} out of range")
+    return x
+
+
+def _oracle_parse_element(raw, group, path):
+    if isinstance(raw, bool):
+        raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
+    if isinstance(raw, int):
+        raw = [raw]
+    if not isinstance(raw, list) or not all(games._is_int(c) for c in raw):
+        raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
+    try:
+        return group.coerce(tuple(raw))
+    except ValueError as e:
+        raise GameFormatError(f"{path}: {e}") from None
+
+
+def _oracle_parse_table(entries, questions, path, key, parse_value):
+    if not isinstance(entries, list):
+        raise GameFormatError(f"{path}: expected a list")
+    table = {}
+    for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        games._expect_keys(entry, {"x", key}, path=where)
+        x = _oracle_parse_input(entry["x"], questions, f"{where}.x")
+        if x in table:
+            raise GameFormatError(f"{where}: duplicate input {list(x)}")
+        table[x] = parse_value(entry[key], f"{where}.{key}")
+    return table
+
+
+def oracle_parse_game_file(text):
+    """The game-file reader with question-tuple dicts: the distribution
+    goes through ``games._weights`` as in make_game, and the predicate is
+    sorted back into grid order."""
+    doc = games._read_document(text, games._GAME_KEYS)
+    players = doc["players"]
+    if not games._is_int(players) or players < 2:
+        raise GameFormatError(f"players: expected an integer >= 2, got {players!r}")
+    questions = doc["questions"]
+    if (not isinstance(questions, list) or len(questions) != players
+            or not all(games._is_int(q) and q >= 1 for q in questions)):
+        raise GameFormatError(
+            f"questions: expected {players} integers >= 1, got {questions!r}")
+    questions = tuple(questions)
+    group, field = games._parse_group(doc["group"])
+
+    raw_dist = doc["distribution"]
+    if raw_dist == "uniform":
+        dist = raw_dist
+    elif isinstance(raw_dist, dict) and set(raw_dist) == {"support"}:
+        support = games._nonempty_list(raw_dist["support"], "distribution.support",
+                                       "a non-empty list")
+        seen = {}
+        for i, raw_x in enumerate(support):
+            x = _oracle_parse_input(raw_x, questions, f"distribution.support[{i}]")
+            if x in seen:
+                raise GameFormatError(
+                    f"distribution.support[{i}]: duplicate input {list(x)}")
+            seen[x] = None
+        dist = {"support": list(seen)}
+    elif isinstance(raw_dist, dict) and set(raw_dist) == {"table"}:
+        dist = _oracle_parse_table(raw_dist["table"], questions,
+                                   "distribution.table", "p",
+                                   games._parse_probability)
+    else:
+        raise GameFormatError(
+            'distribution: expected "uniform", {"support": ...} or {"table": ...}')
+
+    raw_pred = doc["predicate"]
+    if isinstance(raw_pred, dict) and set(raw_pred) == {"table"}:
+        predicate = _oracle_parse_table(
+            raw_pred["table"], questions, "predicate.table", "f",
+            lambda raw, path: _oracle_parse_element(raw, group, path))
+        if len(predicate) < math.prod(questions):
+            missing = [x for x in itertools.product(*map(range, questions))
+                       if x not in predicate]
+            raise GameFormatError(
+                f"predicate.table: missing input(s) {[list(x) for x in missing[:5]]}"
+                f"{' ...' if len(missing) > 5 else ''} (the predicate must be total)")
+        f_index = [group.index(predicate[x]) for x in sorted(predicate)]
+    elif isinstance(raw_pred, dict) and set(raw_pred) == {"builtin"}:
+        f_index, field = games._parse_builtin(raw_pred["builtin"], group, field,
+                                              questions)
+    else:
+        raise GameFormatError(
+            'predicate: expected {"table": ...} or {"builtin": ...}')
+
+    try:
+        return games.LinearGame(group, questions, f_index,
+                                *games._weights(dist, questions), field=field)
+    except ValidationError as e:
+        raise GameFormatError(str(e)) from None

@@ -17,6 +17,8 @@ from lingame.games import (Behavior, DeterministicStrategy, chsh_game,
 from lingame.qbounds import quantum_bound
 from lingame.values import classical_value
 
+from oracles import oracle_parse_game_file
+
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -506,6 +508,12 @@ FORMAT_ERRORS = [
     # rows added later, at the end, so the ids of the rows above stay put
     (_doc(questions=[2, -1]),
      "questions: expected 2 integers >= 1, got [2, -1]"),
+    (_dist([{"x": [0, True], "p": "1"}]),
+     "distribution.table[0].x: expected a question tuple of length 2"),
+    (_pred([{"x": [True, 0], "f": 0}]),
+     "predicate.table[0].x: expected a question tuple of length 2"),
+    (_dist([{"x": [0, 0], "p": 10**30}]),
+     "distribution sums to 1000000000000000000000000000000 (1e+30)" + _SUM),
 ]
 
 
@@ -514,6 +522,16 @@ FORMAT_ERRORS = [
 def test_format_error_messages(text, message):
     with pytest.raises(GameFormatError) as err:
         parse_game_file(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", FORMAT_ERRORS,
+                         ids=[str(i) for i in range(len(FORMAT_ERRORS))])
+def test_format_error_messages_are_the_oracle_readers(text, message):
+    """The reader that kept question-tuple dicts refused every document
+    with the same message."""
+    with pytest.raises(GameFormatError) as err:
+        oracle_parse_game_file(text)
     assert str(err.value) == message
 
 

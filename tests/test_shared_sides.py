@@ -198,15 +198,19 @@ def test_one_norm_stack_per_key(game, stacks):
                         lambda: quantum_bound(game)) == stacks
 
 
-@pytest.mark.parametrize("game, searches", [
-    (mermin_ghz3_game(), 1), (chsh_game(3, 4), 1), (PAIR_01, 2), (PAIR_12, 2),
-    (PAIR_02, 3), (NO_SYMMETRY["random"], 3)],
+@pytest.mark.parametrize("game, searches, folds", [
+    (mermin_ghz3_game(), 1, 1), (chsh_game(3, 4), 1, 1), (PAIR_01, 2, 2),
+    (PAIR_12, 2, 2), (PAIR_02, 3, 2), (NO_SYMMETRY["random"], 3, 3)],
     ids=["ghz3", "chsh34", "pair01", "pair12", "pair02", "random"])
-def test_one_search_and_one_fold_per_key(game, searches):
+def test_one_search_and_one_fold_per_key(game, searches, folds):
+    """The searches follow the keys of ``shared_sides``, whose norms must
+    stay bit-identical; the folds follow the classes, since the exact
+    value does not change under any symmetry: classes (0, 1, 0) fold lone
+    player 0 for its mirror image 2."""
     assert _count_calls(diew, "biseparable_bound_partition",
                         lambda: biseparable_bound(game)) == searches
     assert _count_calls(values, "fold_tables",
-                        lambda: svetlichny_value(game)) == searches
+                        lambda: svetlichny_value(game)) == folds
 
 
 def test_symmetric_games_check_every_cap_before_the_first_search(monkeypatch):
@@ -237,8 +241,21 @@ def test_bound_report_reads_its_side_by_the_integer_rule():
     for side in [[0.0], [True], "0", 0]:
         with pytest.raises(ValidationError, match="partition must be integers"):
             report.partition(side)
-    with pytest.raises(KeyError):
-        report.partition((1, 2))  # a valid side; the report holds its complement
+    for side in [(), (0, 1, 2, 3), (4,), (-1,)]:
+        with pytest.raises(ValidationError, match="not a nonempty proper subset"):
+            report.partition(side)
+
+
+@pytest.mark.parametrize("game, side, holder", [
+    (chsh_game(2, 3), (1,), (0,)), (chsh_game(3, 2), (1, 2), (0,)),
+    (chsh_game(3, 2), (2,), (0, 1)), (chsh_game(3, 2), [np.int64(1)], (0, 2)),
+    (chsh_game(4, 2), (1, 2), (0, 3)), (chsh_game(4, 2), (3, 1, 2), (0,))],
+    ids=["2p-1", "3p-12", "3p-2", "3p-numpy-1", "4p-12", "4p-123"])
+def test_bound_report_reads_either_side_of_a_split(game, side, holder):
+    """A side without player 0 names the split of its complement."""
+    report = quantum_bound(game)
+    assert report.partition(side) is report.partition(holder)
+    assert report.partition(side).players == holder
 
 
 def test_biseparable_report_reads_its_lone_player_by_the_integer_rule():

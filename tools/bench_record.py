@@ -60,14 +60,23 @@ def _strategy(lg, n, d):
                                          bases)
 
 
-def _boxes_run(lg):
-    fixture = Path(lg.__file__).parents[2] / "fixtures" / "xyz.function"
-    argv = ["boxes", "run", str(fixture), "--shots", "200", "--seed", "1", "--json"]
+def _fixture(lg, name):
+    """The path of fixture ``name`` in the checkout of package ``lg``."""
+    return str(Path(lg.__file__).parents[2] / "fixtures" / name)
 
-    def call():
-        with contextlib.redirect_stdout(io.StringIO()):
-            lg.cli.main(argv)
-    return call
+
+def _cli(*argv):
+    """A row: ``lingame *argv`` through ``cli.main`` with stdout captured,
+    an argument ``fixtures/NAME`` read from the loaded checkout."""
+    def row(lg):
+        args = [_fixture(lg, a.removeprefix("fixtures/"))
+                if a.startswith("fixtures/") else a for a in argv]
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                lg.cli.main(args)
+        return call
+    return row
 
 
 def _protocol_runs(lg):
@@ -124,7 +133,13 @@ SCALE_ROWS = {
                            lg.games.chsh_game(4, 4), _strategy(lg, 4, 4), 0.5),
     "game_hash chsh(6,3)":
         lambda lg: partial(lg.games.game_hash, lg.games.chsh_game(6, 3)),
-    "boxes_run xyz.function --shots 200": _boxes_run,
+    "boxes_run xyz.function --shots 200":
+        _cli("boxes", "run", "fixtures/xyz.function", "--shots", "200",
+             "--seed", "1", "--json"),
+    "load_game fixtures/random3.game":
+        lambda lg: partial(lg.games.load_game, _fixture(lg, "random3.game")),
+    "lingame diew fixtures/ghz3.game --json":
+        _cli("diew", "fixtures/ghz3.game", "--json"),
     "protocol_runs d=3 (2,2,2) --shots 2000": _protocol_runs,
     "simulate_pr_from_functional d=5 lifted": _simulate_pr,
 }
