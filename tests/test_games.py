@@ -514,6 +514,8 @@ FORMAT_ERRORS = [
      "predicate.table[0].x: expected a question tuple of length 2"),
     (_dist([{"x": [0, 0], "p": 10**30}]),
      "distribution sums to 1000000000000000000000000000000 (1e+30)" + _SUM),
+    (_dist([{"x": [0, 0], "p": 2**62}, {"x": [1, 1], "p": 2**62}]),
+     "distribution sums to 9223372036854775808 (9.223372036854776e+18)" + _SUM),
 ]
 
 
