@@ -99,7 +99,8 @@ class LinearGame:
         # float(p) for every p: below 2^53 both operands are exact doubles
         # and the division rounds once; above, int / int rounds once.
         self._probabilities = (self.weights / self.den).astype(float)
-        self._f_index = f_index.astype(np.intp)
+        # a read-only index array (a shared builtin predicate) is held as is
+        self._f_index = f_index.astype(np.intp, copy=f_index.flags.writeable)
         self.residues = np.array(group.elements(), dtype=np.intp)[self._f_index]
         for a in (self.grid, self.residues, self.weights, self._probabilities,
                   self._f_index):
@@ -249,23 +250,38 @@ def _weights(distribution, questions):
         support = [tuple(x) for x in distribution["support"]]
         if not support:
             raise ValidationError("distribution support is empty")
-        weights = np.zeros(n_inputs, dtype=np.int64)
+        positions = set()
         for x in support:
             i = _position(x, questions, "support input")
-            if weights[i]:
+            if i in positions:
                 raise ValidationError(f"support input {x!r} listed twice")
-            weights[i] = 1
-        return weights, len(support)
+            positions.add(i)
+        return _support_weights(positions, n_inputs)
     if isinstance(distribution, dict):
         table = {_position(tuple(x), questions, "distribution input"): _as_fraction(p)
                  for x, p in distribution.items()}
     else:
         table = dict(enumerate(map(_as_fraction, distribution)))
         n_inputs = len(table)
+    return _table_weights(table, n_inputs)
+
+
+def _support_weights(positions, n_inputs):
+    """(weights, den) of the uniform distribution on a set of grid
+    positions."""
+    return _table_weights(dict.fromkeys(positions, Fraction(1, len(positions))),
+                          n_inputs)
+
+
+def _table_weights(table, n_inputs):
+    """(weights, den) of a {grid position: Fraction} table, zero off it:
+    int64 when the weights' absolute sum fits, so every sum is exact, else
+    Python ints."""
     den = math.lcm(*(p.denominator for p in table.values()))
-    weights = np.zeros(n_inputs, dtype=object)
-    for i, p in table.items():
-        weights[i] = p.numerator * (den // p.denominator)
+    values = [p.numerator * (den // p.denominator) for p in table.values()]
+    fits = sum(map(abs, values)) < 2**63
+    weights = np.zeros(n_inputs, dtype=np.int64 if fits else object)
+    weights[list(table)] = values
     return weights, den
 
 
@@ -466,8 +482,6 @@ def _is_int(value):
 def _expect_keys(obj, required, path="document"):
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: expected an object")
-    if obj.keys() == required:
-        return
     keys = set(obj)
     missing = required - keys
     if missing:
@@ -561,18 +575,6 @@ def _parse_table(entries, questions, path, key, parse_value):
     return table
 
 
-def _table_weights(table, n_inputs):
-    """(weights, den) of a {grid position: Fraction} table, zero off it, as
-    in ``make_game``: int64 when the weights' absolute sum fits, so every
-    sum is exact, else Python ints."""
-    den = math.lcm(*(p.denominator for p in table.values()))
-    values = [p.numerator * (den // p.denominator) for p in table.values()]
-    fits = sum(map(abs, values)) < 2**63
-    weights = np.zeros(n_inputs, dtype=np.int64 if fits else object)
-    weights[list(table)] = values
-    return weights, den
-
-
 def _parse_group(raw):
     """(group, field) from the "group" entry; field is None for the
     cyclic form."""
@@ -664,8 +666,7 @@ def parse_game_file(text):
                 raise GameFormatError(
                     f"distribution.support[{i}]: duplicate input {raw_x}")
             seen.add(position)
-        weights, den = np.zeros(n_inputs, dtype=np.int64), len(seen)
-        weights[list(seen)] = 1
+        weights, den = _support_weights(seen, n_inputs)
     elif isinstance(raw_dist, dict) and set(raw_dist) == {"table"}:
         weights, den = _table_weights(_parse_table(
             raw_dist["table"], questions, "distribution.table", "p",

@@ -151,7 +151,8 @@ class PartitionBound:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-partition norm bounds and their minimum."""
+    """Per-partition norm bounds, one per split in the order of
+    ``_split_layouts``, and their minimum."""
 
     partitions: tuple
     raw_bound: float
@@ -162,7 +163,7 @@ class BoundReport:
         """The partition of the split with side ``s_players``, read by
         ``games._side``: the report holds each split by its side with
         player 0, so the other side names it by its complement."""
-        players = (len(self.partitions) + 1).bit_length()  # 2^(n-1) - 1 splits
+        players = len(self.partitions[-1].players) + 1  # last: all but player 1
         s = _side(players, s_players, "partition")
         if s[0]:
             s = tuple(i for i in range(players) if i not in s)

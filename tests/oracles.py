@@ -1195,9 +1195,45 @@ def polynomial_table(coeffs):
     return FunctionTable(coeffs.d, coeffs.arities, arr.reshape(-1))
 
 
+def _oracle_is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _oracle_weights(distribution, questions):
+    """(weights, den) of a make_game distribution, Python ints off the
+    uniform and support forms."""
+    n_inputs = math.prod(questions)
+    if isinstance(distribution, str):
+        if distribution != "uniform":
+            raise ValidationError(f"unknown distribution {distribution!r}")
+        return np.ones(n_inputs, dtype=np.int64), n_inputs
+    if isinstance(distribution, dict) and set(distribution) == {"support"}:
+        support = [tuple(x) for x in distribution["support"]]
+        if not support:
+            raise ValidationError("distribution support is empty")
+        weights = np.zeros(n_inputs, dtype=np.int64)
+        for x in support:
+            i = games._position(x, questions, "support input")
+            if weights[i]:
+                raise ValidationError(f"support input {x!r} listed twice")
+            weights[i] = 1
+        return weights, len(support)
+    if isinstance(distribution, dict):
+        table = {games._position(tuple(x), questions, "distribution input"):
+                 games._as_fraction(p) for x, p in distribution.items()}
+    else:
+        table = dict(enumerate(map(games._as_fraction, distribution)))
+        n_inputs = len(table)
+    den = math.lcm(*(p.denominator for p in table.values()))
+    weights = np.zeros(n_inputs, dtype=object)
+    for i, p in table.items():
+        weights[i] = p.numerator * (den // p.denominator)
+    return weights, den
+
+
 def _oracle_parse_input(raw, questions, path):
     if (not isinstance(raw, list) or len(raw) != len(questions)
-            or not all(games._is_int(q) for q in raw)):
+            or not all(_oracle_is_int(q) for q in raw)):
         raise GameFormatError(
             f"{path}: expected a question tuple of length {len(questions)}")
     x = tuple(raw)
@@ -1211,7 +1247,7 @@ def _oracle_parse_element(raw, group, path):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     if isinstance(raw, int):
         raw = [raw]
-    if not isinstance(raw, list) or not all(games._is_int(c) for c in raw):
+    if not isinstance(raw, list) or not all(_oracle_is_int(c) for c in raw):
         raise GameFormatError(f"{path}: expected a group element, got {raw!r}")
     try:
         return group.coerce(tuple(raw))
@@ -1235,15 +1271,15 @@ def _oracle_parse_table(entries, questions, path, key, parse_value):
 
 def oracle_parse_game_file(text):
     """The game-file reader with question-tuple dicts: the distribution
-    goes through ``games._weights`` as in make_game, and the predicate is
-    sorted back into grid order."""
+    goes through ``_oracle_weights``, make_game's former conversion, and
+    the predicate is sorted back into grid order."""
     doc = games._read_document(text, games._GAME_KEYS)
     players = doc["players"]
-    if not games._is_int(players) or players < 2:
+    if not _oracle_is_int(players) or players < 2:
         raise GameFormatError(f"players: expected an integer >= 2, got {players!r}")
     questions = doc["questions"]
     if (not isinstance(questions, list) or len(questions) != players
-            or not all(games._is_int(q) and q >= 1 for q in questions)):
+            or not all(_oracle_is_int(q) and q >= 1 for q in questions)):
         raise GameFormatError(
             f"questions: expected {players} integers >= 1, got {questions!r}")
     questions = tuple(questions)
@@ -1292,6 +1328,6 @@ def oracle_parse_game_file(text):
 
     try:
         return games.LinearGame(group, questions, f_index,
-                                *games._weights(dist, questions), field=field)
+                                *_oracle_weights(dist, questions), field=field)
     except ValidationError as e:
         raise GameFormatError(str(e)) from None

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import lingame
@@ -105,3 +106,16 @@ def test_an_instance_fetches_its_shared_table_once(monkeypatch):
     assert group.character_table() is tables[0]
     assert group.character_pairs is tables[1]
     assert field.mul_table is tables[2]
+
+
+def test_a_game_holds_the_shared_chsh_predicate_without_a_copy():
+    shared = games._chsh_indices(FiniteField(3), 3)
+    assert games.chsh_game(3, 3).predicate_indices() is shared
+
+
+def test_a_game_copies_a_writable_predicate_and_leaves_it_writable():
+    f_index = np.zeros(4, dtype=np.intp)
+    game = games.LinearGame(AbelianGroup((2,)), (2, 2), f_index, [1] * 4, 4)
+    assert f_index.flags.writeable
+    f_index[0] = 1
+    assert game.predicate_indices()[0] == 0
