@@ -264,10 +264,10 @@ def visibility_threshold(game, strategy, bound=None):
     (see ``strategies.noisy_success``), where omega_noise is the success
     of white noise under the strategy's measurements: 1/|G| for rank-one
     projectors, and set by the projector ranks in general; both come from
-    one Born-rule behavior.  The threshold solving V * omega + (1 - V) *
-    omega_noise = omega_B is (omega_B - omega_noise) / (omega -
-    omega_noise), clamped below at 0, for any projector ranks.  A strategy
-    whose threshold would exceed 1 never beats the bound, and
+    the strategy's Born and white-noise tables.  The threshold solving
+    V * omega + (1 - V) * omega_noise = omega_B is (omega_B - omega_noise)
+    / (omega - omega_noise), clamped below at 0, for any projector ranks.
+    A strategy whose threshold would exceed 1 never beats the bound, and
     NoThresholdError is raised.
 
     ``strategy`` may also be the noiseless success probability itself, any

@@ -360,13 +360,23 @@ def chsh_game(players, outcomes):
                       *_weights("uniform", questions), field=field)
 
 
+@lru_cache(maxsize=1)
+def _ghz3_indices():
+    """Element index of f(x, y, z) = x*y*z mod 3 in Z_3, in grid order.  The
+    array is shared between callers and read-only."""
+    x, y, z = np.ix_(*[np.arange(3)] * 3)
+    total = (x * y * z % 3).ravel().astype(np.intp)
+    total.setflags(write=False)
+    return total
+
+
 def mermin_ghz3_game():
     """The ternary GHZ game: questions x, y, z in Z_3 promised to satisfy
     x + y + z = 0 mod 3 (uniform over the nine such tuples), win when
     a + b + c = x*y*z mod 3."""
     x, y, z = np.ix_(*[np.arange(3)] * 3)
     support = ((x + y + z) % 3 == 0).astype(np.int64)
-    return LinearGame(AbelianGroup((3,)), (3, 3, 3), (x * y * z % 3).ravel(),
+    return LinearGame(AbelianGroup((3,)), (3, 3, 3), _ghz3_indices(),
                       support.ravel(), 9)
 
 
@@ -387,6 +397,23 @@ def answer_sums(group, players):
     return sums
 
 
+def _check_rows(table):
+    """Refuse a behavior table with an entry below -BEHAVIOR_ROW_TOL, a row
+    whose sum is off 1 by more than BEHAVIOR_ROW_TOL, or a NaN entry."""
+    low, sums = table.min(), table.sum(axis=1)
+    if low < -BEHAVIOR_ROW_TOL:
+        raise ValidationError(f"behavior has a negative probability {low!r}")
+    if max(np.fmax.reduce(sums) - 1,  # fmax/fmin skip NaN rows, refused below
+           1 - np.fmin.reduce(sums)) > BEHAVIOR_ROW_TOL:
+        bad = np.flatnonzero(np.abs(sums - 1) > BEHAVIOR_ROW_TOL)
+        raise ValidationError(
+            f"behavior rows {bad.tolist()} are not normalized "
+            f"(sums {sums[bad].tolist()})")
+    if np.isnan(low):
+        rows = np.flatnonzero(np.isnan(sums)).tolist()
+        raise ValidationError(f"behavior rows {rows} have NaN entries")
+
+
 class Behavior:
     """Conditional answer distributions P(a | x), one row per question
     tuple, columns indexed by answer tuples in lexicographic order."""
@@ -401,19 +428,7 @@ class Behavior:
             raise ValidationError(
                 f"behavior table has shape {table.shape}, expected "
                 f"{(n_inputs, n_outputs)}")
-        low, sums = table.min(), table.sum(axis=1)
-        if low < -BEHAVIOR_ROW_TOL:
-            raise ValidationError(
-                f"behavior has a negative probability {low!r}")
-        if max(np.fmax.reduce(sums) - 1,  # fmax/fmin skip NaN rows, refused below
-               1 - np.fmin.reduce(sums)) > BEHAVIOR_ROW_TOL:
-            bad = np.flatnonzero(np.abs(sums - 1) > BEHAVIOR_ROW_TOL)
-            raise ValidationError(
-                f"behavior rows {bad.tolist()} are not normalized "
-                f"(sums {sums[bad].tolist()})")
-        if np.isnan(low):
-            rows = np.flatnonzero(np.isnan(sums)).tolist()
-            raise ValidationError(f"behavior rows {rows} have NaN entries")
+        _check_rows(table)
         self.table = table
 
     @property
@@ -624,7 +639,7 @@ def _parse_builtin(builtin, group, field, questions):
             raise GameFormatError(
                 "predicate.builtin ghz3: needs players=3, questions "
                 "[3,3,3] and group {\"cyclic\": [3]}")
-        return mermin_ghz3_game().predicate_indices(), field
+        return _ghz3_indices(), field
     raise GameFormatError(f"predicate.builtin: unknown builtin {builtin!r}")
 
 
@@ -837,10 +852,12 @@ def _game_document(game):
     if game.is_uniform:
         dist_doc = "uniform"
     else:
+        support = game.weights > 0
         dist_doc = {"table": Records({
-            "x": game.grid[game.weights > 0],
-            "p": [f"{p.numerator}/{p.denominator}"
-                  for p in game.distribution if p]})}
+            "x": game.grid[support],
+            "p": [f"{w // g}/{game.den // g}"
+                  for w in game.weights[support].tolist()
+                  for g in (math.gcd(w, game.den),)]})}
 
     # f is an int for a one-factor group, else a list
     residues = (game.residues[:, 0] if len(game.group.orders) == 1

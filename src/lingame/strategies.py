@@ -18,13 +18,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import (Behavior, _is_int, _load, _nonempty_list, _read_document,
-                    success_probability)
+from .games import (Behavior, _check_rows, _is_int, _load, _nonempty_list,
+                    _read_document)
 from .tolerances import BEHAVIOR_ROW_TOL, PROJECTOR_TOL, STATE_TOL
 
 
@@ -211,6 +212,23 @@ class QuantumStrategy:
         d_i) array per player, stacked and checked at construction."""
         return self._projectors
 
+    @cached_property
+    def _born(self):
+        return _checked_table(_born_table(self))
+
+    @cached_property
+    def _noise(self):
+        return _checked_table(_noise_table(self))
+
+
+def _checked_table(table):
+    """A table of the strategy, built on first use: C-contiguous and
+    read-only once ``games._check_rows`` accepts it.  A failed check
+    raises before ``cached_property`` stores anything."""
+    table = np.ascontiguousarray(table)
+    _check_rows(table)
+    return _frozen(table)
+
 
 def _check_compatible(strategy, game):
     have = [stack.shape[:2] for stack in strategy.measurements()]
@@ -221,9 +239,10 @@ def _check_compatible(strategy, game):
             f"the game needs {need}")
 
 
-def strategy_behavior(strategy, game):
-    """Born-rule behavior P(a | x) = tr(rho Pi^1_{x_1,a_1} x ... x
-    Pi^n_{x_n,a_n}) of a strategy on a game's question grid.
+def _born_table(strategy):
+    """Born-rule table P(a | x) = tr(rho Pi^1_{x_1,a_1} x ... x
+    Pi^n_{x_n,a_n}), one row per question tuple in grid order, one column
+    per answer tuple in lexicographic order.
 
     One matrix product per player contracts the state, viewed as (ket_i,
     later kets, bra_i, later bras and earlier players' (question, answer)
@@ -231,8 +250,7 @@ def strategy_behavior(strategy, game):
     as (d_i d_i, questions outcomes).  A pure state enters only in player
     0's step, as conj(psi) and psi, so no density matrix is formed.
     """
-    _check_compatible(strategy, game)
-    n, dims, ops = game.players, strategy.dims, strategy._operators
+    n, dims, ops = strategy.players, strategy.dims, strategy._operators
     if strategy.is_pure:
         psi = strategy.state.reshape(dims[0], -1)
         t = np.dot(psi.conj().T, ops[0]).reshape(-1, dims[0]).T
@@ -242,39 +260,49 @@ def strategy_behavior(strategy, game):
     for i in range(first, n):
         t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
         t = np.dot(t.transpose(1, 3, 0, 2).reshape(-1, dims[i]**2), ops[i])
-    p = t.real.reshape([s for m in strategy._marginals for s in m.shape])
+    shape = [s for m in strategy._marginals for s in m.shape]
+    p = t.real.reshape(shape)
     np.maximum(p, 0.0, out=p)  # in place: t is ours, and a call allocates less
     # (x_1, a_1, ..., x_n, a_n) -> (x_1, ..., x_n, a_1, ..., a_n)
     p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return Behavior(game.group, game.question_counts,
-                    p.reshape(game.n_inputs, -1))
+    return p.reshape(math.prod(shape[::2]), -1)
 
 
-def _noise_table(strategy, game):
-    """The table of ``noise_behavior``, unchecked."""
-    n, p = game.players, 1.0
+def _noise_table(strategy):
+    """White noise, the maximally mixed state I / D, under a strategy's
+    measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) / d_i, the
+    outer product of the marginals stored at construction."""
+    n, p = strategy.players, 1.0
     for i, marginal in enumerate(strategy._marginals):
         shape = [1] * (2 * n)
         shape[i], shape[n + i] = marginal.shape
         p = p * marginal.reshape(shape)
-    return p.reshape(game.n_inputs, -1)
+    return p.reshape(math.prod(p.shape[:n]), -1)
+
+
+def strategy_behavior(strategy, game):
+    """Born-rule behavior P(a | x) of a strategy on a game's question grid:
+    the strategy's Born table (``_born_table``), built once per strategy
+    and shared read-only."""
+    _check_compatible(strategy, game)
+    return Behavior(game.group, game.question_counts, strategy._born)
 
 
 def noise_behavior(strategy, game):
-    """Behavior of white noise, the maximally mixed state I / D, under a
-    strategy's measurements: P_noise(a | x) = prod_i tr(Pi^i_{x_i,a_i}) /
-    d_i, the outer product of the marginals stored and checked at construction."""
+    """Behavior of white noise under a strategy's measurements: the
+    strategy's white-noise table (``_noise_table``), built once per
+    strategy and shared read-only."""
     _check_compatible(strategy, game)
-    return Behavior(game.group, game.question_counts,
-                    _noise_table(strategy, game))
+    return Behavior(game.group, game.question_counts, strategy._noise)
 
 
 def _success_pair(game, strategy):
-    """(omega, omega_noise) of ``noisy_success``: one Born-rule behavior,
-    which checks the game, and ``win_weights`` dotted with ``_noise_table``."""
-    ideal = success_probability(game, strategy_behavior(strategy, game))
-    noise = np.dot(game.win_weights.ravel(), _noise_table(strategy, game).ravel())
-    return ideal, float(noise)
+    """(omega, omega_noise) of ``noisy_success``: ``win_weights`` dotted
+    with the strategy's Born and white-noise tables."""
+    _check_compatible(strategy, game)
+    w = game.win_weights.ravel()
+    return (float(np.dot(w, strategy._born.ravel())),
+            float(np.dot(w, strategy._noise.ravel())))
 
 
 @dataclass(frozen=True)
@@ -331,9 +359,10 @@ def noisy_success(game, strategy, visibility):
     V * rho + (1 - V) * I / D.
 
     The Born rule is linear in the state, so this is the closed form
-    V * omega(P) + (1 - V) * omega(P_noise), omega(P_noise) read from the
-    stored marginals with no behavior built: 1/|G| when every projector has
-    rank one, and in general set by the projector ranks.
+    V * omega(P) + (1 - V) * omega(P_noise): two dot products with the
+    strategy's Born and white-noise tables, built once per strategy.
+    omega(P_noise) is 1/|G| when every projector has rank one, and in
+    general set by the projector ranks.
     """
     v = float(visibility)
     if not 0.0 <= v <= 1.0:

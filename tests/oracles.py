@@ -82,6 +82,12 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   np.tensordot per answer axis (checks, bit for bit, the one np.dot per
   player of strategy_behavior, the stored marginals of noise_behavior and
   the one np.dot per answer axis of correlators).
+* oracle_dot_behavior / oracle_noise_table / oracle_success_pair: the
+  Born rule and the white-noise table run afresh on every call, over the
+  game's grid, the way strategy_behavior, noise_behavior and
+  _success_pair ran them before each strategy held its Born and
+  white-noise tables (checks, bit for bit, the shared read-only tables,
+  noisy_success and visibility_threshold).
 * oracle_projector_check: the question-by-question projector check that
   preceded the stacked one, one Python product per pair of outcomes
   (checks the (questions, outcomes, d, d) check of QuantumStrategy).
@@ -102,6 +108,9 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 * oracle_game_document: the game document built one dict per question
   (with json.dumps, checks serialize_game and game_hash, whose tables
   json_text writes from columns).
+* oracle_fraction_game_document: the game document with its
+  probabilities written from one Fraction per grid entry (checks, byte
+  for byte, serialize_game writing "num/den" from the integer weights).
 * oracle_boxes_runs: the shot-by-shot report loop of ``lingame boxes
   run`` (checks protocol_runs, its one draw for all shots, and the
   report built from it).
@@ -146,9 +155,11 @@ from lingame.boxworld import (FunctionTable, PRBox, ProtocolTranscript,
                               partial_derivative, _flatten_inputs,
                               _vandermonde)
 from lingame.errors import GameFormatError, ResourceLimitError, ValidationError
-from lingame.games import DeterministicStrategy, answer_sums
+from lingame.games import (Behavior, DeterministicStrategy, Records,
+                           answer_sums, success_probability)
 from lingame.strategies import (QuantumStrategy, _as_projector,
-                                noise_behavior, strategy_behavior)
+                                _check_compatible, noise_behavior,
+                                strategy_behavior)
 from lingame.qbounds import first_optimum
 from lingame.tolerances import (BISEPARABLE_ASSIGNMENT_CAP, PROJECTOR_TOL,
                                 TIE_TOL)
@@ -855,6 +866,49 @@ def oracle_einsum_noise(strategy, game):
     return np.einsum(*operands, list(range(2 * n))).reshape(game.n_inputs, -1)
 
 
+def oracle_dot_behavior(strategy, game):
+    """strategy_behavior as it ran before each strategy held its Born
+    table: the one np.dot per player over the stored operators, the clamp,
+    the transpose and the reshape over the game's grid, on every call."""
+    _check_compatible(strategy, game)
+    n, dims, ops = game.players, strategy.dims, strategy._operators
+    if strategy.is_pure:
+        psi = strategy.state.reshape(dims[0], -1)
+        t = np.dot(psi.conj().T, ops[0]).reshape(-1, dims[0]).T
+        t, first = np.dot(psi.T, t), 1
+    else:
+        t, first = strategy.density(), 0
+    for i in range(first, n):
+        t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
+        t = np.dot(t.transpose(1, 3, 0, 2).reshape(-1, dims[i]**2), ops[i])
+    p = t.real.reshape([s for m in strategy._marginals for s in m.shape])
+    np.maximum(p, 0.0, out=p)
+    p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return Behavior(game.group, game.question_counts,
+                    p.reshape(game.n_inputs, -1))
+
+
+def oracle_noise_table(strategy, game):
+    """The white-noise table as noise_behavior and noisy_success built it
+    on every call: the outer product of the stored marginals."""
+    n, p = game.players, 1.0
+    for i, marginal in enumerate(strategy._marginals):
+        shape = [1] * (2 * n)
+        shape[i], shape[n + i] = marginal.shape
+        p = p * marginal.reshape(shape)
+    return p.reshape(game.n_inputs, -1)
+
+
+def oracle_success_pair(game, strategy):
+    """(omega, omega_noise) as _success_pair computed them on every call:
+    one Born-rule behavior through success_probability, and the win
+    weights dotted with a white-noise table built afresh."""
+    ideal = success_probability(game, oracle_dot_behavior(strategy, game))
+    noise = np.dot(game.win_weights.ravel(),
+                   oracle_noise_table(strategy, game).ravel())
+    return ideal, float(noise)
+
+
 def oracle_tensordot_correlators(behavior, group):
     """The full correlator tensor as correlators computed it before: one
     tensordot of each answer axis with conj(chi).T."""
@@ -931,6 +985,34 @@ def oracle_game_document(game):
         "predicate": {"table": [
             {"x": x, "f": a[0] if len(a) == 1 else list(a)}
             for x, a in zip(game.grid.tolist(), game.predicate)]},
+    }
+
+
+def oracle_fraction_game_document(game):
+    """The document of serialize_game as it was built before the
+    probabilities were written from the integer weights: one Fraction per
+    grid entry through ``game.distribution``, the nonzero ones written."""
+    if game.field is not None:
+        group_doc = {"field": {"p": game.field.p, "r": game.field.r}}
+    else:
+        group_doc = {"cyclic": list(game.group.orders)}
+
+    if game.is_uniform:
+        dist_doc = "uniform"
+    else:
+        dist_doc = {"table": Records({
+            "x": game.grid[game.weights > 0],
+            "p": [f"{p.numerator}/{p.denominator}"
+                  for p in game.distribution if p]})}
+
+    residues = (game.residues[:, 0] if len(game.group.orders) == 1
+                else game.residues)
+    return {
+        "players": game.players,
+        "questions": list(game.question_counts),
+        "group": group_doc,
+        "distribution": dist_doc,
+        "predicate": {"table": Records({"x": game.grid, "f": residues})},
     }
 
 

@@ -26,17 +26,18 @@ _ROWS = {"noisy_success chsh(2,2)": lambda lg: functools.partial(
              "boxes_run xyz.function --shots 200"]}
 
 
-_BOX_ROWS = {name: bench_record.SCALE_ROWS[name] for name in (
+_SHIPPED_ROWS = {name: bench_record.SCALE_ROWS[name] for name in (
     "protocol_runs d=3 (2,2,2) --shots 2000",
-    "simulate_pr_from_functional d=5 lifted")}
+    "simulate_pr_from_functional d=5 lifted",
+    "noisy_success chsh(4,4) fresh strategy, three visibilities")}
 
 
-@pytest.mark.parametrize("name", list(_ROWS | _BOX_ROWS),
+@pytest.mark.parametrize("name", list(_ROWS | _SHIPPED_ROWS),
                          ids=["noisy_success", "boxes_run", "protocol_runs",
-                              "simulate_pr"])
+                              "simulate_pr", "fresh_noisy_success"])
 def test_scale_script_prints_one_positive_time(name, capsys):
     """One label, one round: the row prints one line, its positive time."""
-    rows = _ROWS | _BOX_ROWS
+    rows = _ROWS | _SHIPPED_ROWS
     medians, times = bench_record._scale([("a", ROOT)], {name: rows[name]},
                                          rounds=1)
     lines = capsys.readouterr().out.splitlines()

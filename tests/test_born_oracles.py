@@ -5,7 +5,8 @@ cell-by-cell vector contraction, the Kronecker product and trace, the
 density matrix rebuilt around V * rho + (1 - V) * I / D, the masked row
 sums and the validated noise behavior, the question-by-question projector
 check, and, bit for bit, the tensordot and einsum kernels that preceded
-the stored operator layouts (tests/oracles.py)."""
+the stored operator layouts and the Born rule run afresh on every call
+that preceded each strategy's shared tables (tests/oracles.py)."""
 
 import itertools
 import json
@@ -17,21 +18,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingame.algebra import AbelianGroup
-from lingame.diew import visibility_threshold
+from lingame.diew import _threshold, visibility_threshold
 from lingame.games import (chsh_game, make_game, mermin_ghz3_game,
                            success_probability)
 from lingame.errors import NoThresholdError, ValidationError
-from lingame.strategies import (QuantumStrategy, _as_projector, correlators,
+from lingame.strategies import (QuantumStrategy, _as_projector,
+                                _success_pair, correlators,
                                 ghz3_reference_strategy, noise_behavior,
                                 noisy_success, parse_strategy_file,
                                 strategy_behavior)
 from lingame.tolerances import PROJECTOR_TOL
 
 import ghz3_c4
-from oracles import (oracle_behavior_table, oracle_einsum_noise,
-                     oracle_masked_success, oracle_noise_path_success,
+from oracles import (oracle_behavior_table, oracle_dot_behavior,
+                     oracle_einsum_noise, oracle_masked_success,
+                     oracle_noise_path_success, oracle_noise_table,
                      oracle_noisy_success, oracle_projector_check,
-                     oracle_tensordot_behavior, oracle_tensordot_correlators)
+                     oracle_success_pair, oracle_tensordot_behavior,
+                     oracle_tensordot_correlators)
 
 # (group order, local dimensions, question counts): 2 and 3 players,
 # equal and unequal dimensions; d_i == |G| admits rank-one measurements.
@@ -220,6 +224,68 @@ def test_golden_strategies_match_replaced_kernels_bitwise():
     for strategy in (reference, _as_density(reference),
                      embedded, _as_density(embedded)):
         _assert_kernels_bitwise(strategy, game)
+
+
+def _outcome(call):
+    """``repr`` of a call's result, or the type of the error it raises."""
+    try:
+        return repr(call())
+    except NoThresholdError as err:
+        return type(err)
+
+
+def _assert_tables_bitwise(strategy, game, bounds):
+    """The shared tables, the success pair, noisy_success and
+    visibility_threshold against the Born rule run afresh per call."""
+    pair = oracle_success_pair(game, strategy)
+    assert (strategy_behavior(strategy, game).table.tobytes()
+            == oracle_dot_behavior(strategy, game).table.tobytes())
+    assert (noise_behavior(strategy, game).table.tobytes()
+            == oracle_noise_table(strategy, game).tobytes())
+    assert _success_pair(game, strategy) == pair
+    for v in (0.0, 0.3, 0.6, 0.85, 0.95, 1.0):
+        assert (noisy_success(game, strategy, v)
+                == v * pair[0] + (1 - v) * pair[1])
+    for bound in bounds:
+        assert _outcome(lambda: visibility_threshold(game, strategy, bound)) \
+            == _outcome(lambda: _threshold(*pair, bound))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.data())
+def test_shared_tables_match_the_per_call_born_rule_bitwise_property(players,
+                                                                     data):
+    # 2 or 3 players over Z2 to Z5 or Z2 x Z2, pure or mixed; rank-one
+    # vectors wherever d_i == |G| and rank_one is drawn, projectors of rank
+    # 0, 1 or more elsewhere; distributions with zeros: every result read
+    # from the strategy's tables is == the per-call Born rule's
+    group = AbelianGroup(data.draw(st.sampled_from(
+        ((2,), (3,), (4,), (5,), (2, 2))), label="group"))
+    dims = [data.draw(st.sampled_from((group.size, 2, 3)), label="dim")
+            for _ in range(players)]
+    questions = data.draw(st.lists(st.integers(1, 3), min_size=players,
+                                   max_size=players), label="questions")
+    mixed = data.draw(st.booleans(), label="mixed")
+    rank_one = data.draw(st.booleans(), label="rank_one")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = math.prod(questions)
+    weights = rng.integers(0, 4, size) + np.eye(size, dtype=int)[0]
+    game = make_game(group, questions,
+                     [group.element(int(v))
+                      for v in rng.integers(0, group.size, size)],
+                     distribution=[Fraction(int(w), int(weights.sum()))
+                                   for w in weights])
+    strategy = _strategy(rng, dims, questions, group.size, mixed, rank_one)
+    _assert_tables_bitwise(strategy, game, rng.random(3).tolist())
+
+
+def test_golden_strategies_match_the_per_call_born_rule_bitwise():
+    game = mermin_ghz3_game()
+    reference = ghz3_reference_strategy()
+    embedded = parse_strategy_file(json.dumps(ghz3_c4.document()))
+    for strategy in (reference, _as_density(reference),
+                     embedded, _as_density(embedded)):
+        _assert_tables_bitwise(strategy, game, (0.5, 0.8960197525, 1.1))
 
 
 def test_noise_behavior_is_the_born_rule_on_the_maximally_mixed_state():

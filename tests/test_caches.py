@@ -39,7 +39,8 @@ def test_the_walk_finds_the_known_caches():
             "lingame.diew._phase_layout", "lingame.qbounds.shared_sides",
             "lingame.algebra._character_table",
             "lingame.algebra._character_pairs", "lingame.algebra._mul_table",
-            "lingame.games._chsh_indices"} <= names
+            "lingame.games._chsh_indices",
+            "lingame.games._ghz3_indices"} <= names
 
 
 @pytest.mark.parametrize("name", sorted(_lru_caches()))
@@ -54,9 +55,10 @@ def test_every_cache_is_bounded(name):
     lambda: games.answer_sums(AbelianGroup((3,)), 2),
     lambda: AbelianGroup((2, 3)).character_table(),
     lambda: FiniteField(2, 2).mul_table,
-    lambda: games._chsh_indices(FiniteField(3), 3)],
+    lambda: games._chsh_indices(FiniteField(3), 3), games._ghz3_indices],
     ids=["vandermonde", "vandermonde_inverse", "derived_interpolators",
-         "answer_sums", "character_table", "mul_table", "chsh_indices"])
+         "answer_sums", "character_table", "mul_table", "chsh_indices",
+         "ghz3_indices"])
 def test_shared_cached_arrays_are_read_only(cached):
     array = cached()
     assert not array.flags.writeable

@@ -149,9 +149,10 @@ def test_threshold_uses_noise_baseline_of_rank_two_strategy(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["diew", "analyze"])
 def test_strategy_section_runs_the_born_rule_once(capsys, monkeypatch,
                                                   command):
-    # one Born-rule behavior per call gives the success, the verdict and
-    # the threshold; white noise builds no behavior of its own
-    counts = {"strategy_behavior": 0, "Behavior": 0}
+    # one Born table per strategy gives the success, the verdict and the
+    # threshold; white noise takes its own table, and no behavior is built
+    counts = {"_born_table": 0, "_noise_table": 0, "strategy_behavior": 0,
+              "Behavior": 0}
     for name in counts:
         original = getattr(strategies, name)
 
@@ -161,7 +162,8 @@ def test_strategy_section_runs_the_born_rule_once(capsys, monkeypatch,
         monkeypatch.setattr(strategies, name, counted)
     doc, _ = run_json(capsys, command, GHZ3, "--json",
                       "--strategy", GHZ3_STRATEGY)
-    assert counts == {"strategy_behavior": 1, "Behavior": 1}
+    assert counts == {"_born_table": 1, "_noise_table": 1,
+                      "strategy_behavior": 0, "Behavior": 0}
     assert doc["strategy"]["visibility_threshold"] == pytest.approx(
         0.8440296287, abs=1e-9)
 

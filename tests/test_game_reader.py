@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingame.errors import GameFormatError
-from lingame.games import game_hash, parse_game_file
+from lingame.games import game_hash, mermin_ghz3_game, parse_game_file
 
 from oracles import oracle_parse_game_file
 
@@ -147,6 +147,18 @@ def game_documents(draw):
 @given(game_documents())
 def test_documents_read_as_the_oracle_reads_them(text):
     assert_readers_agree(text)
+
+
+def test_builtin_ghz3_is_the_ghz3_game():
+    """The ghz3 builtin reads the shared, read-only GHZ3 predicate."""
+    reference = mermin_ghz3_game()
+    doc = {"players": 3, "questions": [3, 3, 3], "group": {"cyclic": [3]},
+           "distribution": {"support": [list(x) for x in reference.support()]},
+           "predicate": {"builtin": "ghz3"}}
+    game = parse_game_file(json.dumps(doc))
+    assert game == reference
+    assert game.predicate_indices() is reference.predicate_indices()
+    assert not game.predicate_indices().flags.writeable
 
 
 @pytest.mark.parametrize("dens", [(2**31 - 1, 2**31 + 11), (2**61 - 1, 3),

@@ -2,7 +2,8 @@
 replaced (tests/oracles.py): on any document it writes the bytes of
 json.dumps(..., indent=2) after the float rounding pass, a records table
 given by columns as the dump of its rows' dicts, and the game and function
-files it writes are the indented dumps of their documents."""
+files it writes are the indented dumps of their documents, a game's
+probabilities written as the texts of their Fractions."""
 
 import hashlib
 import json
@@ -20,8 +21,8 @@ from lingame.boxworld import load_function
 from lingame.games import (Records, chsh_game, game_hash, json_text, load_game,
                            make_game, mermin_ghz3_game, serialize_game)
 
-from oracles import (oracle_game_document, oracle_round_floats,
-                     serialize_function)
+from oracles import (oracle_fraction_game_document, oracle_game_document,
+                     oracle_round_floats, serialize_function)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -195,6 +196,47 @@ def test_game_files_are_the_indented_dump(game):
         oracle_game_document(game), indent=2) + "\n"
     document = games._game_document(game)
     assert isinstance(document["predicate"]["table"], Records)
+
+
+def _fraction_text(game):
+    return json_text(oracle_fraction_game_document(game)) + "\n"
+
+
+@pytest.mark.parametrize("game", [*GAMES.values(), load_game(
+    FIXTURES / "random3.game")], ids=[*GAMES, "random3.game"])
+def test_probabilities_are_written_as_their_fractions(game):
+    assert serialize_game(game) == _fraction_text(game)
+
+
+@st.composite
+def _distributed_games(draw):
+    """A game of 2 or 3 players over Z2, Z3, Z5 or Z2 x Z2 with a uniform,
+    support or table distribution; table weights reach 2^70, so some
+    games keep Python-int weights."""
+    group = AbelianGroup(draw(st.sampled_from(((2,), (3,), (5,), (2, 2)))))
+    questions = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    grid = [tuple(x) for x in np.ndindex(*questions)]
+    predicate = [group.element(i) for i in draw(st.lists(
+        st.integers(0, group.size - 1), min_size=len(grid),
+        max_size=len(grid)))]
+    kind = draw(st.sampled_from(["uniform", "support", "table"]))
+    if kind == "uniform":
+        distribution = "uniform"
+    elif kind == "support":
+        distribution = {"support": draw(st.lists(
+            st.sampled_from(grid), min_size=1, unique=True))}
+    else:
+        top = 2**draw(st.sampled_from((3, 20, 70)))
+        weights = draw(st.lists(st.integers(0, top), min_size=len(grid),
+                                max_size=len(grid)).filter(any))
+        distribution = [Fraction(w, sum(weights)) for w in weights]
+    return make_game(group, questions, predicate, distribution=distribution)
+
+
+@SETTINGS
+@given(_distributed_games())
+def test_probabilities_are_written_as_their_fractions_property(game):
+    assert serialize_game(game) == _fraction_text(game)
 
 
 @pytest.mark.parametrize("name", PINNED_HASHES)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lingame import games, strategies
 from lingame.algebra import AbelianGroup
 from lingame.diew import visibility_threshold
 from lingame.errors import GameFormatError, ValidationError
@@ -293,6 +294,77 @@ def test_pure_vector_and_density_paths_agree():
     b1 = strategy_behavior(strategy, game)
     b2 = strategy_behavior(mixed, game)
     assert np.abs(b1.table - b2.table).max() < 1e-11
+
+
+def _count_builds(monkeypatch):
+    """Calls of the Born and white-noise table builders, by name."""
+    counts = {"_born_table": 0, "_noise_table": 0}
+    for name in counts:
+        original = getattr(strategies, name)
+
+        def counted(strategy, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(strategy)
+        monkeypatch.setattr(strategies, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "density"])
+def test_each_table_is_built_once_per_strategy(mixed, monkeypatch):
+    # behaviors, noisy successes and a threshold of one strategy share its
+    # two tables; a second strategy builds its own
+    counts = _count_builds(monkeypatch)
+    game = mermin_ghz3_game()
+    reference = ghz3_reference_strategy()
+    state = reference.density() if mixed else reference.state
+    first, second = (QuantumStrategy((3, 3, 3), state,
+                                     reference.measurements())
+                     for _ in range(2))
+    strategy_behavior(first, game)
+    noise_behavior(first, game)
+    for v in (0.6, 0.85, 0.95):
+        noisy_success(game, first, v)
+    visibility_threshold(game, first, bound=0.9)
+    strategy_behavior(first, mermin_ghz3_game())
+    assert counts == {"_born_table": 1, "_noise_table": 1}
+    noisy_success(game, second, 0.5)
+    assert counts == {"_born_table": 2, "_noise_table": 2}
+
+
+def test_tables_are_shared_and_read_only():
+    game = mermin_ghz3_game()
+    strategy = ghz3_reference_strategy()
+    for behavior, table in (
+            (strategy_behavior(strategy, game), strategy._born),
+            (noise_behavior(strategy, game), strategy._noise)):
+        assert behavior.table is table
+        assert table.flags.c_contiguous and not table.flags.writeable
+        with pytest.raises(ValueError):
+            behavior.table[0, 0] = 0.5
+    assert strategy_behavior(strategy, game).table is strategy._born
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s, g: strategy_behavior(s, g), lambda s, g: noise_behavior(s, g),
+    lambda s, g: noisy_success(g, s, 0.5)],
+    ids=["behavior", "noise", "noisy_success"])
+def test_a_failed_row_check_caches_nothing(evaluate, monkeypatch):
+    # rows summing to (1 + 3e-10)^3 pass construction; with the row
+    # tolerance at 1e-10 every evaluation raises the same error, and once
+    # the tolerance is back the tables are built
+    strategy = QuantumStrategy((3, 3, 3), ghz3_reference_strategy().state,
+                               _scaled_ghz3([3e-10] * 3))
+    game = mermin_ghz3_game()
+    monkeypatch.setattr(games, "BEHAVIOR_ROW_TOL", 1e-10)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="are not normalized") as err:
+            evaluate(strategy, game)
+        errors.append(str(err.value))
+        assert "_born" not in vars(strategy) and "_noise" not in vars(strategy)
+    assert errors[0] == errors[1]
+    monkeypatch.undo()
+    evaluate(strategy, game)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,21 @@ def _strategy(lg, n, d):
                                          bases)
 
 
+def _fresh_noisy_success(lg):
+    """``noisy_success`` on chsh(4,4) at visibilities 0.6, 0.85 and 0.95,
+    on a ``QuantumStrategy`` built in every call from the state and bases
+    of ``_strategy(lg, 4, 4)``, so every call runs the Born rule afresh."""
+    game, held = lg.games.chsh_game(4, 4), _strategy(lg, 4, 4)
+    bases = [[[held.vector(i, x, o) for o in range(held.outcomes(i, x))]
+              for x in range(held.questions(i))] for i in range(held.players)]
+
+    def call():
+        strategy = lg.strategies.QuantumStrategy(held.dims, held.state, bases)
+        for visibility in (0.6, 0.85, 0.95):
+            lg.strategies.noisy_success(game, strategy, visibility)
+    return call
+
+
 def _fixture(lg, name):
     """The path of fixture ``name`` in the checkout of package ``lg``."""
     return str(Path(lg.__file__).parents[2] / "fixtures" / name)
@@ -131,6 +146,8 @@ SCALE_ROWS = {
     "noisy_success chsh(4,4)":
         lambda lg: partial(lg.strategies.noisy_success,
                            lg.games.chsh_game(4, 4), _strategy(lg, 4, 4), 0.5),
+    "noisy_success chsh(4,4) fresh strategy, three visibilities":
+        _fresh_noisy_success,
     "game_hash chsh(6,3)":
         lambda lg: partial(lg.games.game_hash, lg.games.chsh_game(6, 3)),
     "boxes_run xyz.function --shots 200":
