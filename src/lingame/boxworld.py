@@ -26,7 +26,10 @@ corrections strip lambda and the additive parts, and a shared random dit
 re-randomizes the outputs.  A reduction reads its fields as Python ints
 when it is built, so a table checks it once and keeps the result for the
 next equal one.  Each of its three derivative orders is below d: every
-d-th difference over Z_d is 0, and so is every lambda it could give.
+d-th difference over Z_d is 0, and so is every lambda it could give.  The
+search writes the table once in the Newton basis C(x, a), where differences
+shift coefficients, and tests every order at once; ``_newton`` holds the two
+d x d tables of a d, N from values to that basis and B from it to monomials.
 """
 
 from __future__ import annotations
@@ -214,22 +217,11 @@ def _flatten_inputs(arities, inputs, d):
     return flat
 
 
-def _sample_boxes(box, targets, rng):
-    """Outputs of len(targets) uses of ``box``, one row per use: the first
-    n-1 outputs are uniform, the last closes the sum to that use's target.
-    The one (uses, n-1) draw takes the same values from the generator as
-    one draw per use, in order."""
-    uses, n = len(targets), box.players
-    outputs = np.empty((uses, n), dtype=np.int64)
-    outputs[:, :-1] = rng.integers(0, box.d, size=(uses, n - 1))
-    outputs[:, -1] = (targets - outputs[:, :-1].sum(axis=1)) % box.d
-    return outputs
-
-
 def box_sample(box, inputs, rng):
-    """One use of a box: the one-row case of the batched kernel."""
-    row = _sample_boxes(box, np.array([box.target(inputs)]), rng)[0]
-    return tuple(int(v) for v in row)
+    """One use of a box: n-1 uniform outputs, then the one closing the sum."""
+    target = box.target(inputs)
+    row = rng.integers(0, box.d, size=box.players - 1).tolist()
+    return (*row, (target - sum(row)) % box.d)
 
 
 def box_behavior(box):
@@ -270,6 +262,27 @@ def _vandermonde_inverse(d):
     return w
 
 
+@lru_cache(maxsize=32)  # bounded: a key holds 2 d^2 entries
+def _newton(d):
+    """Read-only N, B mod d for the Newton basis C(x, a), a < d: N[a, x] =
+    (-1)^(a-x) C(a, x) maps values on Z_d to Newton coefficients, and B[i,
+    a], the coefficient of x^i in C(x, a), maps those to monomials."""
+    v = np.array([[math.comb(x, a) % d for a in range(d)] for x in range(d)])
+    n = v * (-1) ** np.add.outer(range(d), range(d)) % d
+    b = _vandermonde_inverse(d) @ v % d
+    for t in (n, b):
+        t.setflags(write=False)
+    return n, b
+
+
+def _along_axes(arr, matrix, d):
+    """``matrix`` applied along every axis of a (d, ..., d) array, mod d; each
+    product takes the first axis and appends the new one last."""
+    for _ in range(arr.ndim):
+        arr = (arr.reshape(d, -1).T @ matrix.T % d).reshape(arr.shape)
+    return arr
+
+
 @dataclass(frozen=True)
 class PolyCoefficients:
     """Coefficients mu of a multivariate polynomial over Z_d, one axis per
@@ -298,12 +311,7 @@ def interpolate_polynomial(table):
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
     d = table.d
-    w = _vandermonde_inverse(d)
-    arr = table.as_array()
-    # Contract each input axis with the inverse Vandermonde; exponent axes
-    # accumulate at the end in the original variable order.
-    for _ in range(table.variables):
-        arr = np.tensordot(arr, w.T, axes=([0], [0])) % d
+    arr = _along_axes(table.as_array(), _vandermonde_inverse(d), d)
     arr.setflags(write=False)
     return PolyCoefficients(d=d, arities=table.arities, coeffs=arr)
 
@@ -447,23 +455,16 @@ class Reduction:
         return sum(((v,) * o for v, o in enumerate(self.order)), ())
 
 
-@lru_cache(maxsize=8)  # bounded: a key holds d^3 int64, 8.2 MB at d = 101
-def _derived_interpolators(d):
-    """M[o] = W . Delta^o mod d for o < d: the coefficients of the o-th
-    forward difference along one axis, W the inverse Vandermonde."""
-    delta = np.roll(np.eye(d, dtype=int), 1, axis=1) - np.eye(d, dtype=int)
-    m = [_vandermonde_inverse(d)]
-    for _ in range(d - 1):
-        m.append(m[-1] @ delta % d)
-    m = np.array(m)
-    m.setflags(write=False)
-    return m
-
-
 def reduce_to_pr(table):
     """First derivative multi-order (by total order, then lexicographic)
     whose polynomial has only pure-variable monomials plus an x*y*z term
-    with nonzero coefficient.  Returns None when no order works."""
+    with nonzero coefficient.  Returns None when no order works.
+
+    In the Newton basis C(x,a) C(y,b) C(z,c), Delta C(x, a) = C(x, a-1), so
+    order (p, q, r) has the coefficients n[a+p, b+q, c+r].  The change to
+    monomials maps each set of variables with a positive exponent to itself,
+    triangularly, and C(x,1) C(y,1) C(z,1) = xyz: the test and lambda read
+    the same in both bases."""
     if not isinstance(table, FunctionTable):
         raise ValidationError("expected a FunctionTable")
     if table.arities != (1, 1, 1):
@@ -471,28 +472,24 @@ def reduce_to_pr(table):
             f"reduction needs three single-dit parties, got arities "
             f"{table.arities}")
     d = table.d
-    m = _derived_interpolators(d)
-    flat = table.as_array().reshape(d, -1)
-    e = np.indices((d, d, d))
-    mixed = ((e > 0).sum(axis=0) > 1) & ((e != 1).any(axis=0))
-    orders = e.reshape(3, -1)
-    orders = orders[:, np.lexsort((*orders[::-1], orders.sum(axis=0)))]
-    # Score the orders in blocks that double up to 2^16 coefficients, so a
-    # low order is found early and memory stays O(max(2^16, d^3)).
-    j, block = 0, 1
-    while j < d**3:
-        p, q, r = orders[:, j:j + block]
-        mu = (m[p].reshape(-1, d) @ flat % d).reshape(-1, d, d, d)
-        mu = m[q][:, None] @ mu % d
-        mu = mu @ m[r].transpose(0, 2, 1)[:, None] % d
-        ok = (mu[:, 1, 1, 1] != 0) & ~((mu != 0) & mixed).any(axis=(1, 2, 3))
-        if ok.any():
-            c, k = mu[ok.argmax()], j + ok.argmax()
-            return Reduction(d, orders[:, k].tolist(), c[1, 1, 1],
-                             c[:, 0, 0].tolist(), (0, *c[0, 1:, 0].tolist()),
-                             (0, *c[0, 0, 1:].tolist()))
-        j, block = j + block, min(2 * block, max(1, 2**16 // d**3))
-    return None
+    forward, back = _newton(d)
+    n = _along_axes(table.as_array(), forward, d)
+    # s[i, j, k]: nonzero n[a, b, c] with a >= i, b >= j, c >= k, 0 past d.
+    nonzero = np.zeros((d + 1,) * 3, dtype=bool)
+    nonzero[:d, :d, :d] = n != 0
+    s = np.flip(np.flip(nonzero).cumsum(0).cumsum(1).cumsum(2))
+    # At order o, two counts the nonzero n[a, b, c] >= o with two or more of
+    # a, b, c above o's; o is valid when the corner n[o + 1] is the only one.
+    two = s[1:, 1:, :-1] + s[1:, :-1, 1:] + s[:-1, 1:, 1:] - 2 * s[1:, 1:, 1:]
+    valid = np.flatnonzero((two == 1) & nonzero[1:, 1:, 1:])
+    if not valid.size:
+        return None
+    k = int(valid[(valid // d**2 + valid // d % d + valid % d).argmin()])
+    p, q, r = k // d**2, k // d % d, k % d
+    return Reduction(d, (p, q, r), n[p + 1, q + 1, r + 1],
+                     (back[:, :d - p] @ n[p:, q, r] % d).tolist(),
+                     (0, *(back[1:, :d - q] @ n[p, q:, r] % d).tolist()),
+                     (0, *(back[1:, :d - r] @ n[p, q, r:] % d).tolist()))
 
 
 def _additive_table(rows, d):
@@ -581,10 +578,13 @@ def simulate_pr_from_functional(box, reduction, inputs, rng):
     d = box.d
     point = np.array(_flatten_inputs(box.arities, inputs, d))
     shifts, sign = _difference_stencil(reduction.sequence, d)
-    shifted = (point + shifts) % d
-    outputs = _sample_boxes(box, box.table.as_array()[tuple(shifted.T)], rng)
+    targets = box.table.as_array()[tuple(((point + shifts) % d).T)]
+    # One draw: two uniform outputs per use, row by row, then the dit k.
+    draws = rng.integers(0, d, size=2 * len(targets) + 1)
+    pairs = draws[:-1].reshape(-1, 2)
+    outputs = np.column_stack([pairs, (targets - pairs.sum(axis=1)) % d])
     shares = sign @ outputs % d
     a, b, c = (pow(lam, -1, d) * (shares - additive[range(3), point])
                % d).tolist()
-    k = int(rng.integers(0, d))
+    k = int(draws[-1])
     return ((a + k) % d, (b + k) % d, (c - 2 * k) % d)

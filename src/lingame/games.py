@@ -431,6 +431,16 @@ class Behavior:
         _check_rows(table)
         self.table = table
 
+    @classmethod
+    def _of_checked(cls, group, question_counts, table):
+        """A behavior on a table of the grid's shape that ``_check_rows``
+        accepted when it was built, such as a strategy's own read-only
+        table: not checked again."""
+        behavior = cls.__new__(cls)
+        behavior.group, behavior.question_counts = group, question_counts
+        behavior.table = table
+        return behavior
+
     @property
     def players(self):
         return len(self.question_counts)

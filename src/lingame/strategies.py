@@ -282,18 +282,20 @@ def _noise_table(strategy):
 
 def strategy_behavior(strategy, game):
     """Born-rule behavior P(a | x) of a strategy on a game's question grid:
-    the strategy's Born table (``_born_table``), built once per strategy
-    and shared read-only."""
+    the strategy's Born table (``_born_table``), built, checked once and
+    shared read-only."""
     _check_compatible(strategy, game)
-    return Behavior(game.group, game.question_counts, strategy._born)
+    return Behavior._of_checked(game.group, game.question_counts,
+                                strategy._born)
 
 
 def noise_behavior(strategy, game):
     """Behavior of white noise under a strategy's measurements: the
-    strategy's white-noise table (``_noise_table``), built once per
-    strategy and shared read-only."""
+    strategy's white-noise table (``_noise_table``), built, checked once
+    and shared read-only."""
     _check_compatible(strategy, game)
-    return Behavior(game.group, game.question_counts, strategy._noise)
+    return Behavior._of_checked(game.group, game.question_counts,
+                                strategy._noise)
 
 
 def _success_pair(game, strategy):

@@ -98,6 +98,11 @@ way, by a deliberately different algorithm, so agreement is meaningful:
   loops, one box_sample call per box, one derivative order at a time and
   one table cell at a time (checks the batched kernel, its random stream
   and the einsum reduction search).
+* oracle_block_reduce_to_pr: the reduction search that scored the
+  derivative orders in doubling blocks, each order's coefficients from
+  the inverse Vandermonde times a power of the difference matrix (checks
+  the one Newton transform of boxworld.reduce_to_pr at d = 11 and 13,
+  where oracle_reduce_to_pr is too slow).
 * oracle_additive_table: the pow loop that evaluated the additive rows g,
   h, s of a reduction at every point of Z_d (checks the Fermat fold of
   boxworld._additive_table on long rows and huge or negative
@@ -153,7 +158,7 @@ from lingame.algebra import AbelianGroup, as_int_tuple
 from lingame.boxworld import (FunctionTable, PRBox, ProtocolTranscript,
                               Reduction, box_sample, interpolate_polynomial,
                               partial_derivative, _flatten_inputs,
-                              _vandermonde)
+                              _vandermonde, _vandermonde_inverse)
 from lingame.errors import GameFormatError, ResourceLimitError, ValidationError
 from lingame.games import (Behavior, DeterministicStrategy, Records,
                            answer_sums, success_probability)
@@ -1105,6 +1110,37 @@ def oracle_reduce_to_pr(table):
         h = tuple(int(mu[0, e, 0]) if e else 0 for e in range(d))
         s = tuple(int(mu[0, 0, e]) if e else 0 for e in range(d))
         return Reduction(d=d, order=order, lam=lam, g=g, h=h, s=s)
+    return None
+
+
+def oracle_block_reduce_to_pr(table):
+    """The orders in (total, lex) order, scored in blocks that double up to
+    2^16 coefficients; order o's coefficients are M[p] (M[q] (M[r] f))
+    along the three axes, M[o] = W Delta^o mod d."""
+    d = table.d
+    delta = np.roll(np.eye(d, dtype=int), 1, axis=1) - np.eye(d, dtype=int)
+    m = [_vandermonde_inverse(d)]
+    for _ in range(d - 1):
+        m.append(m[-1] @ delta % d)
+    m = np.array(m)
+    flat = table.as_array().reshape(d, -1)
+    e = np.indices((d, d, d))
+    mixed = ((e > 0).sum(axis=0) > 1) & ((e != 1).any(axis=0))
+    orders = e.reshape(3, -1)
+    orders = orders[:, np.lexsort((*orders[::-1], orders.sum(axis=0)))]
+    j, block = 0, 1
+    while j < d**3:
+        p, q, r = orders[:, j:j + block]
+        mu = (m[p].reshape(-1, d) @ flat % d).reshape(-1, d, d, d)
+        mu = m[q][:, None] @ mu % d
+        mu = mu @ m[r].transpose(0, 2, 1)[:, None] % d
+        ok = (mu[:, 1, 1, 1] != 0) & ~((mu != 0) & mixed).any(axis=(1, 2, 3))
+        if ok.any():
+            c, k = mu[ok.argmax()], j + ok.argmax()
+            return Reduction(d, orders[:, k].tolist(), c[1, 1, 1],
+                             c[:, 0, 0].tolist(), (0, *c[0, 1:, 0].tolist()),
+                             (0, *c[0, 0, 1:].tolist()))
+        j, block = j + block, min(2 * block, max(1, 2**16 // d**3))
     return None
 
 

@@ -11,6 +11,7 @@ behaviors are the same tables."""
 import contextlib
 import dataclasses
 import io
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -29,7 +30,7 @@ from lingame.boxworld import (FunctionTable, FunctionalBox, PRBox,
 from lingame.errors import ValidationError
 
 from oracles import (modular_inverse_matrix, oracle_additive_table,
-                     oracle_box_behavior_table,
+                     oracle_block_reduce_to_pr, oracle_box_behavior_table,
                      oracle_boxes_runs, oracle_cc_protocol,
                      oracle_check_reduction, oracle_protocol_totals,
                      oracle_reduce_to_pr, oracle_simulate_pr, parse_report,
@@ -43,6 +44,21 @@ PRIMES = (2, 3, 5)
 def test_closed_form_vandermonde_inverse_matches_gauss_jordan(d):
     assert np.array_equal(_vandermonde_inverse(d),
                           modular_inverse_matrix(_vandermonde(d).tolist(), d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_newton_tables_change_basis_and_shift_on_differences(d):
+    """B @ N is the inverse Vandermonde; B's column a, evaluated on Z_d, is
+    C(x, a) mod d, which N inverts; and its forward difference on Z_d,
+    wrapping at d, is C(x, a-1)."""
+    forward, back = boxworld._newton(d)
+    assert np.array_equal(back @ forward % d, _vandermonde_inverse(d))
+    values = _vandermonde(d) @ back % d
+    assert values.tolist() == [[math.comb(x, a) % d for a in range(d)]
+                               for x in range(d)]
+    assert np.array_equal(forward @ values % d, np.eye(d, dtype=int))
+    assert np.array_equal((np.roll(values, -1, axis=0) - values)[:, 1:] % d,
+                          values[:, :-1])
 
 
 @st.composite
@@ -179,6 +195,95 @@ def test_reductions_and_simulations_match_the_loops(table, seed):
             simulate_pr_from_functional(box, wrong, (0, 0, 0), rng)
 
 
+@st.composite
+def sparse_tables(draw):
+    """Tables of three single-dit parties over Z_d, d in {2, 3, 5, 7}, that
+    are 0 but at up to five points."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    values = [0] * d**3
+    for point in draw(st.lists(st.integers(0, d**3 - 1), max_size=5)):
+        values[point] = draw(st.integers(1, d - 1))
+    return FunctionTable(d, (1, 1, 1), values)
+
+
+@st.composite
+def mixed_lift_tables(draw):
+    """lambda*xyz + g(x) + h(y) + s(z) over Z_d, d in {2, 3, 5, 7}, lifted
+    k_v times along each axis v, in a drawn order, to an antiderivative
+    whose base is a constant.  g, h and s have degree at most d-1-k_v, so
+    each variable's degree is below d-1 before each lift along it, and
+    every lift is periodic: order (k_0, k_1, k_2) reduces the table."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    lifts = [draw(st.integers(0, d - 2)) for _ in range(3)]
+    x = np.arange(d)
+    parts = [sum(draw(st.integers(0, d - 1)) * x**e
+                 for e in range(d - k)) % d for k in lifts]
+    table = (draw(st.integers(1, d - 1)) * x[:, None, None] * x[None, :, None]
+             * x[None, None, :] + parts[0][:, None, None]
+             + parts[1][None, :, None] + parts[2][None, None, :]) % d
+    for axis in draw(st.permutations([v for v, k in enumerate(lifts)
+                                      for _ in range(k)])):
+        table = _lift(table, axis, draw(st.integers(0, d - 1))) % d
+    return FunctionTable(d, (1, 1, 1), table.reshape(-1).tolist()), lifts
+
+
+def _lift(table, axis, base):
+    """``base`` plus the sum of ``table`` below each index along ``axis``:
+    an antiderivative, periodic when the table sums to 0 mod d along it."""
+    moved = np.moveaxis(table, axis, 0)
+    moved = np.concatenate([np.zeros_like(moved[:1]),
+                            np.cumsum(moved, axis=0)[:-1]])
+    return np.moveaxis(moved + base, 0, axis)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sparse_tables())
+def test_sparse_reductions_match_the_order_loop(table):
+    assert reduce_to_pr(table) == oracle_reduce_to_pr(table)
+
+
+@SETTINGS
+@given(mixed_lift_tables())
+def test_mixed_lift_reductions_match_the_order_loop(case):
+    """The first valid order has a total no greater than the lifts', and
+    it and its coefficients are the loop's."""
+    table, lifts = case
+    reduction = reduce_to_pr(table)
+    assert reduction is not None and sum(reduction.order) <= sum(lifts)
+    assert reduction == oracle_reduce_to_pr(table)
+
+
+def _lifted_along(d, axes, seed):
+    """x*y*z + g(x) over Z_d lifted once along each of ``axes`` with a
+    constant base; g of degree below d-1-(lifts along x), from ``seed``."""
+    rng, x = np.random.default_rng(seed), np.arange(d)
+    g = rng.integers(0, d, d - 1 - axes.count(0)) @ x ** np.arange(
+        d - 1 - axes.count(0))[:, None]
+    table = (x[:, None, None] * x[None, :, None] * x[None, None, :]
+             + g[:, None, None]) % d
+    for axis in axes:
+        table = _lift(table, axis, int(rng.integers(0, d))) % d
+    return FunctionTable(d, (1, 1, 1), table.reshape(-1).tolist())
+
+
+@pytest.mark.parametrize("d", [11, 13])
+def test_newton_search_matches_the_block_search(d):
+    """At d = 11 and 13, where the order loop is too slow: random tables
+    have no reduction, and lifted ones the block search's order, such as
+    (2, 1, 0), and coefficients."""
+    for seed in range(3):
+        table = FunctionTable(d, (1, 1, 1), np.random.default_rng(seed)
+                              .integers(0, d, d**3).tolist())
+        assert reduce_to_pr(table) is None
+        assert oracle_block_reduce_to_pr(table) is None
+    for axes, order in (((0, 0, 1), (2, 1, 0)), ((1, 2), (0, 1, 1)),
+                        ((2, 0, 2, 1), (1, 1, 2))):
+        table = _lifted_along(d, axes, seed=len(axes))
+        reduction = reduce_to_pr(table)
+        assert reduction == oracle_block_reduce_to_pr(table)
+        assert reduction.order == order
+
+
 @SETTINGS
 @given(three_party_tables(), st.integers(2, 4))
 def test_box_behaviors_match_the_target_loop(table, n):
@@ -234,9 +339,9 @@ def _xyz_table(d, lifts=0):
 
 @pytest.mark.parametrize("d, lifts", [(11, 1), (31, 0)])
 def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
-    """A low order is found without scoring every order, and the scored
-    blocks stay small: at d = 31 all d^3 orders at once would need
-    gigabytes."""
+    """Every order is tested at once from one Newton transform, in O(d^3)
+    memory with a small constant: at d = 31 the d^3 orders' own
+    coefficients would need gigabytes."""
     table = _xyz_table(d, lifts)
     tracemalloc.start()
     try:
@@ -246,6 +351,21 @@ def test_large_d_reduction_stops_early_in_bounded_memory(d, lifts):
         tracemalloc.stop()
     assert reduction == oracle_reduce_to_pr(table)
     assert reduction.order == (lifts, 0, 0)
+    assert peak < 64 * 2**20
+
+
+def test_a_random_d31_table_has_no_reduction_in_bounded_memory():
+    """No order reduces a random table at d = 31; testing all d^3 of them
+    stays under the same bound."""
+    table = FunctionTable(31, (1, 1, 1), np.random.default_rng(0).integers(
+        0, 31, 31**3).tolist())
+    tracemalloc.start()
+    try:
+        reduction = reduce_to_pr(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduction is None
     assert peak < 64 * 2**20
 
 

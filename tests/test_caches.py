@@ -35,7 +35,8 @@ def _lru_caches():
 def test_the_walk_finds_the_known_caches():
     names = set(_lru_caches())
     assert {"lingame.qbounds._split_layouts", "lingame.games.answer_sums",
-            "lingame.boxworld._vandermonde", "lingame.cli._build_parser",
+            "lingame.boxworld._vandermonde", "lingame.boxworld._newton",
+            "lingame.cli._build_parser",
             "lingame.diew._phase_layout", "lingame.qbounds.shared_sides",
             "lingame.algebra._character_table",
             "lingame.algebra._character_pairs", "lingame.algebra._mul_table",
@@ -51,14 +52,14 @@ def test_every_cache_is_bounded(name):
 
 @pytest.mark.parametrize("cached", [
     lambda: boxworld._vandermonde(5), lambda: boxworld._vandermonde_inverse(5),
-    lambda: boxworld._derived_interpolators(5),
+    lambda: boxworld._newton(5)[0], lambda: boxworld._newton(5)[1],
     lambda: games.answer_sums(AbelianGroup((3,)), 2),
     lambda: AbelianGroup((2, 3)).character_table(),
     lambda: FiniteField(2, 2).mul_table,
     lambda: games._chsh_indices(FiniteField(3), 3), games._ghz3_indices],
-    ids=["vandermonde", "vandermonde_inverse", "derived_interpolators",
-         "answer_sums", "character_table", "mul_table", "chsh_indices",
-         "ghz3_indices"])
+    ids=["vandermonde", "vandermonde_inverse", "newton_forward",
+         "newton_back", "answer_sums", "character_table", "mul_table",
+         "chsh_indices", "ghz3_indices"])
 def test_shared_cached_arrays_are_read_only(cached):
     array = cached()
     assert not array.flags.writeable

@@ -344,6 +344,35 @@ def test_tables_are_shared_and_read_only():
     assert strategy_behavior(strategy, game).table is strategy._born
 
 
+def test_a_strategys_own_table_is_checked_once_and_a_caller_table_always(
+        monkeypatch):
+    """The row check runs when a strategy builds its tables, not again on
+    each behavior of them; a table a caller passes to Behavior is checked
+    every time, the strategy's own table too, and a bad one raises."""
+    checked = []
+    check = games._check_rows
+
+    def counted(table):
+        checked.append(table)
+        return check(table)
+
+    monkeypatch.setattr(games, "_check_rows", counted)
+    monkeypatch.setattr(strategies, "_check_rows", counted)
+    game, strategy = mermin_ghz3_game(), ghz3_reference_strategy()
+    for _ in range(3):
+        strategy_behavior(strategy, game)
+        noise_behavior(strategy, game)
+    assert [t is strategy._born or t is strategy._noise
+            for t in checked] == [True, True]
+    Behavior(game.group, game.question_counts, strategy._born)
+    assert len(checked) == 3 and checked[-1] is strategy._born
+    bad = strategy._born.copy()
+    bad[0, :2] = -0.25, bad[0, 0] + bad[0, 1] + 0.25
+    bad.setflags(write=False)
+    with pytest.raises(ValidationError, match="negative probability"):
+        Behavior(game.group, game.question_counts, bad)
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda s, g: strategy_behavior(s, g), lambda s, g: noise_behavior(s, g),
     lambda s, g: noisy_success(g, s, 0.5)],

@@ -118,6 +118,17 @@ def _simulate_pr(lg):
                    lg.boxworld.reduce_to_pr(table), (1, 2, 3), rng)
 
 
+def _reduce_random(d):
+    """A row: ``reduce_to_pr`` on a table over Z_d drawn from
+    ``default_rng(0)``, which has no reduction, so every order is tested."""
+    def row(lg):
+        import numpy as np
+        values = np.random.default_rng(0).integers(0, d, d**3).tolist()
+        table = lg.boxworld.FunctionTable(d, (1, 1, 1), values)
+        return partial(lg.boxworld.reduce_to_pr, table)
+    return row
+
+
 # A row is a function of one loaded package ``lg``: it builds the row's
 # inputs and returns the call to time.
 SCALE_ROWS = {
@@ -159,6 +170,8 @@ SCALE_ROWS = {
         _cli("diew", "fixtures/ghz3.game", "--json"),
     "protocol_runs d=3 (2,2,2) --shots 2000": _protocol_runs,
     "simulate_pr_from_functional d=5 lifted": _simulate_pr,
+    "reduce_to_pr random d=7": _reduce_random(7),
+    "reduce_to_pr random d=13": _reduce_random(13),
 }
 
 
