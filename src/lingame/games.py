@@ -51,12 +51,13 @@ class LinearGame:
     ``f_index`` (the element index of f(x)) and integer ``weights``
     (p(x) * den), one entry per question tuple in lexicographic grid order.
 
-    Read-only arrays, one row per question tuple: ``grid`` (the tuples),
-    ``residues`` (f(x) as residue tuples) and ``weights`` (int64 below
-    2^53, where every sum is exact, else Python ints).  The exact tuples
-    ``distribution`` and ``predicate``, ``histogram[x_1, ..., x_n, r]`` (the
-    weight of x where f(x) has index r), ``win_weights`` and
-    ``player_classes`` are built on first use.
+    A game holds only ``weights`` (int64 below 2^53, where every sum is
+    exact, else Python ints), ``den`` and the predicate indices, read-only.
+    Every other array is a read-only view built on first read: ``grid``
+    (the question tuples), ``residues`` (f(x) as residue tuples), the float
+    probabilities, the exact tuples ``distribution`` and ``predicate``,
+    ``histogram[x_1, ..., x_n, r]`` (the weight of x where f(x) has index
+    r), ``win_weights`` and ``player_classes``.
     """
 
     def __init__(self, group, question_counts, f_index, weights, den,
@@ -67,8 +68,7 @@ class LinearGame:
         self.group = group
         self.question_counts = question_counts
         self.field = field
-        self.grid = np.indices(question_counts).reshape(len(question_counts), -1).T
-        n_inputs = len(self.grid)
+        n_inputs = math.prod(question_counts)
 
         weights, den = _int_array(weights, "weights"), as_int(den, "denominator")
         f_index = _int_array(f_index, "predicate indices")
@@ -78,7 +78,7 @@ class LinearGame:
         for i in np.flatnonzero(weights < 0)[:1]:
             raise ValidationError(
                 f"negative probability {Fraction(int(weights[i]), den)} at "
-                f"input {tuple(self.grid[i].tolist())}")
+                f"input {_question_tuple(i, question_counts)}")
         total = Fraction(int(weights.sum()), den)
         if total != 1:
             raise ValidationError(
@@ -91,20 +91,29 @@ class LinearGame:
         for i in np.flatnonzero((f_index < 0) | (f_index >= group.size))[:1]:
             raise ValidationError(
                 f"predicate index {f_index[i]} at input "
-                f"{tuple(self.grid[i].tolist())} is not in range({group.size})")
+                f"{_question_tuple(i, question_counts)} is not in "
+                f"range({group.size})")
 
         common = int(np.gcd.reduce(weights))  # den: the lcm of p's denominators
         self.den = den // common
-        self.weights = (weights // common).astype(np.int64 if self.den < 2**53 else object)
+        self.weights = _frozen((weights // common).astype(
+            np.int64 if self.den < 2**53 else object, copy=False))
+        # a read-only index array (a shared builtin predicate) is held as is
+        self._f_index = _frozen(f_index.astype(np.intp, copy=f_index.flags.writeable))
+
+    @cached_property
+    def grid(self):
+        return _frozen(np.indices(self.question_counts).reshape(self.players, -1).T)
+
+    @cached_property
+    def residues(self):
+        return _frozen(np.array(self.group.elements(), dtype=np.intp)[self._f_index])
+
+    @cached_property
+    def _probabilities(self):
         # float(p) for every p: below 2^53 both operands are exact doubles
         # and the division rounds once; above, int / int rounds once.
-        self._probabilities = (self.weights / self.den).astype(float)
-        # a read-only index array (a shared builtin predicate) is held as is
-        self._f_index = f_index.astype(np.intp, copy=f_index.flags.writeable)
-        self.residues = np.array(group.elements(), dtype=np.intp)[self._f_index]
-        for a in (self.grid, self.residues, self.weights, self._probabilities,
-                  self._f_index):
-            a.setflags(write=False)
+        return _frozen((self.weights / self.den).astype(float, copy=False))
 
     @cached_property
     def distribution(self):
@@ -117,18 +126,14 @@ class LinearGame:
     @cached_property
     def histogram(self):
         hist = (self._f_index[:, None] == np.arange(self.group.size)) * self.weights[:, None]
-        hist = hist.reshape(self.question_counts + (self.group.size,))
-        hist.setflags(write=False)
-        return hist
+        return _frozen(hist.reshape(self.question_counts + (self.group.size,)))
 
     @cached_property
     def win_weights(self):
         """W[x, a] = p(x) where sum_i a_i = f(x), else 0, laid out as a
         behavior table, so a success is one dot product.  Read-only."""
         wins = answer_sums(self.group, self.players) == self._f_index[:, None]
-        weights = np.where(wins, self._probabilities[:, None], 0.0)
-        weights.setflags(write=False)
-        return weights
+        return _frozen(np.where(wins, self._probabilities[:, None], 0.0))
 
     @cached_property
     def player_classes(self):
@@ -139,12 +144,12 @@ class LinearGame:
         member of each class, and only when their question counts agree;
         every permutation within a class leaves the game unchanged."""
         shape = self.question_counts
-        arrays = [self._f_index.reshape(shape), self.weights.reshape(shape)]
+        a = np.stack([self._f_index, self.weights]).reshape((2,) + shape)
         classes = []
         for i, q in enumerate(shape):
             classes.append(next(
-                (c for c in dict.fromkeys(classes) if shape[c] == q and all(
-                    np.array_equal(a, a.swapaxes(c, i)) for a in arrays)), i))
+                (c for c in dict.fromkeys(classes) if shape[c] == q
+                 and (a == a.swapaxes(c + 1, i + 1)).all()), i))
         return tuple(classes)
 
     @property
@@ -153,7 +158,7 @@ class LinearGame:
 
     @property
     def n_inputs(self):
-        return len(self.grid)
+        return len(self._f_index)
 
     @property
     def is_uniform(self):
@@ -201,6 +206,17 @@ class LinearGame:
     def __repr__(self):
         return (f"LinearGame(players={self.players}, "
                 f"questions={list(self.question_counts)}, group={self.group!r})")
+
+
+def _frozen(arr):
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _question_tuple(position, questions):
+    """The question tuple at a grid position, as Python ints."""
+    return tuple(int(q) for q in np.unravel_index(position, questions))
 
 
 def _question_counts(questions):
@@ -309,8 +325,7 @@ def make_game(group, questions, predicate, distribution="uniform", field=None):
         try:
             f_index.append(group.index(group.coerce(a)))
         except ValueError:
-            x = (tuple(int(q) for q in np.unravel_index(i, questions))
-                 if i < math.prod(questions) else i)
+            x = _question_tuple(i, questions) if i < math.prod(questions) else i
             raise ValidationError(f"predicate value {a!r} at input {x} is "
                                   f"not in {group!r}") from None
     return LinearGame(group, questions, f_index, weights, den, field=field)
@@ -337,9 +352,7 @@ def _chsh_indices(field, players):
     total = 0
     for i, j in itertools.combinations(range(players), 2):
         total = add[total, field.mul_table[x[i], x[j]]]
-    total = total.ravel()
-    total.setflags(write=False)
-    return total
+    return _frozen(total.ravel())
 
 
 def chsh_game(players, outcomes):
@@ -365,9 +378,7 @@ def _ghz3_indices():
     """Element index of f(x, y, z) = x*y*z mod 3 in Z_3, in grid order.  The
     array is shared between callers and read-only."""
     x, y, z = np.ix_(*[np.arange(3)] * 3)
-    total = (x * y * z % 3).ravel().astype(np.intp)
-    total.setflags(write=False)
-    return total
+    return _frozen((x * y * z % 3).ravel().astype(np.intp))
 
 
 def mermin_ghz3_game():
@@ -392,9 +403,7 @@ def answer_sums(group, players):
         total = ((total[:, None, :] + residues[None, :, :]) % orders).reshape(
             -1, len(orders))
     # Elements enumerate lexicographically: an index is row-major.
-    sums = np.ravel_multi_index(tuple(total.T), group.orders)
-    sums.setflags(write=False)
-    return sums
+    return _frozen(np.ravel_multi_index(tuple(total.T), group.orders))
 
 
 def _check_rows(table):

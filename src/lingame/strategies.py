@@ -24,14 +24,9 @@ import numpy as np
 
 from .algebra import as_int_tuple
 from .errors import GameFormatError, ValidationError
-from .games import (Behavior, _check_rows, _is_int, _load, _nonempty_list,
-                    _read_document)
+from .games import (Behavior, _check_rows, _frozen, _is_int, _load,
+                    _nonempty_list, _read_document)
 from .tolerances import BEHAVIOR_ROW_TOL, PROJECTOR_TOL, STATE_TOL
-
-
-def _frozen(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 def _as_projector(raw, dim, where):
@@ -161,23 +156,15 @@ class QuantumStrategy:
                     f"outcome counts, got outcome counts {counts}")
             stack = np.array([[mat for mat, _ in row] for row in pairs],
                              dtype=complex).reshape(len(pairs), counts[0], d, d)
-            stack.setflags(write=False)
+            self._projectors.append(_frozen(stack))
             bad += [(i, int(x)) for x in
                     np.flatnonzero(~(_family_errors(stack) <= PROJECTOR_TOL))]
-            self._projectors.append(stack)
             self._vectors.append([[vec for _, vec in row] for row in pairs])
         if bad:
             raise ValidationError(
                 f"measurements at (player, question) {bad} are not complete "
                 f"orthogonal projector families")
-        # The Born rule's operands, C-ordered (d_i d_i, questions outcomes)
-        # with rows (column, row) of Pi, and the white-noise marginals
-        # tr(Pi)/d_i, (questions, outcomes) each.
-        self._operators = [_frozen(s.transpose(3, 2, 0, 1).reshape(d * d, -1))
-                           for s, d in zip(self._projectors, self.dims)]
-        if self.is_pure:  # step 0 takes conj(psi) against the rows of Pi
-            self._operators[0] = _frozen(self._projectors[0].transpose(
-                2, 0, 1, 3).reshape(self.dims[0], -1))
+        # the white-noise marginals tr(Pi)/d_i, (questions, outcomes) each
         self._marginals = [_frozen(np.trace(s, axis1=2, axis2=3).real / d)
                            for s, d in zip(self._projectors, self.dims)]
         _check_behaviors(self._projectors, self._marginals)
@@ -246,20 +233,23 @@ def _born_table(strategy):
 
     One matrix product per player contracts the state, viewed as (ket_i,
     later kets, bra_i, later bras and earlier players' (question, answer)
-    axes), with player i's projectors of any rank, laid out at construction
-    as (d_i d_i, questions outcomes).  A pure state enters only in player
-    0's step, as conj(psi) and psi, so no density matrix is formed.
+    axes), with player i's projectors of any rank, laid out as it runs as
+    a C-ordered (d_i d_i, questions outcomes) operand, rows (column, row)
+    of Pi.  A pure state enters only in player 0's step, as conj(psi)
+    against the rows of Pi and psi, so no density matrix is formed.
     """
-    n, dims, ops = strategy.players, strategy.dims, strategy._operators
+    n, dims, stacks = strategy.players, strategy.dims, strategy.measurements()
     if strategy.is_pure:
         psi = strategy.state.reshape(dims[0], -1)
-        t = np.dot(psi.conj().T, ops[0]).reshape(-1, dims[0]).T
+        rows = stacks[0].transpose(2, 0, 1, 3).reshape(dims[0], -1)
+        t = np.dot(psi.conj().T, rows).reshape(-1, dims[0]).T
         t, first = np.dot(psi.T, t), 1
     else:
         t, first = strategy.density(), 0
     for i in range(first, n):
         t = t.reshape(dims[i], math.prod(dims[i + 1:]), dims[i], -1)
-        t = np.dot(t.transpose(1, 3, 0, 2).reshape(-1, dims[i]**2), ops[i])
+        t = np.dot(t.transpose(1, 3, 0, 2).reshape(-1, dims[i]**2),
+                   stacks[i].transpose(3, 2, 0, 1).reshape(dims[i]**2, -1))
     shape = [s for m in strategy._marginals for s in m.shape]
     p = t.real.reshape(shape)
     np.maximum(p, 0.0, out=p)  # in place: t is ours, and a call allocates less

@@ -873,11 +873,18 @@ def oracle_einsum_noise(strategy, game):
 
 def oracle_dot_behavior(strategy, game):
     """strategy_behavior as it ran before each strategy held its Born
-    table: the one np.dot per player over the stored operators, the clamp,
-    the transpose and the reshape over the game's grid, on every call."""
+    table: the one np.dot per player over operators laid out from the
+    measurements as construction once stored them, the clamp, the
+    transpose and the reshape over the game's grid, on every call."""
     _check_compatible(strategy, game)
-    n, dims, ops = game.players, strategy.dims, strategy._operators
+    n, dims = game.players, strategy.dims
+    # C-ordered (d_i d_i, questions outcomes), rows (column, row) of Pi;
+    # a pure state's player 0 takes conj(psi) against the rows of Pi
+    ops = [s.transpose(3, 2, 0, 1).reshape(d * d, -1)
+           for s, d in zip(strategy.measurements(), dims)]
     if strategy.is_pure:
+        ops[0] = strategy.measurements()[0].transpose(2, 0, 1, 3).reshape(
+            dims[0], -1)
         psi = strategy.state.reshape(dims[0], -1)
         t = np.dot(psi.conj().T, ops[0]).reshape(-1, dims[0]).T
         t, first = np.dot(psi.T, t), 1

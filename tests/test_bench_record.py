@@ -30,13 +30,14 @@ _SHIPPED_ROWS = {name: bench_record.SCALE_ROWS[name] for name in (
     "protocol_runs d=3 (2,2,2) --shots 2000",
     "simulate_pr_from_functional d=5 lifted",
     "noisy_success chsh(4,4) fresh strategy, three visibilities",
-    "reduce_to_pr random d=7")}
+    "reduce_to_pr random d=7",
+    "chsh_game chsh(9,5)")}
 
 
 @pytest.mark.parametrize("name", list(_ROWS | _SHIPPED_ROWS),
                          ids=["noisy_success", "boxes_run", "protocol_runs",
                               "simulate_pr", "fresh_noisy_success",
-                              "reduce_to_pr"])
+                              "reduce_to_pr", "chsh_game_9_5"])
 def test_scale_script_prints_one_positive_time(name, capsys):
     """One label, one round: the row prints one line, its positive time."""
     rows = _ROWS | _SHIPPED_ROWS

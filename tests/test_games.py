@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 from fractions import Fraction
 
@@ -10,12 +11,13 @@ import pytest
 
 from lingame.algebra import AbelianGroup
 from lingame.errors import GameFormatError, ValidationError
-from lingame.games import (Behavior, DeterministicStrategy, chsh_game,
-                           game_hash, load_game, make_game,
+from lingame.diew import biseparable_bound
+from lingame.games import (Behavior, DeterministicStrategy, LinearGame,
+                           chsh_game, game_hash, load_game, make_game,
                            mermin_ghz3_game, parse_game_file, serialize_game,
                            success_probability)
 from lingame.qbounds import quantum_bound
-from lingame.values import classical_value
+from lingame.values import classical_value, svetlichny_value
 
 from oracles import oracle_parse_game_file
 
@@ -214,11 +216,14 @@ def test_behavior_messages_name_rows_and_sums(table, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("build", [
+BUILDS = pytest.mark.parametrize("build", [
     lambda: chsh_game(3, 3), mermin_ghz3_game,
     lambda: make_game(Z3, (2, 3), lambda x: (x[0] * x[1]) % 3),
     lambda: load_game(str(FIXTURES / "ghz3.game")),
 ], ids=["chsh33", "ghz3", "make_game", "load_game"])
+
+
+@BUILDS
 def test_win_weights_are_built_on_first_use_and_read_only(build):
     game = build()
     assert "win_weights" not in vars(game)
@@ -233,6 +238,86 @@ def test_win_weights_are_built_on_first_use_and_read_only(build):
     for row, p in zip(weights, game.probabilities_float()):
         assert set(row.tolist()) <= {0.0, p}
         assert np.count_nonzero(row == p) == (g**(n - 1) if p else g**n)
+
+
+@BUILDS
+def test_no_engine_builds_the_grid_or_the_residues(build):
+    """A game holds its weights and predicate indices; its grid, residues
+    and float probabilities are built on first read, and no exact value,
+    norm bound or search reads the grid or the residues."""
+    game = build()
+    assert {"grid", "residues", "_probabilities"}.isdisjoint(vars(game))
+    calls = [classical_value, quantum_bound]
+    if game.players == 3:
+        calls += [svetlichny_value, biseparable_bound]
+    for call in calls:
+        call(game)
+        assert {"grid", "residues"}.isdisjoint(vars(game)), call.__name__
+
+
+@BUILDS
+def test_views_are_built_once_read_only_with_their_values(build):
+    game = build()
+    views = {"grid": lambda: game.grid, "residues": lambda: game.residues,
+             "_probabilities": game.probabilities_float}
+    for name, read in views.items():
+        view = read()
+        assert read() is view and vars(game)[name] is view
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0
+    questions = list(itertools.product(*map(range, game.question_counts)))
+    assert game.grid.dtype == game.residues.dtype == np.intp
+    assert game.grid.tolist() == [list(x) for x in questions]
+    assert game.residues.tolist() == [list(game.group.element(i)) for i in
+                                      game.predicate_indices().tolist()]
+    assert game.probabilities_float().dtype == float
+    assert game.probabilities_float().tolist() == list(map(float, game.distribution))
+
+
+def test_a_big_game_holds_only_its_weights():
+    """chsh(12, 3), N = 531,441, on a warm predicate: the build keeps its
+    weights and shares the cached predicate indices, so it holds nothing
+    else the size of the grid."""
+    chsh_game(12, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        game = chsh_game(12, 3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= game.weights.nbytes + 64 * 2**10
+
+
+@pytest.mark.parametrize("weights, classes", [
+    (lambda x: 2**58 + x[2], (0, 0, 2)), (lambda x: 2**58 + x[0], (0, 1, 1))],
+    ids=["x2", "x0"])
+def test_player_classes_of_python_int_weights(weights, classes):
+    """Weights past 2^53 are held as Python ints; players are compared on
+    them as on int64 weights."""
+    chsh = chsh_game(3, 2)
+    weights = [weights(x) for x in chsh.inputs()]
+    game = LinearGame(chsh.group, chsh.question_counts,
+                      chsh.predicate_indices(), weights, sum(weights))
+    assert game.weights.dtype == object
+    assert game.player_classes == classes
+
+
+# (1, 0, 2) sits at grid position 8 of a (2, 2, 3) grid.
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearGame(Z3, (2, 2, 3), [0] * 12,
+                        [3] + [0] * 7 + [-1] + [0] * 3, 2),
+     "negative probability -1/2 at input (1, 0, 2)"),
+    (lambda: LinearGame(Z3, (2, 2, 3), [0] * 8 + [5] + [0] * 3, [1] * 12, 12),
+     "predicate index 5 at input (1, 0, 2) is not in range(3)"),
+    (lambda: make_game(Z3, (2, 2, 3), [(0,)] * 8 + [(7,)] + [(0,)] * 3),
+     "predicate value (7,) at input (1, 0, 2) is not in AbelianGroup([3])"),
+], ids=["negative", "predicate_index", "predicate_value"])
+def test_messages_name_the_question_tuple(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_deterministic_strategy_behavior_and_success():

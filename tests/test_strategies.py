@@ -344,6 +344,18 @@ def test_tables_are_shared_and_read_only():
     assert strategy_behavior(strategy, game).table is strategy._born
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "density"])
+def test_a_strategy_holds_no_born_operands(mixed):
+    """The Born rule lays out its operands from the projector stacks as it
+    runs: a strategy holds none, before or after its tables are built."""
+    reference = ghz3_reference_strategy()
+    strategy = QuantumStrategy((3, 3, 3), reference.density() if mixed
+                               else reference.state, reference.measurements())
+    assert not hasattr(strategy, "_operators")
+    strategy_behavior(strategy, mermin_ghz3_game())
+    assert not hasattr(strategy, "_operators")
+
+
 def test_a_strategys_own_table_is_checked_once_and_a_caller_table_always(
         monkeypatch):
     """The row check runs when a strategy builds its tables, not again on

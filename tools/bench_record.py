@@ -148,6 +148,7 @@ SCALE_ROWS = {
     "quantum_bound chsh(12,2)":
         lambda lg: partial(lg.qbounds.quantum_bound, lg.games.chsh_game(12, 2)),
     "chsh_game chsh(6,7)": lambda lg: partial(lg.games.chsh_game, 6, 7),
+    "chsh_game chsh(9,5)": lambda lg: partial(lg.games.chsh_game, 9, 5),
     "strategy_behavior chsh(4,4)":
         lambda lg: partial(lg.strategies.strategy_behavior,
                            _strategy(lg, 4, 4), lg.games.chsh_game(4, 4)),
