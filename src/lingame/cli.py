@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import boxworld, diew, games, qbounds, values
-from .errors import (GameFormatError, NoThresholdError, ResourceLimitError,
+from .errors import (LingameError, NoThresholdError, ResourceLimitError,
                      ValidationError)
 from .strategies import _success_pair, load_strategy
 from .tolerances import SANDWICH_TOL, WITNESS_MARGIN
@@ -273,9 +273,7 @@ def cmd_separable(args):
              f"separable       {'yes' if report.separable else 'no'}   "
              f"[{elapsed:.3f} s]"]
     if report.separable:
-        doc["offsets"] = [[list(report.offsets[i][x])
-                           for x in range(game.question_counts[i])]
-                          for i in range(game.players)]
+        doc["offsets"] = [list(map(list, per)) for per in report.offsets]
         doc["constant"] = list(report.constant)
         doc["witness"] = _witness_json(report.strategy)
         human.append("                a winning classical strategy exists")
@@ -388,7 +386,8 @@ def _build_parser():
                              help="run the communication protocol")
     p.add_argument("function")
     p.add_argument("--shots", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0,
+                   type=_non_negative(int, "a non-negative integer"))
     p.set_defaults(func=cmd_boxes_run)
     p = boxes_sub.add_parser("reduce", parents=[common],
                              help="search for a PR-box reduction")
@@ -406,7 +405,7 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"lingame: resource cap exceeded: {e}", file=sys.stderr)
         return 2
-    except (GameFormatError, ValidationError, NoThresholdError) as e:
+    except LingameError as e:
         print(f"lingame: error: {e}", file=sys.stderr)
         return 1
 

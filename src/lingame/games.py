@@ -53,11 +53,12 @@ class LinearGame:
 
     A game holds only ``weights`` (int64 below 2^53, where every sum is
     exact, else Python ints), ``den`` and the predicate indices, read-only.
-    Every other array is a read-only view built on first read: ``grid``
-    (the question tuples), ``residues`` (f(x) as residue tuples), the float
+    A derived view is kept, built on first read, only when an engine reads
+    it again: ``residues`` (f(x) as residue tuples), the float
     probabilities, the exact tuples ``distribution`` and ``predicate``,
     ``histogram[x_1, ..., x_n, r]`` (the weight of x where f(x) has index
-    r), ``win_weights`` and ``player_classes``.
+    r), ``win_weights`` and ``player_classes``.  ``grid`` (the question
+    tuples) is built, read-only, on each read.
     """
 
     def __init__(self, group, question_counts, f_index, weights, den,
@@ -101,7 +102,7 @@ class LinearGame:
         # a read-only index array (a shared builtin predicate) is held as is
         self._f_index = _frozen(f_index.astype(np.intp, copy=f_index.flags.writeable))
 
-    @cached_property
+    @property
     def grid(self):
         return _frozen(np.indices(self.question_counts).reshape(self.players, -1).T)
 
@@ -121,7 +122,7 @@ class LinearGame:
 
     @cached_property
     def predicate(self):
-        return tuple(map(tuple, self.residues.tolist()))
+        return tuple(map(self.group.element, self._f_index.tolist()))
 
     @cached_property
     def histogram(self):
@@ -167,7 +168,7 @@ class LinearGame:
 
     def inputs(self):
         """All question tuples in lexicographic order."""
-        return [tuple(x) for x in self.grid.tolist()]
+        return list(itertools.product(*map(range, self.question_counts)))
 
     def input_index(self, x):
         return _position(x, self.question_counts, "question tuple")
@@ -176,7 +177,7 @@ class LinearGame:
         return Fraction(int(self.weights[self.input_index(x)]), self.den)
 
     def predicate_value(self, x):
-        return tuple(self.residues[self.input_index(x)].tolist())
+        return self.group.element(int(self._f_index[self.input_index(x)]))
 
     def probabilities_float(self):
         return self._probabilities
@@ -525,18 +526,14 @@ def _expect_keys(obj, required, path="document"):
         raise GameFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
-def _decode(text):
-    """The JSON value in ``text``; invalid JSON raises GameFormatError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"invalid JSON: {e}") from None
-
-
 def _read_document(text, keys):
     """The JSON object in ``text``, with exactly the keys ``keys``: the
-    reader of the game, strategy and function file formats."""
-    doc = _decode(text)
+    reader of the game, strategy and function file formats.  Invalid JSON
+    raises GameFormatError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GameFormatError(f"invalid JSON: {e}") from None
     _expect_keys(doc, keys)
     return doc
 
@@ -548,8 +545,15 @@ def _nonempty_list(raw, path, what):
 
 
 def _load(path, parse):
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """``parse`` of the text of the file at ``path``; bytes that are not
+    UTF-8 raise GameFormatError naming the offset of the first bad one."""
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GameFormatError(
+                f"not UTF-8 text: {e.reason} at byte offset {e.start}") from None
+    return parse(text)
 
 
 def _parse_element(raw, group, path):
@@ -863,30 +867,27 @@ def _write_json(value, newline, sort_keys, out):
 
 
 def _game_document(game):
-    if game.field is not None:
-        group_doc = {"field": {"p": game.field.p, "r": game.field.r}}
-    else:
-        group_doc = {"cyclic": list(game.group.orders)}
+    group_doc = ({"cyclic": list(game.group.orders)} if game.field is None
+                 else {"field": {"p": game.field.p, "r": game.field.r}})
 
+    grid = game.grid
     if game.is_uniform:
         dist_doc = "uniform"
     else:
         support = game.weights > 0
         dist_doc = {"table": Records({
-            "x": game.grid[support],
+            "x": grid[support],
             "p": [f"{w // g}/{game.den // g}"
                   for w in game.weights[support].tolist()
                   for g in (math.gcd(w, game.den),)]})}
-
-    # f is an int for a one-factor group, else a list
-    residues = (game.residues[:, 0] if len(game.group.orders) == 1
-                else game.residues)
     return {
         "players": game.players,
         "questions": list(game.question_counts),
         "group": group_doc,
         "distribution": dist_doc,
-        "predicate": {"table": Records({"x": game.grid, "f": residues})},
+        # f is an int on one factor, where an element's index is its residue
+        "predicate": {"table": Records({"x": grid, "f": (
+            game._f_index if len(game.group.orders) == 1 else game.residues)})},
     }
 
 

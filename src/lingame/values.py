@@ -246,4 +246,4 @@ def separability_check(game):
     tables = [offsets[0] + game.residues[0]] + offsets[1:]
     strategy = DeterministicStrategy(tuple(map(elements, tables)))
     return SeparabilityReport(True, tuple(map(elements, offsets)),
-                              game.predicate[0], strategy)
+                              tuple(game.residues[0].tolist()), strategy)

@@ -146,6 +146,7 @@ way, by a deliberately different algorithm, so agreement is meaningful:
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -1284,7 +1285,10 @@ def oracle_deterministic_table(strategy, group, question_counts):
 
 def parse_report(text):
     """Parse a --json report back into a dict."""
-    doc = games._decode(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GameFormatError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("schema") != cli.SCHEMA:
         raise GameFormatError(f"not a {cli.SCHEMA} report")
     return doc

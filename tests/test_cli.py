@@ -282,6 +282,30 @@ def test_malformed_game_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", None], ["boxes", "run", None],
+    ["diew", GHZ3, "--strategy", None]],
+    ids=["analyze", "boxes-run", "diew-strategy"])
+def test_a_file_that_is_not_utf8_exits_1(capsys, tmp_path, argv):
+    """A file that starts with a UTF-16 byte-order mark ended every
+    subcommand in a UnicodeDecodeError traceback."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes("{}".encode("utf-16"))
+    code, out, err = run_cli(capsys, *[a or str(path) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == ("lingame: error: not UTF-8 text: invalid start byte at "
+                   "byte offset 0\n")
+
+
+def test_a_negative_seed_is_a_usage_error(capsys):
+    # numpy's default_rng refused it with a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["boxes", "run", XYZ_FUNCTION, "--seed", "-1"])
+    assert exc.value.code == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in (
+        capsys.readouterr().err)
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "analyze", GHZ3, "--cap", "1")
     assert code == 2

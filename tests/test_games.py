@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lingame.algebra import AbelianGroup
+from lingame.boxworld import load_function
 from lingame.errors import GameFormatError, ValidationError
 from lingame.diew import biseparable_bound
 from lingame.games import (Behavior, DeterministicStrategy, LinearGame,
@@ -17,6 +18,7 @@ from lingame.games import (Behavior, DeterministicStrategy, LinearGame,
                            mermin_ghz3_game, parse_game_file, serialize_game,
                            success_probability)
 from lingame.qbounds import quantum_bound
+from lingame.strategies import load_strategy
 from lingame.values import classical_value, svetlichny_value
 
 from oracles import oracle_parse_game_file
@@ -242,23 +244,30 @@ def test_win_weights_are_built_on_first_use_and_read_only(build):
 
 @BUILDS
 def test_no_engine_builds_the_grid_or_the_residues(build):
-    """A game holds its weights and predicate indices; its grid, residues
-    and float probabilities are built on first read, and no exact value,
-    norm bound or search reads the grid or the residues."""
+    """A game holds its weights and predicate indices; its residues and
+    float probabilities are built on first read.  No exact value, norm
+    bound or search reads the grid or the residues, and the writer and the
+    tuple accessors of a one-factor game (all four here) work from the
+    predicate indices, so none of them leaves either on the game."""
     game = build()
     assert {"grid", "residues", "_probabilities"}.isdisjoint(vars(game))
-    calls = [classical_value, quantum_bound]
+    x = (0,) * game.players
+    calls = [classical_value, quantum_bound, game_hash, serialize_game,
+             lambda g: g.predicate, lambda g: g.predicate_value(x),
+             LinearGame.inputs, LinearGame.support]
     if game.players == 3:
         calls += [svetlichny_value, biseparable_bound]
-    for call in calls:
+    for i, call in enumerate(calls):
         call(game)
-        assert {"grid", "residues"}.isdisjoint(vars(game)), call.__name__
+        assert {"grid", "residues"}.isdisjoint(vars(game)), i
 
 
 @BUILDS
 def test_views_are_built_once_read_only_with_their_values(build):
+    """``residues`` and the float probabilities are built once and kept;
+    ``grid`` is built, read-only, on each read and never kept."""
     game = build()
-    views = {"grid": lambda: game.grid, "residues": lambda: game.residues,
+    views = {"residues": lambda: game.residues,
              "_probabilities": game.probabilities_float}
     for name, read in views.items():
         view = read()
@@ -266,6 +275,11 @@ def test_views_are_built_once_read_only_with_their_values(build):
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0
+    for grid in (game.grid, game.grid):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0
+    assert "grid" not in vars(game)
     questions = list(itertools.product(*map(range, game.question_counts)))
     assert game.grid.dtype == game.residues.dtype == np.intp
     assert game.grid.tolist() == [list(x) for x in questions]
@@ -288,6 +302,33 @@ def test_a_big_game_holds_only_its_weights():
     finally:
         tracemalloc.stop()
     assert held <= game.weights.nbytes + 64 * 2**10
+
+
+def test_a_hashed_game_holds_no_more():
+    """chsh(6, 7), N = 117,649: ``game_hash`` writes the predicate table
+    from the predicate indices and a grid built for the call, so a hashed
+    game holds what it held after its build (6.3 MiB more when the writer
+    kept its grid and residues)."""
+    game = chsh_game(6, 7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        game_hash(game)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * 2**10
+
+
+def test_a_multi_factor_hash_keeps_only_the_residues():
+    """On GF(4), whose additive group has two factors, the predicate table
+    is written from ``residues``, which stays; the grid does not."""
+    game = chsh_game(3, 4)
+    text = serialize_game(game)
+    assert "residues" in vars(game) and "grid" not in vars(game)
+    assert serialize_game(game) == text
+    assert json.loads(text)["predicate"]["table"][-1] == {
+        "x": [3, 3, 3], "f": list(game.predicate[-1])}
 
 
 @pytest.mark.parametrize("weights, classes", [
@@ -620,6 +661,23 @@ def test_format_error_messages_are_the_oracle_readers(text, message):
     with pytest.raises(GameFormatError) as err:
         oracle_parse_game_file(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("load", [load_game, load_strategy, load_function],
+                         ids=["game", "strategy", "function"])
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{\x00}\x00", "invalid start byte at byte offset 0"),
+    (b" " * 10000 + b'{"d": "\xe9"}',
+     "invalid continuation byte at byte offset 10007")],
+    ids=["utf16", "late"])
+def test_loaders_refuse_bytes_that_are_not_utf8(tmp_path, load, data, message):
+    """A file that is not UTF-8 is a format error naming the offset of its
+    first bad byte in the file (it was a UnicodeDecodeError)."""
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    with pytest.raises(GameFormatError) as err:
+        load(str(path))
+    assert str(err.value) == "not UTF-8 text: " + message
 
 
 def test_readme_game_example_parses():
